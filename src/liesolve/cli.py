@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -52,7 +51,6 @@ CONFIG_SCHEMA = {
             "enum": ["classify", "reduce", "solve", "verify", "transform", "case-study"]
         },
         "seed": {"type": "integer"},
-        "threads": {"type": "integer", "minimum": 1},
         "potential": {"type": "string"},
         "potential_params": {"type": "object", "additionalProperties": {"type": "number"}},
         "case": {"type": "string"},
@@ -356,12 +354,8 @@ def run(config):
     Config errors raise :class:`ConfigError` (exit code 1 at the CLI).
     """
     validate_config(config)
-    threads = config.get("threads") or int(os.environ.get("LIESOLVE_THREADS", "1") or 1)
-    config = dict(config)
-    config["threads"] = max(1, threads)
     rep = _COMMANDS[config["command"]](config)
     rep.payload.setdefault("seed", config.get("seed", 0))
-    rep.payload.setdefault("threads", config["threads"])
     return (0 if rep.clean else 2), rep
 
 
@@ -370,8 +364,6 @@ def build_parser():
     # parsed at the top level, so flags work on either side of the verb
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int,
-                        help="worker cap (default: LIESOLVE_THREADS or 1)")
     common.add_argument("--json", dest="out_json",
                         help="write the machine-readable report here")
     common.add_argument("--text", dest="out_text",
@@ -437,8 +429,6 @@ def config_from_args(args):
         "command": args.command,
         "seed": getattr(args, "seed", 0),
     }
-    if getattr(args, "threads", None):
-        cfg["threads"] = args.threads
     if getattr(args, "out_json", None):
         cfg["out_json"] = args.out_json
     if getattr(args, "out_text", None):

@@ -9,20 +9,30 @@ Carlo engine discretizes the price processes directly.
 * :func:`bs_residual` - pointwise residual of the asset-space pricing
   operator (the same oracle in original coordinates).
 * :func:`fd_evolve` - Crank-Nicolson (one space dimension) or Douglas ADI
-  with an explicit-then-corrected reaction term (two dimensions).
+  with an explicit-then-corrected reaction term (two dimensions); the
+  constant implicit matrices are factored once per run.
 * :func:`mc_simulate` - Euler-Maruyama with correlated draws from a
-  counter-based generator, reproducible per seed.
+  counter-based generator, reproducible per seed; path blocks run on one
+  thread per available core, with samples that do not depend on the
+  number of threads.
 * :func:`compare` - L-infinity / sup-CDF comparison of two oracles.
+
+The array kernels update preallocated buffers in place, keeping the order
+of every floating-point operation of the plain formulas, so for fixed
+inputs their outputs are bit-identical to a straightforward NumPy
+transcription.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import numdiff
 from .errors import (
@@ -33,6 +43,7 @@ from .errors import (
     UnstableConfig,
 )
 from .fields import halton
+from .transform import CEVVol, ExponentialVol, RescaledExponentialVol
 
 RESID_H = 1e-3  # five-point stencil base step, h = RESID_H * max(1, |coord|)
 
@@ -258,17 +269,38 @@ def _banded_factors(n, h, dt, theta):
     return ab
 
 
-def _apply_half_lap(v, h, axis=0):
-    """(1/2) second difference with zero second derivative outside (Dirichlet
-    values handled by keeping boundary rows frozen)."""
-    out = np.zeros_like(v)
-    if v.ndim == 1:
-        out[1:-1] = 0.5 * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    elif axis == 0:
-        out[1:-1, :] = 0.5 * (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / (h * h)
+def _tridiagonal_solver(ab):
+    """Factor the tridiagonal matrix in banded storage ``ab`` once (LAPACK
+    ``dgttrf``) and return ``solve(b)``, which solves with those factors in
+    place when ``b`` is Fortran-contiguous and returns the solution.
+
+    The elimination and back substitution are those of the ``gtsv`` route
+    that ``solve_banded`` takes for one sub- and one super-diagonal, so the
+    solution has the same bits."""
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise UnstableConfig("singular implicit-step matrix")
+
+    def solve(b):
+        return dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+
+    return solve
+
+
+def _half_lap_into(v, hh, out, axis=0):
+    """Write (1/2) the second difference of ``v`` along ``axis`` into the
+    interior of ``out``; ``hh`` is the squared spacing.  The edge rows of
+    ``out`` are not touched: the callers' buffers keep them at zero, the
+    zero second derivative outside the Dirichlet values."""
+    if axis == 0:
+        o, up, mid, down = out[1:-1], v[2:], v[1:-1], v[:-2]
     else:
-        out[:, 1:-1] = 0.5 * (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
-    return out
+        o, up, mid, down = out[:, 1:-1], v[:, 2:], v[:, 1:-1], v[:, :-2]
+    np.multiply(mid, 2.0, out=o)
+    np.subtract(up, o, out=o)
+    o += down
+    o *= 0.5
+    o /= hh
 
 
 def _check_contamination(u0_vals, grid, tau_total):
@@ -307,23 +339,30 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
     scheme.  Two dimensions: Douglas splitting with the reaction term taken
     explicitly and corrected by a second trapezoidal pass, second order in
     dt and h.  Deterministic for fixed inputs.
+
+    The implicit matrices are constant, so each is factored once per run
+    (LAPACK ``dgttrf``) and every step only back-substitutes (``dgttrs``);
+    each step evaluates the half-Laplacians of u once and reuses them.
+    The result is bit-identical to solving each step with ``solve_banded``.
+    Raises :class:`UnstableConfig` when the evolved values are not finite.
     """
     steps = int(round(tau_end / grid.dt))
     if abs(steps * grid.dt - tau_end) > 1e-9 * max(1.0, tau_end):
         raise UnstableConfig("tau_end must be an integer number of time steps")
     Mfn = M.fn if hasattr(M, "fn") else M
     u0fn = u0.fn if hasattr(u0, "fn") else u0
+    dt = grid.dt
+    hdt = 0.5 * dt
+    bval = 0.0 if bc == "absorbing" else float(bc_value)
 
     if grid.dims == 1:
         xs = grid.axis(0)
         h = grid.spacing(0)
         u = np.array([u0fn(x) for x in xs], dtype=float)
         mvals = np.array([Mfn(x) for x in xs], dtype=float)
-        if grid.dt * float(np.max(np.abs(mvals))) > 2.0:
+        if dt * float(np.max(np.abs(mvals))) > 2.0:
             raise UnstableConfig("dt too large for the reaction term (growth check)")
         _check_contamination(u, grid, tau_end)
-        bval = 0.0 if bc == "absorbing" else float(bc_value)
-        dt = grid.dt
         coef = 0.5 * dt * 0.5 / (h * h)
         n = len(xs)
         ab = np.zeros((3, n))
@@ -333,56 +372,84 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
         ab[1, 0] = ab[1, -1] = 1.0
         ab[0, 1] = 0.0
         ab[2, -2] = 0.0
+        solve = _tridiagonal_solver(ab)
+        hh = h * h
+        lap, expl, rhs = np.zeros(n), np.empty(n), np.empty(n)
         u[0] = u[-1] = bval
         for _ in range(steps):
-            # explicit half plus implicit half (theta = 1/2)
-            rhs = u + 0.5 * dt * (_apply_half_lap(u, h) - mvals * u)
+            # explicit half plus implicit half (theta = 1/2):
+            # rhs = u + (dt/2) ((1/2) D2 u - M u)
+            _half_lap_into(u, hh, lap)
+            np.multiply(mvals, u, out=expl)
+            np.subtract(lap, expl, out=expl)
+            expl *= hdt
+            np.add(u, expl, out=rhs)
             rhs[0] = rhs[-1] = bval
-            u = solve_banded((1, 1), ab, rhs)
-        return Grid(grid.extents, grid.dt, u, tau=steps * grid.dt)
+            u, rhs = solve(rhs), u
+        return _evolved(grid, u, steps)
 
     # two dimensions: Douglas + trapezoidal correction
-    xs, ys = grid.axis(0), grid.axis(1)
     hx, hy = grid.spacing(0), grid.spacing(1)
+    hxx, hyy = hx * hx, hy * hy
     X, Y = grid.meshgrid()
-    u = np.vectorize(u0fn)(X, Y).astype(float)
+    u = np.ascontiguousarray(np.vectorize(u0fn)(X, Y), dtype=float)
     mvals = np.vectorize(Mfn)(X, Y).astype(float)
-    dt = grid.dt
     if dt * float(np.max(np.abs(mvals))) > 1.0:
         raise UnstableConfig("dt too large for the explicit reaction term")
     _check_contamination(u, grid, tau_end)
-    bval = 0.0 if bc == "absorbing" else float(bc_value)
     u[0, :] = u[-1, :] = bval
     u[:, 0] = u[:, -1] = bval
 
-    abx = _banded_factors(len(xs), hx, dt, 0.5)
-    aby = _banded_factors(len(ys), hy, dt, 0.5)
+    nx, ny = u.shape
+    solve_x = _tridiagonal_solver(_banded_factors(nx, hx, dt, 0.5))
+    solve_y = _tridiagonal_solver(_banded_factors(ny, hy, dt, 0.5))
+    # lap_x, lap_y keep zero edges; the x sweep's right-hand side is
+    # Fortran-ordered so that LAPACK solves it in place (and the y sweep
+    # solves the transpose of a C-ordered buffer, also in place)
+    lap_x, lap_y = np.zeros_like(u), np.zeros_like(u)
+    f_u, f_y2, y0, y2, cx, cy, tmp = (np.empty_like(u) for _ in range(7))
+    rhs_x = np.empty(u.shape, order="F")
 
-    def F(v):
-        return _apply_half_lap(v, hx, 0) + _apply_half_lap(v, hy, 1) - mvals * v
+    def F(v, out):
+        # (1/2) Lap v - M v; leaves the half-Laplacians of v in lap_x, lap_y
+        _half_lap_into(v, hxx, lap_x, 0)
+        _half_lap_into(v, hyy, lap_y, 1)
+        np.add(lap_x, lap_y, out=out)
+        np.multiply(mvals, v, out=tmp)
+        out -= tmp
 
-    def implicit_x(rhs, v_old):
-        b = rhs - 0.5 * dt * _apply_half_lap(v_old, hx, 0)
-        b[0, :] = bval
-        b[-1, :] = bval
-        return solve_banded((1, 1), abx, b)
-
-    def implicit_y(rhs, v_old):
-        b = rhs - 0.5 * dt * _apply_half_lap(v_old, hy, 1)
-        b[:, 0] = bval
-        b[:, -1] = bval
-        return solve_banded((1, 1), aby, b.T).T
+    def sweeps(rhs, out):
+        # implicit x then implicit y, each against the explicit half-step of u
+        np.subtract(rhs, cx, out=rhs_x)
+        rhs_x[0, :] = bval
+        rhs_x[-1, :] = bval
+        y1 = solve_x(rhs_x)
+        np.subtract(y1, cy, out=out)
+        out[:, 0] = bval
+        out[:, -1] = bval
+        return solve_y(out.T).T
 
     for _ in range(steps):
-        y0 = u + dt * F(u)
-        y1 = implicit_x(y0, u)
-        y2 = implicit_y(y1, u)
-        y0c = y0 + 0.5 * dt * (F(y2) - F(u))
-        y1c = implicit_x(y0c, u)
-        u_new = implicit_y(y1c, u)
-        u_new[0, :] = u_new[-1, :] = bval
-        u_new[:, 0] = u_new[:, -1] = bval
-        u = u_new
+        F(u, f_u)
+        np.multiply(lap_x, hdt, out=cx)
+        np.multiply(lap_y, hdt, out=cy)
+        np.multiply(f_u, dt, out=y0)
+        y0 += u
+        y2 = sweeps(y0, y2)
+        # corrector right-hand side y0 + (dt/2) (F(y2) - F(u))
+        F(y2, f_y2)
+        f_y2 -= f_u
+        f_y2 *= hdt
+        f_y2 += y0
+        u = sweeps(f_y2, u)
+        u[0, :] = u[-1, :] = bval
+        u[:, 0] = u[:, -1] = bval
+    return _evolved(grid, u, steps)
+
+
+def _evolved(grid, u, steps):
+    if not np.all(np.isfinite(u)):
+        raise UnstableConfig("the evolution produced non-finite values")
     return Grid(grid.extents, grid.dt, u, tau=steps * grid.dt)
 
 
@@ -440,6 +507,16 @@ class SampleSet:
 _CHUNK = 1 << 16
 
 
+def _mc_workers(n_chunks):
+    """Threads for ``n_chunks`` path blocks: one per core this process may
+    run on, and no more than there are blocks."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU-affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(n_chunks, cores)
+
+
 def mc_simulate(cfg: SdeConfig, T: float) -> SampleSet:
     """Euler-Maruyama terminal samples.
 
@@ -448,82 +525,153 @@ def mc_simulate(cfg: SdeConfig, T: float) -> SampleSet:
     depend on scheduling.  Paths crossing zero are absorbed (full truncation);
     paths exceeding the explosion cap are flagged and excluded with the count
     reported.
+
+    Blocks of ``_CHUNK`` paths run on a thread pool with one worker per core
+    this process may use (``os.sched_getaffinity``), or inline when there is
+    one block.  Each block's generator is built before the pool starts and
+    each block writes only its own slice of the output, so the samples are
+    bit-identical whatever the number of workers.
     """
     dt = T / cfg.steps
     sq = math.sqrt(dt)
     mu1 = cfg.rate if cfg.use_risk_neutral else cfg.mu1
     mu2 = cfg.rate if cfg.use_risk_neutral else cfg.mu2
-    two = cfg.vol2 is not None
-    cap1 = cfg.explosion_cap_mult * cfg.s0_1
-    cap2 = cfg.explosion_cap_mult * cfg.s0_2
-    rho_c = math.sqrt(1.0 - cfg.rho**2)
+    # one leg per asset: (vol, drift, start, explosion cap)
+    legs = [(cfg.vol1, mu1, cfg.s0_1, cfg.explosion_cap_mult * cfg.s0_1)]
+    if cfg.vol2 is not None:
+        legs.append((cfg.vol2, mu2, cfg.s0_2, cfg.explosion_cap_mult * cfg.s0_2))
+    mix = (cfg.rho, math.sqrt(1.0 - cfg.rho**2))
 
-    out1 = np.empty(cfg.paths)
-    out2 = np.empty(cfg.paths) if two else None
-    excluded = np.zeros(cfg.paths, dtype=bool)
-
-    def vol_array(vol, s):
-        # vectorized total diffusion coefficient, zero at the absorbing floor
-        with np.errstate(invalid="ignore"):
-            v = np.where(s > 0.0, _vol_vec(vol, np.maximum(s, 1e-300)), 0.0)
-        return v
-
+    outs = [np.empty(cfg.paths) for _ in legs]
+    excluded = np.empty(cfg.paths, dtype=bool)
     base = np.random.Philox(key=cfg.seed)
     n_chunks = (cfg.paths + _CHUNK - 1) // _CHUNK
-    for k in range(n_chunks):
-        lo = k * _CHUNK
-        hi = min(cfg.paths, lo + _CHUNK)
-        m = hi - lo
-        rng = np.random.Generator(base.jumped(k))
-        s1 = np.full(m, cfg.s0_1)
-        s2 = np.full(m, cfg.s0_2) if two else None
-        dead1 = np.zeros(m, dtype=bool)
-        dead2 = np.zeros(m, dtype=bool)
-        boom = np.zeros(m, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # exploding paths may overflow before the cap flags them; the
-            # flag-and-exclude bookkeeping below handles those values
-            for _ in range(cfg.steps):
-                z1 = rng.standard_normal(m)
-                s1 = s1 + mu1 * s1 * dt + vol_array(cfg.vol1, s1) * sq * z1
-                dead1 |= s1 <= 0.0
-                s1 = np.where(dead1, 0.0, s1)
-                boom |= ~np.isfinite(s1) | (s1 > cap1)
-                s1 = np.where(boom, cfg.s0_1, s1)
-                if two:
-                    z2 = cfg.rho * z1 + rho_c * rng.standard_normal(m)
-                    s2 = s2 + mu2 * s2 * dt + vol_array(cfg.vol2, s2) * sq * z2
-                    dead2 |= s2 <= 0.0
-                    s2 = np.where(dead2, 0.0, s2)
-                    boom |= ~np.isfinite(s2) | (s2 > cap2)
-                    s2 = np.where(boom, cfg.s0_2, s2)
-        out1[lo:hi] = s1
-        if two:
-            out2[lo:hi] = s2
-        excluded[lo:hi] = boom
+    blocks = [
+        (slice(k * _CHUNK, min(cfg.paths, (k + 1) * _CHUNK)), np.random.Generator(base.jumped(k)))
+        for k in range(n_chunks)
+    ]
+    workers = _mc_workers(n_chunks)
+    # worker j runs blocks j, j + workers, ...; its scratch arrays are
+    # allocated here, in the calling thread: blocks that allocated their own
+    # in the worker threads left about 4 MB more resident afterwards
+    scratch = [_block_scratch(min(cfg.paths, _CHUNK), len(legs)) for _ in range(workers)]
+
+    def run(lane):
+        for paths, rng in blocks[lane::workers]:
+            _euler_block(rng, legs, mix, [o[paths] for o in outs], excluded[paths],
+                         cfg.steps, dt, sq, scratch[lane])
+
+    if workers <= 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(workers)))
 
     n_exc = int(np.sum(excluded))
     if n_exc > cfg.max_excluded_frac * cfg.paths:
         raise PathExplosion(
             f"{n_exc} of {cfg.paths} paths exceeded the explosion cap"
         )
-    keep = ~excluded
-    return SampleSet(out1[keep], out2[keep] if two else None, n_exc, cfg.seed)
+    if n_exc:
+        keep = ~excluded
+        outs = [o[keep] for o in outs]
+    return SampleSet(outs[0], outs[1] if len(legs) == 2 else None, n_exc, cfg.seed)
 
 
-def _vol_vec(vol, s):
-    """Vectorized sigma(S) for the volatility specs (falls back pointwise)."""
-    from .transform import CEVVol, ExponentialVol, RescaledExponentialVol
+def _block_scratch(m, n_legs):
+    """Work arrays for blocks of up to ``m`` paths: four float buffers, one
+    flag buffer and the absorbed flags of each leg."""
+    return [np.empty(m) for _ in range(4)] + [np.empty(m, dtype=bool) for _ in range(1 + n_legs)]
 
+
+def _euler_block(rng, legs, mix, prices, boom, steps, dt, sq, scratch):
+    """Run one block of paths, writing each leg's terminal prices into
+    ``prices`` and the explosion flags into ``boom`` (views of the outputs).
+
+    Every update is made in place with the association of the plain
+    formulas, ``(S + (mu S) dt) + (sigma(S) sqrt(dt)) Z`` and
+    ``rho Z1 + sqrt(1 - rho^2) W``, so the results keep their bits."""
+    m = len(boom)
+    z, w, v, t, flag, *dead = (a[:m] for a in scratch)
+    for d in dead:
+        d.fill(False)
+    boom.fill(False)
+    for s, (_, _, s0, _) in zip(prices, legs):
+        s.fill(s0)
+    rho, rho_c = mix
+    # numpy's error state is per thread, so it is set here, in the worker:
+    # exploding paths may overflow before the cap flags them; the
+    # flag-and-exclude bookkeeping handles those values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            rng.standard_normal(out=z)
+            _euler_step(legs[0], prices[0], z, dead[0], boom, v, t, flag, dt, sq)
+            if len(legs) == 2:
+                rng.standard_normal(out=w)
+                w *= rho_c
+                np.multiply(z, rho, out=v)
+                w += v
+                _euler_step(legs[1], prices[1], w, dead[1], boom, v, t, flag, dt, sq)
+
+
+def _euler_step(leg, s, z, dead, boom, v, t, flag, dt, sq):
+    """One Euler step of one leg, in place; ``v``, ``t``, ``flag`` are scratch."""
+    vol, mu, s0, cap = leg
+    np.maximum(s, 1e-300, out=v)
+    _diffusion_into(vol, v)
+    if not s0 > 0.0:
+        # the diffusion vanishes at and below zero.  With a positive start
+        # only absorbed paths sit there, and the floor below resets them to
+        # zero whatever their diffusion, so only this case needs the mask
+        np.greater(s, 0.0, out=flag)
+        np.logical_not(flag, out=flag)
+        np.copyto(v, 0.0, where=flag)
+    v *= sq
+    v *= z
+    np.multiply(s, mu, out=t)
+    t *= dt
+    s += t
+    s += v
+    np.less_equal(s, 0.0, out=flag)
+    dead |= flag
+    np.copyto(s, 0.0, where=dead)
+    if math.isfinite(cap):
+        # after the floor no price is below zero, so "not s <= cap" is
+        # exactly "non-finite or above the cap"
+        np.less_equal(s, cap, out=flag)
+        np.logical_not(flag, out=flag)
+    else:
+        np.isfinite(s, out=flag)
+        np.logical_not(flag, out=flag)
+        flag |= s > cap
+    boom |= flag
+    np.copyto(s, s0, where=boom)
+
+
+def _diffusion_into(vol, v):
+    """Overwrite ``v``, prices already floored at 1e-300, with sigma(v) for
+    the volatility specs (falls back pointwise)."""
     if isinstance(vol, CEVVol):
         if vol.alpha == 0.0:
-            return np.full_like(s, vol.sigma)
-        return vol.sigma * np.power(s, vol.alpha)
-    if isinstance(vol, ExponentialVol):
-        return np.exp(-s)
-    if isinstance(vol, RescaledExponentialVol):
-        return vol.sigma0 * vol.s0 * np.exp(vol.alpha * (1.0 - s / vol.s0))
-    return np.array([vol.value(v) for v in np.atleast_1d(s)])
+            v.fill(vol.sigma)
+            return
+        # S^(1/2) is sqrt(S) and S^1 is S, bit for bit
+        if vol.alpha == 0.5:
+            np.sqrt(v, out=v)
+        elif vol.alpha != 1.0:
+            np.power(v, vol.alpha, out=v)
+        v *= vol.sigma
+    elif isinstance(vol, ExponentialVol):
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+    elif isinstance(vol, RescaledExponentialVol):
+        v /= vol.s0
+        np.subtract(1.0, v, out=v)
+        v *= vol.alpha
+        np.exp(v, out=v)
+        v *= vol.sigma0 * vol.s0
+    else:
+        v[:] = [vol.value(x) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -531,22 +679,43 @@ def _vol_vec(vol, s):
 # ---------------------------------------------------------------------------
 
 
+_CDF_BLOCK = 1 << 16
+
+
 def sup_cdf_distance(samples, model_cdf, atom_at_zero=0.0):
     """Kolmogorov distance between a sample set and a model CDF.
 
     Tied samples are deduplicated so a point mass (the absorbed-at-zero atom)
     is compared jump-against-jump; the model's only discontinuity is at zero.
+    Its jump there is ``model_cdf(0.0)`` against a left limit of 0, so
+    ``atom_at_zero`` is never read; the parameter stays for the callers that
+    pass it.  ``model_cdf`` takes one value and is called once per distinct
+    sample, in blocks of ``_CDF_BLOCK`` values whose gaps are reduced as
+    arrays.  A NaN from ``model_cdf`` is skipped.
+
+    The distinct values come from one sorted copy and the index where each
+    first appears, which needs a third less memory than the values and
+    counts of ``numpy.unique``.  Unlike there, NaN samples stay apart; they
+    sort last, and splitting a tie away from zero changes no maximum.
     """
-    values, counts = np.unique(np.asarray(samples), return_counts=True)
-    n = counts.sum()
-    cum = np.cumsum(counts)
+    ordered = np.sort(np.asarray(samples), axis=None)
+    n = len(ordered)
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    starts = np.flatnonzero(first)  # samples below each distinct value
+    del ordered, first
     sup = 0.0
-    for v, hi, c in zip(values, cum, counts):
-        emp_hi = hi / n
-        emp_lo = (hi - c) / n
-        model_hi = model_cdf(v)
-        model_lo = 0.0 if v == 0.0 else model_hi
-        sup = max(sup, abs(model_hi - emp_hi), abs(model_lo - emp_lo))
+    for lo in range(0, len(values), _CDF_BLOCK):
+        v, below = values[lo:lo + _CDF_BLOCK], starts[lo:lo + _CDF_BLOCK]
+        upto = starts[lo + 1:lo + 1 + _CDF_BLOCK]  # samples up to and at it
+        if len(upto) < len(v):
+            upto = np.append(upto, n)
+        model_hi = np.fromiter(map(model_cdf, v), dtype=float, count=len(v))
+        model_lo = np.where(v == 0.0, 0.0, model_hi)
+        sup = np.fmax.reduce(np.abs(model_hi - upto / n), initial=sup)
+        sup = np.fmax.reduce(np.abs(model_lo - below / n), initial=sup)
     return float(sup)
 
 

@@ -103,6 +103,9 @@ def test_schema_rejects_unknown_keys():
     with pytest.raises(ConfigError) as ei:
         validate_config({"version": 1, "command": "classify", "bogus": 1})
     assert "/" in str(ei.value)
+    # the worker cap is gone from the schema; the oracles size their own pool
+    with pytest.raises(ConfigError):
+        validate_config({"version": 1, "command": "reduce", "case": "1.3", "threads": 2})
 
 
 def test_schema_rejects_bad_command_with_pointer():
@@ -150,12 +153,6 @@ def test_main_writes_reports(tmp_path):
     data = json.loads(out_json.read_text())
     assert data["title"].endswith("1.6")
     assert "similarity" in out_text.read_text()
-
-
-def test_env_var_thread_cap(monkeypatch):
-    monkeypatch.setenv("LIESOLVE_THREADS", "3")
-    _, rep = run({"version": 1, "command": "reduce", "case": "1.3"})
-    assert rep.payload["threads"] == 3
 
 
 def test_verify_case_without_closed_form():

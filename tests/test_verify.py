@@ -1,7 +1,9 @@
 """Verification-oracle tests: residual sampler, FD evolution, Monte Carlo,
 oracle comparison."""
 
+import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from liesolve import fields, verify
 from liesolve.errors import BoundaryContamination, DomainMismatch, UnstableConfig
 from liesolve.fields import ScalarField, heat_kernel
-from liesolve.transform import CEVVol
+from liesolve.transform import CEVVol, ExponentialVol, RescaledExponentialVol, TabulatedVol
 from liesolve.verify import Grid, Region, SdeConfig, compare, fd_evolve, fp_residual, mc_simulate
 
 REGION_2D = Region(((-1.5, 1.5), (-1.5, 1.5), (0.5, 2.0)))
@@ -364,3 +366,158 @@ def test_compare_linf_2d():
 
     rep = compare(exact, out, metric="Linf_rel", threshold=5e-3, boundary_margin=1.0)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the oracle kernels
+# ---------------------------------------------------------------------------
+
+# sha256 of the outputs, recorded with the straightforward array engine
+# (per-step temporaries, solve_banded, one path block after another)
+MC_GOLDEN = {
+    # 150 000 paths: three blocks, the last one partial; paths absorbed at 0
+    "cev_half": (dict(vol1=CEVVol(1.0, 0.5), rate=0.02, paths=150_000, steps=8, seed=7),
+                 "88820f03b3994371ba6f36ccd097ef021313f4a4305d5ea2ecfee8188476e30f"),
+    "gbm": (dict(vol1=CEVVol(0.3, 1.0), rate=0.05, paths=70_000, steps=8, seed=8),
+            "2c5c2e657d9b34abb3296d74c7bcf211f9e496f9e29378f133399d3129337388"),
+    "cev_07": (dict(vol1=CEVVol(0.4, 0.7), rate=0.02, paths=70_000, steps=8, seed=9),
+               "d4c8b8bfcee66bf7cec7efea8376475685ad7b9908ef2e5ba6d8215439c87104"),
+    "pair": (dict(vol1=CEVVol(0.2, 1.0), vol2=CEVVol(0.6, 0.5), rho=0.6, rate=0.05,
+                  paths=70_000, steps=8, seed=10),
+             "775e49281f83095e3328a23c403a4c2ee480c1c79e4d82c342d48cbd5b3d40fa"),
+    "explode": (dict(vol1=CEVVol(3.0, 2.0), rate=0.0, paths=2000, steps=64, seed=5,
+                     explosion_cap_mult=5.0, max_excluded_frac=1.0),
+                "b929930d19fe778431407c8563dbc309b7300feb5a8130762a23ea64f4b8b0cc"),
+    "explode_pair": (dict(vol1=CEVVol(0.2, 1.0), vol2=CEVVol(3.0, 2.0), rho=-0.3, paths=2000,
+                          steps=64, seed=6, explosion_cap_mult=5.0, max_excluded_frac=1.0),
+                     "dd762c0a18785812dd174c3e59305715df80718fa0010ce564b256b15ec748b3"),
+    "const": (dict(vol1=CEVVol(0.5, 0.0), rate=0.01, paths=3000, steps=16, seed=11),
+              "ae221b68825b08752a5ee8dd7c57defe202a6bf5c2b048f505bf0f0224f1525a"),
+    # starts on the absorbing floor: the diffusion must vanish there
+    "floor": (dict(vol1=CEVVol(0.5, 0.0), s0_1=0.0, paths=3000, steps=4, seed=12),
+              "4b95918b9ee6876b77072e278fb7a1f36dcac530473e0089df930348930a7e5b"),
+    "expvol": (dict(vol1=ExponentialVol(), rate=0.03, paths=3000, steps=16, seed=13),
+               "7be124d6dff768defde20e2a939912ff18efad488cb74f52f912beab39624979"),
+    "rexpvol": (dict(vol1=RescaledExponentialVol(0.3, 2.0, 1.5), s0_1=1.5, rate=0.03, paths=3000,
+                     steps=16, seed=14),
+                "efa48653c6135471ef79a4c986022c82bbb1a31e1e3843701d7682abde85259d"),
+    "tabulated": (dict(vol1=TabulatedVol(lambda s: 0.3 * s**0.8, lambda s: 0.24 * s**-0.2),
+                       rate=0.01, paths=500, steps=8, seed=15),
+                  "e6d8be539812bf5b54e58d082b5703b190db932b02141474a0c427706deafe29"),
+}
+
+
+def _sha(*arrays, tail=b""):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(tail)
+    return h.hexdigest()
+
+
+def _samples_sha(s):
+    return _sha(s.s1, *(() if s.s2 is None else (s.s2,)), tail=str(s.n_excluded).encode())
+
+
+@pytest.mark.parametrize("name", sorted(MC_GOLDEN))
+def test_mc_golden_digests(name):
+    kw, digest = MC_GOLDEN[name]
+    assert _samples_sha(mc_simulate(SdeConfig(**kw), T=1.0)) == digest
+
+
+@pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
+def test_fd_evolve_golden_digests():
+    M1 = lambda x: 0.5 + 0.1 * math.tanh(x)
+    g1 = lambda x: math.exp(-x * x)
+    M2 = lambda x, y: 0.5 + 0.1 * math.tanh(x) * math.tanh(y)
+    g2 = lambda x, y: math.exp(-x * x - 0.5 * y * y)
+    g1d = Grid(((-4.0, 4.0, 65),), dt=1e-2)
+    g2d = Grid(((-4.0, 4.0, 33), (-3.0, 3.0, 25)), dt=1e-2)
+    got = [
+        _sha(fd_evolve(M1, g1, g1d, 0.2).values),
+        _sha(fd_evolve(M1, g1, g1d, 0.2, bc="fixed", bc_value=0.1).values),
+        _sha(fd_evolve(M2, g2, g2d, 0.1).values),
+        _sha(fd_evolve(M2, g2, g2d, 0.1, bc="fixed", bc_value=0.05).values),
+    ]
+    assert got == [
+        "7cf794e68f6566caff840f441911ed9e8c78f2ec92702605b4a4f8707d360663",
+        "ec0b9140e17672e3bf7c40d44c3bbc1aaeb3aed425fd6f7277547eecd1935857",
+        "9e6fd56b419c3b1487e3c6647e6669b50a8d369dfa918cfcc992b8851dc57c88",
+        "c44c27c7e56f09536e7ed14f7c73f545ce6f073f56a7aee750b3915509814c19",
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
+def test_fd_evolve_non_finite_is_typed():
+    # the second difference of values near the largest double overflows
+    u0 = lambda x: 1e308 * math.exp(-x * x)
+    with pytest.raises(UnstableConfig):
+        fd_evolve(lambda x: 0.0, u0, Grid(((-6.0, 6.0, 65),), dt=1e-2), 0.05)
+
+
+def test_mc_worker_count_independence(monkeypatch):
+    def run(cfg, workers):
+        monkeypatch.setattr(verify, "_mc_workers", lambda n_chunks: workers)
+        # more workers than blocks or cores, switching threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            return mc_simulate(cfg, T=1.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+    for name in ("cev_half", "pair"):
+        cfg = SdeConfig(**MC_GOLDEN[name][0])
+        one, four = run(cfg, 1), run(cfg, 4)
+        assert np.array_equal(one.s1, four.s1)
+        if one.s2 is not None:
+            assert np.array_equal(one.s2, four.s2)
+        assert one.n_excluded == four.n_excluded
+
+    # three blocks whose paths overflow before the cap flags them: the
+    # workers must run under the same floating-point error state
+    boom = SdeConfig(vol1=CEVVol(3.0, 2.0), rate=0.0, paths=140_000, steps=16, seed=5,
+                     explosion_cap_mult=1e300, max_excluded_frac=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run(boom, 4)
+    assert out.n_excluded > 0
+    assert np.array_equal(out.s1, run(boom, 1).s1)
+
+
+def _sup_cdf_reference(samples, model_cdf):
+    """The scalar loop that the blocked reduction replaces."""
+    values, counts = np.unique(np.asarray(samples), return_counts=True)
+    n = counts.sum()
+    cum = np.cumsum(counts)
+    sup = 0.0
+    for v, hi, c in zip(values, cum, counts):
+        emp_hi = hi / n
+        emp_lo = (hi - c) / n
+        model_hi = model_cdf(v)
+        model_lo = 0.0 if v == 0.0 else model_hi
+        sup = max(sup, abs(model_hi - emp_hi), abs(model_lo - emp_lo))
+    return float(sup)
+
+
+def test_sup_cdf_distance_matches_scalar_loop(monkeypatch):
+    monkeypatch.setattr(verify, "_CDF_BLOCK", 1 << 12)
+    rng = np.random.default_rng(4)
+    # an atom at zero, ties from rounding, and several blocks of values,
+    # the last one partial
+    samples = np.concatenate([np.zeros(3000), np.round(rng.exponential(1.0, 27_000), 5)])
+    assert 4 * verify._CDF_BLOCK < len(np.unique(samples)) < len(samples) - 3000
+    # NaN samples, and a signed zero that ties with the atom
+    samples = rng.permutation(np.concatenate([samples, [np.nan] * 5, [-0.0] * 7]))
+    # the model fits the samples, so that the jump at zero sets the distance
+    # whenever it is compared the wrong way
+    xs = np.linspace(0.0, 9.0, 400)
+    smooth = lambda v: 0.1 + 0.9 * float(np.interp(v, xs, 1.0 - np.exp(-xs), left=0.0))
+    holey = lambda v: math.nan if 1.0 < v < 1.5 else smooth(v)
+    nan_aware = lambda v: 0.5 if v != v else smooth(v)
+    for model in (smooth, holey, nan_aware):
+        got = verify.sup_cdf_distance(samples, model, atom_at_zero=0.1)
+        assert got == _sup_cdf_reference(samples, model)
+    assert verify.sup_cdf_distance(samples, smooth) < 0.02
+    assert verify.sup_cdf_distance(np.array([]), smooth) == 0.0
