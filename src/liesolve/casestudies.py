@@ -127,8 +127,7 @@ def _reduction_1d_inverse_square(C0, d1=1.0, d2=1.0):
         return -hd.exp(-W(x, t)) / (2.0 * f1(t))
 
     def op(P, xi):
-        p2 = hd.derivative(P, (xi,), 0, order=2)
-        p1 = hd.derivative(P, (xi,), 0, order=1)
+        _, p1, p2 = hd.jet(P, (xi,), 0)
         return p2 + d1 * xi * p1 - 2.0 * C0 / (xi * xi) * P(xi)
 
     return _OneDimReduction(to_sim, W, jac, op)

@@ -44,6 +44,12 @@ class ScalarField:
             return numdiff.partial1(self.fn, args, i, self.h0)
         return numdiff.partial2(self.fn, args, i, self.h0)
 
+    def grad(self, i, j, args):
+        """(d/d args[i], d/d args[j]); one pass for dual fields."""
+        if self.dual:
+            return hd.derivative_pair(self.fn, args, i, j)
+        return self.deriv(i, args), self.deriv(j, args)
+
     def mixed(self, i, j, args):
         if i == j:
             return self.deriv(i, args, order=2)

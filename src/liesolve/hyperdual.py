@@ -6,6 +6,13 @@ first derivatives (the ``e1``/``e2`` slots) and one exact mixed second
 derivative (the ``e1*e2`` slot).  Seeding both slots with the same direction
 yields a pure second derivative.
 
+The ``c`` slot may instead carry a second first-order direction
+(:func:`derivative_pair`).  No operation reads ``c`` or ``d`` into ``a`` or
+``b`` and every ``c`` formula mirrors its ``b`` formula, so each derivative
+slot of such a pass is bitwise equal to that of a separate pass.  Values must
+come from float passes: division multiplies by the reciprocal, so the ``a``
+slot of a seeded pass can differ from a float quotient in the last bit.
+
 This is how the similarity maps, gauge prefactors and separated factors get
 machine-precision derivatives without symbolic machinery; finite differences
 remain the *independent* route used by the verification oracles.
@@ -14,15 +21,19 @@ remain the *independent* route used by the verification oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Dual2:
-    a: float          # value
-    b: float = 0.0    # e1 coefficient
-    c: float = 0.0    # e2 coefficient
-    d: float = 0.0    # e1*e2 coefficient
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b=0.0, c=0.0, d=0.0):
+        self.a = a  # value
+        self.b = b  # e1 coefficient
+        self.c = c  # e2 coefficient
+        self.d = d  # e1*e2 coefficient
+
+    def __repr__(self):
+        return f"Dual2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     # -- ring operations ----------------------------------------------------
 
@@ -37,7 +48,7 @@ class Dual2:
         return Dual2(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, o):
-        return self + (-o if isinstance(o, Dual2) else -o)
+        return self + (-o)
 
     def __rsub__(self, o):
         return (-self) + o
@@ -214,32 +225,34 @@ def _keep(a):
     return a if isinstance(a, Dual2) else float(a)
 
 
-def derivative(fn, args, i, order=1):
-    """Exact d^order fn / d args[i]^order (order 1 or 2) at args."""
-    seeded = [
-        Dual2(_keep(a), 1.0 if k == i else 0.0, 1.0 if (k == i and order == 2) else 0.0)
-        for k, a in enumerate(args)
-    ]
-    out = fn(*seeded)
-    out = _as_dual(out)
-    return out.b if order == 1 else out.d
-
-
-def mixed(fn, args, i, j):
-    """Exact d^2 fn / d args[i] d args[j] at args."""
+def _seeded_pass(fn, args, i, j):
+    """fn at args with the e1 slot seeded along args[i] and e2 along args[j]."""
     seeded = [
         Dual2(_keep(a), 1.0 if k == i else 0.0, 1.0 if k == j else 0.0)
         for k, a in enumerate(args)
     ]
-    out = _as_dual(fn(*seeded))
-    return out.d
+    return _as_dual(fn(*seeded))
+
+
+def derivative(fn, args, i, order=1):
+    """Exact d^order fn / d args[i]^order (order 1 or 2) at args."""
+    out = _seeded_pass(fn, args, i, i if order == 2 else None)
+    return out.b if order == 1 else out.d
+
+
+def derivative_pair(fn, args, i, j):
+    """(d fn / d args[i], d fn / d args[j]) at args from one pass; each is
+    bitwise equal to the corresponding :func:`derivative`."""
+    out = _seeded_pass(fn, args, i, j)
+    return out.b, out.c
+
+
+def mixed(fn, args, i, j):
+    """Exact d^2 fn / d args[i] d args[j] at args."""
+    return _seeded_pass(fn, args, i, j).d
 
 
 def jet(fn, args, i):
     """(value, first, second) of fn along coordinate i at args."""
-    seeded = [
-        Dual2(_keep(a), 1.0 if k == i else 0.0, 1.0 if k == i else 0.0)
-        for k, a in enumerate(args)
-    ]
-    out = _as_dual(fn(*seeded))
+    out = _seeded_pass(fn, args, i, i)
     return out.a, out.b, out.d

@@ -46,8 +46,11 @@ class SumTimeFn:
         return all(p.is_zero() for p in self.parts)
 
 
-def _jet(P, args, i, order):
-    return hd.derivative(P, args, i, order=order)
+def _lap_grad(P, xi, eta):
+    """(P_xx + P_yy, P_x, P_y) at (xi, eta) from one jet along each axis."""
+    _, px, pxx = hd.jet(P, (xi, eta), 0)
+    _, py, pyy = hd.jet(P, (xi, eta), 1)
+    return pxx + pyy, px, py
 
 
 def _polar_op(P):
@@ -217,9 +220,7 @@ def _case_11a():
         kap = 4.0 * (d2 * b0 * b0 - d1 * b0 * b1)
 
         def op(P, xi, eta):
-            lap = _jet(P, (xi, eta), 0, 2) + _jet(P, (xi, eta), 1, 2)
-            px = _jet(P, (xi, eta), 0, 1)
-            py = _jet(P, (xi, eta), 1, 1)
+            lap, px, py = _lap_grad(P, xi, eta)
             return (
                 d1 * d1 * xi * xi * lap
                 + d1**3 * xi**3 * px
@@ -291,7 +292,7 @@ def _case_11b():
         B1, B2 = p["beta1"], p["beta2"]
 
         def op(P, xi, eta):
-            lap = _jet(P, (xi, eta), 0, 2) + _jet(P, (xi, eta), 1, 2)
+            lap = _lap_grad(P, xi, eta)[0]
             return d1 * d2 * xi * xi * lap + (
                 8.0 * c * d1**2 * d2**2 * xi * xi * (xi * xi + eta * eta)
                 - xi * xi * (B1 * B1 * d2 + B2 * B2 * d1)
@@ -351,9 +352,8 @@ def _case_12a():
             Pp = _polar_op(P)
             rho = math.hypot(hd.value(xi), hd.value(eta))
             th = math.atan2(hd.value(eta), hd.value(xi))
-            prr = _jet(Pp, (rho, th), 0, 2)
-            pr = _jet(Pp, (rho, th), 0, 1)
-            ptt = _jet(Pp, (rho, th), 1, 2)
+            _, pr, prr = hd.jet(Pp, (rho, th), 0)
+            ptt = hd.derivative(Pp, (rho, th), 1, order=2)
             return (
                 rho * rho * prr
                 + (d1 * rho**3 + rho) * pr
@@ -422,9 +422,8 @@ def _case_12b():
             Pp = _polar_op(P)
             rho = math.hypot(hd.value(xi), hd.value(eta))
             th = math.atan2(hd.value(eta), hd.value(xi))
-            prr = _jet(Pp, (rho, th), 0, 2)
-            pr = _jet(Pp, (rho, th), 0, 1)
-            ptt = _jet(Pp, (rho, th), 1, 2)
+            _, pr, prr = hd.jet(Pp, (rho, th), 0)
+            ptt = hd.derivative(Pp, (rho, th), 1, order=2)
             return (
                 rho * rho * prr
                 + rho * pr
@@ -489,9 +488,7 @@ def _case_13():
             rho2 = xi * xi + eta * eta
             rho = math.sqrt(hd.value(rho2))
             th = math.atan2(hd.value(eta), hd.value(xi))
-            lap = _jet(P, (xi, eta), 0, 2) + _jet(P, (xi, eta), 1, 2)
-            px = _jet(P, (xi, eta), 0, 1)
-            py = _jet(P, (xi, eta), 1, 1)
+            lap, px, py = _lap_grad(P, xi, eta)
             s = lam * math.log(rho) + th
             return rho2 * (lap + (xi + lam * eta) * px + (eta - lam * xi) * py) - 2.0 * C(
                 s
@@ -543,9 +540,7 @@ def _case_14a():
 
         def op(P, xi, eta):
             rho2 = xi * xi + eta * eta
-            lap = _jet(P, (xi, eta), 0, 2) + _jet(P, (xi, eta), 1, 2)
-            px = _jet(P, (xi, eta), 0, 1)
-            py = _jet(P, (xi, eta), 1, 1)
+            lap, px, py = _lap_grad(P, xi, eta)
             return rho2 * lap + d1 * rho2 * (xi * px + eta * py) - 2.0 * C0 * P(xi, eta)
 
         return op
@@ -592,7 +587,7 @@ def _case_14b():
 
         def op(P, xi, eta):
             rho2 = xi * xi + eta * eta
-            lap = _jet(P, (xi, eta), 0, 2) + _jet(P, (xi, eta), 1, 2)
+            lap = _lap_grad(P, xi, eta)[0]
             return rho2 * lap + 2.0 * (4.0 * c * d1 * d2 * rho2 * rho2 - C0) * P(xi, eta)
 
         return op
@@ -654,9 +649,7 @@ def _case_15a():
         kap = _kappa(p)
 
         def op(P, xi, eta):
-            lap = _jet(P, (xi, eta), 0, 2) + _jet(P, (xi, eta), 1, 2)
-            px = _jet(P, (xi, eta), 0, 1)
-            py = _jet(P, (xi, eta), 1, 1)
+            lap, px, py = _lap_grad(P, xi, eta)
             return d1 * d1 * (
                 lap + d1 * (xi * px + eta * py) + kap * P(xi, eta)
             )
@@ -707,9 +700,8 @@ def _case_16():
 
         def op(P, xi, eta):
             # similarity variables are (xi, eta) = (rho^2, t)
-            pxx = _jet(P, (xi, eta), 0, 2)
-            px = _jet(P, (xi, eta), 0, 1)
-            pe = _jet(P, (xi, eta), 1, 1)
+            _, px, pxx = hd.jet(P, (xi, eta), 0)
+            pe = hd.derivative(P, (xi, eta), 1)
             r = math.sqrt(hd.value(xi))
             return (
                 4.0 * xi * xi * pxx
@@ -760,8 +752,8 @@ def _case_18a():
 
         def op(P, xi, eta):
             h = b1 * eta + b0
-            pxx = _jet(P, (xi, eta), 0, 2)
-            pe = _jet(P, (xi, eta), 1, 1)
+            pxx = hd.derivative(P, (xi, eta), 0, order=2)
+            pe = hd.derivative(P, (xi, eta), 1)
             return (
                 4.0 * h * h * pxx
                 - 8.0 * h * h * pe
@@ -833,8 +825,8 @@ def _case_18b():
         C = _c_scalar(p, _C_LINE)
 
         def op(P, xi, eta):
-            pxx = _jet(P, (xi, eta), 0, 2)
-            pe = _jet(P, (xi, eta), 1, 1)
+            pxx = hd.derivative(P, (xi, eta), 0, order=2)
+            pe = hd.derivative(P, (xi, eta), 1)
             return pxx - 2.0 * pe - 2.0 * C(hd.value(xi)) * P(xi, eta)
 
         return op

@@ -536,11 +536,12 @@ def hypU_jet(a, b):
     return f, d1, d2
 
 
-def whittakerW_jet(kappa, mu):
-    """(f, f', f'') for z -> W_{kappa,mu}(z), complex-capable in z."""
+def _whittaker_jet(inner_jet, kappa, mu):
+    """(f, f', f'') for z -> exp(-z/2) z^(mu+1/2) F(z), with ``inner_jet``
+    the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu."""
     a = complex(mu - kappa + 0.5)
     b = complex(1.0 + 2.0 * mu)
-    f1, d1, d2 = hypU_jet(a, b)
+    f1, d1, d2 = inner_jet(a, b)
     e = mu + 0.5
 
     def f(z):
@@ -556,25 +557,13 @@ def whittakerW_jet(kappa, mu):
         return pref * ((g * g - e / (z * z)) * f1(z) + 2.0 * g * d1(z) + d2(z))
 
     return f, df, ddf
+
+
+def whittakerW_jet(kappa, mu):
+    """(f, f', f'') for z -> W_{kappa,mu}(z), complex-capable in z."""
+    return _whittaker_jet(hypU_jet, kappa, mu)
 
 
 def whittakerM_jet(kappa, mu):
     """(f, f', f'') for z -> M_{kappa,mu}(z), complex-capable in z."""
-    a = complex(mu - kappa + 0.5)
-    b = complex(1.0 + 2.0 * mu)
-    f1, d1, d2 = hyp1f1_jet(a, b)
-    e = mu + 0.5
-
-    def f(z):
-        return cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z)) * f1(z)
-
-    def df(z):
-        pref = cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z))
-        return pref * ((e / z - 0.5) * f1(z) + d1(z))
-
-    def ddf(z):
-        pref = cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z))
-        g = e / z - 0.5
-        return pref * ((g * g - e / (z * z)) * f1(z) + 2.0 * g * d1(z) + d2(z))
-
-    return f, df, ddf
+    return _whittaker_jet(hyp1f1_jet, kappa, mu)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .errors import NotRadialPotential, SamplingError, UnsupportedF1Form
+from .errors import LiesolveError, NotRadialPotential, SamplingError, UnsupportedF1Form
 from .fields import ScalarField
 
 
@@ -127,8 +127,7 @@ class VectorField:
 
         def out(x, y, t):
             ft = hd.derivative(F, (x, y, t), 2)
-            fx = hd.derivative(F, (x, y, t), 0)
-            fy = hd.derivative(F, (x, y, t), 1)
+            fx, fy = hd.derivative_pair(F, (x, y, t), 0, 1)
             return self.T(x, y, t) * ft + self.X(x, y, t) * fx + self.Y(x, y, t) * fy
 
         return out
@@ -251,7 +250,7 @@ def _filter_points(M, points):
             v = M.fn(x, y)
             if math.isfinite(hd.value(v)):
                 good.append((x, y, t))
-        except Exception:
+        except (LiesolveError, ArithmeticError, ValueError):
             continue
     if len(good) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
@@ -266,8 +265,7 @@ def compatibility_condition(data: SymmetryData, M, points=None) -> float:
     f1d = data.f1.d()
     worst = 0.0
     for (x, y, t) in points:
-        Mx = M.deriv(0, (x, y))
-        My = M.deriv(1, (x, y))
+        Mx, My = M.grad(0, 1, (x, y))
         Mv = M.fn(x, y)
         A_t = hd.derivative(vf.A, (x, y, t), 2)
         A_xx = hd.derivative(vf.A, (x, y, t), 0, order=2)
@@ -303,8 +301,7 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
 
     def sigma(x, y, t):
         ut = hd.derivative(u, (x, y, t), 2)
-        ux = hd.derivative(u, (x, y, t), 0)
-        uy = hd.derivative(u, (x, y, t), 1)
+        ux, uy = hd.derivative_pair(u, (x, y, t), 0, 1)
         return (
             vf.A(x, y, t) * u(x, y, t)
             + vf.B(x, y, t)
@@ -328,12 +325,13 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     worst = 0.0
     for (x, y, t) in points:
         Tt = hd.derivative(vf.T, (x, y, t), 2)
+        Ex, Ey = hd.derivative_pair(E, (x, y, t), 0, 1)
         resid = (
             L_of(sigma, x, y, t)
             - (vf.A(x, y, t) - Tt) * E(x, y, t)
             + vf.T(x, y, t) * hd.derivative(E, (x, y, t), 2)
-            + vf.X(x, y, t) * hd.derivative(E, (x, y, t), 0)
-            + vf.Y(x, y, t) * hd.derivative(E, (x, y, t), 1)
+            + vf.X(x, y, t) * Ex
+            + vf.Y(x, y, t) * Ey
         )
         worst = max(worst, abs(hd.value(resid)))
     return worst
@@ -422,7 +420,7 @@ def rotation_derived_solution(g: ScalarField, M) -> ScalarField:
         try:
             rows.append(x * x + y * y)
             rhs.append(M.fn(x, y))
-        except Exception as exc:
+        except (LiesolveError, ArithmeticError, ValueError) as exc:
             raise SamplingError(str(exc)) from exc
     rows = np.asarray(rows)
     rhs = np.asarray(rhs)
@@ -435,8 +433,7 @@ def rotation_derived_solution(g: ScalarField, M) -> ScalarField:
         )
 
     def fn(x, y, t):
-        gx = hd.derivative(g.fn, (x, y, t), 0)
-        gy = hd.derivative(g.fn, (x, y, t), 1)
+        gx, gy = hd.derivative_pair(g.fn, (x, y, t), 0, 1)
         return y * gx - x * gy
 
     return ScalarField(fn, nargs=3, name=f"rotgen({g.name})")
@@ -500,10 +497,11 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = 
     if key == (1, 5):
         return Z
     if key == (1, 6):
-        return _v6_from(
-            lambda x, y, t: y * hd.derivative(psi.fn, (x, y, t), 0)
-            - x * hd.derivative(psi.fn, (x, y, t), 1)
-        )
+        def fn(x, y, t):
+            px, py = hd.derivative_pair(psi.fn, (x, y, t), 0, 1)
+            return y * px - x * py
+
+        return _v6_from(fn)
     if key == (2, 2):
         return v2(fn_time(chi(phi_i, phi_j)))
     if key == (2, 3):
@@ -523,8 +521,7 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = 
 
         def fn(x, y, t):
             pt = hd.derivative(psi.fn, (x, y, t), 2)
-            px = hd.derivative(psi.fn, (x, y, t), 0)
-            py = hd.derivative(psi.fn, (x, y, t), 1)
+            px, py = hd.derivative_pair(psi.fn, (x, y, t), 0, 1)
             return (
                 phi_i(t) * pt
                 + 0.5 * phid(t) * (x * px + y * py)

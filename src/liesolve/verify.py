@@ -305,8 +305,12 @@ def _half_lap_into(v, hh, out, axis=0):
 
 def _check_contamination(u0_vals, grid, tau_total):
     """Warn when the diffusion cone from the initial support reaches the
-    boundary: spread ~ 4 sqrt(tau) for unit-half diffusivity."""
+    boundary: spread ~ 4 sqrt(tau) for unit-half diffusivity.  Non-finite
+    initial values have no support to measure and raise UnstableConfig."""
     spread = 4.0 * math.sqrt(max(tau_total, 0.0))
+    bad = int(np.count_nonzero(~np.isfinite(u0_vals)))
+    if bad:
+        raise UnstableConfig(f"initial values are not finite at {bad} grid points")
     mx = float(np.max(np.abs(u0_vals)))
     if mx == 0.0:
         return

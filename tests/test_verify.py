@@ -180,6 +180,13 @@ def test_fd_evolve_contamination_warning():
     assert any(issubclass(w.category, BoundaryContamination) for w in caught)
 
 
+def test_fd_evolve_rejects_non_finite_initial_values():
+    grid = Grid(((-2.0, 2.0, 65),), dt=1e-2)
+    u0 = lambda x: math.nan if abs(x) < 0.1 else math.exp(-x * x)
+    with pytest.raises(UnstableConfig, match="initial values are not finite"):
+        fd_evolve(lambda x: 0.0, u0, grid, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
