@@ -15,6 +15,7 @@ Reports are deterministic for a fixed config and seed (no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -124,10 +125,18 @@ CASE_SUMMARIES = {
 }
 
 
+@functools.cache
+def _config_validator():
+    # built on first use: checking the schema itself costs about 10 ms
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def validate_config(config):
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise, without re-checking the schema
+    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
+    if exc is not None:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
         raise ConfigError(f"config invalid at {pointer or '/'}: {exc.message}") from exc
 

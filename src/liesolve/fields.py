@@ -50,36 +50,15 @@ class ScalarField:
             return hd.derivative_pair(self.fn, args, i, j)
         return self.deriv(i, args), self.deriv(j, args)
 
-    def mixed(self, i, j, args):
-        if i == j:
-            return self.deriv(i, args, order=2)
-        if self.dual:
-            return hd.mixed(self.fn, args, i, j)
-        return numdiff.mixed2(self.fn, args, i, j, self.h0)
-
     # convenience names assuming argument order (x, y, t) or (x, t)
-    def dx(self, *a):
-        return self.deriv(0, a)
-
     def dxx(self, *a):
         return self.deriv(0, a, order=2)
-
-    def dy(self, *a):
-        return self.deriv(1, a)
 
     def dyy(self, *a):
         return self.deriv(1, a, order=2)
 
     def dt(self, *a):
         return self.deriv(self.nargs - 1, a)
-
-    def dxy(self, *a):
-        return self.mixed(0, 1, a)
-
-    def laplacian(self, *a):
-        if self.nargs >= 3:
-            return self.deriv(0, a, order=2) + self.deriv(1, a, order=2)
-        return self.deriv(0, a, order=2)
 
 
 def constant_field(c, nargs=3):

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 
 class Dual2:
     __slots__ = ("a", "b", "c", "d")
@@ -93,9 +95,13 @@ class Dual2:
             fp = 0.0 if p > 1 else float("inf")
             fpp = 0.0 if p > 2 else (2.0 if p == 2 else float("inf"))
             return _chain1(self, f, fp, fpp)
-        f = a ** p
-        fp = p * a ** (p - 1)
-        fpp = p * (p - 1) * a ** (p - 2)
+        try:
+            f = a ** p
+            fp = p * a ** (p - 1)
+            fpp = p * (p - 1) * a ** (p - 2)
+        except (ZeroDivisionError, DomainError) as exc:
+            # 0 to a negative power, here or in a nested pass's inner power
+            raise DomainError(f"x**{p} or a derivative of it is infinite at x = 0") from exc
         return _chain1(self, f, fp, fpp)
 
     def __rpow__(self, base):
@@ -245,11 +251,6 @@ def derivative_pair(fn, args, i, j):
     bitwise equal to the corresponding :func:`derivative`."""
     out = _seeded_pass(fn, args, i, j)
     return out.b, out.c
-
-
-def mixed(fn, args, i, j):
-    """Exact d^2 fn / d args[i] d args[j] at args."""
-    return _seeded_pass(fn, args, i, j).d
 
 
 def jet(fn, args, i):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import hyperdual as hd
-from ..errors import SamplingError
+from ..errors import LiesolveError, SamplingError
 from ..fields import ScalarField, random_smooth_field
 from .catalog import CaseReduction, catalog
 from .separated import SeparatedSolution
@@ -56,7 +56,7 @@ def reduced_residual(case, params, P, points=None) -> float:
     for (xi, eta) in pts:
         try:
             r = op(Pfn, xi, eta)
-        except Exception:
+        except (LiesolveError, ArithmeticError, ValueError):
             continue
         v = hd.value(r)
         if not math.isfinite(v):
@@ -125,7 +125,7 @@ def verify_reduction_consistency(
                 rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(
                     op(Pf.fn, hd.value(xi), hd.value(eta))
                 )
-            except Exception:
+            except (LiesolveError, ArithmeticError, ValueError):
                 continue
             scale = max(abs(lhs), abs(rhs), 1e-8)
             trial_worst = max(trial_worst, abs(lhs - rhs) / scale)

@@ -4,6 +4,11 @@ Factors are dual-transparent callables assembled from the special-function
 kernel; second derivatives come from exact parameter-shift jets, never finite
 differences.  Free-function cases integrate the factor ODE numerically with a
 high-order adaptive scheme at local tolerance 1e-10.
+
+One special-function evaluation per point and order: a float argument asks
+the jet for the value only, and a ``Dual2`` argument asks for the value and
+both derivatives once, at its value part, and chains them.  The real and
+imaginary solutions of :func:`imag_whittaker_radial` share that one jet.
 """
 
 from __future__ import annotations
@@ -77,29 +82,33 @@ def imag_whittaker_radial(w, s, C0, C1=1.0, C2=0.0):
     f, d1, d2 = whittakerM_jet(kap, mu)
 
     def jets(xi):
-        # even equation: reflect to the positive half-line (see whittaker_radial)
-        if xi < 0:
-            xi = -xi
+        # value, first and second derivative of the complex factor at xi >= 0
         z = 1j * w * xi * xi
         val = f(z)
         dz = 2j * w * xi
-        d1v = d1(z) * dz
-        d2v = d2(z) * dz * dz + d1(z) * (2j * w)
+        fz1 = d1(z)
+        d1v = fz1 * dz
+        d2v = d2(z) * dz * dz + fz1 * (2j * w)
         pref = xi ** (-0.5)
         Fv = pref * val
         F1v = -0.5 * xi ** (-1.5) * val + pref * d1v
         F2v = 0.75 * xi ** (-2.5) * val - xi ** (-1.5) * d1v + pref * d2v
         return Fv, F1v, F2v
 
-    re = hd.lift1(
-        lambda xi: jets(xi)[0].real, lambda xi: jets(xi)[1].real, lambda xi: jets(xi)[2].real
-    )
-    im = hd.lift1(
-        lambda xi: jets(xi)[0].imag, lambda xi: jets(xi)[1].imag, lambda xi: jets(xi)[2].imag
-    )
-
     def F(xi):
-        return C1 * re(xi) + C2 * im(xi)
+        # even equation: reflect to the positive half-line (see
+        # whittaker_radial); a jet chains F, F', F'' taken at |xi| as they
+        # are, so F' keeps its positive-half-line sign
+        if not isinstance(xi, hd.Dual2):
+            if xi < 0:
+                xi = -xi
+            v = xi ** (-0.5) * f(1j * w * xi * xi)
+            return C1 * v.real + C2 * v.imag
+        x = xi.a
+        Fv, F1v, F2v = jets(-x if x < 0 else x)
+        re = hd._chain1(xi, Fv.real, F1v.real, F2v.real)
+        im = hd._chain1(xi, Fv.imag, F1v.imag, F2v.imag)
+        return C1 * re + C2 * im
 
     return F
 

@@ -14,13 +14,20 @@ Conventions:
   used instead.
 * ``est_error`` is a running bound assembled from the first neglected term
   plus a cancellation-scaled roundoff term.  It is a heuristic, not a proof.
+* One extended-precision series routine, :func:`_mp_series`, serves 1F1 and
+  both terms of the Tricomi connection formula.
+* One evaluation per point: the ``(f, f', f'')`` jet builders derive the
+  derivatives from parameter-shifted orders, and the Whittaker jets compute
+  the prefactor and each shifted order at most once for the point they were
+  last called at, so a full jet at one point costs three inner evaluations.
 
 Supported box for 1F1/U/Whittaker: ``|a|,|b|,|kappa|,|mu| <= 30`` and
 ``|z| <= 200``; outside it a :class:`DivergenceError` is raised rather than
 returning silently degraded values.  Complex arguments are supported for
 1F1/U/Whittaker only; Gauss 2F1 and Bessel are real.
 
-All operations are pure and reentrant.
+All operations are reentrant; the Whittaker jet memo holds one point per
+jet and no state is shared between jets.
 """
 
 from __future__ import annotations
@@ -141,21 +148,28 @@ def _kahan_series_1f1(a, b, z, tol, cap=_SERIES_CAP):
     return None
 
 
+def _mp_series(a, b, z, dps):
+    """1F1(a; b; z) as an mpmath value, summed at the working precision until
+    a term drops below 10^-dps of the largest one.  ``a`` and ``b`` may be
+    mpmath values; ``z`` is the double-precision argument."""
+    am = mpmath.mpmathify(a)
+    bm = mpmath.mpmathify(b)
+    zm = mpmath.mpmathify(z)
+    term = mpmath.mpmathify(1)
+    s = mpmath.mpmathify(1)
+    max_term = mpmath.mpf(1)
+    for n in range(_SERIES_CAP):
+        term = term * (am + n) / (bm + n) * zm / (n + 1)
+        s += term
+        max_term = max(max_term, abs(term))
+        if abs(term) <= mpmath.mpf(10) ** (-dps) * max_term and n > abs(z):
+            return s
+    raise DivergenceError("extended-precision 1F1 series hit the iteration cap")
+
+
 def _mp_series_1f1(a, b, z, dps):
     with mpmath.workdps(dps):
-        am = mpmath.mpmathify(a)
-        bm = mpmath.mpmathify(b)
-        zm = mpmath.mpmathify(z)
-        term = mpmath.mpmathify(1)
-        s = mpmath.mpmathify(1)
-        max_term = mpmath.mpf(1)
-        for n in range(_SERIES_CAP):
-            term = term * (am + n) / (bm + n) * zm / (n + 1)
-            s += term
-            max_term = max(max_term, abs(term))
-            if abs(term) <= mpmath.mpf(10) ** (-dps) * max_term and n > abs(z):
-                return complex(s)
-        raise DivergenceError("extended-precision 1F1 series hit the iteration cap")
+        return complex(_mp_series(a, b, z, dps))
 
 
 def _mp_series_1f1_auto(a, b, z, max_term, tol):
@@ -297,24 +311,11 @@ def _hypU(a, b, z, tol=1e-10):
     for _ in range(4):
         with mpmath.workdps(dps):
             am, bm, zm = map(mpmath.mpmathify, (a, b, z))
-
-            def series(aa, bb):
-                term = mpmath.mpmathify(1)
-                acc = mpmath.mpmathify(1)
-                mx = mpmath.mpf(1)
-                for n in range(_SERIES_CAP):
-                    term = term * (aa + n) / (bb + n) * zm / (n + 1)
-                    acc += term
-                    mx = max(mx, abs(term))
-                    if abs(term) <= mpmath.mpf(10) ** (-dps) * mx and n > abs(z):
-                        return acc
-                raise DivergenceError("extended-precision 1F1 series hit the cap")
-
-            v = mpmath.gamma(1 - bm) / mpmath.gamma(am - bm + 1) * series(am, bm) + mpmath.gamma(
-                bm - 1
-            ) / mpmath.gamma(am) * mpmath.exp((1 - bm) * mpmath.log(zm)) * series(
-                am - bm + 1, 2 - bm
-            )
+            v = mpmath.gamma(1 - bm) / mpmath.gamma(am - bm + 1) * _mp_series(
+                am, bm, z, dps
+            ) + mpmath.gamma(bm - 1) / mpmath.gamma(am) * mpmath.exp(
+                (1 - bm) * mpmath.log(zm)
+            ) * _mp_series(am - bm + 1, 2 - bm, z, dps)
             v = complex(v)
         rel = big * 10.0 ** (1 - dps) / max(abs(v), 1e-300)
         if rel <= tol:
@@ -538,23 +539,42 @@ def hypU_jet(a, b):
 
 def _whittaker_jet(inner_jet, kappa, mu):
     """(f, f', f'') for z -> exp(-z/2) z^(mu+1/2) F(z), with ``inner_jet``
-    the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu."""
+    the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu.
+
+    Callers evaluate the three elements in turn at one point, so the
+    prefactor and F, F', F'' are kept for the last argument object only: a
+    one-point memo keyed on identity, which is exact and holds one value.
+    Each call works on one snapshot of the memo, so concurrent callers can
+    miss it but never mix two points.
+    """
     a = complex(mu - kappa + 0.5)
     b = complex(1.0 + 2.0 * mu)
-    f1, d1, d2 = inner_jet(a, b)
+    inner = inner_jet(a, b)
     e = mu + 0.5
+    last = [None]  # (z, prefactor, {order: inner value}) at the last argument
+
+    def at(z, *orders):
+        memo = last[0]
+        if memo is None or memo[0] is not z:
+            memo = last[0] = (z, cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z)), {})
+        vals = memo[2]
+        for k in orders:
+            if k not in vals:
+                vals[k] = inner[k](z)
+        return memo[1], [vals[k] for k in orders]
 
     def f(z):
-        return cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z)) * f1(z)
+        pref, (F,) = at(z, 0)
+        return pref * F
 
     def df(z):
-        pref = cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z))
-        return pref * ((e / z - 0.5) * f1(z) + d1(z))
+        pref, (F, F1) = at(z, 0, 1)
+        return pref * ((e / z - 0.5) * F + F1)
 
     def ddf(z):
-        pref = cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z))
+        pref, (F, F1, F2) = at(z, 0, 1, 2)
         g = e / z - 0.5
-        return pref * ((g * g - e / (z * z)) * f1(z) + 2.0 * g * d1(z) + d2(z))
+        return pref * ((g * g - e / (z * z)) * F + 2.0 * g * F1 + F2)
 
     return f, df, ddf
 

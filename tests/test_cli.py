@@ -3,8 +3,10 @@
 import json
 import math
 
+import jsonschema
 import pytest
 
+from liesolve import cli
 from liesolve.cli import main, run, validate_config
 from liesolve.errors import ConfigError
 
@@ -112,6 +114,42 @@ def test_schema_rejects_bad_command_with_pointer():
     with pytest.raises(ConfigError) as ei:
         validate_config({"version": 1, "command": "frobnicate"})
     assert "/command" in str(ei.value)
+
+
+BAD_CONFIGS = [
+    {"version": 1, "command": "classify", "bogus": 1},
+    {"version": 1, "command": "frobnicate"},
+    {"version": 2, "command": "verify"},
+    {"command": "verify"},
+    {"version": 1, "command": "verify", "seed": 1.5, "case": 3},
+    {"version": 1, "command": "transform", "transform_index": 9},
+    {"version": 1, "command": "case-study", "sigma": [1.0, 2.0, 3.0]},
+    {"version": 1, "command": "verify", "params": {"a": "x"}},
+    [],
+]
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS, ids=range(len(BAD_CONFIGS)))
+def test_schema_messages_match_jsonschema_validate(config):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+    pointer = "/" + "/".join(str(p) for p in want.value.absolute_path)
+    with pytest.raises(ConfigError) as got:
+        validate_config(config)
+    assert str(got.value) == f"config invalid at {pointer or '/'}: {want.value.message}"
+
+
+def test_schema_is_checked_once(monkeypatch):
+    cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    checks = []
+    check_schema = cls.check_schema
+    monkeypatch.setattr(cls, "check_schema", lambda schema: checks.append(check_schema(schema)))
+    cli._config_validator.cache_clear()
+    for _ in range(3):
+        validate_config({"version": 1, "command": "reduce", "case": "1.3"})
+        with pytest.raises(ConfigError):
+            validate_config({"version": 1, "command": "frobnicate"})
+    assert len(checks) == 1
 
 
 def test_deterministic_reports():

@@ -8,6 +8,7 @@ import pytest
 
 from liesolve import exprlang as ex
 from liesolve import hyperdual as hd
+from liesolve.errors import DomainError
 from liesolve.fields import random_smooth_field
 from liesolve.reductions import catalog
 from liesolve.symmetry import compatibility_condition, infinitesimals, symmetry_residual
@@ -103,8 +104,8 @@ def test_merged_passes_bitwise_equal_separate_passes(name, pt):
     _assert_merged_equals_separate(f, f, pt)
 
 
-# a nested pass of x**2.5 at x = 0 takes the derivative of 0**0.5, which
-# raises, so that pair is left out
+# a nested pass of x**2.5 at x = 0 takes the derivative of 0**0.5, which is
+# infinite, so that pair raises a DomainError instead (test below)
 NESTED = [(n, pt) for n in sorted(PLAIN) for pt in POINTS if (n, pt) != ("pow2.5", POINTS[0])]
 
 
@@ -113,6 +114,14 @@ def test_nested_merged_passes_bitwise_equal_separate_passes(name, pt):
     f = PLAIN[name]
     assert _hex(_nested(f, True)(*pt)) == _hex(_nested(f, False)(*pt))
     _assert_merged_equals_separate(_nested(f, True), _nested(f, False), pt)
+
+
+@pytest.mark.parametrize("merged", [True, False])
+def test_nested_power_with_infinite_derivative_is_a_domain_error(merged):
+    with pytest.raises(DomainError, match=r"x\*\*2\.5 "):
+        hd.jet(_nested(PLAIN["pow2.5"], merged), POINTS[0], 0)
+    with pytest.raises(DomainError, match=r"x\*\*0\.5 "):
+        hd.Dual2(0.0, 1.0) ** 0.5
 
 
 # sha256 per catalog case of the compatibility residual and three invariance

@@ -1,0 +1,137 @@
+"""Separated-factor tests: one special-function evaluation per point and
+order, and golden digests of the Whittaker factors and their jets."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from liesolve import hyperdual as hd
+from liesolve import specfun as sf
+from liesolve.reductions import closed_form_solution, get_case
+from liesolve.reductions import separated as SEP
+
+
+@pytest.fixture
+def hyp1f1_calls(monkeypatch):
+    """Every (a, b) that _hyp1f1 is called with, in call order."""
+    calls = []
+    original = sf._hyp1f1
+
+    def counting(a, b, z, tol=1e-12):
+        calls.append((complex(a), complex(b)))
+        return original(a, b, z, tol)
+
+    monkeypatch.setattr(sf, "_hyp1f1", counting)
+    return calls
+
+
+def _shifted_orders(kappa, mu):
+    a = complex(mu - kappa + 0.5)
+    b = complex(1.0 + 2.0 * mu)
+    return [(a + k, b + k) for k in range(3)]
+
+
+def test_imag_whittaker_factor_dual_pass_makes_three_calls(hyp1f1_calls):
+    w, s, C0 = 1.3, 0.7, 0.6
+    F = SEP.imag_whittaker_radial(w, s, C0, 1.0, 0.4)
+    F(hd.Dual2(0.8, 1.0, 1.0))
+    mu = np.sqrt(8 * C0 + 1) / 4.0
+    assert hyp1f1_calls == _shifted_orders(-1j * s / (4.0 * w), mu)
+
+
+def test_imag_whittaker_factor_float_makes_one_call(hyp1f1_calls):
+    F = SEP.imag_whittaker_radial(1.3, 0.7, 0.6, 1.0, 0.4)
+    F(0.8)
+    F(-1.1)
+    assert len(hyp1f1_calls) == 2
+
+
+def test_whittaker_radial_dual_pass_makes_three_calls(hyp1f1_calls):
+    d, s, C0 = 0.9, 1.4, 0.3
+    F = SEP.whittaker_radial(d, s, C0)
+    F(hd.Dual2(1.2, 1.0, 1.0))
+    mu = np.sqrt(8 * C0 + 1) / 4.0
+    assert hyp1f1_calls == _shifted_orders(s / (2.0 * d) - 0.25, mu)
+    hyp1f1_calls.clear()
+    F(1.2)
+    assert len(hyp1f1_calls) == 1
+
+
+# -- golden digests, recorded with a separate jet call per element and order --
+
+WHITTAKER_CASES = ("1.1a", "1.1b", "1.5a")
+# the second set switches on the second solution: Whittaker W in 1.1a and
+# 1.5a, the imaginary part in 1.1b
+CONSTANTS = ({}, {"c1": 0.7, "C2": 0.4, "C4": -0.3})
+XS = (0.45, 0.9, 1.35, -1.1, 1.75)
+SIM_POINTS = ((0.6, 0.5), (1.3, -0.8), (-0.9, 1.2), (1.7, 0.35))
+JET_ARGS = ((0.3, 0.45, 1.7), (0.8, 0.6, 0.9), (-0.2j, 0.25, 3.1j), (0.35j, 0.55, 1.4j))
+
+
+def _hexc(v):
+    v = complex(v)
+    return f"{v.real.hex()},{v.imag.hex()}"
+
+
+def _record(h, out):
+    if isinstance(out, hd.Dual2):
+        h.update("D".join(_hexc(s) for s in (out.a, out.b, out.c, out.d)).encode())
+    else:
+        h.update(_hexc(out).encode())
+    h.update(b";")
+
+
+def _factor_digest(cid):
+    case = get_case(cid)
+    h = hashlib.sha256()
+    for draw in range(3):
+        params = case.draw_params(np.random.default_rng([11, draw]))
+        for constants in CONSTANTS:
+            sol = closed_form_solution(case, params, constants)
+            op = case.reduced_operator(params)
+            for F in (sol.F1, sol.F2):
+                for x in XS:
+                    _record(h, F(x))
+                    _record(h, F(hd.Dual2(x, 1.0, 1.0)))
+                    _record(h, F(hd.Dual2(x, 1.0, -0.5, 0.25)))
+                    for v in hd.jet(F, (x,), 0):
+                        _record(h, v)
+            for xi, eta in SIM_POINTS:
+                _record(h, sol.P(xi, eta))
+                _record(h, op(sol.P, xi, eta))
+    return h.hexdigest()
+
+
+FACTOR_GOLDEN = {
+    "1.1a": "844d2782e9d60b5e467307d5a0f0f4a1cf827c837cd107f123f1acefbad78275",
+    "1.1b": "92f9322623d6af172b5ac138c8bff56df4143dfd58150eb6839b54cc50c5a5ca",
+    "1.5a": "382dfcc645c7e45dcd354d6d0e9afe3f2fbc4ac485111e4c44b02491c7c5e5e7",
+}
+
+
+@pytest.mark.parametrize("cid", WHITTAKER_CASES)
+def test_whittaker_factor_golden_digests(cid):
+    assert _factor_digest(cid) == FACTOR_GOLDEN[cid]
+
+
+def _jet_digest():
+    h = hashlib.sha256()
+    for kappa, mu, z in JET_ARGS:
+        for builder in (sf.whittakerM_jet, sf.whittakerW_jet):
+            f, df, ddf = builder(kappa, mu)
+            # single elements at alternating points (the one-point memo must
+            # follow z), then all three at one point
+            _record(h, ddf(z))
+            _record(h, f(z * 1.25))
+            _record(h, df(z))
+            for g in (f, df, ddf):
+                _record(h, g(z * 0.75))
+    return h.hexdigest()
+
+
+JET_GOLDEN = "6da87ccaae57f8ff75921c90a6016a22aa585a167811db0e12bd71de09bf3d3f"
+
+
+def test_whittaker_jet_golden_digest():
+    assert _jet_digest() == JET_GOLDEN

@@ -169,6 +169,50 @@ def test_kummer_transformation_property():
 
 
 # ---------------------------------------------------------------------------
+# Tricomi U
+# ---------------------------------------------------------------------------
+
+# (a, b, z) -> float.hex of (Re U, Im U, est_error), recorded while _hypU
+# carried its own copy of the extended-precision series.  Every input cancels
+# too much in the double-precision connection formula, so each takes the
+# extended-precision rerun.
+HYPU_EXTENDED_GOLDEN = {
+    (0.3, 1.5, 25.0): ("0x1.86c918cba938fp-2", "0x0.0p+0", "0x1.c0159232d5984p-70"),
+    (0.3, 1.5, 12.0): ("0x1.e83ba582953dap-2", "0x0.0p+0", "0x1.998cb1aca57b8p-71"),
+    (1.2, 0.4, 20.0): ("0x1.97a30b7e4cb12p-6", "0x0.0p+0", "0x1.3b1ee9742ade5p-66"),
+    (0.3 + 0.2j, 1.5, 25.0): ("0x1.38dc780b1e4bdp-2", "-0x1.d65aee24e3564p-3", "0x1.44ceb0547acf1p-72"),
+    (0.4, 1.3, 22 + 6j): ("0x1.230796994b88ap-2", "-0x1.efc0e81c3363dp-6", "0x1.ac65923a18664p-69"),
+    (1.1, 0.6, 15 + 10j): ("0x1.04a8defa9435dp-5", "-0x1.670207924d925p-6", "0x1.aa683ae4be06fp-69"),
+    (2.5, 1.7, 29.0): ("0x1.91643ae99f8ddp-13", "0x0.0p+0", "0x1.24cbf283bee2cp-59"),
+}
+
+
+@pytest.mark.parametrize("a, b, z", sorted(HYPU_EXTENDED_GOLDEN, key=repr))
+def test_hypU_extended_precision_golden(monkeypatch, a, b, z):
+    # count the series that the connection formula sums itself, apart from
+    # the ones behind an extended-precision 1F1
+    direct = []
+    series, series_1f1 = sf._mp_series, sf._mp_series_1f1
+
+    def counting(*args):
+        direct.append(args)
+        return series(*args)
+
+    def via_1f1(*args):
+        n = len(direct)
+        out = series_1f1(*args)
+        del direct[n:]
+        return out
+
+    monkeypatch.setattr(sf, "_mp_series", counting)
+    monkeypatch.setattr(sf, "_mp_series_1f1", via_1f1)
+    got = sf._hypU(a, b, z)
+    v = complex(got.value)
+    assert (v.real.hex(), v.imag.hex(), got.est_error.hex()) == HYPU_EXTENDED_GOLDEN[(a, b, z)]
+    assert len(direct) >= 2
+
+
+# ---------------------------------------------------------------------------
 # Gauss 2F1
 # ---------------------------------------------------------------------------
 
