@@ -5,10 +5,14 @@ kernel; second derivatives come from exact parameter-shift jets, never finite
 differences.  Free-function cases integrate the factor ODE numerically with a
 high-order adaptive scheme at local tolerance 1e-10.
 
-One special-function evaluation per point and order: a float argument asks
-the jet for the value only, and a ``Dual2`` argument asks for the value and
-both derivatives once, at its value part, and chains them.  The real and
-imaginary solutions of :func:`imag_whittaker_radial` share that one jet.
+One evaluation per distinct point: a float argument asks the jet for the
+value only, and a ``Dual2`` argument asks for the value and both derivatives
+once, at its value part, and chains them.  The real and imaginary solutions
+of :func:`imag_whittaker_radial` share that one jet.  Each Whittaker jet and
+each :func:`ode_factor` keeps the values at its last few distinct points in a
+bounded :class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
+argument, so repeated stencil points cost nothing; the memo belongs to the
+factor that a ``closed_form`` call builds, and nothing is cached process-wide.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy.integrate import solve_ivp
 
 from .. import hyperdual as hd
 from ..errors import DomainError, SpecfunDomain
-from ..specfun import bessel_jet, whittakerM_jet, whittakerW_jet
+from ..specfun import PointMemo, bessel_jet, point_key, whittakerM_jet, whittakerW_jet
 
 
 @dataclass
@@ -97,8 +101,7 @@ def imag_whittaker_radial(w, s, C0, C1=1.0, C2=0.0):
 
     def F(xi):
         # even equation: reflect to the positive half-line (see
-        # whittaker_radial); a jet chains F, F', F'' taken at |xi| as they
-        # are, so F' keeps its positive-half-line sign
+        # whittaker_radial); on the negative half-line F' changes sign
         if not isinstance(xi, hd.Dual2):
             if xi < 0:
                 xi = -xi
@@ -106,6 +109,8 @@ def imag_whittaker_radial(w, s, C0, C1=1.0, C2=0.0):
             return C1 * v.real + C2 * v.imag
         x = xi.a
         Fv, F1v, F2v = jets(-x if x < 0 else x)
+        if x < 0:
+            F1v = -F1v
         re = hd._chain1(xi, Fv.real, F1v.real, F2v.real)
         im = hd._chain1(xi, Fv.imag, F1v.imag, F2v.imag)
         return C1 * re + C2 * im
@@ -199,14 +204,23 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
         dense_output=True,
     )
 
+    states = PointMemo()  # point -> (S1, S1', S2, S2') from the dense output
+
     def state_at(s):
+        key = point_key(s)
+        st = states.get(key)
+        if st is not None:
+            return st
         if s >= anchor:
             if s > sol.t[-1] + 1e-12:
                 raise DomainError(f"ODE factor evaluated outside span at {s}")
-            return sol.sol(min(s, sol.t[-1]))
-        if s < sol_back.t[-1] - 1e-12:
-            raise DomainError(f"ODE factor evaluated outside span at {s}")
-        return sol_back.sol(max(s, sol_back.t[-1]))
+            st = sol.sol(min(s, sol.t[-1]))
+        else:
+            if s < sol_back.t[-1] - 1e-12:
+                raise DomainError(f"ODE factor evaluated outside span at {s}")
+            st = sol_back.sol(max(s, sol_back.t[-1]))
+        states.put(key, s, st)
+        return st
 
     def value(s):
         st = state_at(s)

@@ -16,18 +16,23 @@ Conventions:
   plus a cancellation-scaled roundoff term.  It is a heuristic, not a proof.
 * One extended-precision series routine, :func:`_mp_series`, serves 1F1 and
   both terms of the Tricomi connection formula.
-* One evaluation per point: the ``(f, f', f'')`` jet builders derive the
-  derivatives from parameter-shifted orders, and the Whittaker jets compute
-  the prefactor and each shifted order at most once for the point they were
-  last called at, so a full jet at one point costs three inner evaluations.
+* One evaluation per distinct point: the ``(f, f', f'')`` jet builders
+  derive the derivatives from parameter-shifted orders, and each Whittaker
+  jet keeps the prefactor and each shifted order for its last
+  ``MEMO_POINTS`` distinct points in a :class:`PointMemo`, so a full jet at
+  one point costs three inner evaluations and a point seen again costs none.
+  The memo is keyed on the exact bits of a float or complex argument and on
+  the identity of anything else, such as a ``Dual2``.
 
 Supported box for 1F1/U/Whittaker: ``|a|,|b|,|kappa|,|mu| <= 30`` and
 ``|z| <= 200``; outside it a :class:`DivergenceError` is raised rather than
 returning silently degraded values.  Complex arguments are supported for
 1F1/U/Whittaker only; Gauss 2F1 and Bessel are real.
 
-All operations are reentrant; the Whittaker jet memo holds one point per
-jet and no state is shared between jets.
+All operations are reentrant.  Each memo belongs to one jet (or, in
+:mod:`liesolve.reductions.separated`, one ODE factor), holds at most
+``MEMO_POINTS`` points, and is cleared when full; nothing is cached per
+process, and no state is shared between jets.
 """
 
 from __future__ import annotations
@@ -75,6 +80,45 @@ class BesselKind(Enum):
     Y = "Y"
     I = "I"  # noqa: E741 - standard Bessel letter
     K = "K"
+
+
+MEMO_POINTS = 16  # distinct points one jet or factor remembers
+
+
+def point_key(z):
+    """Exact memo key of a point: the bits of a float or complex argument
+    (numpy subclasses included, -0.0 apart from +0.0), else the identity of
+    the object, which stays sound while :class:`PointMemo` holds it."""
+    if isinstance(z, float):
+        return float.hex(z)
+    if isinstance(z, complex):
+        return float.hex(z.real), float.hex(z.imag)
+    return id(z)
+
+
+class PointMemo:
+    """Values at the last few distinct points of one jet or factor.
+
+    Keys come from :func:`point_key`, so a hit returns what a fresh
+    evaluation at that point returns.  A full memo is cleared rather than
+    trimmed: there is no lock, and concurrent callers can miss an entry but
+    never read another point's values.  Callers store only evaluations that
+    returned.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries = {}
+
+    def get(self, key):
+        hit = self._entries.get(key)
+        return None if hit is None else hit[1]
+
+    def put(self, key, z, value):
+        if len(self._entries) >= MEMO_POINTS:
+            self._entries.clear()
+        self._entries[key] = (z, value)  # holding z keeps an identity key's id taken
 
 
 def _is_nonpositive_int(x, tol=1e-12):
@@ -158,11 +202,13 @@ def _mp_series(a, b, z, dps):
     term = mpmath.mpmathify(1)
     s = mpmath.mpmathify(1)
     max_term = mpmath.mpf(1)
+    rel_tol = mpmath.mpf(10) ** (-dps)
     for n in range(_SERIES_CAP):
         term = term * (am + n) / (bm + n) * zm / (n + 1)
         s += term
-        max_term = max(max_term, abs(term))
-        if abs(term) <= mpmath.mpf(10) ** (-dps) * max_term and n > abs(z):
+        at = abs(term)
+        max_term = max(max_term, at)
+        if at <= rel_tol * max_term and n > abs(z):
             return s
     raise DivergenceError("extended-precision 1F1 series hit the iteration cap")
 
@@ -541,27 +587,28 @@ def _whittaker_jet(inner_jet, kappa, mu):
     """(f, f', f'') for z -> exp(-z/2) z^(mu+1/2) F(z), with ``inner_jet``
     the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu.
 
-    Callers evaluate the three elements in turn at one point, so the
-    prefactor and F, F', F'' are kept for the last argument object only: a
-    one-point memo keyed on identity, which is exact and holds one value.
-    Each call works on one snapshot of the memo, so concurrent callers can
-    miss it but never mix two points.
+    The prefactor and F, F', F'' are computed at most once per distinct
+    point and kept in a :class:`PointMemo` of this jet, filled order by order
+    as the elements ask for them.
     """
     a = complex(mu - kappa + 0.5)
     b = complex(1.0 + 2.0 * mu)
     inner = inner_jet(a, b)
     e = mu + 0.5
-    last = [None]  # (z, prefactor, {order: inner value}) at the last argument
+    memo = PointMemo()  # point -> (prefactor, {order: inner value})
 
     def at(z, *orders):
-        memo = last[0]
-        if memo is None or memo[0] is not z:
-            memo = last[0] = (z, cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z)), {})
-        vals = memo[2]
-        for k in orders:
-            if k not in vals:
-                vals[k] = inner[k](z)
-        return memo[1], [vals[k] for k in orders]
+        key = point_key(z)
+        hit = memo.get(key)
+        if hit is None:
+            pref, vals = cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z)), {}
+        else:
+            pref, vals = hit
+        new = {k: inner[k](z) for k in orders if k not in vals}
+        if hit is None:
+            memo.put(key, z, (pref, vals))
+        vals.update(new)
+        return pref, [vals[k] for k in orders]
 
     def f(z):
         pref, (F,) = at(z, 0)

@@ -38,6 +38,7 @@ from . import numdiff
 from .errors import (
     BoundaryContamination,
     DomainMismatch,
+    LiesolveError,
     PathExplosion,
     SamplingError,
     UnstableConfig,
@@ -107,18 +108,15 @@ def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualRe
     skipped = 0
     for p in pts:
         try:
+            u0 = ufn(*p)
+            ut = numdiff.partial1(ufn, p, len(p) - 1, h0)
+            uxx = numdiff.partial12(ufn, p, 0, h0, u0)[1]
             if one_dim:
-                x, tau = p
-                ut = numdiff.partial1(ufn, (x, tau), 1, h0)
-                uxx = numdiff.partial2(ufn, (x, tau), 0, h0)
-                r = ut - 0.5 * uxx + Mfn(x) * ufn(x, tau)
+                r = ut - 0.5 * uxx + Mfn(p[0]) * u0
             else:
-                x, y, tau = p
-                ut = numdiff.partial1(ufn, (x, y, tau), 2, h0)
-                uxx = numdiff.partial2(ufn, (x, y, tau), 0, h0)
-                uyy = numdiff.partial2(ufn, (x, y, tau), 1, h0)
-                r = ut - 0.5 * (uxx + uyy) + Mfn(x, y) * ufn(x, y, tau)
-        except Exception:
+                uyy = numdiff.partial12(ufn, p, 1, h0, u0)[1]
+                r = ut - 0.5 * (uxx + uyy) + Mfn(p[0], p[1]) * u0
+        except (LiesolveError, ArithmeticError, ValueError):
             skipped += 1
             continue
         if not math.isfinite(r):
@@ -149,24 +147,20 @@ def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> Residu
     cfn = c.fn if hasattr(c, "fn") else c
     for p in pts:
         try:
+            # the S-stencil gives both c_S and c_SS, around the one center value
+            c0 = cfn(*p)
+            ct = numdiff.partial1(cfn, p, len(p) - 1, h0)
+            c1, c11 = numdiff.partial12(cfn, p, 0, h0, c0)
             if model.one_dim:
-                S, t = p
+                S = p[0]
                 sv = model.vol1.value(S)
-                ct = numdiff.partial1(cfn, (S, t), 1, h0)
-                css = numdiff.partial2(cfn, (S, t), 0, h0)
-                cs = numdiff.partial1(cfn, (S, t), 0, h0)
-                r = ct + 0.5 * sv * sv * css + r_ * S * cs - r_ * cfn(S, t)
+                r = ct + 0.5 * sv * sv * c11 + r_ * S * c1 - r_ * c0
             else:
-                S1, S2, t = p
+                S1, S2 = p[0], p[1]
                 s1v = model.vol1.value(S1)
                 s2v = model.vol2.value(S2)
-                args = (S1, S2, t)
-                ct = numdiff.partial1(cfn, args, 2, h0)
-                c11 = numdiff.partial2(cfn, args, 0, h0)
-                c22 = numdiff.partial2(cfn, args, 1, h0)
-                c12 = numdiff.mixed2(cfn, args, 0, 1, h0)
-                c1 = numdiff.partial1(cfn, args, 0, h0)
-                c2 = numdiff.partial1(cfn, args, 1, h0)
+                c2, c22 = numdiff.partial12(cfn, p, 1, h0, c0)
+                c12 = numdiff.mixed2(cfn, p, 0, 1, h0)
                 r = (
                     ct
                     + 0.5 * s1v**2 * c11
@@ -174,9 +168,9 @@ def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> Residu
                     + 0.5 * s2v**2 * c22
                     + r_ * S1 * c1
                     + r_ * S2 * c2
-                    - r_ * cfn(*args)
+                    - r_ * c0
                 )
-        except Exception:
+        except (LiesolveError, ArithmeticError, ValueError):
             skipped += 1
             continue
         if not math.isfinite(r):

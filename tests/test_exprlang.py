@@ -1,6 +1,7 @@
 """Expression-language tests: parser, evaluator, differentiation, matching."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_differentiate_direction_guard():
 @pytest.mark.parametrize("src", CORPUS)
 def test_differentiate_against_central_differences(src):
     e = ex.parse(src)
-    rng = np.random.default_rng(hash(src) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(src.encode()))
     params = {name: rng.uniform(0.5, 2.0) for name in ex.free_parameters(e)}
     opaque = {name: (math.sin, math.cos, lambda v: -math.sin(v)) for name in ex.opaque_symbols(e)}
     for var in ("x", "y", "S"):
@@ -305,7 +306,7 @@ _CASE_PARAM_NAMES = {
 
 @pytest.mark.parametrize("cid", ex.CASE_ORDER)
 def test_match_recovers_all_templates(cid):
-    rng = np.random.default_rng(abs(hash(cid)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(cid.encode()))
     params = _random_params(rng, _CASE_PARAM_NAMES[cid])
     opaque = {"C": _OPAQUE_FN[cid]} if cid in _OPAQUE_FN else None
     expr = ex.template_expr(cid)
@@ -322,7 +323,7 @@ def test_match_recovers_all_templates(cid):
 
 @pytest.mark.parametrize("cid", ["1.1a", "1.4a", "1.4b", "1.5a", "1.6", "1.8a", "1.8b", "1.2b"])
 def test_match_recovers_templates_from_samples_only(cid):
-    rng = np.random.default_rng(abs(hash("s" + cid)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(("s" + cid).encode()))
     params = _random_params(rng, _CASE_PARAM_NAMES[cid])
     opaque = {"C": _OPAQUE_FN[cid]} if cid in _OPAQUE_FN else None
     f = ex.instantiate(cid, params, opaque)

@@ -1,0 +1,340 @@
+"""One evaluation per distinct point: the value-keyed memos of the Whittaker
+jets and the ODE factors, and the shared five-point stencils of the FD
+residual oracles."""
+
+import math
+
+import numpy as np
+import pytest
+
+from liesolve import hyperdual as hd
+from liesolve import numdiff
+from liesolve import specfun as sf
+from liesolve.fields import heat_kernel
+from liesolve.reductions import closed_form_solution, get_case, reconstruct_u
+from liesolve.reductions import separated as SEP
+from liesolve.transform import CEVVol, MarketModel
+from liesolve.verify import Region, bs_residual, fp_residual
+
+
+@pytest.fixture
+def hyp1f1_calls(monkeypatch):
+    """Every (a, b) that _hyp1f1 is called with, in call order."""
+    calls = []
+    original = sf._hyp1f1
+
+    def counting(a, b, z, tol=1e-12):
+        calls.append((complex(a), complex(b)))
+        return original(a, b, z, tol)
+
+    monkeypatch.setattr(sf, "_hyp1f1", counting)
+    return calls
+
+
+def _hexes(v):
+    if isinstance(v, hd.Dual2):
+        return tuple(_hexes(s) for s in (v.a, v.b, v.c, v.d))
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+# -- keys and the bounded memo -------------------------------------------------
+
+
+def test_point_key_is_exact():
+    assert sf.point_key(1.3) == sf.point_key(np.float64(1.3))
+    assert sf.point_key(0.0) != sf.point_key(-0.0)
+    assert sf.point_key(complex(-2.0, 0.0)) != sf.point_key(complex(-2.0, -0.0))
+    assert sf.point_key(2.0) != sf.point_key(complex(2.0, 0.0))
+    assert sf.point_key(np.complex128(1 + 2j)) == sf.point_key(1 + 2j)
+    d = hd.Dual2(1.3, 1.0)
+    assert sf.point_key(d) != sf.point_key(1.3)
+    assert sf.point_key(d) != sf.point_key(hd.Dual2(1.3, 1.0))
+
+
+def test_memo_shares_float_and_numpy_float_entries(hyp1f1_calls):
+    f, _, _ = sf.whittakerM_jet(0.3, 0.45)
+    a = f(1.7)
+    b = f(np.float64(1.7))
+    assert len(hyp1f1_calls) == 1
+    assert _hexes(a) == _hexes(b)
+
+
+def test_memo_keeps_signed_zero_branches_apart():
+    z_up, z_down = complex(-2.0, 0.0), complex(-2.0, -0.0)
+    f, _, _ = sf.whittakerW_jet(0.3, 0.45)
+    up, down = f(z_up), f(z_down)
+    assert _hexes(up) != _hexes(down)
+    assert _hexes(up) == _hexes(sf.whittakerW_jet(0.3, 0.45)[0](z_up))
+    assert _hexes(down) == _hexes(sf.whittakerW_jet(0.3, 0.45)[0](z_down))
+
+
+def test_nested_dual_is_not_keyed_by_its_value_part():
+    z = 1.7
+    f, df, ddf = sf.whittakerM_jet(0.3, 0.45)
+    for g in (f, df, ddf):
+        g(z)
+    nested = hd.Dual2(z, 1.0, 0.5)
+    fresh = sf.whittakerM_jet(0.3, 0.45)
+    for cached, new in zip((f, df, ddf), fresh):
+        assert _hexes(cached(nested)) == _hexes(new(nested))
+    assert isinstance(df(nested), hd.Dual2)
+
+
+def test_memo_stays_bounded():
+    memo = sf.PointMemo()
+    for i in range(1000):
+        z = 1.0 + i / 1000.0
+        memo.put(sf.point_key(z), z, i)
+        assert len(memo._entries) <= sf.MEMO_POINTS
+    assert memo.get(sf.point_key(1.999)) == 999
+    assert memo.get(sf.point_key(1.0)) is None
+
+
+def test_memo_forgets_old_points(hyp1f1_calls):
+    f, _, _ = sf.whittakerM_jet(0.3, 0.45)
+    zs = [1.0 + i / 100.0 for i in range(100)]
+    for z in zs:
+        f(z)
+    assert len(hyp1f1_calls) == 100
+    f(zs[0])
+    assert len(hyp1f1_calls) == 101
+
+
+def test_raising_evaluation_caches_nothing(monkeypatch):
+    memo = sf.PointMemo()
+    monkeypatch.setattr(sf, "PointMemo", lambda: memo)
+    f, _, _ = sf.whittakerM_jet(0.3, 0.45)
+    with pytest.raises(sf.DivergenceError):
+        f(250.0)  # outside the |z| <= 200 box
+    assert len(memo._entries) == 0
+    f(1.5)
+    assert len(memo._entries) == 1
+
+
+def test_y_stencil_at_fixed_xi_makes_one_f1_call(hyp1f1_calls):
+    case = get_case("1.5a")
+    params = case.draw_params(np.random.default_rng(3))
+    u = reconstruct_u(case, params, closed_form_solution(case, params, {"c1": 1.0}))
+    x, y, t = case.region_xyt(params, n=1, seed=2)[0]
+    kappa, mu = 1.0 / (2.0 * params["delta1"]) - 0.25, 0.25  # F1: s = c1, C0 = 0
+    f1_order = (complex(mu - kappa + 0.5), complex(1.0 + 2.0 * mu))
+    numdiff.partial2(u.fn, (x, y, t), 1)
+    assert hyp1f1_calls.count(f1_order) == 1
+    assert len(hyp1f1_calls) == 6  # and F2 at each of the 5 points
+
+
+def test_ode_factor_dual_pass_makes_one_dense_output_call(monkeypatch):
+    calls = []
+    original = SEP.solve_ivp
+
+    def counting_ivp(*args, **kwargs):
+        res = original(*args, **kwargs)
+        dense = res.sol
+
+        def counted(t):
+            calls.append(t)
+            return dense(t)
+
+        res.sol = counted
+        return res
+
+    monkeypatch.setattr(SEP, "solve_ivp", counting_ivp)
+    F = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    out = F(hd.Dual2(0.7, 1.0, 1.0))
+    assert len(calls) == 1
+    F(0.7)
+    assert len(calls) == 1
+    fresh = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    assert _hexes(out) == _hexes(fresh(hd.Dual2(0.7, 1.0, 1.0)))
+
+
+# -- shared stencils -------------------------------------------------------------
+
+
+def _counting(fn):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted, calls
+
+
+def _poly3(x, y, t):
+    return 1.0 + 0.3 * x**3 - 0.7 * x * y * y + 0.2 * y**4 * t + 0.5 * t * t * x
+
+
+def _poly2(x, t):
+    return 0.4 - 0.6 * x**3 * t + 0.25 * x**4 + 0.1 * t**3
+
+
+REGION_2D = Region(((-1.5, 1.5), (-1.2, 1.3), (0.5, 2.0)))
+REGION_1D = Region(((-1.5, 1.5), (0.5, 2.0)))
+PRICE_2D = Region(((0.6, 1.8), (0.7, 1.6), (0.1, 0.9)))
+PRICE_1D = Region(((0.6, 1.8), (0.1, 0.9)))
+
+
+@pytest.mark.parametrize(
+    "region, per_point", [(REGION_2D, 13), (REGION_1D, 9)], ids=["2d", "1d"]
+)
+def test_fp_residual_evaluations_per_point(region, per_point):
+    fn = _poly3 if len(region.bounds) == 3 else _poly2
+    u, calls = _counting(fn)
+    M = (lambda x, y: 0.3) if len(region.bounds) == 3 else (lambda x: 0.3)
+    rep = fp_residual(u, M, region, threshold=1.0, n=7)
+    assert rep.n_points == 7
+    assert len(calls) == per_point * 7
+
+
+def _model(one_dim):
+    vol = CEVVol(0.4, 1.0)
+    return MarketModel(vol, None if one_dim else CEVVol(0.3, 0.5), 0.0 if one_dim else 0.35, 0.05)
+
+
+@pytest.mark.parametrize(
+    "region, per_point", [(PRICE_2D, 17), (PRICE_1D, 9)], ids=["2d", "1d"]
+)
+def test_bs_residual_evaluations_per_point(region, per_point):
+    one_dim = len(region.bounds) == 2
+    c, calls = _counting(_poly2 if one_dim else _poly3)
+    rep = bs_residual(_model(one_dim), c, region, threshold=1.0, n=7)
+    assert rep.n_points == 7
+    assert len(calls) == per_point * 7
+
+
+# Reference: the residuals as they were computed before the stencils were
+# shared, one stencil per derivative.
+
+
+def _old_fp(ufn, Mfn, p, h0):
+    if len(p) == 2:
+        x, tau = p
+        ut = numdiff.partial1(ufn, (x, tau), 1, h0)
+        uxx = numdiff.partial2(ufn, (x, tau), 0, h0)
+        return ut - 0.5 * uxx + Mfn(x) * ufn(x, tau)
+    x, y, tau = p
+    ut = numdiff.partial1(ufn, (x, y, tau), 2, h0)
+    uxx = numdiff.partial2(ufn, (x, y, tau), 0, h0)
+    uyy = numdiff.partial2(ufn, (x, y, tau), 1, h0)
+    return ut - 0.5 * (uxx + uyy) + Mfn(x, y) * ufn(x, y, tau)
+
+
+def _old_bs(model, cfn, p, h0):
+    r_ = model.rate
+    if model.one_dim:
+        S, t = p
+        sv = model.vol1.value(S)
+        ct = numdiff.partial1(cfn, (S, t), 1, h0)
+        css = numdiff.partial2(cfn, (S, t), 0, h0)
+        cs = numdiff.partial1(cfn, (S, t), 0, h0)
+        return ct + 0.5 * sv * sv * css + r_ * S * cs - r_ * cfn(S, t)
+    S1, S2, t = p
+    s1v = model.vol1.value(S1)
+    s2v = model.vol2.value(S2)
+    args = (S1, S2, t)
+    ct = numdiff.partial1(cfn, args, 2, h0)
+    c11 = numdiff.partial2(cfn, args, 0, h0)
+    c22 = numdiff.partial2(cfn, args, 1, h0)
+    c12 = numdiff.mixed2(cfn, args, 0, 1, h0)
+    c1 = numdiff.partial1(cfn, args, 0, h0)
+    c2 = numdiff.partial1(cfn, args, 1, h0)
+    return (
+        ct
+        + 0.5 * s1v**2 * c11
+        + model.rho * s1v * s2v * c12
+        + 0.5 * s2v**2 * c22
+        + r_ * S1 * c1
+        + r_ * S2 * c2
+        - r_ * cfn(*args)
+    )
+
+
+class _OnePoint:
+    """A region that yields one given point."""
+
+    def __init__(self, p):
+        self.bounds = tuple((v, v) for v in p)
+        self._p = p
+
+    def points(self, n):
+        return [self._p]
+
+
+def _assert_matches_reference(residual, reference, region, n):
+    pts = region.points(n)
+    rep = residual(region)
+    old = np.asarray([reference(p) for p in pts])
+    assert rep.n_points == len(pts)
+    assert rep.max_abs.hex() == float(np.max(np.abs(old))).hex()
+    assert rep.rms.hex() == float(np.sqrt(np.mean(old**2))).hex()
+    for p, r in zip(pts, old):
+        assert residual(_OnePoint(p)).max_abs.hex() == float(abs(r)).hex()
+
+
+def _bs_call(S, t, K=1.1, T=1.0, sigma=0.4, r=0.05):
+    # Black-Scholes call under sigma(S) = 0.4 S, a closed-form price
+    tau = T - t
+    d1 = (math.log(S / K) + (r + 0.5 * sigma * sigma) * tau) / (sigma * math.sqrt(tau))
+    d2 = d1 - sigma * math.sqrt(tau)
+    N = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))  # noqa: E731
+    return S * N(d1) - K * math.exp(-r * tau) * N(d2)
+
+
+def _case15a_field():
+    case = get_case("1.5a")
+    params = case.draw_params(np.random.default_rng(3))
+    u = reconstruct_u(case, params, closed_form_solution(case, params, {"c1": 1.0}))
+    return u.fn, case.potential_field(params).fn
+
+
+@pytest.mark.parametrize("field", ["poly2d", "poly1d", "closed2d", "closed1d"])
+def test_fp_residual_matches_per_derivative_stencils(field):
+    h0 = 1e-3
+    if field == "closed2d":
+        ufn, Mfn = _case15a_field()
+        region = Region(((0.4, 1.4), (-0.8, 0.9), (0.3, 0.9)))
+    elif field == "closed1d":
+        ufn, Mfn, region = heat_kernel(nargs=2).fn, (lambda x: 0.0), REGION_1D
+    elif field == "poly2d":
+        ufn, Mfn, region = _poly3, (lambda x, y: 0.3 * x - y), REGION_2D
+    else:
+        ufn, Mfn, region = _poly2, (lambda x: 0.3 * x), REGION_1D
+    _assert_matches_reference(
+        lambda reg: fp_residual(ufn, Mfn, reg, threshold=1.0, h0=h0, n=9),
+        lambda p: _old_fp(ufn, Mfn, p, h0),
+        region,
+        9,
+    )
+
+
+@pytest.mark.parametrize("field", ["poly2d", "poly1d", "closed2d", "closed1d"])
+def test_bs_residual_matches_per_derivative_stencils(field):
+    h0 = 1e-3
+    one_dim = field.endswith("1d")
+    model = _model(one_dim)
+    region = PRICE_1D if one_dim else PRICE_2D
+    cfn = {
+        "poly2d": _poly3,
+        "poly1d": _poly2,
+        "closed2d": lambda S1, S2, t: _bs_call(S1, t) * _bs_call(S2, t, K=0.9, sigma=0.3),
+        "closed1d": _bs_call,
+    }[field]
+    _assert_matches_reference(
+        lambda reg: bs_residual(model, cfn, reg, threshold=1.0, h0=h0, n=9),
+        lambda p: _old_bs(model, cfn, p, h0),
+        region,
+        9,
+    )
+
+
+def test_partial12_matches_d1_and_d2():
+    f = lambda x, t: math.sin(1.3 * x) * math.exp(-t) + x**5  # noqa: E731
+    args = (0.37, 1.1)
+    for i in (0, 1):
+        first, second = numdiff.partial12(f, args, i, 1e-3)
+        assert first.hex() == numdiff.partial1(f, args, i, 1e-3).hex()
+        assert second.hex() == numdiff.partial2(f, args, i, 1e-3).hex()
+        with_center = numdiff.partial12(f, args, i, 1e-3, f(*args))
+        assert (with_center[0].hex(), with_center[1].hex()) == (first.hex(), second.hex())

@@ -1,12 +1,13 @@
 """Catalog tests: structure, round trips, consistency, closed forms."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from liesolve import hyperdual as hd
-from liesolve.errors import NoClosedForm, SingularPoint
+from liesolve.errors import DivergenceError, NoClosedForm, SamplingError, SingularPoint
 from liesolve.fields import random_smooth_field
 from liesolve.reductions import (
     catalog,
@@ -23,7 +24,8 @@ ALL_CASES = sorted(catalog())
 
 
 def params_for(cid, seed=0):
-    rng = np.random.default_rng(seed + abs(hash(cid)) % 1000)
+    # crc32, not hash(): str hashes change with PYTHONHASHSEED
+    rng = np.random.default_rng(seed + zlib.crc32(cid.encode()) % 1000)
     return get_case(cid).draw_params(rng)
 
 
@@ -174,10 +176,8 @@ def test_consistency_flags_corrupted_map():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cid", [c for c in ALL_CASES if c not in ("1.3", "1.6")])
-def test_closed_form_solves_reduced_equation(cid):
+def _solves_reduced_equation(cid, params):
     case = get_case(cid)
-    params = params_for(cid, seed=6)
     constants = {"c1": 4.0} if cid in ("1.4a", "1.4b") else {"c1": 1.0}
     sol = closed_form_solution(case, params, constants)
     pts = case.region_sim(params, n=30, seed=8)
@@ -185,6 +185,27 @@ def test_closed_form_solves_reduced_equation(cid):
     # normalize by the field scale on the sampling set
     scale = max(abs(hd.value(sol.P(xi, eta))) for (xi, eta) in pts[:10])
     assert r / max(scale, 1e-6) <= 1e-7, (cid, r, scale)
+
+
+@pytest.mark.parametrize("cid", [c for c in ALL_CASES if c not in ("1.3", "1.6")])
+def test_closed_form_solves_reduced_equation(cid):
+    _solves_reduced_equation(cid, params_for(cid, seed=6))
+
+
+# A 1.5a draw that leaves the 1F1 box at every sampling point: rng 752 is
+# seed 6 + abs(hash("1.5a")) % 1000 under PYTHONHASHSEED=4, which the
+# hash-seeded params_for used to draw.
+def _box_escape(error):
+    return pytest.mark.xfail(
+        raises=error,
+        strict=True,
+        reason="ROADMAP item 4: draw_params leaves the 1F1 box",
+    )
+
+
+@_box_escape(SamplingError)
+def test_closed_form_solves_reduced_equation_15a_box_escape():
+    _solves_reduced_equation("1.5a", get_case("1.5a").draw_params(np.random.default_rng(752)))
 
 
 def test_zero_field_residual_is_zero():
@@ -222,12 +243,8 @@ def test_18b_wrong_factor_sign_reported():
     assert r_bad > 1e-2
 
 
-@pytest.mark.parametrize("cid", [c for c in ALL_CASES if c not in ("1.3", "1.6")])
-def test_closed_form_reconstructs_to_solution(cid):
-    """Reconstructed u from the separated solution solves the full equation
-    (checked with exact derivatives here; the FD oracle runs in acceptance)."""
+def _reconstructs_to_solution(cid, params):
     case = get_case(cid)
-    params = params_for(cid, seed=6)
     constants = {"c1": 4.0} if cid in ("1.4a", "1.4b") else {"c1": 1.0}
     sol = closed_form_solution(case, params, constants)
     u = reconstruct_u(case, params, sol)
@@ -240,6 +257,18 @@ def test_closed_form_reconstructs_to_solution(cid):
         scale = max(1.0, abs(u(x, y, t)))
         worst = max(worst, abs(r) / scale)
     assert worst <= 1e-8, (cid, worst)
+
+
+@pytest.mark.parametrize("cid", [c for c in ALL_CASES if c not in ("1.3", "1.6")])
+def test_closed_form_reconstructs_to_solution(cid):
+    """Reconstructed u from the separated solution solves the full equation
+    (checked with exact derivatives here; the FD oracle runs in acceptance)."""
+    _reconstructs_to_solution(cid, params_for(cid, seed=6))
+
+
+@_box_escape(DivergenceError)
+def test_closed_form_reconstructs_to_solution_15a_box_escape():
+    _reconstructs_to_solution("1.5a", get_case("1.5a").draw_params(np.random.default_rng(752)))
 
 
 def test_factor_ode_separation_residuals():

@@ -47,14 +47,31 @@ def test_imag_whittaker_factor_float_makes_one_call(hyp1f1_calls):
     assert len(hyp1f1_calls) == 2
 
 
+def test_imag_whittaker_factor_derivative_sign_on_negative_half_line():
+    w, s, C0 = 1.3, 0.7, 0.6
+    F = SEP.imag_whittaker_radial(w, s, C0)
+    x, h = -1.1, 1e-5
+    central = (F(x + h) - F(x - h)) / (2 * h)
+    seeded = F(hd.Dual2(x, 1.0, 1.0))
+    assert central == pytest.approx(0.2025, abs=5e-5)
+    assert seeded.b == pytest.approx(central, rel=1e-8)
+    assert seeded.c == seeded.b
+    # the even factor: F'(-x) = -F'(x), F''(-x) = F''(x)
+    mirrored = F(hd.Dual2(-x, 1.0, 1.0))
+    assert (seeded.a, seeded.b, seeded.d) == (mirrored.a, -mirrored.b, mirrored.d)
+
+
 def test_whittaker_radial_dual_pass_makes_three_calls(hyp1f1_calls):
     d, s, C0 = 0.9, 1.4, 0.3
     F = SEP.whittaker_radial(d, s, C0)
     F(hd.Dual2(1.2, 1.0, 1.0))
     mu = np.sqrt(8 * C0 + 1) / 4.0
     assert hyp1f1_calls == _shifted_orders(s / (2.0 * d) - 0.25, mu)
+    # the float call lands on the point of the Dual2 pass: the memo has it
     hyp1f1_calls.clear()
     F(1.2)
+    assert len(hyp1f1_calls) == 0
+    SEP.whittaker_radial(d, s, C0)(1.2)
     assert len(hyp1f1_calls) == 1
 
 
@@ -103,9 +120,12 @@ def _factor_digest(cid):
     return h.hexdigest()
 
 
+# 1.1b was re-recorded when F' of the imaginary-Whittaker factor got its sign
+# on the negative half-line; the new digest equals the old code's with each
+# Dual2 of negative value part evaluated as F(-xi), exact for an even factor
 FACTOR_GOLDEN = {
     "1.1a": "844d2782e9d60b5e467307d5a0f0f4a1cf827c837cd107f123f1acefbad78275",
-    "1.1b": "92f9322623d6af172b5ac138c8bff56df4143dfd58150eb6839b54cc50c5a5ca",
+    "1.1b": "8f63192a2e1cebc9a2e46b449de4c9336c7238e8bbfcdcaab667bd257d9b6f65",
     "1.5a": "382dfcc645c7e45dcd354d6d0e9afe3f2fbc4ac485111e4c44b02491c7c5e5e7",
 }
 
