@@ -2,6 +2,14 @@
 one-asset power-law model, and the one-asset exponentially decaying
 volatility, plus the smile-asymmetry expansion of the latter.
 
+Every chain runs on the catalog's map type,
+:class:`~liesolve.reductions.maps.SimilarityMap`: the two-asset study on
+case 1.2b, the one-asset studies on ``map_1d_exp`` (M = C0/x^2 + c x^2 +
+c0) and ``map_1d_poly`` (M = C0/x^2) with the reduced operators defined
+here.  Reduced residuals go through
+:func:`~liesolve.reductions.operator_residual` and reconstruction through
+``SimilarityMap.reconstruct``, as in the catalog chain.
+
 Policy for the catalog-vs-assembly tension: every study verifies the catalog
 potential chain (classification, admissibility, reduced equation, closed
 form, reconstruction) with hard thresholds, assembles the potential
@@ -19,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hyperdual as hd
-from .errors import AlphaOne
+from .errors import AlphaOne, LiesolveError
 from .exprlang import evaluate, match_case, parse
 from .fields import ScalarField
 from .report import VerificationReport
-from .reductions import get_case, reconstruct_u
+from .reductions import get_case, operator_residual, reconstruct_u
+from .reductions.maps import map_1d_exp, map_1d_poly
 from .reductions.separated import bessel_radial_jy, ode_factor, whittaker_radial
 from .specfun import hypergeometric
 from .symmetry import compatibility_condition
@@ -59,85 +68,30 @@ def _rel_fp_scale(u, M, pts):
     for p in pts:
         try:
             v = abs(u(*p)) * (1.0 + abs(M(*p[:-1])))
-        except Exception:
+        except (LiesolveError, ArithmeticError, ValueError):
             continue
         scale = max(scale, v)
     return max(scale, 1e-12)
 
 
-@dataclass
-class _OneDimReduction:
-    """xi = x / sqrt(f1) similarity chain for the single-asset studies."""
-
-    to_sim: object
-    prefactor_log: object
-    jacobian: object
-    reduced_op: object  # op(Pjet, xi) -> residual
-
-    def reconstruct(self, P):
-        def fn(x, t):
-            xi = self.to_sim(x, t)
-            return P(xi) * hd.exp(-self.prefactor_log(x, t))
-
-        return ScalarField(fn, nargs=2, name="u-1d")
-
-
-def _reduction_1d_quadratic(C0, c, c0, d1=1.0, d2=1.0):
-    """Exponential-pair time family for M = C0/x^2 + c x^2 + c0."""
-    a = math.sqrt(2.0 * c)
-
-    def f1(t):
-        return d1 * hd.exp(2 * a * t) + d2 * hd.exp(-2 * a * t)
-
-    def g1(t):
-        return d1 * hd.exp(2 * a * t) - d2 * hd.exp(-2 * a * t)
-
-    def to_sim(x, t):
-        return x / hd.sqrt(f1(t))
-
-    def W(x, t):
-        xi = to_sim(x, t)
-        return 0.25 * hd.log(f1(t)) + c0 * t + 0.5 * a * g1(t) * xi * xi
-
-    def jac(x, t):
-        xi = to_sim(x, t)
-        return -hd.exp(-W(x, t)) / (2.0 * f1(t) * xi * xi)
+def _quadratic_op(C0, c, d1, d2):
+    """Reduced operator of M = C0/x^2 + c x^2 + c0 under ``map_1d_exp``."""
 
     def op(P, xi):
         p2 = hd.derivative(P, (xi,), 0, order=2)
         return xi * xi * p2 + 2.0 * (4.0 * c * d1 * d2 * xi**4 - C0) * P(xi)
 
-    return _OneDimReduction(to_sim, W, jac, op)
+    return op
 
 
-def _reduction_1d_inverse_square(C0, d1=1.0, d2=1.0):
-    """Polynomial time family for M = C0/x^2 (t > 0)."""
-
-    def f1(t):
-        return t * (d2 * t + d1)
-
-    def to_sim(x, t):
-        return x / hd.sqrt(f1(t))
-
-    def W(x, t):
-        xi = to_sim(x, t)
-        return 0.5 * hd.log(d2 * t + d1) + 0.5 * d2 * xi * xi * t
-
-    def jac(x, t):
-        return -hd.exp(-W(x, t)) / (2.0 * f1(t))
+def _inverse_square_op(C0, d1):
+    """Reduced operator of M = C0/x^2 under ``map_1d_poly``."""
 
     def op(P, xi):
         _, p1, p2 = hd.jet(P, (xi,), 0)
         return p2 + d1 * xi * p1 - 2.0 * C0 / (xi * xi) * P(xi)
 
-    return _OneDimReduction(to_sim, W, jac, op)
-
-
-def _reduced_residual_1d(red, P, xis):
-    worst = 0.0
-    for xi in xis:
-        worst = max(worst, abs(hd.value(red.reduced_op(P, xi))))
-    return worst
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +207,9 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
         rho_ = hd.sqrt(xi * xi + eta * eta)
         return F1(rho_) * F2(_wedge_angle(xi, eta))
 
-    smap = case.similarity(params)
-    op = case.reduced_operator(params)
-    red_worst = 0.0
-    for (xi, eta) in _wedge_sim_points(n=20, seed=seed):
-        red_worst = max(red_worst, abs(hd.value(op(P_wedge, xi, eta))))
+    red_worst = operator_residual(
+        case.reduced_operator(params), P_wedge, _wedge_sim_points(n=20, seed=seed)
+    )
     rep.check("reduced-equation residual of the separated solution", red_worst, 1e-7)
 
     u = reconstruct_u(case, params, P_wedge)
@@ -450,8 +402,10 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
     if r == 0.0 or c == 0.0:
         return CaseStudyResult(model, None, None, rep, {"catalog_potential": M_cat})
 
-    red = _reduction_1d_quadratic(C0, c, c0, delta1, delta2)
+    smap = map_1d_exp(c, c0, delta1, delta2)
+    op = _quadratic_op(C0, c, delta1, delta2)
     xis = np.linspace(0.5, 1.6, 12)
+    sim_pts = [(xi,) for xi in xis]
 
     # the published separated profile (even reflection: the reduced
     # equation is invariant under xi -> -xi and the chart sits at xi < 0
@@ -463,7 +417,7 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
             xi = -xi
         return xi**exponent
 
-    claim_resid = _reduced_residual_1d(red, P_claim, xis)
+    claim_resid = operator_residual(op, P_claim, sim_pts)
     scale = max(abs(P_claim(x)) for x in xis)
     rep.check(
         "published power-law profile solves the reduced equation",
@@ -488,11 +442,11 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
             xi = -xi
         return hd.sqrt(xi) * jf(b_arg * xi * xi)
 
-    good_resid = _reduced_residual_1d(red, P_good, xis)
+    good_resid = operator_residual(op, P_good, sim_pts)
     rep.check("verified separated profile solves the reduced equation", good_resid, 1e-8)
     rep.payload["verified radial order"] = nu
 
-    u = red.reconstruct(P_good)
+    u = smap.reconstruct(P_good)
     region = Region(((x_lo + 0.05, x_hi - 0.05), (0.1, 0.6)))
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
     scale = _rel_fp_scale(u, lambda x: M_cat.fn(x), region.points(10))
@@ -506,7 +460,7 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
 
     return CaseStudyResult(
         model, None, price, rep,
-        {"catalog_potential": M_cat, "assembled_potential": M_asm, "reduction": red,
+        {"catalog_potential": M_cat, "assembled_potential": M_asm, "similarity_map": smap,
          "invariant_solution": u},
     )
 
@@ -570,14 +524,14 @@ def expvol_1d(delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
     rep.payload["assembled potential at x=1"] = M_asm.fn(1.0)
     rep.payload["catalog potential at x=1"] = M_cat_fn(1.0)
 
-    red = _reduction_1d_inverse_square(C0, delta1, delta2)
+    smap = map_1d_poly(delta1, delta2)
     F = whittaker_radial(delta1, 0.0, C0)  # the one-variable family pins c1 = 0
     xis = np.linspace(0.5, 1.8, 12)
-    resid = _reduced_residual_1d(red, F, xis)
+    resid = operator_residual(_inverse_square_op(C0, delta1), F, [(xi,) for xi in xis])
     scale = max(abs(hd.value(F(x))) for x in xis)
     rep.check("whittaker profile solves the reduced equation", resid / scale, 1e-8)
 
-    u = red.reconstruct(F)
+    u = smap.reconstruct(F)
     region = Region(((0.6, 2.6), (0.2, 0.9)))
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
     scale = _rel_fp_scale(u, lambda x: M_cat.fn(x), region.points(10))
@@ -591,7 +545,7 @@ def expvol_1d(delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
 
     return CaseStudyResult(
         model, None, price, rep,
-        {"catalog_potential": M_cat, "assembled_potential": M_asm, "reduction": red,
+        {"catalog_potential": M_cat, "assembled_potential": M_asm, "similarity_map": smap,
          "invariant_solution": u},
     )
 

@@ -72,59 +72,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-# human-readable similarity-variable summaries for `reduce`
-CASE_SUMMARIES = {
-    "1.1a": (
-        "xi = x/sqrt(f1), eta = (y + shift_b(t))/sqrt(f1), f1 = delta2 t^2 + delta1 t",
-        "d1^2 xi^2 (P_xixi + P_etaeta) + d1^3 xi^3 P_xi + d1^3 xi^2 eta P_eta "
-        "+ [4(delta2 beta0^2 - delta1 beta0 beta1) xi^2 - 2 C0 d1^2] P = 0",
-    ),
-    "1.1b": (
-        "xi = x/sqrt(f1), eta = (y - h(t))/sqrt(f1), f1 = delta1 e^{2at} + delta2 e^{-2at}",
-        "d1 d2 xi^2 (P_xixi + P_etaeta) + [8 c d1^2 d2^2 xi^2 (xi^2+eta^2) "
-        "- xi^2 (beta1^2 d2 + beta2^2 d1) - 2 C0 d1 d2] P = 0",
-    ),
-    "1.2a": (
-        "xi = x/sqrt(f1), eta = y/sqrt(f1), f1 = delta2 t^2 + delta1 t",
-        "rho^2 P_rhorho + (delta1 rho^3 + rho) P_rho + P_thetatheta - 2 C(theta) P = 0",
-    ),
-    "1.2b": (
-        "xi = x/sqrt(f1), eta = y/sqrt(f1), f1 = delta1 e^{2at} + delta2 e^{-2at}",
-        "rho^2 P_rhorho + rho P_rho + P_thetatheta + 2[4 c d1 d2 rho^4 - C(theta)] P = 0",
-    ),
-    "1.3": (
-        "rotating frame: xi + i eta = (x + i y) e^{i lam ln(t)/2} / sqrt(t)",
-        "rho^2 [lap P + (xi + lam eta) P_xi + (eta - lam xi) P_eta] - 2 C(lam ln rho + theta) P = 0",
-    ),
-    "1.4a": (
-        "as 1.2a (the constant-angular-factor specialization)",
-        "rho^2 lap P + delta1 rho^2 (xi P_xi + eta P_eta) - 2 C0 P = 0",
-    ),
-    "1.4b": (
-        "as 1.2b (the constant-angular-factor specialization)",
-        "rho^2 lap P + 2[4 c d1 d2 rho^4 - C0] P = 0",
-    ),
-    "1.5a": (
-        "xi = (x + shift_a(t))/sqrt(f1), eta = (y + shift_b(t))/sqrt(f1)",
-        "lap P + delta1 (xi P_xi + eta P_eta) + kappa P = 0, "
-        "kappa = 4[delta2(a0^2+b0^2) - delta1(a0 a1 + b0 b1)]/delta1^2",
-    ),
-    "1.6": (
-        "xi = x^2 + y^2, eta = t",
-        "4 xi^2 P_xixi + 4 xi P_xi - 2 xi P_eta + (d^2 eta^2 - 2 xi C(sqrt(xi))) P = 0",
-    ),
-    "1.8a": (
-        "xi = x, eta = t (boost along y)",
-        "4 h^2 P_xixi - 8 h^2 P_eta + [b^2 eta^2 (b1 eta + 2 b0)^2 - 4 b1 h "
-        "- 8 C(xi) h^2] P = 0, h = b1 eta + b0",
-    ),
-    "1.8b": (
-        "xi = x, eta = t (exponential boost along y)",
-        "P_xixi - 2 P_eta - 2 C(xi) P = 0",
-    ),
-}
-
-
 @functools.cache
 def _config_validator():
     # built on first use: checking the schema itself costs about 10 ms
@@ -197,7 +144,7 @@ def _cmd_classify(config):
 def _cmd_reduce(config):
     case = get_case(config["case"])
     rep = VerificationReport(f"similarity reduction, case {case.case_id}")
-    sim, red = CASE_SUMMARIES[case.case_id]
+    sim, red = case.summary
     rep.payload["similarity variables"] = sim
     rep.payload["reduced equation"] = red
     rep.payload["potential template"] = case.template
@@ -291,7 +238,7 @@ def _cmd_solve(config):
             for (xi, eta) in case.region_sim(params, n=60, seed=seed):
                 try:
                     val = hd.value(sol.P(xi, eta))
-                except Exception:
+                except (LiesolveError, ArithmeticError, ValueError):
                     continue
                 w.writerow([repr(float(xi)), repr(float(eta)), repr(float(val))])
         rep.payload["samples_csv"] = path

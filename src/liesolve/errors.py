@@ -54,10 +54,6 @@ class UnsupportedDerivative(LiesolveError, ValueError):
     """differentiate() was asked for a direction it does not support."""
 
 
-class NoMatch(LiesolveError):
-    """No catalog template fits the potential.  A result, not a defect."""
-
-
 class AmbiguousMatch(LiesolveError):
     """Two or more templates fit within tolerance; carries all of them."""
 

@@ -309,7 +309,3 @@ def opaque_symbols(e):
 
     walk(e)
     return out
-
-
-def structurally_equal(a, b):
-    return a == b

@@ -61,19 +61,6 @@ class ScalarField:
         return self.deriv(self.nargs - 1, a)
 
 
-def constant_field(c, nargs=3):
-    return ScalarField(lambda *a: c, nargs=nargs, name=f"const {c}")
-
-
-def zero_field(nargs=3):
-    return constant_field(0.0, nargs=nargs)
-
-
-def from_callable(fn, nargs=3, dual=False, name=""):
-    """Wrap a user-supplied black-box callable (finite-difference derivatives)."""
-    return ScalarField(fn, nargs=nargs, dual=dual, name=name)
-
-
 # -- test-field builders ------------------------------------------------------
 
 

@@ -35,14 +35,8 @@ def similarity_map(case, params, point):
 def reconstruct_u(case, params, P) -> ScalarField:
     """u(x, y, t) = P(xi, eta) / prefactor, as a dual-capable field."""
     case = case if isinstance(case, CaseReduction) else get_case(case)
-    smap = case.similarity(params)
     Pfn = P.P if isinstance(P, SeparatedSolution) else P
-
-    def fn(x, y, t):
-        xi, eta = smap.to_sim(x, y, t)
-        return Pfn(xi, eta) * hd.exp(-smap.prefactor_log(x, y, t))
-
-    return ScalarField(fn, nargs=3, name=f"u[{case.case_id}]")
+    return case.similarity(params).reconstruct(Pfn, name=f"u[{case.case_id}]")
 
 
 def reduced_residual(case, params, P, points=None) -> float:
@@ -51,11 +45,18 @@ def reduced_residual(case, params, P, points=None) -> float:
     op = case.reduced_operator(params)
     Pfn = P.P if isinstance(P, SeparatedSolution) else P
     pts = points if points is not None else case.region_sim(params)
+    return operator_residual(op, Pfn, pts)
+
+
+def operator_residual(op, P, pts) -> float:
+    """Max abs of ``op(P, *point)`` over similarity points, skipping points
+    where it raises a typed error or is not finite; raises
+    :class:`SamplingError` when fewer than max(4, a quarter) evaluate."""
     worst = 0.0
     evaluated = 0
-    for (xi, eta) in pts:
+    for pt in pts:
         try:
-            r = op(Pfn, xi, eta)
+            r = op(P, *pt)
         except (LiesolveError, ArithmeticError, ValueError):
             continue
         v = hd.value(r)
@@ -144,6 +145,7 @@ __all__ = [
     "catalog",
     "closed_form_solution",
     "get_case",
+    "operator_residual",
     "reconstruct_u",
     "reduced_residual",
     "similarity_map",

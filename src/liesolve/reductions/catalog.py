@@ -1,6 +1,9 @@
-"""The reduction catalog: eleven potential families, each bundling
+"""The reduction catalog: eleven potential families.  A
+:class:`CaseReduction` is the one home of a case's metadata and bundles
 
-* the potential template and its admissible generator data,
+* the potential template (from ``exprlang.TEMPLATE_SOURCES``), the parameter
+  names, the parameters fixed in every draw, and the ``reduce`` summary,
+* the admissible generator data,
 * the similarity map (from :mod:`.maps`),
 * the reduced operator on the similarity variables,
 * the separated closed form (where one exists),
@@ -16,13 +19,13 @@ consistency check; factor ODE conventions are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import hyperdual as hd
 from ..errors import NoClosedForm, SamplingError
-from ..exprlang import evaluate, template_expr
+from ..exprlang import TEMPLATE_SOURCES, evaluate, template_expr
 from ..fields import ScalarField
 from ..symmetry import SymmetryData, exp_pair, poly
 from . import maps as MP
@@ -53,23 +56,27 @@ def _lap_grad(P, xi, eta):
     return pxx + pyy, px, py
 
 
-def _polar_op(P):
-    """Wrap a cartesian P(xi, eta) as polar Pp(rho, theta) with derivatives."""
+def _polar_jet(P, xi, eta):
+    """(rho, theta, P, P_rho, P_rhorho, P_thetatheta) of a cartesian
+    P(xi, eta) at one point, differentiated in polar form."""
 
     def Pp(rho, th):
         return P(rho * hd.cos(th), rho * hd.sin(th))
 
-    return Pp
+    rho = math.hypot(hd.value(xi), hd.value(eta))
+    th = math.atan2(hd.value(eta), hd.value(xi))
+    _, pr, prr = hd.jet(Pp, (rho, th), 0)
+    ptt = hd.derivative(Pp, (rho, th), 1, order=2)
+    return rho, th, Pp(rho, th), pr, prr, ptt
 
 
 @dataclass
 class CaseReduction:
     case_id: str
-    template: str
     case_params: tuple
     sym_params: tuple
-    polar: bool
     has_closed_form: bool
+    summary: tuple  # (similarity variables, reduced equation), as `reduce` prints them
     _map: object
     _symmetry: object
     _reduced: object
@@ -77,6 +84,11 @@ class CaseReduction:
     _region_xyt: object
     _region_sim: object
     _opaque_default: object = None
+    fixed_params: dict = field(default_factory=dict)  # set over the draws of draw_params
+
+    @property
+    def template(self):
+        return TEMPLATE_SOURCES[self.case_id]
 
     # -- potential ----------------------------------------------------------
     def potential_field(self, params, opaque=None):
@@ -119,11 +131,8 @@ class CaseReduction:
 
     def draw_params(self, rng):
         out = {name: float(rng.uniform(0.5, 2.0)) for name in self.case_params + self.sym_params}
-        if self.case_id in ("1.4a", "1.4b"):
-            out["a"] = 0.0
-            out["b"] = 0.0
+        out.update(self.fixed_params)
         return out
-
 
 
 def _c_scalar(p, default):
@@ -190,6 +199,16 @@ def _sim_points(n, seed, xi_range=(0.4, 1.8), eta_range=(0.3, 1.5), need_xi_pos=
     return pts
 
 
+def _polar_sim_points(n, seed, rho_hi=1.8, margin=0.25):
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(n):
+        rho = rng.uniform(0.5, rho_hi)
+        th = rng.uniform(-math.pi + margin, math.pi - margin)
+        pts.append((rho * math.cos(th), rho * math.sin(th)))
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # case builders
 # ---------------------------------------------------------------------------
@@ -251,11 +270,14 @@ def _case_11a():
 
     return CaseReduction(
         "1.1a",
-        "C0/x^2 + b*y + c0",
         ("C0", "b", "c0"),
         ("delta1", "delta2", "beta0", "beta1"),
-        polar=False,
         has_closed_form=True,
+        summary=(
+            "xi = x/sqrt(f1), eta = (y + shift_b(t))/sqrt(f1), f1 = delta2 t^2 + delta1 t",
+            "d1^2 xi^2 (P_xixi + P_etaeta) + d1^3 xi^3 P_xi + d1^3 xi^2 eta P_eta "
+            "+ [4(delta2 beta0^2 - delta1 beta0 beta1) xi^2 - 2 C0 d1^2] P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -322,11 +344,14 @@ def _case_11b():
 
     return CaseReduction(
         "1.1b",
-        "C0/x^2 + c*r_polar^2 + b*y + c0",
         ("C0", "c", "b", "c0"),
         ("delta1", "delta2", "beta1", "beta2"),
-        polar=False,
         has_closed_form=True,
+        summary=(
+            "xi = x/sqrt(f1), eta = (y - h(t))/sqrt(f1), f1 = delta1 e^{2at} + delta2 e^{-2at}",
+            "d1 d2 xi^2 (P_xixi + P_etaeta) + [8 c d1^2 d2^2 xi^2 (xi^2+eta^2) "
+            "- xi^2 (beta1^2 d2 + beta2^2 d1) - 2 C0 d1 d2] P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -349,16 +374,12 @@ def _case_12a():
         C = _c_scalar(p, _C_THETA)
 
         def op(P, xi, eta):
-            Pp = _polar_op(P)
-            rho = math.hypot(hd.value(xi), hd.value(eta))
-            th = math.atan2(hd.value(eta), hd.value(xi))
-            _, pr, prr = hd.jet(Pp, (rho, th), 0)
-            ptt = hd.derivative(Pp, (rho, th), 1, order=2)
+            rho, th, p, pr, prr, ptt = _polar_jet(P, xi, eta)
             return (
                 rho * rho * prr
                 + (d1 * rho**3 + rho) * pr
                 + ptt
-                - 2.0 * C(th) * Pp(rho, th)
+                - 2.0 * C(th) * p
             )
 
         return op
@@ -377,21 +398,17 @@ def _case_12a():
         return _annulus_points(n, seed)
 
     def region_sim(p, n, seed):
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < n:
-            rho = rng.uniform(0.5, 1.8)
-            th = rng.uniform(-math.pi + 0.25, math.pi - 0.25)
-            pts.append((rho * math.cos(th), rho * math.sin(th)))
-        return pts
+        return _polar_sim_points(n, seed)
 
     return CaseReduction(
         "1.2a",
-        "C(theta)/r_polar^2 + c0",
         ("c0",),
         ("delta1", "delta2"),
-        polar=True,
         has_closed_form=True,
+        summary=(
+            "xi = x/sqrt(f1), eta = y/sqrt(f1), f1 = delta2 t^2 + delta1 t",
+            "rho^2 P_rhorho + (delta1 rho^3 + rho) P_rho + P_thetatheta - 2 C(theta) P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -419,16 +436,12 @@ def _case_12b():
         C = _c_scalar(p, _C_THETA)
 
         def op(P, xi, eta):
-            Pp = _polar_op(P)
-            rho = math.hypot(hd.value(xi), hd.value(eta))
-            th = math.atan2(hd.value(eta), hd.value(xi))
-            _, pr, prr = hd.jet(Pp, (rho, th), 0)
-            ptt = hd.derivative(Pp, (rho, th), 1, order=2)
+            rho, th, p, pr, prr, ptt = _polar_jet(P, xi, eta)
             return (
                 rho * rho * prr
                 + rho * pr
                 + ptt
-                + 2.0 * (4.0 * c * d1 * d2 * rho**4 - C(th)) * Pp(rho, th)
+                + 2.0 * (4.0 * c * d1 * d2 * rho**4 - C(th)) * p
             )
 
         return op
@@ -447,21 +460,17 @@ def _case_12b():
         return _annulus_points(n, seed, t_range=(-0.3, 0.6))
 
     def region_sim(p, n, seed):
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < n:
-            rho = rng.uniform(0.5, 1.6)
-            th = rng.uniform(-math.pi + 0.25, math.pi - 0.25)
-            pts.append((rho * math.cos(th), rho * math.sin(th)))
-        return pts
+        return _polar_sim_points(n, seed, rho_hi=1.6)
 
     return CaseReduction(
         "1.2b",
-        "C(theta)/r_polar^2 + c*r_polar^2 + c0",
         ("c", "c0"),
         ("delta1", "delta2"),
-        polar=True,
         has_closed_form=True,
+        summary=(
+            "xi = x/sqrt(f1), eta = y/sqrt(f1), f1 = delta1 e^{2at} + delta2 e^{-2at}",
+            "rho^2 P_rhorho + rho P_rho + P_thetatheta + 2[4 c d1 d2 rho^4 - C(theta)] P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -500,21 +509,18 @@ def _case_13():
         return _annulus_points(n, seed)
 
     def region_sim(p, n, seed):
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < n:
-            rho = rng.uniform(0.5, 1.8)
-            th = rng.uniform(-math.pi + 0.2, math.pi - 0.2)
-            pts.append((rho * math.cos(th), rho * math.sin(th)))
-        return pts
+        return _polar_sim_points(n, seed, margin=0.2)
 
     return CaseReduction(
         "1.3",
-        "C(lam*ln(r_polar) + theta)/r_polar^2 + c0",
         ("lam", "c0"),
         ("k",),
-        polar=False,
         has_closed_form=False,
+        summary=(
+            "rotating frame: xi + i eta = (x + i y) e^{i lam ln(t)/2} / sqrt(t)",
+            "rho^2 [lap P + (xi + lam eta) P_xi + (eta - lam xi) P_eta] "
+            "- 2 C(lam ln rho + theta) P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -527,13 +533,6 @@ def _case_13():
 
 def _case_14a():
     base = _case_12a()
-
-    def make_map(p):
-        return MP.map_12a(p["c0"], p["delta1"], p["delta2"])
-
-    def make_sym(p):
-        d1, d2, c0 = p["delta1"], p["delta2"], p["c0"]
-        return SymmetryData(f1=poly(0.0, d1, d2), f4=poly(0.0, d2 + c0 * d1, c0 * d2))
 
     def reduced(p):
         d1, C0 = p["delta1"], p["C0"]
@@ -554,32 +553,25 @@ def _case_14a():
 
     return CaseReduction(
         "1.4a",
-        "C0/r_polar^2 + a*x + b*y + c0",
         ("C0", "a", "b", "c0"),
         ("delta1", "delta2"),
-        polar=True,
         has_closed_form=True,
-        _map=make_map,
-        _symmetry=make_sym,
+        summary=(
+            "as 1.2a (the constant-angular-factor specialization)",
+            "rho^2 lap P + delta1 rho^2 (xi P_xi + eta P_eta) - 2 C0 P = 0",
+        ),
+        _map=base._map,
+        _symmetry=base._symmetry,
         _reduced=reduced,
         _closed=closed,
         _region_xyt=base._region_xyt,
         _region_sim=base._region_sim,
+        fixed_params={"a": 0.0, "b": 0.0},
     )
 
 
 def _case_14b():
     base = _case_12b()
-
-    def make_map(p):
-        return MP.map_12b(p["c"], p["c0"], p["delta1"], p["delta2"])
-
-    def make_sym(p):
-        d1, d2, c, c0 = p["delta1"], p["delta2"], p["c"], p["c0"]
-        a = math.sqrt(2.0 * c)
-        return SymmetryData(
-            f1=exp_pair(d1, d2, 2 * a), f4=exp_pair((a + c0) * d1, -(a - c0) * d2, 2 * a)
-        )
 
     def reduced(p):
         c, C0 = p["c"], p["C0"]
@@ -602,17 +594,20 @@ def _case_14b():
 
     return CaseReduction(
         "1.4b",
-        "C0/r_polar^2 + c*r_polar^2 + a*x + b*y + c0",
         ("C0", "c", "a", "b", "c0"),
         ("delta1", "delta2"),
-        polar=True,
         has_closed_form=True,
-        _map=make_map,
-        _symmetry=make_sym,
+        summary=(
+            "as 1.2b (the constant-angular-factor specialization)",
+            "rho^2 lap P + 2[4 c d1 d2 rho^4 - C0] P = 0",
+        ),
+        _map=base._map,
+        _symmetry=base._symmetry,
         _reduced=reduced,
         _closed=closed,
         _region_xyt=base._region_xyt,
         _region_sim=base._region_sim,
+        fixed_params={"a": 0.0, "b": 0.0},
     )
 
 
@@ -672,11 +667,14 @@ def _case_15a():
 
     return CaseReduction(
         "1.5a",
-        "a*x + b*y + c0",
         ("a", "b", "c0"),
         ("delta1", "delta2", "alpha0", "alpha1", "beta0", "beta1"),
-        polar=False,
         has_closed_form=True,
+        summary=(
+            "xi = (x + shift_a(t))/sqrt(f1), eta = (y + shift_b(t))/sqrt(f1)",
+            "lap P + delta1 (xi P_xi + eta P_eta) + kappa P = 0, "
+            "kappa = 4[delta2(a0^2+b0^2) - delta1(a0 a1 + b0 b1)]/delta1^2",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -723,11 +721,13 @@ def _case_16():
 
     return CaseReduction(
         "1.6",
-        "C(r_polar) + d*theta",
         ("d",),
         ("k",),
-        polar=False,
         has_closed_form=False,
+        summary=(
+            "xi = x^2 + y^2, eta = t",
+            "4 xi^2 P_xixi + 4 xi P_xi - 2 xi P_eta + (d^2 eta^2 - 2 xi C(sqrt(xi))) P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -794,11 +794,14 @@ def _case_18a():
 
     return CaseReduction(
         "1.8a",
-        "C(x) + b*y",
         ("b",),
         ("beta0", "beta1"),
-        polar=False,
         has_closed_form=True,
+        summary=(
+            "xi = x, eta = t (boost along y)",
+            "4 h^2 P_xixi - 8 h^2 P_eta + [b^2 eta^2 (b1 eta + 2 b0)^2 - 4 b1 h "
+            "- 8 C(xi) h^2] P = 0, h = b1 eta + b0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,
@@ -847,11 +850,13 @@ def _case_18b():
 
     return CaseReduction(
         "1.8b",
-        "C(x) + c*y^2 + b*y",
         ("c", "b"),
         ("beta1", "beta2"),
-        polar=False,
         has_closed_form=True,
+        summary=(
+            "xi = x, eta = t (exponential boost along y)",
+            "P_xixi - 2 P_eta - 2 C(xi) P = 0",
+        ),
         _map=make_map,
         _symmetry=make_sym,
         _reduced=reduced,

@@ -1,16 +1,27 @@
-"""Similarity maps for the reduction catalog.
+"""Similarity maps: the one map type of the 1-D and 2-D reduction chains.
 
-Each case supplies, for bound parameters:
+A :class:`SimilarityMap` holds, for bound parameters, four callables on the
+original arguments, ``(x, y, t)`` for the catalog cases or ``(x, t)`` for
+the one-asset studies (``nargs`` says which):
 
-* ``to_sim(x, y, t) -> (xi, eta)``  (dual-transparent),
-* ``prefactor_log(x, y, t) -> W``   with ``P = exp(W) u``,
-* ``jacobian(x, y, t) -> J``        with ``FP(u) = J * reduced_op(P)``,
-* ``singular(x, y, t) -> bool``     the singular-locus guard.
+* ``to_sim(...) -> (xi, eta)`` or ``(xi,)``   (dual-transparent),
+* ``prefactor_log(...) -> W``   with ``P = exp(W) u``,
+* ``jacobian(...) -> J``        with ``FP(u) = J * reduced_op(P)``,
+* ``singular(x, y, t) -> bool`` the singular-locus guard of a catalog map;
+  ``None`` for a one-asset map, whose studies sample away from its loci.
+
+:meth:`SimilarityMap.reconstruct` maps a reduced solution ``P`` back to
+``u = P(to_sim) exp(-W)``; it serves :func:`liesolve.reductions.reconstruct_u`
+and the one-asset studies alike.
 
 The formulas are the closed forms of the characteristic-system integrals for
 the admissible generator family; where the source displays are garbled the
 entries below are re-derived and then pinned by the reduction-consistency
-checks (the Jacobian-ratio test would flag any sign or constant slip).
+checks (the Jacobian-ratio test would flag any sign or constant slip).  The
+time families are shared: ``f1 = d2 t^2 + d1 t`` (polynomial) serves 1.1a,
+1.2a, 1.5a and the one-asset inverse-square map, and ``f1 = d1 e^{2at} +
+d2 e^{-2at}`` (exponential) serves 1.1b, 1.2b and the one-asset quadratic
+map.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from dataclasses import dataclass
 
 from .. import hyperdual as hd
 from ..errors import SingularPoint
+from ..fields import ScalarField
 
 SING_MARGIN = 0.1
 
@@ -30,10 +42,20 @@ class SimilarityMap:
     prefactor_log: object
     jacobian: object
     singular: object
+    nargs: int = 3
 
     def check(self, x, y, t):
         if self.singular(hd.value(x), hd.value(y), hd.value(t)):
             raise SingularPoint(f"similarity map singular at {(x, y, t)}")
+
+    def reconstruct(self, P, name="u"):
+        """u = P(similarity variables) * exp(-W), as a dual-capable field."""
+        to_sim, W = self.to_sim, self.prefactor_log
+
+        def fn(*args):
+            return P(*to_sim(*args)) * hd.exp(-W(*args))
+
+        return ScalarField(fn, nargs=self.nargs, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +197,43 @@ def map_15a(a, b, c0, d1, d2, a0, a1, b0, b1):
     return SimilarityMap(to_sim, W, jacobian, singular)
 
 
+def map_1d_poly(d1, d2):
+    """One-asset map for M = C0/x^2 (t > 0)."""
+    f1 = _f1_poly(d1, d2)
+
+    def to_sim(x, t):
+        return (x / hd.sqrt(f1(t)),)
+
+    def W(x, t):
+        (xi,) = to_sim(x, t)
+        return 0.5 * hd.log(d2 * t + d1) + 0.5 * d2 * xi * xi * t
+
+    def jacobian(x, t):
+        return -hd.exp(-W(x, t)) / (2.0 * f1(t))
+
+    return SimilarityMap(to_sim, W, jacobian, None, nargs=2)
+
+
 # ---------------------------------------------------------------------------
 # exponential family: f1 = d1 e^{2at} + d2 e^{-2at},  a = sqrt(2c)
 # ---------------------------------------------------------------------------
 
 
-def map_12b(c, c0, d1, d2):
-    a = math.sqrt(2.0 * c)
+def _f1_g1_exp(a, d1, d2):
+    """f1 and its companion g1 = d1 e^{2at} - d2 e^{-2at}."""
 
     def f1(t):
         return d1 * hd.exp(2 * a * t) + d2 * hd.exp(-2 * a * t)
 
     def g1(t):
         return d1 * hd.exp(2 * a * t) - d2 * hd.exp(-2 * a * t)
+
+    return f1, g1
+
+
+def map_12b(c, c0, d1, d2):
+    a = math.sqrt(2.0 * c)
+    f1, g1 = _f1_g1_exp(a, d1, d2)
 
     def to_sim(x, y, t):
         s = hd.sqrt(f1(t))
@@ -214,12 +260,7 @@ def map_12b(c, c0, d1, d2):
 
 def map_11b(C0, c, b, c0, d1, d2, b1, b2):
     a = math.sqrt(2.0 * c)
-
-    def f1(t):
-        return d1 * hd.exp(2 * a * t) + d2 * hd.exp(-2 * a * t)
-
-    def g1(t):
-        return d1 * hd.exp(2 * a * t) - d2 * hd.exp(-2 * a * t)
+    f1, g1 = _f1_g1_exp(a, d1, d2)
 
     def h(t):
         return (
@@ -260,6 +301,25 @@ def map_11b(C0, c, b, c0, d1, d2, b1, b2):
         return hd.value(f1(t)) <= 0 or abs(x) < 1e-8
 
     return SimilarityMap(to_sim, W, jacobian, singular)
+
+
+def map_1d_exp(c, c0, d1, d2):
+    """One-asset map for M = C0/x^2 + c x^2 + c0."""
+    a = math.sqrt(2.0 * c)
+    f1, g1 = _f1_g1_exp(a, d1, d2)
+
+    def to_sim(x, t):
+        return (x / hd.sqrt(f1(t)),)
+
+    def W(x, t):
+        (xi,) = to_sim(x, t)
+        return 0.25 * hd.log(f1(t)) + c0 * t + 0.5 * a * g1(t) * xi * xi
+
+    def jacobian(x, t):
+        (xi,) = to_sim(x, t)
+        return -hd.exp(-W(x, t)) / (2.0 * f1(t) * xi * xi)
+
+    return SimilarityMap(to_sim, W, jacobian, None, nargs=2)
 
 
 # ---------------------------------------------------------------------------

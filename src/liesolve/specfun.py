@@ -21,8 +21,9 @@ Conventions:
   jet keeps the prefactor and each shifted order for its last
   ``MEMO_POINTS`` distinct points in a :class:`PointMemo`, so a full jet at
   one point costs three inner evaluations and a point seen again costs none.
-  The memo is keyed on the exact bits of a float or complex argument and on
-  the identity of anything else, such as a ``Dual2``.
+  The memo is keyed on the exact bits of a float or complex argument.  A
+  ``Dual2`` argument raises :class:`~liesolve.errors.DomainError` rather
+  than losing its derivative parts.
 
 Supported box for 1F1/U/Whittaker: ``|a|,|b|,|kappa|,|mu| <= 30`` and
 ``|z| <= 200``; outside it a :class:`DivergenceError` is raised rather than
@@ -46,6 +47,7 @@ import mpmath
 import scipy.special as _sp
 
 from .errors import DivergenceError, DomainError, PoleError
+from .hyperdual import Dual2
 
 _EPS = 2.2204460492503131e-16
 _SERIES_CAP = 10_000
@@ -218,22 +220,23 @@ def _mp_series_1f1(a, b, z, dps):
         return complex(_mp_series(a, b, z, dps))
 
 
-def _mp_series_1f1_auto(a, b, z, max_term, tol):
-    """Re-run the series with enough digits to absorb the known cancellation.
+def _raise_digits(evaluate, big, tol, what):
+    """``(evaluate(dps), rel)`` with enough digits ``dps`` to absorb a
+    cancellation among terms of absolute size up to ``big``.
 
-    Precision is driven by the absolute size of the largest term and verified
-    against the result it produces, so a noise-contaminated double-precision
-    estimate can never under-provision it.
+    Precision is driven by ``big`` and verified against the result it
+    produces, so a noise-contaminated double-precision estimate can never
+    under-provision it; after four rounds a :class:`DivergenceError` names
+    ``what``.
     """
-    dps = 22 + max(0, int(math.ceil(math.log10(max(max_term, 1.0)))))
+    dps = 22 + max(0, int(math.ceil(math.log10(max(big, 1.0)))))
     for _ in range(4):
-        v = _mp_series_1f1(a, b, z, dps)
-        noise = max_term * 10.0 ** (1 - dps)
-        rel = noise / max(abs(v), 1e-300)
+        v = evaluate(dps)
+        rel = big * 10.0 ** (1 - dps) / max(abs(v), 1e-300)
         if rel <= tol:
             return v, rel
         dps += max(10, int(math.ceil(math.log10(rel / tol))) + 5)
-    raise DivergenceError("1F1 cancellation exceeded the extended-precision budget")
+    raise DivergenceError(f"{what} cancellation exceeded the extended-precision budget")
 
 
 def _hyp1f1(a, b, z, tol=1e-12):
@@ -272,7 +275,7 @@ def _hyp1f1(a, b, z, tol=1e-12):
             return SpecialValue(_as_scalar(s), True, est)
         # cancellation ate the budget: redo with enough extra digits
         max_term_abs = canc * max(abs(s), 1e-300)
-        v, rel = _mp_series_1f1_auto(a, b, z, max_term_abs, tol)
+        v, rel = _raise_digits(lambda dps: _mp_series_1f1(a, b, z, dps), max_term_abs, tol, "1F1")
         return SpecialValue(_as_scalar(v), True, max(trunc_rel, rel))
     raise DivergenceError("1F1 series failed to converge within the iteration cap")
 
@@ -351,23 +354,19 @@ def _hypU(a, b, z, tol=1e-10):
         return SpecialValue(_as_scalar(s), True, est)
 
     # extended-precision rerun of the same connection formula; digits driven
-    # by the absolute size of the cancelling pair and verified a posteriori
-    big = abs(t1) + abs(t2)
-    dps = 22 + max(0, int(math.ceil(math.log10(max(big, 1.0)))))
-    for _ in range(4):
+    # by the absolute size of the cancelling pair
+    def connection(dps):
         with mpmath.workdps(dps):
             am, bm, zm = map(mpmath.mpmathify, (a, b, z))
-            v = mpmath.gamma(1 - bm) / mpmath.gamma(am - bm + 1) * _mp_series(
-                am, bm, z, dps
-            ) + mpmath.gamma(bm - 1) / mpmath.gamma(am) * mpmath.exp(
-                (1 - bm) * mpmath.log(zm)
-            ) * _mp_series(am - bm + 1, 2 - bm, z, dps)
-            v = complex(v)
-        rel = big * 10.0 ** (1 - dps) / max(abs(v), 1e-300)
-        if rel <= tol:
-            return SpecialValue(_as_scalar(v), True, rel)
-        dps += max(10, int(math.ceil(math.log10(rel / tol))) + 5)
-    raise DivergenceError("U cancellation exceeded the extended-precision budget")
+            return complex(
+                mpmath.gamma(1 - bm) / mpmath.gamma(am - bm + 1) * _mp_series(am, bm, z, dps)
+                + mpmath.gamma(bm - 1) / mpmath.gamma(am)
+                * mpmath.exp((1 - bm) * mpmath.log(zm))
+                * _mp_series(am - bm + 1, 2 - bm, z, dps)
+            )
+
+    v, rel = _raise_digits(connection, abs(t1) + abs(t2), tol, "U")
+    return SpecialValue(_as_scalar(v), True, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +588,8 @@ def _whittaker_jet(inner_jet, kappa, mu):
 
     The prefactor and F, F', F'' are computed at most once per distinct
     point and kept in a :class:`PointMemo` of this jet, filled order by order
-    as the elements ask for them.
+    as the elements ask for them.  A :class:`Dual2` argument raises
+    :class:`DomainError`: ``cmath`` would drop its derivative parts.
     """
     a = complex(mu - kappa + 0.5)
     b = complex(1.0 + 2.0 * mu)
@@ -598,6 +598,8 @@ def _whittaker_jet(inner_jet, kappa, mu):
     memo = PointMemo()  # point -> (prefactor, {order: inner value})
 
     def at(z, *orders):
+        if isinstance(z, Dual2):
+            raise DomainError("Whittaker jets take a float or complex argument, not a Dual2")
         key = point_key(z)
         hit = memo.get(key)
         if hit is None:

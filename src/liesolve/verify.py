@@ -92,6 +92,36 @@ class Region:
         return out
 
 
+def _residual_report(residual_at, pts, threshold, h0, what) -> ResidualReport:
+    """Evaluate ``residual_at(p)`` at each point and summarize; a point where
+    it raises a typed error or is not finite is skipped and counted."""
+    vals = []
+    skipped = 0
+    for p in pts:
+        try:
+            r = residual_at(p)
+        except (LiesolveError, ArithmeticError, ValueError):
+            skipped += 1
+            continue
+        if not math.isfinite(r):
+            skipped += 1
+            continue
+        vals.append(r)
+    if not vals:
+        raise SamplingError(f"no usable sampling points for the {what}")
+    arr = np.asarray(vals)
+    max_abs = float(np.max(np.abs(arr)))
+    return ResidualReport(
+        max_abs,
+        float(np.sqrt(np.mean(arr**2))),
+        len(vals),
+        h0,
+        skipped,
+        _verdict(max_abs, threshold, len(vals), skipped),
+        threshold,
+    )
+
+
 def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualReport:
     """Five-point-FD residual of the potential-form evolution operator.
 
@@ -100,96 +130,52 @@ def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualRe
     independent route, deliberately blind to any analytic derivative the
     fields may carry.
     """
-    pts = region.points(n)
     one_dim = len(region.bounds) == 2
     ufn = u.fn if hasattr(u, "fn") else u
     Mfn = M.fn if hasattr(M, "fn") else M
-    vals = []
-    skipped = 0
-    for p in pts:
-        try:
-            u0 = ufn(*p)
-            ut = numdiff.partial1(ufn, p, len(p) - 1, h0)
-            uxx = numdiff.partial12(ufn, p, 0, h0, u0)[1]
-            if one_dim:
-                r = ut - 0.5 * uxx + Mfn(p[0]) * u0
-            else:
-                uyy = numdiff.partial12(ufn, p, 1, h0, u0)[1]
-                r = ut - 0.5 * (uxx + uyy) + Mfn(p[0], p[1]) * u0
-        except (LiesolveError, ArithmeticError, ValueError):
-            skipped += 1
-            continue
-        if not math.isfinite(r):
-            skipped += 1
-            continue
-        vals.append(r)
-    if not vals:
-        raise SamplingError("no usable sampling points for the residual")
-    arr = np.asarray(vals)
-    max_abs = float(np.max(np.abs(arr)))
-    return ResidualReport(
-        max_abs,
-        float(np.sqrt(np.mean(arr**2))),
-        len(vals),
-        h0,
-        skipped,
-        _verdict(max_abs, threshold, len(vals), skipped),
-        threshold,
-    )
+
+    def at(p):
+        u0 = ufn(*p)
+        ut = numdiff.partial1(ufn, p, len(p) - 1, h0)
+        uxx = numdiff.partial12(ufn, p, 0, h0, u0)[1]
+        if one_dim:
+            return ut - 0.5 * uxx + Mfn(p[0]) * u0
+        uyy = numdiff.partial12(ufn, p, 1, h0, u0)[1]
+        return ut - 0.5 * (uxx + uyy) + Mfn(p[0], p[1]) * u0
+
+    return _residual_report(at, region.points(n), threshold, h0, "residual")
 
 
 def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> ResidualReport:
     """FD residual of the asset-space pricing operator applied to c."""
-    pts = region.points(n)
     r_ = model.rate
-    vals = []
-    skipped = 0
     cfn = c.fn if hasattr(c, "fn") else c
-    for p in pts:
-        try:
-            # the S-stencil gives both c_S and c_SS, around the one center value
-            c0 = cfn(*p)
-            ct = numdiff.partial1(cfn, p, len(p) - 1, h0)
-            c1, c11 = numdiff.partial12(cfn, p, 0, h0, c0)
-            if model.one_dim:
-                S = p[0]
-                sv = model.vol1.value(S)
-                r = ct + 0.5 * sv * sv * c11 + r_ * S * c1 - r_ * c0
-            else:
-                S1, S2 = p[0], p[1]
-                s1v = model.vol1.value(S1)
-                s2v = model.vol2.value(S2)
-                c2, c22 = numdiff.partial12(cfn, p, 1, h0, c0)
-                c12 = numdiff.mixed2(cfn, p, 0, 1, h0)
-                r = (
-                    ct
-                    + 0.5 * s1v**2 * c11
-                    + model.rho * s1v * s2v * c12
-                    + 0.5 * s2v**2 * c22
-                    + r_ * S1 * c1
-                    + r_ * S2 * c2
-                    - r_ * c0
-                )
-        except (LiesolveError, ArithmeticError, ValueError):
-            skipped += 1
-            continue
-        if not math.isfinite(r):
-            skipped += 1
-            continue
-        vals.append(r)
-    if not vals:
-        raise SamplingError("no usable sampling points for the pricing residual")
-    arr = np.asarray(vals)
-    max_abs = float(np.max(np.abs(arr)))
-    return ResidualReport(
-        max_abs,
-        float(np.sqrt(np.mean(arr**2))),
-        len(vals),
-        h0,
-        skipped,
-        _verdict(max_abs, threshold, len(vals), skipped),
-        threshold,
-    )
+
+    def at(p):
+        # the S-stencil gives both c_S and c_SS, around the one center value
+        c0 = cfn(*p)
+        ct = numdiff.partial1(cfn, p, len(p) - 1, h0)
+        c1, c11 = numdiff.partial12(cfn, p, 0, h0, c0)
+        if model.one_dim:
+            S = p[0]
+            sv = model.vol1.value(S)
+            return ct + 0.5 * sv * sv * c11 + r_ * S * c1 - r_ * c0
+        S1, S2 = p[0], p[1]
+        s1v = model.vol1.value(S1)
+        s2v = model.vol2.value(S2)
+        c2, c22 = numdiff.partial12(cfn, p, 1, h0, c0)
+        c12 = numdiff.mixed2(cfn, p, 0, 1, h0)
+        return (
+            ct
+            + 0.5 * s1v**2 * c11
+            + model.rho * s1v * s2v * c12
+            + 0.5 * s2v**2 * c22
+            + r_ * S1 * c1
+            + r_ * S2 * c2
+            - r_ * c0
+        )
+
+    return _residual_report(at, region.points(n), threshold, h0, "pricing residual")
 
 
 # ---------------------------------------------------------------------------

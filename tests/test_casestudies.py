@@ -177,3 +177,56 @@ def test_double_cev_assembled_potential_is_the_gauge_assembly(dcev):
     M_study = dcev.extras["assembled_potential"]
     for (x, y) in [(-1.9, 0.3), (-2.4, -0.5), (-1.6, 0.1)]:
         assert M_study.fn(x, y) == pytest.approx(M_direct.fn(x, y), abs=1e-8)
+
+
+def test_rel_fp_scale_skips_typed_errors_only():
+    from liesolve.casestudies import _rel_fp_scale
+    from liesolve.errors import DomainError
+
+    def u_typed(x, t):
+        if x > 1.0:
+            raise DomainError("outside the factor's domain")
+        return 2.0
+
+    def u_defect(x, t):
+        if x > 1.0:
+            raise RuntimeError("defect in u")
+        return 2.0
+
+    pts = [(0.5, 0.2), (1.5, 0.2)]
+    assert _rel_fp_scale(u_typed, lambda x: 1.0, pts) == 4.0
+    with pytest.raises(RuntimeError, match="defect in u"):
+        _rel_fp_scale(u_defect, lambda x: 1.0, pts)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "inverse-square"])
+def test_one_asset_jacobian_ratio(family):
+    # u = reconstruct(P) solves u_t - u_xx/2 + M u = J op(P) on a smooth P
+    from liesolve import hyperdual as hd
+    from liesolve.casestudies import _inverse_square_op, _quadratic_op
+    from liesolve.reductions.maps import map_1d_exp, map_1d_poly
+
+    C0, c, c0, d1, d2 = 0.7, 0.3, -0.4, 1.2, 0.8
+    if family == "quadratic":
+        smap, op = map_1d_exp(c, c0, d1, d2), _quadratic_op(C0, c, d1, d2)
+
+        def M(x):
+            return C0 / (x * x) + c * x * x + c0
+    else:
+        smap, op = map_1d_poly(d1, d2), _inverse_square_op(C0, d1)
+
+        def M(x):
+            return C0 / (x * x)
+
+    def P(xi):
+        return (1.0 + 0.3 * xi - 0.2 * xi * xi) * hd.exp(-0.25 * xi * xi)
+
+    u = smap.reconstruct(P)
+    worst = 0.0
+    for x in (0.6, 0.9, 1.3, 1.8):
+        for t in (0.2, 0.5, 0.9):
+            lhs = u.dt(x, t) - 0.5 * u.dxx(x, t) + M(x) * u(x, t)
+            (xi,) = smap.to_sim(x, t)
+            rhs = smap.jacobian(x, t) * op(P, xi)
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    assert worst < 1e-12

@@ -8,7 +8,7 @@ import pytest
 
 from liesolve import cli
 from liesolve.cli import main, run, validate_config
-from liesolve.errors import ConfigError
+from liesolve.errors import ConfigError, DomainError
 
 
 def test_classify_example():
@@ -99,6 +99,38 @@ def test_solve_allow_unverified_banner(tmp_path):
     )
     assert code == 0
     assert any("WARNING" in c.name for c in rep.checks)
+
+
+def _solve_with_sampled_P(monkeypatch, tmp_path, P):
+    class Solution:
+        pass
+
+    sol = Solution()
+    sol.P = P
+    monkeypatch.setattr(cli, "closed_form_solution", lambda *args: sol)
+    out = tmp_path / "samples.csv"
+    run({"version": 1, "command": "solve", "case": "1.4b", "allow_unverified": True,
+         "samples_csv": str(out)})
+    return out.read_text().strip().splitlines()
+
+
+def test_solve_samples_skip_typed_errors(monkeypatch, tmp_path):
+    def P(xi, eta):
+        if xi < 0:
+            raise DomainError("outside the factor's domain")
+        return 1.0
+
+    lines = _solve_with_sampled_P(monkeypatch, tmp_path, P)
+    assert 1 < len(lines) < 61
+    assert all(float(row.split(",")[0]) >= 0 for row in lines[1:])
+
+
+def test_solve_samples_let_an_untyped_error_propagate(monkeypatch, tmp_path):
+    def P(xi, eta):
+        raise RuntimeError("defect in P")
+
+    with pytest.raises(RuntimeError, match="defect in P"):
+        _solve_with_sampled_P(monkeypatch, tmp_path, P)
 
 
 def test_schema_rejects_unknown_keys():

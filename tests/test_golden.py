@@ -1,0 +1,88 @@
+"""Byte-level pins of the CLI reports.
+
+sha256 digests of ``to_json()`` for the three case studies, the eleven
+``reduce`` reports, and ``verify`` for every case at seeds 0 and 1 (or the
+typed error name and message that run ends in).  A refactor must keep every
+one of them; a change that moves a digest on purpose says why.
+
+The digests depend on the floating-point results of numpy, scipy and the C
+math library.  They were recorded with Python 3.11, numpy 2.4 and scipy 1.17
+on x86-64 Linux.
+"""
+
+import hashlib
+
+import pytest
+
+from liesolve import cli
+from liesolve.errors import LiesolveError
+
+CASE_STUDY = {
+    "double-cev": (0, "2040a66c527823eb5baeacef9a4db73c9d98211074e0aee393ebd0a822385596"),
+    "cev": (0, "374651e8af11b9e66bb50abcb78f220016791b741a770fe80971d1793794ed5e"),
+    "expvol": (0, "e7c7f9e73fb58af46df3406cfbd197ea700ff4fddada7ccf68636fd457c6e4e8"),
+}
+
+REDUCE = {
+    "1.1a": (0, "da6bc3d8048dced9684b9efa0b6e457e79a3309567b1984a6e283ac5d89d3bb6"),
+    "1.1b": (0, "cf2a242bf75e72d4839736978c90df2fdf9a59351c38f9e52ecd43cff92e2e09"),
+    "1.2a": (0, "532a092df1656a06f4a4f395768db1b0b55437800286e8c9cfeccd4ce6d3e97d"),
+    "1.2b": (0, "a96a104ce468dfae765bd026f1c3c32bae0fbf97c7943df8d6ad4c29b96c4b11"),
+    "1.3": (0, "77877e096fe35f973da5b5eac55cdf2c90a4b95577ae2c0d0f286a62e5e40c4a"),
+    "1.4a": (0, "7758643bd04d4d3795580a27eca17ff9cb42b3c36e73b3af8b6e98944dcac990"),
+    "1.4b": (0, "07cad875409956ea38f357e4c31fc360be1fe08c747ba8b43217eeb9e1fb529e"),
+    "1.5a": (0, "fa421573fb51df3404aa0b45f431d0e928fb773cf37fec7286b23dffb224dad4"),
+    "1.6": (0, "28d1ff463d938436dbd6ed9f3b1bd401d01a70d79f1a2e6820d36bb14af0e976"),
+    "1.8a": (0, "fe0e9457f13b8699568b209b30968aa5f3b5c67b14fe476afd7b4ae915d034d4"),
+    "1.8b": (0, "2655629ffc4e48a6810f0689188df24ad1576b86e273a63e5419bcbe0f9f7a26"),
+}
+
+# (case, seed) -> (exit code, report digest) or (typed error, message)
+VERIFY = {
+    ("1.1a", 0): ("DivergenceError", "1F1 arguments outside the supported box"),
+    ("1.1a", 1): (0, "f08cf8dc5bf0e8045f05820d63e816e88bd083e8a8085310d8af61c459e147de"),
+    ("1.1b", 0): (0, "020589eb1240e2deb40f58400be2ae1101ecaecbc78a05022b4e46605ba7b623"),
+    ("1.1b", 1): (0, "1e377f15e99f61c15553f04b1b056b7e245cf7cf947cb3339308d75c32d7a99e"),
+    ("1.2a", 0): (0, "e181832f4c78c22f6876f619be08bedc2a908595a15b06ebd1db0ca546e01b7e"),
+    ("1.2a", 1): (0, "01ffd91ff347c42f202d9d65e40f08037e626a2d084a72e42350ca560b089354"),
+    ("1.2b", 0): (0, "d8ea3990d4a52348c7ef628e32639eba269f55cba1a948ffd00401f1d81dd59d"),
+    ("1.2b", 1): (0, "2c9b1b519340f0f3e041ea1c0f54dbdaa5c967bbed2e6e5cf66be4786bb0127d"),
+    ("1.3", 0): (0, "fceb888fa5a50218b7a2dd53171c1fb8cf9e883a29da3af30cfb96158302b425"),
+    ("1.3", 1): (0, "db5c13ee5e18a84399dac5ddc2d9ed3b1e6188950afa0bdfd6cc94900a330e83"),
+    ("1.4a", 0): ("SpecfunDomain", "angular frequency requires c1 >= 2 C0"),
+    ("1.4a", 1): ("SpecfunDomain", "angular frequency requires c1 >= 2 C0"),
+    ("1.4b", 0): ("SpecfunDomain", "angular frequency requires c1 >= 2 C0"),
+    ("1.4b", 1): ("SpecfunDomain", "angular frequency requires c1 >= 2 C0"),
+    ("1.5a", 0): ("DivergenceError", "1F1 arguments outside the supported box"),
+    ("1.5a", 1): (0, "1b19fbf643e770b7140d59fd7bd5bec6ee221424f7c214fc55472cc7582cde93"),
+    ("1.6", 0): (0, "d74867f3bc2f538476c635902a933e71d04f3ef5d3344ca306dd7a1cf585b487"),
+    ("1.6", 1): (0, "9dd896ca62df771e5c9a607f7614c73e67ce04119c89bc17057e776d19f0c170"),
+    ("1.8a", 0): (0, "5500c0f564654f19548c591078fb3a6e6535618b50657b15d5770cb9d7bac442"),
+    ("1.8a", 1): (0, "519dd938b7c2234abcc4a9b15aa93bea2bf3ccd4b085689d6567fc1973dba7f8"),
+    ("1.8b", 0): (0, "96bc0d7d376a7c30e11c30e4282eb747a1162a707c8bc9ad73ad92f780f38168"),
+    ("1.8b", 1): (0, "221e74b3b4d7ed363a1d3956256ea070a14bd585e2cdf2b1e57e77761bd7b230"),
+}
+
+
+def _run(**config):
+    code, rep = cli.run(dict(config, version=cli.SCHEMA_VERSION))
+    return code, hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("study", sorted(CASE_STUDY))
+def test_case_study_report_bytes(study):
+    assert _run(command="case-study", study=study) == CASE_STUDY[study]
+
+
+@pytest.mark.parametrize("cid", sorted(REDUCE))
+def test_reduce_report_bytes(cid):
+    assert _run(command="reduce", case=cid) == REDUCE[cid]
+
+
+@pytest.mark.parametrize("cid, seed", sorted(VERIFY))
+def test_verify_report_bytes(cid, seed):
+    try:
+        got = _run(command="verify", case=cid, seed=seed)
+    except LiesolveError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == VERIFY[(cid, seed)]

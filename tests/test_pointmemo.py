@@ -10,6 +10,7 @@ import pytest
 from liesolve import hyperdual as hd
 from liesolve import numdiff
 from liesolve import specfun as sf
+from liesolve.errors import DomainError
 from liesolve.fields import heat_kernel
 from liesolve.reductions import closed_form_solution, get_case, reconstruct_u
 from liesolve.reductions import separated as SEP
@@ -70,15 +71,16 @@ def test_memo_keeps_signed_zero_branches_apart():
 
 
 def test_nested_dual_is_not_keyed_by_its_value_part():
+    # a Dual2 argument neither hits the entry of its value part nor loses its
+    # derivative parts: every jet element refuses it
     z = 1.7
     f, df, ddf = sf.whittakerM_jet(0.3, 0.45)
     for g in (f, df, ddf):
         g(z)
     nested = hd.Dual2(z, 1.0, 0.5)
-    fresh = sf.whittakerM_jet(0.3, 0.45)
-    for cached, new in zip((f, df, ddf), fresh):
-        assert _hexes(cached(nested)) == _hexes(new(nested))
-    assert isinstance(df(nested), hd.Dual2)
+    for g in (f, df, ddf):
+        with pytest.raises(DomainError, match="not a Dual2"):
+            g(nested)
 
 
 def test_memo_stays_bounded():

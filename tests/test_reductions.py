@@ -42,6 +42,15 @@ def test_catalog_contains_11a_template():
     assert get_case("1.1a").template == "C0/x^2 + b*y + c0"
 
 
+def test_fixed_params_are_set_after_the_same_draws():
+    # 1.4a/1.4b fix a = b = 0 over the draws, so every other value keeps its draw
+    for cid in ("1.4a", "1.4b"):
+        case = get_case(cid)
+        rng = np.random.default_rng(5)
+        drawn = {n: float(rng.uniform(0.5, 2.0)) for n in case.case_params + case.sym_params}
+        assert case.draw_params(np.random.default_rng(5)) == dict(drawn, a=0.0, b=0.0)
+
+
 def test_cases_without_closed_form():
     for cid in ("1.3", "1.6"):
         case = get_case(cid)
@@ -151,15 +160,11 @@ def test_consistency_flags_corrupted_map():
     orig = smap.to_sim
     smap_to_sim = lambda x, y, t: (orig(x, y, t)[0], 1.01 * orig(x, y, t)[1])
 
-    class Corrupted:
-        to_sim = staticmethod(smap_to_sim)
-        prefactor_log = staticmethod(smap.prefactor_log)
-        jacobian = staticmethod(smap.jacobian)
-        singular = staticmethod(smap.singular)
+    import dataclasses
 
     import liesolve.reductions as R
 
-    monkey = Corrupted()
+    monkey = dataclasses.replace(smap, to_sim=smap_to_sim)
     real_similarity = case.similarity
     case_sim_backup = case._map
     try:
