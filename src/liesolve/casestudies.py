@@ -366,7 +366,7 @@ def published_power_law_coefficients(sigma, alpha, r):
     return C0, c, c0
 
 
-def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
+def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0) -> CaseStudyResult:
     if alpha == 1.0:
         raise AlphaOne("alpha = 1 is the lognormal case, outside this chain")
     model = MarketModel(CEVVol(sigma, alpha), rate=r)
@@ -493,7 +493,7 @@ def _priced_chain_with_bridge_check(model, u, rep, s_range, T=1.0):
 # ---------------------------------------------------------------------------
 
 
-def expvol_1d(delta1=1.0, delta2=1.0, seed=0) -> CaseStudyResult:
+def expvol_1d(delta1=1.0, delta2=1.0) -> CaseStudyResult:
     model = MarketModel(ExponentialVol(), rate=0.0)
     rep = VerificationReport("one-asset exponential-volatility study")
 

@@ -160,6 +160,12 @@ def _required_params(case, given, seed):
 
 
 def _cmd_verify(config):
+    return _verify_suite(config)[0]
+
+
+def _verify_suite(config):
+    """The verify report with the case, the drawn parameters and the closed
+    form it checked (None when the case has none), for ``solve`` to reuse."""
     case = get_case(config["case"])
     seed = config.get("seed", 0)
     params = _required_params(case, config.get("params", {}), seed)
@@ -195,8 +201,9 @@ def _cmd_verify(config):
             1e-6,
         )
     else:
+        sol = None
         rep.record("closed form", True, notes="catalog provides the reduced operator only")
-    return rep
+    return rep, case, params, sol
 
 
 def _bounding_region(case, params, seed):
@@ -215,19 +222,21 @@ def _bounding_region(case, params, seed):
 
 
 def _cmd_solve(config):
-    rep = _cmd_verify(config) if not config.get("allow_unverified") else VerificationReport(
-        f"solution build, case {config['case']} (verification skipped)"
-    )
+    seed = config.get("seed", 0)
     if config.get("allow_unverified"):
+        rep = VerificationReport(f"solution build, case {config['case']} (verification skipped)")
         rep.record(
             "WARNING: verification skipped on request",
             True,
             notes="--allow-unverified was given; the sampled solution is unchecked",
         )
-    case = get_case(config["case"])
-    seed = config.get("seed", 0)
-    params = _required_params(case, config.get("params", {}), seed)
-    sol = closed_form_solution(case, params, dict(config.get("constants", {})))
+        case = get_case(config["case"])
+        params = _required_params(case, config.get("params", {}), seed)
+        sol = None
+    else:
+        rep, case, params, sol = _verify_suite(config)
+    if sol is None:
+        sol = closed_form_solution(case, params, dict(config.get("constants", {})))
     path = config.get("samples_csv")
     if path:
         import csv
@@ -248,7 +257,6 @@ def _cmd_solve(config):
 def _cmd_transform(config):
     index = config.get("transform_index", 5)
     eps = config.get("eps", 0.5)
-    seed = config.get("seed", 0)
     rep = VerificationReport(f"group action u({index}) on a base heat solution")
     phi = shifted_heat_kernel(0.6, -0.4)
     kwargs = {"eps": eps}
@@ -319,7 +327,9 @@ def build_parser():
     # SUPPRESS keeps a subcommand's unset options from clobbering values
     # parsed at the top level, so flags work on either side of the verb
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int,
+                        help="draws the parameters and sample points of verify and solve; "
+                        "of the case studies only double-cev reads it (its sample points)")
     common.add_argument("--json", dest="out_json",
                         help="write the machine-readable report here")
     common.add_argument("--text", dest="out_text",

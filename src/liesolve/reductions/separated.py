@@ -20,11 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
-
 from .. import hyperdual as hd
 from ..errors import DomainError, SpecfunDomain
 from ..specfun import PointMemo, bessel_jet, point_key, whittakerM_jet, whittakerW_jet
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass

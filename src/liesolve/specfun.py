@@ -24,6 +24,9 @@ Conventions:
   The memo is keyed on the exact bits of a float or complex argument.  A
   ``Dual2`` argument raises :class:`~liesolve.errors.DomainError` rather
   than losing its derivative parts.
+* ``scipy.special`` (complex gamma, Bessel) and ``mpmath`` (extended
+  precision) are imported on first use, so importing this module loads
+  neither.
 
 Supported box for 1F1/U/Whittaker: ``|a|,|b|,|kappa|,|mu| <= 30`` and
 ``|z| <= 200``; outside it a :class:`DivergenceError` is raised rather than
@@ -42,9 +45,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import mpmath
-import scipy.special as _sp
 
 from .errors import DivergenceError, DomainError, PoleError
 from .hyperdual import Dual2
@@ -162,7 +162,9 @@ def _cgamma(z):
     """Complex gamma, used internally by connection formulas."""
     if _is_nonpositive_int(z):
         raise PoleError(f"gamma pole at z={z}")
-    return complex(_sp.gamma(complex(z)))
+    import scipy.special
+
+    return complex(scipy.special.gamma(complex(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,8 @@ def _mp_series(a, b, z, dps):
     """1F1(a; b; z) as an mpmath value, summed at the working precision until
     a term drops below 10^-dps of the largest one.  ``a`` and ``b`` may be
     mpmath values; ``z`` is the double-precision argument."""
+    import mpmath
+
     am = mpmath.mpmathify(a)
     bm = mpmath.mpmathify(b)
     zm = mpmath.mpmathify(z)
@@ -216,6 +220,8 @@ def _mp_series(a, b, z, dps):
 
 
 def _mp_series_1f1(a, b, z, dps):
+    import mpmath
+
     with mpmath.workdps(dps):
         return complex(_mp_series(a, b, z, dps))
 
@@ -356,6 +362,8 @@ def _hypU(a, b, z, tol=1e-10):
     # extended-precision rerun of the same connection formula; digits driven
     # by the absolute size of the cancelling pair
     def connection(dps):
+        import mpmath
+
         with mpmath.workdps(dps):
             am, bm, zm = map(mpmath.mpmathify, (a, b, z))
             return complex(
@@ -495,12 +503,20 @@ def whittaker(kind, kappa, mu, z, tol=1e-11):
 # Bessel (real order and argument; scipy backend behind the spec surface)
 # ---------------------------------------------------------------------------
 
+# names of the scipy.special ufuncs: the module is imported when a Bessel
+# function is first needed
 _BESSEL = {
-    BesselKind.J: _sp.jv,
-    BesselKind.Y: _sp.yv,
-    BesselKind.I: _sp.iv,
-    BesselKind.K: _sp.kv,
+    BesselKind.J: "jv",
+    BesselKind.Y: "yv",
+    BesselKind.I: "iv",
+    BesselKind.K: "kv",
 }
+
+
+def _bessel_ufunc(kind):
+    import scipy.special
+
+    return getattr(scipy.special, _BESSEL[kind])
 
 
 def bessel(kind, nu, z):
@@ -516,7 +532,7 @@ def bessel(kind, nu, z):
             raise DomainError(f"Bessel {kind.value} needs z > 0")
     elif z < 0.0:
         raise DomainError(f"Bessel {kind.value} needs z >= 0")
-    v = float(_BESSEL[kind](nu, z))
+    v = float(_bessel_ufunc(kind)(nu, z))
     if math.isnan(v) or math.isinf(v):
         raise DomainError(f"Bessel {kind.value}({nu}, {z}) not finite")
     return SpecialValue(v, True, 1e-12 * max(1.0, abs(v)))
@@ -529,7 +545,7 @@ def bessel_jet(kind, nu):
     differences.
     """
     kind = BesselKind(kind) if not isinstance(kind, BesselKind) else kind
-    f = _BESSEL[kind]
+    f = _bessel_ufunc(kind)
     if kind in (BesselKind.J, BesselKind.Y):
         def d1(z):
             return 0.5 * (f(nu - 1, z) - f(nu + 1, z))

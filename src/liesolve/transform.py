@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import hyperdual as hd
 from .errors import (
@@ -42,6 +40,14 @@ from .errors import (
 from .fields import ScalarField
 
 QUAD_TOL = 1e-11
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first call; every quadrature in
+    this module looks it up here, so wrapping this name sees them all."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +182,8 @@ class TabulatedVol:
         return val
 
     def invert(self, I):
+        from scipy.optimize import brentq
+
         I = hd.value(I)
 
         def g(S):

@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import numdiff
 from .errors import (
@@ -257,6 +256,8 @@ def _tridiagonal_solver(ab):
     The elimination and back substitution are those of the ``gtsv`` route
     that ``solve_banded`` takes for one sub- and one super-diagonal, so the
     solution has the same bits."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
         raise UnstableConfig("singular implicit-step matrix")

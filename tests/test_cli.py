@@ -1,7 +1,12 @@
 """CLI and run-configuration tests."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -133,6 +138,43 @@ def test_solve_samples_let_an_untyped_error_propagate(monkeypatch, tmp_path):
         _solve_with_sampled_P(monkeypatch, tmp_path, P)
 
 
+# sha256 of the report JSON and of the samples CSV of solve --case 1.2b at
+# seed 0, with and without the verification suite
+SOLVE_12B = {
+    False: ("4695efd85510ca6b56b30c7c9ddf3ebf4929077058ae2d573056e22804525d3e",
+            "8572c139c6141b774564808737ac50ef1698a27ce45ddae3d97e78ab494c77d6"),
+    True: ("1d668614f561dcf5542a252a9764e1b2eea8f54322102f6b7b1d9f36f60595c2",
+           "8572c139c6141b774564808737ac50ef1698a27ce45ddae3d97e78ab494c77d6"),
+}
+
+
+@pytest.mark.parametrize("unverified", [False, True])
+def test_solve_draws_and_builds_once(monkeypatch, tmp_path, unverified):
+    from liesolve.reductions.catalog import CaseReduction
+
+    calls = {"build": 0, "draw": 0}
+    build, draw = cli.closed_form_solution, CaseReduction.draw_params
+
+    def counting_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    def counting_draw(self, rng):
+        calls["draw"] += 1
+        return draw(self, rng)
+
+    monkeypatch.setattr(cli, "closed_form_solution", counting_build)
+    monkeypatch.setattr(CaseReduction, "draw_params", counting_draw)
+    monkeypatch.chdir(tmp_path)
+    code, rep = run({"version": 1, "command": "solve", "case": "1.2b",
+                     "allow_unverified": unverified, "samples_csv": "samples.csv"})
+    assert code == 0
+    assert calls == {"build": 1, "draw": 1}
+    digests = (hashlib.sha256(rep.to_json().encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest())
+    assert digests == SOLVE_12B[unverified]
+
+
 def test_schema_rejects_unknown_keys():
     with pytest.raises(ConfigError) as ei:
         validate_config({"version": 1, "command": "classify", "bogus": 1})
@@ -261,3 +303,36 @@ def test_classify_then_verify_loop():
         }
     )
     assert code == 0 and rep.clean
+
+
+_IMPORT_BUDGET = """
+import sys
+import liesolve.cli as cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+
+cli.catalog()
+for config in (
+    {"command": "classify", "potential": "1/x^2 + 2*y + 3"},
+    {"command": "reduce", "case": "1.2b"},
+    {"command": "transform", "transform_index": 5},
+):
+    code, _ = cli.run(dict(config, version=cli.SCHEMA_VERSION))
+    assert code == 0, config
+assert not heavy(), heavy()
+# the first Bessel, ODE and LAPACK calls import scipy on demand
+assert cli.main(["verify", "--case", "1.2b"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_free_commands_import_no_scipy():
+    """classify, reduce and transform never load scipy or mpmath; a verify
+    run in the same interpreter loads them when it needs them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

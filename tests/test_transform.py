@@ -91,6 +91,25 @@ def test_tabulated_vol_round_trip():
     assert s == pytest.approx(1.4, rel=1e-9)
 
 
+def test_tabulated_quadratures_go_through_module_quad(monkeypatch):
+    # tr.quad is the one patch point for every quadrature: a wrapper set on
+    # the module sees the antiderivatives of a tabulated coord_map
+    calls = []
+    quad = tr.quad
+
+    def counting(f, a, b, **kwargs):
+        calls.append((a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(tr, "quad", counting)
+    vol = tr.TabulatedVol(lambda s: 1.0 + 0.1 * s, lambda s: 0.1, s_ref=0.0)
+    x, y = tr.coord_map(tr.MarketModel(vol, vol, rho=0.3), 1.4, 0.8)
+    assert calls == [(0.0, 1.4), (0.0, 0.8)]
+    i1, i2 = 10.0 * math.log(1.14), 10.0 * math.log(1.08)
+    a, b = tr._prefactors(0.3)
+    assert (x, y) == pytest.approx((a * (i2 + i1), b * (i2 - i1)), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # drift and gauge
 # ---------------------------------------------------------------------------
