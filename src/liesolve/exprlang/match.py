@@ -1,15 +1,20 @@
 """Classification of a potential against the reduction-case templates.
 
-Eleven template families, in two groups:
+Eleven template families, in two groups, each described once in a family
+table that both classifiers read:
 
-* finite-parameter families fitted by linear least squares on basis columns;
-* free-function families (an arbitrary one-argument factor) whose factor is
-  recovered by pointwise division on a structured sampling grid, after the
-  finite parameters have been extracted by per-slice regression.
+* finite-parameter families (``_LINEAR_FAMILIES``), fitted by linear least
+  squares on basis columns;
+* free-function families (an arbitrary one-argument factor): 1.3 by its
+  slope relation, the rest (``_SLICE_FAMILIES``) by per-slice regression of
+  the finite parameters, after which the factor is recovered by pointwise
+  division on the slice grid.
 
 Structural AST unification runs first and recovers exact bindings when the
 input is literally a template instance; the sampled path is the fallback and
-the only route for plain callables.
+the only route for plain callables.  The sampled path evaluates the potential
+once per point of the polar grid and once per point of the x-slice grid, and
+every fitter reads those values.
 """
 
 from __future__ import annotations
@@ -83,12 +88,126 @@ def template_expr(case_id):
 
 def instantiate(case_id, params, opaque=None):
     """Callable (x, y) -> M for a template with bound parameters."""
-    expr = template_expr(case_id)
+    return _as_xy_callable(template_expr(case_id), params, opaque)
 
-    def f(x, y):
-        return A.evaluate(expr, {"x": x, "y": y}, params, opaque)
 
-    return f
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
+
+# basis columns of the finite-parameter families; the structural pass uses the
+# same keys for the term shapes it recognizes
+_BASIS = {
+    "one": lambda x, y: 1.0,
+    "x": lambda x, y: x,
+    "y": lambda x, y: y,
+    "y2": lambda x, y: y * y,
+    "r2": lambda x, y: x * x + y * y,
+    "inv_x2": lambda x, y: 1.0 / (x * x),
+    "inv_r2": lambda x, y: 1.0 / (x * x + y * y),
+}
+
+_LINEAR_FAMILIES = {
+    "1.1a": (("inv_x2", "C0"), ("y", "b"), ("one", "c0")),
+    "1.1b": (("inv_x2", "C0"), ("r2", "c"), ("y", "b"), ("one", "c0")),
+    "1.4a": (("inv_r2", "C0"), ("x", "a"), ("y", "b"), ("one", "c0")),
+    "1.4b": (("inv_r2", "C0"), ("r2", "c"), ("x", "a"), ("y", "b"), ("one", "c0")),
+    "1.5a": (("x", "a"), ("y", "b"), ("one", "c0")),
+}
+
+_REQUIRED_NONZERO = {
+    "1.1a": ("C0",),
+    "1.1b": ("C0", "c"),
+    "1.4a": ("C0",),
+    "1.4b": ("c",),
+    "1.5a": (),
+    "1.2b": ("c",),
+    "1.8a": ("b",),
+    "1.8b": ("c",),
+}
+
+
+# a log-spaced polar grid for every family but 1.8a/1.8b, which read an
+# x-slice grid
+_RADII = np.exp(np.linspace(math.log(0.4), math.log(2.8), 8))
+_THETAS = np.linspace(0.07, 2 * math.pi + 0.07, 25, endpoint=False)
+_XS = np.concatenate([-np.linspace(0.4, 2.8, 6)[::-1], np.linspace(0.4, 2.8, 6)])
+_YS = np.linspace(-2.8, 2.8, 9)
+_GAP = 0.1  # polar points with |x^2 - y^2| < gap stay out of the fits
+_BIG = 1e8  # a value at least this large counts as not evaluable
+
+
+def _polar_point(r, th):
+    return r * math.cos(th), r * math.sin(th)
+
+
+# slice coordinate -> (slice points, inner points, regression abscissa of the
+# inner points, (slice point, inner point) -> (x, y))
+_SLICINGS = {
+    "theta": (_THETAS, _RADII, _RADII, lambda th, r: _polar_point(r, th)),
+    "r": (_RADII, _THETAS, np.arctan2(np.sin(_THETAS), np.cos(_THETAS)), _polar_point),
+    "x": (_XS, _YS, _YS, lambda x, y: (x, y)),
+}
+
+
+@dataclass(frozen=True)
+class _SliceFamily:
+    """A free-function family fitted slice by slice.
+
+    Each slice (one angle, radius or x) is regressed on ``columns`` of its
+    abscissa; a finite parameter is the median of its column's coefficient
+    over the slices.  The free factor at a slice is the mean of ``remainder``
+    over the slice's points, and ``predict`` rebuilds the potential from it.
+    """
+
+    by: str  # the coordinate a slice holds fixed, a key of _SLICINGS
+    columns: object  # abscissa -> design columns
+    binds: tuple  # (parameter, design column), in binding order
+    min_slices: int  # regressed slices a fit needs
+    min_points: int  # fit points a slice needs to enter the residual
+    remainder: object  # (value, abscissa, **params) -> free-factor term
+    predict: object  # (free factor, abscissa, **params) -> potential
+
+
+# C(theta) = r^2 (M - c r^2 - c0) along a ray, and C(x) = M - c y^2 - b y
+# along an x-slice; 1.2a and 1.8a are the c = 0 members
+_ANGULAR = (
+    lambda v, r, c0, c=0.0: r * r * (v - c * r * r - c0),
+    lambda C, r, c0, c=0.0: C / r**2 + c * r**2 + c0,
+)
+_X_SLICE = (
+    lambda v, y, b, c=0.0: v - c * y * y - b * y,
+    lambda C, y, b, c=0.0: C + c * y**2 + b * y,
+)
+
+_SLICE_FAMILIES = {
+    "1.2a": _SliceFamily(
+        "theta", lambda r: (1.0 / r**2, np.ones_like(r)), (("c0", 1),), 6, 2, *_ANGULAR
+    ),
+    "1.2b": _SliceFamily(
+        "theta",
+        lambda r: (1.0 / r**2, r**2, np.ones_like(r)),
+        (("c0", 2), ("c", 1)),
+        6,
+        2,
+        *_ANGULAR,
+    ),
+    # the linear angle term lives on the atan2 branch (-pi, pi], so the 1.6
+    # abscissa is the wrapped angle, while the points stay on the grid angles
+    "1.6": _SliceFamily(
+        "r",
+        lambda th: (th, np.ones_like(th)),
+        (("d", 0),),
+        4,
+        2,
+        lambda v, th, d: v - d * th,
+        lambda C, th, d: C + d * th,
+    ),
+    "1.8a": _SliceFamily("x", lambda y: (y, np.ones_like(y)), (("b", 0),), 5, 1, *_X_SLICE),
+    "1.8b": _SliceFamily(
+        "x", lambda y: (y * y, y, np.ones_like(y)), (("b", 1), ("c", 0)), 5, 1, *_X_SLICE
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +326,6 @@ def _classify_term(term, params):
     return None
 
 
-# per-case structural schemas: key -> (binding name, required)
-_STRUCT_SCHEMAS = {
-    "1.1a": {"inv_x2": ("C0", True), "y": ("b", False), "one": ("c0", False)},
-    "1.1b": {
-        "inv_x2": ("C0", True),
-        "r2": ("c", True),
-        "y": ("b", False),
-        "one": ("c0", False),
-    },
-    "1.4a": {
-        "inv_r2": ("C0", True),
-        "x": ("a", False),
-        "y": ("b", False),
-        "one": ("c0", False),
-    },
-    "1.4b": {
-        "inv_r2": ("C0", False),
-        "r2": ("c", True),
-        "x": ("a", False),
-        "y": ("b", False),
-        "one": ("c0", False),
-    },
-    "1.5a": {"x": ("a", False), "y": ("b", False), "one": ("c0", False)},
-}
-
-
 def _structural_match(expr, params, opaque):
     terms = _flatten_sum(expr)
     classified = []
@@ -255,25 +348,13 @@ def _structural_match(expr, params, opaque):
         vals = buckets.get(key, [])
         return sum(vals) if vals else 0.0
 
-    results = []
-
-    # finite-parameter families
-    for cid, schema in _STRUCT_SCHEMAS.items():
-        if any(k in ("opq", "opq_over_r2", "theta", "y2") for k in buckets):
-            break
-        extra = [k for k in buckets if k not in schema]
-        if extra:
-            continue
-        ok = True
-        bindings = {}
-        for key, (name, required) in schema.items():
-            v = scalar(key)
-            if required and v == 0.0:
-                ok = False
-                break
-            bindings[name] = v
-        if ok:
-            results.append(CaseMatch(cid, bindings, 0.0))
+    # finite-parameter families: every term is one of the family's columns
+    # (a vanishing required parameter is left to _excluded)
+    results = [
+        CaseMatch(cid, {name: scalar(key) for key, name in family}, 0.0)
+        for cid, family in _LINEAR_FAMILIES.items()
+        if all(key in dict(family) for key in buckets)
+    ]
 
     # free-function families (need exactly one opaque term)
     opq_r2 = buckets.get("opq_over_r2", [])
@@ -358,57 +439,71 @@ def _log_spiral_arg(arg, params):
     return None
 
 
+# free-factor arguments at which a structural match is sampled for _excluded
+_RESAMPLE_AT = {
+    "1.2a": _THETAS,
+    "1.2b": _THETAS,
+    "1.3": np.linspace(-1.5, 7.0, 12),
+    "1.6": _RADII,
+    "1.8a": np.linspace(0.4, 2.8, 8),
+    "1.8b": np.linspace(0.4, 2.8, 8),
+}
+
+
+def _resample_structural(match):
+    C = match.bindings["C"]
+    if isinstance(C, tuple):  # (C, C', ...): sample the factor itself
+        C = C[0]
+    return tuple((float(s), float(C(s))) for s in _RESAMPLE_AT[match.case_id])
+
+
 # ---------------------------------------------------------------------------
 # sampled path
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchConfig:
-    r_min: float = 0.4
-    r_max: float = 2.8
-    n_r: int = 8
-    n_theta: int = 25
-    min_x2y2_gap: float = 0.1  # |x^2 - y^2| >= gap filter
-    tol: float = MATCH_TOL
-    big: float = 1e8
+def _safe_eval(f, x, y):
+    try:
+        v = f(x, y)
+    except (EvalDomainError, ZeroDivisionError, OverflowError, ValueError):
+        return None
+    if math.isfinite(v) and abs(v) < _BIG:
+        return v
+    return None
 
 
-def _polar_grid(cfg):
-    radii = np.exp(np.linspace(math.log(cfg.r_min), math.log(cfg.r_max), cfg.n_r))
-    thetas = np.linspace(0.07, 2 * math.pi + 0.07, cfg.n_theta, endpoint=False)
-    return radii, thetas
+def _eval_grid(by, f):
+    """(raw, fit): f on the grid of ``_SLICINGS[by]``, one row per slice and
+    NaN where f is not evaluable; ``fit`` also drops the points near the
+    diagonals |x| = |y| of the polar grid."""
+    outer, inner, _, point = _SLICINGS[by]
+    raw = np.full((len(outer), len(inner)), np.nan)
+    fit = raw.copy()
+    for i, s in enumerate(outer):
+        for j, t in enumerate(inner):
+            x, y = point(s, t)
+            v = _safe_eval(f, x, y)
+            if v is not None:
+                raw[i, j] = v
+                if by == "x" or abs(x * x - y * y) >= _GAP:
+                    fit[i, j] = v
+    return raw, fit
 
 
-def _eval_on_polar(f, cfg):
-    radii, thetas = _polar_grid(cfg)
-    vals = np.full((cfg.n_r, cfg.n_theta), np.nan)
-    for i, r in enumerate(radii):
-        for j, th in enumerate(thetas):
-            x, y = r * math.cos(th), r * math.sin(th)
-            if abs(x * x - y * y) < cfg.min_x2y2_gap:
-                continue
-            try:
-                v = f(x, y)
-            except (EvalDomainError, ZeroDivisionError, OverflowError, ValueError):
-                continue
-            if math.isfinite(v) and abs(v) < cfg.big:
-                vals[i, j] = v
-    return radii, thetas, vals
-
-
-def _lstsq_family(f, cfg, columns):
-    """Fit M ~ sum(coef * column(x, y)); returns (coefs, residual_rel)."""
-    radii, thetas, vals = _eval_on_polar(f, cfg)
+def _fit_linear_family(fit, cid):
+    """Fit M ~ sum(coef * column(x, y)) over the polar grid; the residual is
+    relative to the RMS of M."""
+    family = _LINEAR_FAMILIES[cid]
+    columns = [_BASIS[k] for k, _ in family]
     rows, rhs = [], []
-    for i, r in enumerate(radii):
-        for j, th in enumerate(thetas):
-            v = vals[i, j]
+    for i, r in enumerate(_RADII):
+        for j, th in enumerate(_THETAS):
+            v = fit[i, j]
             if not math.isfinite(v):
                 continue
-            x, y = r * math.cos(th), r * math.sin(th)
+            x, y = _polar_point(r, th)
             row = [col(x, y) for col in columns]
-            if all(math.isfinite(c) and abs(c) < cfg.big for c in row):
+            if all(math.isfinite(c) and abs(c) < _BIG for c in row):
                 rows.append(row)
                 rhs.append(v)
     if len(rows) < 2 * len(columns):
@@ -418,128 +513,56 @@ def _lstsq_family(f, cfg, columns):
     coefs, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
     resid = Amat @ coefs - bvec
     scale = max(float(np.sqrt(np.mean(bvec**2))), 1e-30)
-    return coefs, float(np.sqrt(np.mean(resid**2))) / scale
-
-
-_BASIS = {
-    "one": lambda x, y: 1.0,
-    "x": lambda x, y: x,
-    "y": lambda x, y: y,
-    "y2": lambda x, y: y * y,
-    "r2": lambda x, y: x * x + y * y,
-    "inv_x2": lambda x, y: 1.0 / (x * x),
-    "inv_r2": lambda x, y: 1.0 / (x * x + y * y),
-}
-
-_LINEAR_FAMILIES = {
-    "1.1a": (("inv_x2", "C0"), ("y", "b"), ("one", "c0")),
-    "1.1b": (("inv_x2", "C0"), ("r2", "c"), ("y", "b"), ("one", "c0")),
-    "1.4a": (("inv_r2", "C0"), ("x", "a"), ("y", "b"), ("one", "c0")),
-    "1.4b": (("inv_r2", "C0"), ("r2", "c"), ("x", "a"), ("y", "b"), ("one", "c0")),
-    "1.5a": (("x", "a"), ("y", "b"), ("one", "c0")),
-}
-
-_REQUIRED_NONZERO = {
-    "1.1a": ("C0",),
-    "1.1b": ("C0", "c"),
-    "1.4a": ("C0",),
-    "1.4b": ("c",),
-    "1.5a": (),
-    "1.2b": ("c",),
-    "1.8a": ("b",),
-    "1.8b": ("c",),
-}
-
-
-def _fit_linear_family(f, cfg, cid):
-    family = _LINEAR_FAMILIES[cid]
-    out = _lstsq_family(f, cfg, [_BASIS[k] for k, _ in family])
-    if out is None:
-        return None
-    coefs, resid = out
     bindings = {name: float(c) for (_, name), c in zip(family, coefs)}
-    return CaseMatch(cid, bindings, resid)
+    return CaseMatch(cid, bindings, float(np.sqrt(np.mean(resid**2))) / scale)
 
 
-def _safe_eval(f, x, y, cfg):
-    try:
-        v = f(x, y)
-    except (EvalDomainError, ZeroDivisionError, OverflowError, ValueError):
+def _fit_slices(f, grid, cid):
+    """The free-function families of ``_SLICE_FAMILIES`` on their grid."""
+    fam = _SLICE_FAMILIES[cid]
+    outer, inner, abscissa, point = _SLICINGS[fam.by]
+    raw, fit = grid
+    coefs = []
+    for k in range(len(outer)):
+        mask = np.isfinite(fit[k])
+        if mask.sum() < 4:  # points a slice needs to enter the regression
+            continue
+        Amat = np.stack(fam.columns(abscissa[mask]), axis=1)
+        coefs.append(np.linalg.lstsq(Amat, fit[k, mask], rcond=None)[0])
+    if len(coefs) < fam.min_slices:
         return None
-    if math.isfinite(v) and abs(v) < cfg.big:
-        return v
-    return None
+    p = {name: float(np.median([c[col] for c in coefs])) for name, col in fam.binds}
 
-
-def _angular_query(f, cfg, c_hat, c0_hat):
-    """Exact pointwise extraction of the angular factor given (c, c0):
-    C(theta) = mean over sampled radii of r^2 (M - c r^2 - c0)."""
-    radii, _ = _polar_grid(cfg)
-
-    def C(th):
+    def C(s):
         acc = []
-        for r in radii:
-            v = _safe_eval(f, r * math.cos(th), r * math.sin(th), cfg)
+        for t, a in zip(inner, abscissa):
+            v = _safe_eval(f, *point(s, t))
             if v is not None:
-                acc.append(r * r * (v - c_hat * r * r - c0_hat))
+                acc.append(fam.remainder(v, a, **p))
         if not acc:
-            raise EvalDomainError(f"angular factor not evaluable at theta={th}")
+            raise EvalDomainError(f"free factor of case {cid} not evaluable at {s}")
         return float(np.mean(acc))
 
-    return C
-
-
-def _fit_angular_family(f, cfg, with_r2):
-    """Cases 1.2a / 1.2b: per-angle regression in r, medians across angles."""
-    radii, thetas, vals = _eval_on_polar(f, cfg)
-    c_list, c0_list, good_thetas = [], [], []
-    for j, th in enumerate(thetas):
-        mask = np.isfinite(vals[:, j])
-        if mask.sum() < 4:
-            continue
-        r = radii[mask]
-        v = vals[mask, j]
-        if with_r2:
-            Amat = np.stack([1.0 / r**2, r**2, np.ones_like(r)], axis=1)
-        else:
-            Amat = np.stack([1.0 / r**2, np.ones_like(r)], axis=1)
-        coefs, *_ = np.linalg.lstsq(Amat, v, rcond=None)
-        if with_r2:
-            c_list.append(coefs[1])
-            c0_list.append(coefs[2])
-        else:
-            c_list.append(0.0)
-            c0_list.append(coefs[1])
-        good_thetas.append(th)
-    if len(good_thetas) < 6:
-        return None
-    c_hat = float(np.median(c_list))
-    c0_hat = float(np.median(c0_list))
-    C = _angular_query(f, cfg, c_hat, c0_hat)
     samples, resid_num, resid_den, n_pts = [], 0.0, 0.0, 0
-    for j, th in enumerate(thetas):
-        mask = np.isfinite(vals[:, j])
-        if mask.sum() < 2:
+    for k, s in enumerate(outer):
+        mask = np.isfinite(fit[k])
+        if mask.sum() < fam.min_points:
             continue
-        r = radii[mask]
-        v = vals[mask, j]
-        C_j = C(th)
-        samples.append((float(th), C_j))
-        pred = C_j / r**2 + c_hat * r**2 + c0_hat
+        ok = np.isfinite(raw[k])  # C(s) on the values already at hand
+        C_s = float(np.mean(fam.remainder(raw[k, ok], abscissa[ok], **p)))
+        samples.append((float(s), C_s))
+        v = fit[k, mask]
+        pred = fam.predict(C_s, abscissa[mask], **p)
         resid_num += float(np.sum((pred - v) ** 2))
         resid_den += float(np.sum(v**2))
         n_pts += int(mask.sum())
     resid = math.sqrt(resid_num / max(1, n_pts)) / max(
         math.sqrt(resid_den / max(1, n_pts)), 1e-30
     )
-    cid = "1.2b" if with_r2 else "1.2a"
-    bindings = {"C": C, "c0": c0_hat}
-    if with_r2:
-        bindings["c"] = c_hat
-    return CaseMatch(cid, bindings, resid, opaque_samples=tuple(samples))
+    return CaseMatch(cid, {"C": C, **p}, resid, opaque_samples=tuple(samples))
 
 
-def _fit_log_spiral(f, cfg):
+def _fit_log_spiral(f, fit):
     """Case 1.3: the product M r^2 must be constant along lam ln(r) + theta =
     const up to the 2 c0 r^2 drift, which makes the slope pair linear:
 
@@ -550,19 +573,17 @@ def _fit_log_spiral(f, cfg):
     """
     from .. import numdiff as nd
 
-    radii, thetas, vals = _eval_on_polar(f, cfg)
-
     def g(lr, th):
         r = math.exp(lr)
         v = f(r * math.cos(th), r * math.sin(th))
         return v * r * r
 
     rows, rhs = [], []
-    for i in range(0, len(radii), 2):
-        for j in range(0, len(thetas), 3):
-            if not math.isfinite(vals[i, j]):
+    for i in range(0, len(_RADII), 2):
+        for j in range(0, len(_THETAS), 3):
+            if not math.isfinite(fit[i, j]):
                 continue
-            lr, th = math.log(radii[i]), thetas[j]
+            lr, th = math.log(_RADII[i]), _THETAS[j]
             try:
                 d_lnr = nd.partial1(g, (lr, th), 0, 1e-5)
                 d_th = nd.partial1(g, (lr, th), 1, 1e-5)
@@ -570,7 +591,7 @@ def _fit_log_spiral(f, cfg):
                 continue
             if not (math.isfinite(d_lnr) and math.isfinite(d_th)):
                 continue
-            rows.append([d_th, 2.0 * radii[i] ** 2])
+            rows.append([d_th, 2.0 * _RADII[i] ** 2])
             rhs.append(d_lnr)
     if len(rows) < 8:
         return None
@@ -582,26 +603,27 @@ def _fit_log_spiral(f, cfg):
     def C(s):
         # the angular coordinate is 2 pi periodic, hence so is the profile;
         # evaluate on the unit circle where s = theta exactly
-        v = _safe_eval(f, math.cos(s), math.sin(s), cfg)
+        v = _safe_eval(f, math.cos(s), math.sin(s))
         if v is None:
             raise EvalDomainError(f"spiral factor not evaluable at s={s}")
         return v - c0
 
     samples, resid_num, resid_den, n_pts = [], 0.0, 0.0, 0
-    for i, r in enumerate(radii):
-        for j, th in enumerate(thetas):
-            if not math.isfinite(vals[i, j]):
+    for i, r in enumerate(_RADII):
+        for j, th in enumerate(_THETAS):
+            if not math.isfinite(fit[i, j]):
                 continue
             s = lam * math.log(r) + th
             try:
-                pred = C(s) / r**2 + c0
+                C_s = C(s)
             except EvalDomainError:
                 continue
-            resid_num += (pred - vals[i, j]) ** 2
-            resid_den += vals[i, j] ** 2
+            pred = C_s / r**2 + c0
+            resid_num += (pred - fit[i, j]) ** 2
+            resid_den += fit[i, j] ** 2
             n_pts += 1
             if i == 0:
-                samples.append((float(s), float(C(s))))
+                samples.append((float(s), float(C_s)))
     if n_pts < 20:
         return None
     resid = math.sqrt(resid_num / n_pts) / max(math.sqrt(resid_den / n_pts), 1e-30)
@@ -611,131 +633,6 @@ def _fit_log_spiral(f, cfg):
         resid,
         opaque_samples=tuple(sorted(samples)),
     )
-
-
-def _fit_radial_angle(f, cfg):
-    """Case 1.6: per-radius regression of M over theta on [theta, 1].
-
-    The linear angle term lives on the atan2 branch (-pi, pi], so the
-    regression abscissa must be the wrapped angle.
-    """
-    radii, thetas, vals = _eval_on_polar(f, cfg)
-    wrapped = np.arctan2(np.sin(thetas), np.cos(thetas))
-    d_list = []
-    n_good = 0
-    for i, r in enumerate(radii):
-        mask = np.isfinite(vals[i, :])
-        if mask.sum() < 4:
-            continue
-        th = wrapped[mask]
-        v = vals[i, mask]
-        Amat = np.stack([th, np.ones_like(th)], axis=1)
-        (d_i, _), *_ = np.linalg.lstsq(Amat, v, rcond=None)
-        d_list.append(d_i)
-        n_good += 1
-    if n_good < 4:
-        return None
-    d_hat = float(np.median(d_list))
-
-    def C(r):
-        acc = []
-        for th, tw in zip(thetas, wrapped):
-            v = _safe_eval(f, r * math.cos(th), r * math.sin(th), cfg)
-            if v is not None:
-                acc.append(v - d_hat * tw)
-        if not acc:
-            raise EvalDomainError(f"radial factor not evaluable at r={r}")
-        return float(np.mean(acc))
-
-    samples, resid_num, resid_den, n_pts = [], 0.0, 0.0, 0
-    for i, r in enumerate(radii):
-        mask = np.isfinite(vals[i, :])
-        if mask.sum() < 2:
-            continue
-        th = wrapped[mask]
-        v = vals[i, mask]
-        C_r = C(r)
-        samples.append((float(r), C_r))
-        pred = C_r + d_hat * th
-        resid_num += float(np.sum((pred - v) ** 2))
-        resid_den += float(np.sum(v**2))
-        n_pts += int(mask.sum())
-    resid = math.sqrt(resid_num / max(1, n_pts)) / max(
-        math.sqrt(resid_den / max(1, n_pts)), 1e-30
-    )
-    return CaseMatch("1.6", {"C": C, "d": d_hat}, resid, opaque_samples=tuple(samples))
-
-
-def _x_slice_grid(cfg):
-    xs = np.concatenate(
-        [-np.linspace(cfg.r_min, cfg.r_max, 6)[::-1], np.linspace(cfg.r_min, cfg.r_max, 6)]
-    )
-    ys = np.linspace(-cfg.r_max, cfg.r_max, 9)
-    return xs, ys
-
-
-def _fit_x_slices(f, cfg, with_y2):
-    """Cases 1.8a / 1.8b: per-x regression over y."""
-    xs, ys = _x_slice_grid(cfg)
-    b_list, c_list = [], []
-    n_good = 0
-    for x in xs:
-        rows, rhs = [], []
-        for y in ys:
-            v = _safe_eval(f, x, y, cfg)
-            if v is None:
-                continue
-            rows.append([y * y, y, 1.0] if with_y2 else [y, 1.0])
-            rhs.append(v)
-        if len(rows) < 4:
-            continue
-        coefs, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-        if with_y2:
-            c_list.append(coefs[0])
-            b_list.append(coefs[1])
-        else:
-            b_list.append(coefs[0])
-        n_good += 1
-    if n_good < 5:
-        return None
-    b_hat = float(np.median(b_list))
-    c_hat = float(np.median(c_list)) if with_y2 else 0.0
-
-    def C(x):
-        acc = []
-        for y in ys:
-            v = _safe_eval(f, x, y, cfg)
-            if v is not None:
-                acc.append(v - c_hat * y * y - b_hat * y)
-        if not acc:
-            raise EvalDomainError(f"C(x) not evaluable at x={x}")
-        return float(np.mean(acc))
-
-    samples, resid_num, resid_den, n_pts = [], 0.0, 0.0, 0
-    for x in xs:
-        vv, yy = [], []
-        for y in ys:
-            v = _safe_eval(f, x, y, cfg)
-            if v is not None:
-                vv.append(v)
-                yy.append(y)
-        if not vv:
-            continue
-        vv, yy = np.asarray(vv), np.asarray(yy)
-        C_x = C(x)
-        samples.append((float(x), C_x))
-        pred = C_x + c_hat * yy**2 + b_hat * yy
-        resid_num += float(np.sum((pred - vv) ** 2))
-        resid_den += float(np.sum(vv**2))
-        n_pts += len(vv)
-    resid = math.sqrt(resid_num / max(1, n_pts)) / max(
-        math.sqrt(resid_den / max(1, n_pts)), 1e-30
-    )
-    cid = "1.8b" if with_y2 else "1.8a"
-    bindings = {"C": C, "b": b_hat}
-    if with_y2:
-        bindings["c"] = c_hat
-    return CaseMatch(cid, bindings, resid, opaque_samples=tuple(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -823,85 +720,55 @@ def _excluded(match):
 
 def _as_xy_callable(m, params=None, opaque=None):
     if isinstance(m, A.Expr):
-        def f(x, y):
-            return A.evaluate(m, {"x": x, "y": y}, params, opaque)
-
-        return f
-    if hasattr(m, "fn") and callable(m):  # ScalarField on (x, y)
-        return lambda x, y: m(x, y)
-    if callable(m):
+        return lambda x, y: A.evaluate(m, {"x": x, "y": y}, params, opaque)
+    if callable(m):  # a plain callable or a ScalarField on (x, y)
         return m
     raise TypeError(f"cannot classify object of type {type(m)!r}")
 
 
-def match_case(m, params=None, opaque=None, config=None):
+def _single(matches):
+    """The one match, or None; several matches raise AmbiguousMatch."""
+    if len(matches) > 1:
+        raise AmbiguousMatch(sorted(matches, key=lambda s: CASE_ORDER.index(s.case_id)))
+    return matches[0] if matches else None
+
+
+def match_case(m, params=None, opaque=None):
     """Classify a potential.
 
     Returns a :class:`CaseMatch` (or :class:`NoMatchResult`); raises
     :class:`AmbiguousMatch` when several templates fit within tolerance, with
     the matches sorted most-specific-first on the exception.
     """
-    cfg = config or MatchConfig()
-
     if isinstance(m, A.Expr):
         structural = _structural_match(m, params or {}, opaque)
         if structural:
             survivors = [s for s in structural if _excluded(s) is None]
-            # attach samples for opaque families so downstream checks can use them
+            # attach samples for opaque families so the exclusions can use them
             for s in survivors:
-                if callable(s.bindings.get("C")) and not s.opaque_samples:
-                    s.opaque_samples = _resample_structural(s, cfg)
-            survivors = [s for s in survivors if _excluded(s) is None]
-            if len(survivors) == 1:
-                return survivors[0]
-            if len(survivors) > 1:
-                survivors.sort(key=lambda s: CASE_ORDER.index(s.case_id))
-                raise AmbiguousMatch(survivors)
+                if "C" in s.bindings:
+                    s.opaque_samples = _resample_structural(s)
+            found = _single([s for s in survivors if _excluded(s) is None])
+            if found:
+                return found
 
     f = _as_xy_callable(m, params, opaque)
+    grids = {by: _eval_grid(by, f) for by in ("r", "x")}
+    grids["theta"] = tuple(v.T for v in grids["r"])
 
     candidates = []
     for cid in CASE_ORDER:
         try:
             if cid in _LINEAR_FAMILIES:
-                cand = _fit_linear_family(f, cfg, cid)
-            elif cid in ("1.2a", "1.2b"):
-                cand = _fit_angular_family(f, cfg, with_r2=(cid == "1.2b"))
+                cand = _fit_linear_family(grids["r"][1], cid)
             elif cid == "1.3":
-                cand = _fit_log_spiral(f, cfg)
-            elif cid == "1.6":
-                cand = _fit_radial_angle(f, cfg)
+                cand = _fit_log_spiral(f, grids["r"][1])
             else:
-                cand = _fit_x_slices(f, cfg, with_y2=(cid == "1.8b"))
+                cand = _fit_slices(f, grids[_SLICE_FAMILIES[cid].by], cid)
         except (np.linalg.LinAlgError, ValueError):
             cand = None
         if cand is None:
             continue
-        if cand.fit_residual <= cfg.tol and _excluded(cand) is None:
+        if cand.fit_residual <= MATCH_TOL and _excluded(cand) is None:
             candidates.append(cand)
-
-    if not candidates:
-        return NoMatchResult()
-    if len(candidates) == 1:
-        return candidates[0]
-    candidates.sort(key=lambda s: CASE_ORDER.index(s.case_id))
-    raise AmbiguousMatch(candidates)
-
-
-def _resample_structural(match, cfg):
-    C = match.bindings.get("C")
-    if not callable(C):
-        return ()
-    if match.case_id in ("1.2a", "1.2b"):
-        _, thetas = _polar_grid(cfg)
-        return tuple((float(t), float(C(t))) for t in sorted(thetas))
-    if match.case_id == "1.6":
-        radii, _ = _polar_grid(cfg)
-        return tuple((float(r), float(C(r))) for r in radii)
-    if match.case_id in ("1.8a", "1.8b"):
-        xs = np.linspace(cfg.r_min, cfg.r_max, 8)
-        return tuple((float(x), float(C(x))) for x in xs)
-    if match.case_id == "1.3":
-        ss = np.linspace(-1.5, 7.0, 12)
-        return tuple((float(s), float(C(s))) for s in ss)
-    return ()
+    return _single(candidates) or NoMatchResult()

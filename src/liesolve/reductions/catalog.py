@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import hyperdual as hd
 from ..errors import NoClosedForm, SamplingError
-from ..exprlang import TEMPLATE_SOURCES, evaluate, template_expr
+from ..exprlang import TEMPLATE_SOURCES, instantiate
 from ..fields import ScalarField
 from ..symmetry import SymmetryData, exp_pair, poly
 from . import maps as MP
@@ -92,12 +92,8 @@ class CaseReduction:
 
     # -- potential ----------------------------------------------------------
     def potential_field(self, params, opaque=None):
-        expr = template_expr(self.case_id)
         op = opaque if opaque is not None else self.opaque_binding(params)
-
-        def M(x, y):
-            return evaluate(expr, {"x": x, "y": y}, params, op)
-
+        M = instantiate(self.case_id, params, op)
         return ScalarField(M, nargs=2, name=f"M[{self.case_id}]")
 
     def opaque_binding(self, params):

@@ -1,9 +1,10 @@
 """Byte-level pins of the CLI reports.
 
 sha256 digests of ``to_json()`` for the three case studies, the eleven
-``reduce`` reports, and ``verify`` for every case at seeds 0 and 1 (or the
-typed error name and message that run ends in).  A refactor must keep every
-one of them; a change that moves a digest on purpose says why.
+``reduce`` reports, ``verify`` for every case at seeds 0 and 1 (or the
+typed error name and message that run ends in), and ``classify`` for ten
+potentials that cover the structural and the sampled classifier.  A refactor
+must keep every one of them; a change that moves a digest on purpose says why.
 
 The digests depend on the floating-point results of numpy, scipy and the C
 math library.  They were recorded with Python 3.11, numpy 2.4 and scipy 1.17
@@ -64,6 +65,25 @@ VERIFY = {
 }
 
 
+# potential -> (exit code, report digest): two structural matches, six sampled
+# ones (1.4b, 1.8a, 1.8b, 1.2a, 1.3, 1.6), a no-match, and the two-asset study
+# potential (sampled 1.2b), read with STUDY_PARAMS
+STUDY_POTENTIAL = "48*(x^2+y^2)/(x^2-y^2)^2 + r^2*(x^2+y^2) - 18*r"
+STUDY_PARAMS = {"r": 0.05}
+CLASSIFY = {
+    "1/x^2 + 2*y + 3": (0, "1138617dfe2f08ba4f0473d058c5b3195d5edeb203e69e94181bdc611ada99f6"),
+    "1/r_polar^2 + x": (0, "3062055ed756180bc6729c92f55d1ce0eb0841f750743f1d273c85ca1ecd7f92"),
+    "x^2 + y^2": (0, "3e0fcb4757e528a6305df391691875b8ba560229b5caefc8d601fc5c46bbe8c6"),
+    "sin(x) + y": (0, "17cdcf0121de8f8fa0bcdd0f5131424d99a1e6aaecf7562afdd931cd21326f57"),
+    "sin(x) + y^2 + y": (0, "5813c3046f56e7793abbf24ea46766399511e5c121592e5c12aca2d0a6777121"),
+    "cos(theta)^2/r_polar^2 + 2": (0, "5ebefac6ec18ff15c15447b949257618ec3ad58b30b4cc819a57abb680a043d2"),
+    "(2+sin(ln(r_polar)*0.7+theta))/r_polar^2 + 1": (0, "91365552e9efb46c1e37efc21741153a836512b923a883e15e2199ef8971cc76"),
+    "exp(-r_polar) + 0.5*theta": (0, "a0a97991ee6c12c72d97bdf6a9ba08958dcfbf91b583f4b9e5708bfe1aaaafc2"),
+    "exp(x)*y": (0, "1699bf1c493848ca85fa0518630acad87d71604c341afaada2810676d665c92d"),
+    STUDY_POTENTIAL: (0, "9977886c8a745238c69556cd767c999f77b22125b39273693488e3de00d5128f"),
+}
+
+
 def _run(**config):
     code, rep = cli.run(dict(config, version=cli.SCHEMA_VERSION))
     return code, hashlib.sha256(rep.to_json().encode()).hexdigest()
@@ -86,3 +106,10 @@ def test_verify_report_bytes(cid, seed):
     except LiesolveError as exc:
         got = (type(exc).__name__, str(exc))
     assert got == VERIFY[(cid, seed)]
+
+
+@pytest.mark.parametrize("potential", list(CLASSIFY))
+def test_classify_report_bytes(potential):
+    params = STUDY_PARAMS if potential == STUDY_POTENTIAL else {}
+    got = _run(command="classify", potential=potential, potential_params=params)
+    assert got == CLASSIFY[potential]
