@@ -655,30 +655,54 @@ def _is_constant(vals, tol=1e-8):
     return float(np.std(vals)) <= tol * scale
 
 
-def _fits_basis(args, vals, columns, tol=1e-8):
+def _basis_fit(args, vals, columns, tol=1e-8):
+    """Least-squares coefficients of vals on the columns, or None when the
+    RMS residual exceeds tol times the RMS of vals (at least 1)."""
     Amat = np.stack([c(args) for c in columns], axis=1)
     coefs, *_ = np.linalg.lstsq(Amat, vals, rcond=None)
     resid = Amat @ coefs - vals
     scale = max(float(np.sqrt(np.mean(vals**2))), 1.0)
-    return float(np.sqrt(np.mean(resid**2))) <= tol * scale
+    return coefs if float(np.sqrt(np.mean(resid**2))) <= tol * scale else None
 
 
-def _excluded(match):
-    """Exclusion constraints from the classification; returns a reason or None."""
+def _fits_basis(args, vals, columns, tol=1e-8):
+    return _basis_fit(args, vals, columns, tol) is not None
+
+
+_QUADRATIC_FORM = (
+    lambda s: np.cos(s) ** 2,
+    lambda s: np.cos(s) * np.sin(s),
+    lambda s: np.sin(s) ** 2,
+)
+
+
+def _is_sinusoid_square(th, q, tol=1e-8):
+    """q = (c1 cos + c2 sin)^2 on the samples: q fits the quadratic form
+    a cos^2 + b cos sin + c sin^2, and the form has rank one (b^2 = 4 a c)."""
+    coefs = _basis_fit(th, q, _QUADRATIC_FORM, tol)
+    if coefs is None:
+        return False
+    a, b, c = (float(v) for v in coefs)
+    return abs(b * b - 4.0 * a * c) <= tol * (a + c) ** 2
+
+
+def _excluded(match, fitted=False):
+    """Exclusion constraints from the classification; returns a reason or None.
+
+    ``fitted``: the bindings come from a least-squares fit to samples, so a
+    required parameter is weighed against the largest binding rather than
+    against 1 (a structural binding is exact).
+    """
     cid = match.case_id
     if cid in ("1.2a", "1.2b", "1.3"):
         vals = _samples_of(match)
         if len(vals) and _is_constant(vals):
             return "free angular factor is constant"
-        if cid in ("1.2a", "1.2b") and len(vals):
-            th = _args_of(match)
-            if np.all(vals > 0):
-                # the (c1 cos + c2 sin)^(-2) family belongs elsewhere
-                w = vals ** (-0.5)
-                if _fits_basis(th, w, [np.cos, np.sin], tol=1e-8) or _fits_basis(
-                    th, -w, [np.cos, np.sin], tol=1e-8
-                ):
-                    return "angular factor is of the inverse-square sinusoid family"
+        if cid in ("1.2a", "1.2b") and len(vals) and np.all(vals > 0):
+            # the (c1 cos + c2 sin)^(-2) family belongs elsewhere; 1/C is then
+            # the square of a sinusoid, which may change sign on the samples
+            if _is_sinusoid_square(_args_of(match), 1.0 / vals):
+                return "angular factor is of the inverse-square sinusoid family"
     if cid == "1.3" and abs(match.bindings.get("lam", 0.0)) < 1e-10:
         return "spiral slope vanishes"
     if cid == "1.6":
@@ -706,9 +730,12 @@ def _excluded(match):
                 ],
             ):
                 return "C(x) belongs to a finite-parameter family"
-    req = _REQUIRED_NONZERO.get(cid, ())
-    for name in req:
-        if abs(match.bindings.get(name, 0.0)) < 1e-10:
+    scale = 1.0
+    if fitted:
+        numbers = [v for v in match.bindings.values() if isinstance(v, float) and math.isfinite(v)]
+        scale = max([scale] + [abs(v) for v in numbers])
+    for name in _REQUIRED_NONZERO.get(cid, ()):
+        if abs(match.bindings.get(name, 0.0)) < 1e-10 * scale:
             return f"required parameter {name} vanishes"
     return None
 
@@ -769,6 +796,6 @@ def match_case(m, params=None, opaque=None):
             cand = None
         if cand is None:
             continue
-        if cand.fit_residual <= MATCH_TOL and _excluded(cand) is None:
+        if cand.fit_residual <= MATCH_TOL and _excluded(cand, fitted=True) is None:
             candidates.append(cand)
     return _single(candidates) or NoMatchResult()

@@ -16,17 +16,53 @@ slot of a seeded pass can differ from a float quotient in the last bit.
 This is how the similarity maps, gauge prefactors and separated factors get
 machine-precision derivatives without symbolic machinery; finite differences
 remain the *independent* route used by the verification oracles.
+
+Lanes (forward "vector mode", Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., ch. 3).  A slot may hold a numpy array: element k of every slot is
+then lane k, one independent evaluation.  :func:`lane_pass` runs ``fn`` once
+over ``len(patterns) x L`` lanes, one (seed pattern, point) pair per lane,
+and :func:`float_lanes` hands plain values to a callable as lanes.  Each lane
+is bitwise equal to its scalar pass, by three rules:
+
+- ``+ - * /`` on float64 arrays are correctly rounded, as on floats, and
+  every formula is the scalar one, so the association is the same;
+- transcendental functions (and ``sqrt``) map libm per element, as in
+  ``np.fromiter(map(math.exp, a), float, n)``: ``np.exp`` is not libm and
+  differs in the last bit;
+- ``**`` on float lanes goes through Python's ``pow`` per element, both in
+  :meth:`Dual2.__pow__` and on :func:`float_lanes`: numpy's ``a ** 2`` is
+  ``a * a``, which is not always libm ``pow(a, 2)``.
+
+A value-dependent branch cannot take lanes: the truth value of an array
+comparison raises, and so do ``math`` functions, ``float()`` and, inside
+lane passes, a division by zero (``LANE_ERRSTATE``), where a float would
+raise ``ZeroDivisionError``.  A caller that gets any exception from a lane
+evaluation reruns it on the scalar path, so a lane never stands in for a
+domain error.  Callables that branch on values by design (an ``exprlang``
+potential) run one lane at a time through :func:`per_lane`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
+import numpy as np
+
 from .errors import DomainError
+
+# numpy returns inf or nan where float arithmetic raises ZeroDivisionError;
+# lane passes raise FloatingPointError there instead
+LANE_ERRSTATE = {"divide": "raise", "invalid": "raise"}
+_ndarray = np.ndarray  # a global, not an attribute lookup, on the scalar power path
 
 
 class Dual2:
     __slots__ = ("a", "b", "c", "d")
+
+    # ndarray (op) Dual2 defers to Dual2, which then holds array slots
+    __array_ufunc__ = None
 
     def __init__(self, a, b=0.0, c=0.0, d=0.0):
         self.a = a  # value
@@ -89,19 +125,11 @@ class Dual2:
         if p == 2:
             return self * self
         a = self.a
-        if a == 0.0 and p > 1:
-            # derivative structure still defined for p > 1 integer-ish cases
-            f = 0.0
-            fp = 0.0 if p > 1 else float("inf")
-            fpp = 0.0 if p > 2 else (2.0 if p == 2 else float("inf"))
-            return _chain1(self, f, fp, fpp)
-        try:
-            f = a ** p
-            fp = p * a ** (p - 1)
-            fpp = p * (p - 1) * a ** (p - 2)
-        except (ZeroDivisionError, DomainError) as exc:
-            # 0 to a negative power, here or in a nested pass's inner power
-            raise DomainError(f"x**{p} or a derivative of it is infinite at x = 0") from exc
+        if isinstance(a, _ndarray):
+            # lanes: each value through the float rule, as its scalar pass
+            f, fp, fpp = (np.array(q, float) for q in zip(*(_pow_parts(v, p) for v in a.tolist())))
+        else:
+            f, fp, fpp = _pow_parts(a, p)
         return _chain1(self, f, fp, fpp)
 
     def __rpow__(self, base):
@@ -122,6 +150,21 @@ class Dual2:
 
     def __float__(self):
         return float(self.a)
+
+
+def _pow_parts(a, p):
+    """(a**p, its first and second derivative) at a float or a Dual2 a."""
+    if a == 0.0 and p > 1:
+        # derivative structure still defined for p > 1 integer-ish cases
+        f = 0.0
+        fp = 0.0 if p > 1 else float("inf")
+        fpp = 0.0 if p > 2 else (2.0 if p == 2 else float("inf"))
+        return f, fp, fpp
+    try:
+        return a ** p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2)
+    except (ZeroDivisionError, DomainError) as exc:
+        # 0 to a negative power, here or in a nested pass's inner power
+        raise DomainError(f"x**{p} or a derivative of it is infinite at x = 0") from exc
 
 
 def value(x):
@@ -149,54 +192,112 @@ def _as_dual(x):
     return x if isinstance(x, Dual2) else Dual2(float(x))
 
 
+# -- float lanes ----------------------------------------------------------------
+
+
+class _FloatLanes(np.ndarray):
+    """Float lanes handed to a callable: ``**`` is Python's pow per element,
+    and an in-place operator rebinds, as both do on floats."""
+
+    def __pow__(self, p):
+        return _each(pow, self, p)
+
+    def __rpow__(self, base):
+        return _each(pow, base, self)
+
+
+for _op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+    setattr(_FloatLanes, f"__i{_op}__", getattr(_FloatLanes, f"__{_op}__"))
+
+
+def float_lanes(values):
+    """``values`` (lanes along the last axis) as float lanes for a callable."""
+    return np.array(values, float).view(_FloatLanes)
+
+
+def _each(f, *args):
+    """f element by element over lane arrays: libm or Python's pow, so each
+    lane is bitwise the float call.  Float lanes stay float lanes."""
+    lanes = [a for a in args if isinstance(a, np.ndarray)]
+    if not lanes:
+        return f(*args)  # no lanes: the float call's own error
+    size = lanes[0].size
+    if any(a.shape != (size,) for a in lanes):
+        raise ValueError("lane arrays must be 1-D and of one length")
+    cols = (a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a, size) for a in args)
+    out = np.fromiter(map(f, *cols), float, size)
+    return out.view(_FloatLanes) if any(isinstance(a, _FloatLanes) for a in lanes) else out
+
+
 # -- elementary functions (accept float or Dual2; recursion keeps nested
 #    Dual2-of-Dual2 working, which higher-order derivative chains rely on) ---
 
 def exp(x):
     if not isinstance(x, Dual2):
-        return math.exp(x)
+        try:
+            return math.exp(x)
+        except TypeError:
+            return _each(math.exp, x)
     e = exp(x.a)
     return _chain1(x, e, e, e)
 
 
 def log(x):
     if not isinstance(x, Dual2):
-        return math.log(x)
+        try:
+            return math.log(x)
+        except TypeError:
+            return _each(math.log, x)
     ia = 1.0 / x.a
     return _chain1(x, log(x.a), ia, -ia * ia)
 
 
 def sqrt(x):
     if not isinstance(x, Dual2):
-        return math.sqrt(x)
+        try:
+            return math.sqrt(x)
+        except TypeError:
+            return _each(math.sqrt, x)
     s = sqrt(x.a)
     return _chain1(x, s, 0.5 / s, -0.25 / (s * x.a))
 
 
 def sin(x):
     if not isinstance(x, Dual2):
-        return math.sin(x)
+        try:
+            return math.sin(x)
+        except TypeError:
+            return _each(math.sin, x)
     s, c = sin(x.a), cos(x.a)
     return _chain1(x, s, c, -s)
 
 
 def cos(x):
     if not isinstance(x, Dual2):
-        return math.cos(x)
+        try:
+            return math.cos(x)
+        except TypeError:
+            return _each(math.cos, x)
     s, c = sin(x.a), cos(x.a)
     return _chain1(x, c, -s, -c)
 
 
 def atan(x):
     if not isinstance(x, Dual2):
-        return math.atan(x)
+        try:
+            return math.atan(x)
+        except TypeError:
+            return _each(math.atan, x)
     den = 1.0 + x.a * x.a
     return _chain1(x, atan(x.a), 1.0 / den, -2.0 * x.a / (den * den))
 
 
 def atan2(y, x):
     if not isinstance(y, Dual2) and not isinstance(x, Dual2):
-        return math.atan2(y, x)
+        try:
+            return math.atan2(y, x)
+        except TypeError:
+            return _each(math.atan2, y, x)
     y = _as_dual(y)
     x = _as_dual(x)
     r2 = x.a * x.a + y.a * y.a
@@ -257,3 +358,100 @@ def jet(fn, args, i):
     """(value, first, second) of fn along coordinate i at args."""
     out = _seeded_pass(fn, args, i, i)
     return out.a, out.b, out.d
+
+
+# -- lane passes ----------------------------------------------------------------
+
+
+def _lane_count(args):
+    for a in args:
+        a = value(a)
+        if isinstance(a, np.ndarray):
+            return a.shape[-1]
+    raise TypeError("no lane array among the arguments")
+
+
+def _tile(a, n):
+    if isinstance(a, Dual2):
+        return Dual2(_tile(a.a, n), _tile(a.b, n), _tile(a.c, n), _tile(a.d, n))
+    if isinstance(a, np.ndarray):
+        return np.concatenate((np.asarray(a),) * n)
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _seed(patterns, k, slot, size):
+    marks = [1.0 if p[slot] == k else 0.0 for p in patterns]
+    if not any(marks):
+        return 0.0
+    out = np.repeat(np.array(marks), size)
+    out.flags.writeable = False  # shared by every pass with these patterns
+    return out
+
+
+def _split(v, n):
+    """v's lanes as n equal parts, one per pattern."""
+    if isinstance(v, Dual2):
+        return [Dual2(*part) for part in zip(*(_split(s, n) for s in (v.a, v.b, v.c, v.d)))]
+    if isinstance(v, np.ndarray):
+        return list(v.reshape(n, -1))
+    return [v] * n
+
+
+def _split_output(out, n):
+    if isinstance(out, tuple):
+        return list(zip(*(_split_output(o, n) for o in out)))
+    return _split(out if isinstance(out, Dual2) else Dual2(out), n)
+
+
+def lane_pass(fn, args, patterns):
+    """fn over ``len(patterns) x L`` lanes in one evaluation, split by pattern.
+
+    ``args`` hold L lanes each (arrays, or Dual2 with array slots from an
+    enclosing pass).  Pattern ``(i, j)`` seeds e1 on ``args[i]`` and e2 on
+    ``args[j]`` (``j = None``: no e2), as :func:`derivative_pair` or, with
+    ``i == j``, :func:`jet` does.  Returns one entry per pattern: fn's output
+    (a Dual2, or a tuple of them) on that pattern's L lanes, each lane bitwise
+    equal to the scalar pass at that point.
+    """
+    n, size = len(patterns), _lane_count(args)
+    seeded = [
+        Dual2(_tile(a, n), _seed(patterns, k, 0, size), _seed(patterns, k, 1, size))
+        for k, a in enumerate(args)
+    ]
+    with np.errstate(**LANE_ERRSTATE):
+        out = fn(*seeded)
+    return _split_output(out, n)
+
+
+def _unstack(a, size):
+    if isinstance(a, Dual2):
+        slots = (_unstack(s, size) for s in (a.a, a.b, a.c, a.d))
+        return [Dual2(*lane) for lane in zip(*slots)]
+    if isinstance(a, np.ndarray):
+        return a.tolist()
+    return [a] * size
+
+
+def _stack(outs):
+    duals = [isinstance(o, Dual2) for o in outs]
+    if all(duals):
+        return Dual2(*(_stack([getattr(o, s) for o in outs]) for s in Dual2.__slots__))
+    if any(duals):
+        raise TypeError("lanes mix Dual2 and plain values")
+    return np.array(outs, float)
+
+
+def per_lane(fn):
+    """fn for lanes, one lane at a time: for callables that branch on values.
+
+    Each lane's arguments are rebuilt as floats or scalar Dual2, so each call
+    is the scalar one; the results are stacked back into array slots.
+    """
+
+    def wrapped(*args):
+        size = _lane_count(args)
+        lanes = zip(*(_unstack(a, size) for a in args))
+        return _stack([fn(*lane) for lane in lanes])
+
+    return wrapped
