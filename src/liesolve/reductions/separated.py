@@ -36,7 +36,6 @@ def solve_ivp(*args, **kwargs):
 class SeparatedSolution:
     F1: object  # dual-capable callable of the first similarity variable
     F2: object  # dual-capable callable of the second
-    constants: dict
     coordinate_system: str = "cartesian"  # or "polar"
 
     def P(self, xi, eta):

@@ -165,15 +165,13 @@ def test_consistency_flags_corrupted_map():
     import liesolve.reductions as R
 
     monkey = dataclasses.replace(smap, to_sim=smap_to_sim)
-    real_similarity = case.similarity
-    case_sim_backup = case._map
     try:
-        case._map = lambda p: monkey
+        case.similarity = lambda p: monkey
         rep = R.verify_reduction_consistency(case, params, trials=1, seed=5)
         assert not rep.consistent
         assert rep.max_rel_deviation > 1e-3
     finally:
-        case._map = case_sim_backup
+        del case.similarity
 
 
 # ---------------------------------------------------------------------------
