@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hyperdual as hd
-from .errors import AlphaOne, LiesolveError
+from .errors import AlphaOne
 from .exprlang import evaluate, match_case, parse
 from .fields import ScalarField
 from .report import VerificationReport
@@ -45,7 +45,7 @@ from .transform import (
     potential_m,
     price_from_u,
 )
-from .verify import Region, bs_residual, fp_residual
+from .verify import Region, bs_residual, fp_residual, relative_scale
 
 
 @dataclass
@@ -60,18 +60,6 @@ class CaseStudyResult:
 # ---------------------------------------------------------------------------
 # helpers shared by the one-dimensional studies
 # ---------------------------------------------------------------------------
-
-
-def _rel_fp_scale(u, M, pts):
-    """Pointwise operator scale for relative residual reporting."""
-    scale = 0.0
-    for p in pts:
-        try:
-            v = abs(u(*p)) * (1.0 + abs(M(*p[:-1])))
-        except (LiesolveError, ArithmeticError, ValueError):
-            continue
-        scale = max(scale, v)
-    return max(scale, 1e-12)
 
 
 def _quadratic_op(C0, c, d1, d2):
@@ -215,7 +203,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     u = reconstruct_u(case, params, P_wedge)
     region = _wedge_xyt_region()
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
-    scale = _rel_fp_scale(u, M_cat.fn, region.points(10))
+    scale = relative_scale(u, M_cat.fn, region.points(10))
     rep.check("reconstruction solves the catalog potential equation (relative FD residual)",
               fp.max_abs / scale, 1e-6)
 
@@ -449,7 +437,7 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0) -> CaseStudyResult:
     u = smap.reconstruct(P_good)
     region = Region(((x_lo + 0.05, x_hi - 0.05), (0.1, 0.6)))
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
-    scale = _rel_fp_scale(u, lambda x: M_cat.fn(x), region.points(10))
+    scale = relative_scale(u, lambda x: M_cat.fn(x), region.points(10))
     rep.check(
         "reconstruction solves the catalog potential equation (relative FD residual)",
         fp.max_abs / scale,
@@ -534,7 +522,7 @@ def expvol_1d(delta1=1.0, delta2=1.0) -> CaseStudyResult:
     u = smap.reconstruct(F)
     region = Region(((0.6, 2.6), (0.2, 0.9)))
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
-    scale = _rel_fp_scale(u, lambda x: M_cat.fn(x), region.points(10))
+    scale = relative_scale(u, lambda x: M_cat.fn(x), region.points(10))
     rep.check(
         "reconstruction solves the catalog potential equation (relative FD residual)",
         fp.max_abs / scale,

@@ -38,7 +38,7 @@ from .reductions import (
 )
 from .report import VerificationReport
 from .symmetry import compatibility_condition, poly, transform_solution
-from .verify import Region, fp_residual
+from .verify import Region, fp_residual, sampled
 
 SCHEMA_VERSION = 1
 
@@ -244,11 +244,7 @@ def _cmd_solve(config):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["xi", "eta", "P"])
-            for (xi, eta) in case.region_sim(params, n=60, seed=seed):
-                try:
-                    val = hd.value(sol.P(xi, eta))
-                except (LiesolveError, ArithmeticError, ValueError):
-                    continue
+            for (xi, eta), val in sampled(sol.P, case.region_sim(params, n=60, seed=seed))[0]:
                 w.writerow([repr(float(xi)), repr(float(eta)), repr(float(val))])
         rep.payload["samples_csv"] = path
     return rep

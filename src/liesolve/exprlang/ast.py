@@ -203,29 +203,30 @@ class _OpaqueWrapper:
         return f(z)
 
 
+# polar variables derived from bound x, y
+_POLAR = {"r_polar": hd.hypot, "theta": lambda x, y: hd.atan2(y, x)}
+
+
 def evaluate(e, point=None, params=None, opaque=None):
     """Evaluate an expression.
 
     ``point`` binds variables, ``params`` named parameters, ``opaque`` opaque
     function symbols.  ``r_polar`` and ``theta`` are derived from bound x, y
-    when not bound themselves.  Never returns NaN: domain problems raise
-    :class:`EvalDomainError`.
+    when not bound themselves, the first time the expression reads them.
+    Never returns NaN: domain problems raise :class:`EvalDomainError`.
     """
     point = dict(point or {})
     params = params or {}
     opaque = {k: _OpaqueWrapper(k, v) for k, v in (opaque or {}).items()}
-
-    if "r_polar" not in point and "x" in point and "y" in point:
-        point["r_polar"] = hd.hypot(point["x"], point["y"])
-    if "theta" not in point and "x" in point and "y" in point:
-        point["theta"] = hd.atan2(point["y"], point["x"])
 
     def ev(n):
         if isinstance(n, Num):
             return n.value
         if isinstance(n, Var):
             if n.name not in point:
-                raise UnboundSymbol(f"variable {n.name} not bound")
+                if n.name not in _POLAR or "x" not in point or "y" not in point:
+                    raise UnboundSymbol(f"variable {n.name} not bound")
+                point[n.name] = _POLAR[n.name](point["x"], point["y"])
             return point[n.name]
         if isinstance(n, Param):
             if n.name not in params:

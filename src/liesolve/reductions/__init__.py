@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import hyperdual as hd
-from ..errors import LiesolveError, SamplingError
+from ..errors import SamplingError
 from ..fields import ScalarField, random_smooth_field
+from ..verify import sampled
 from .catalog import CaseReduction, catalog
 from .separated import SeparatedSolution
 
@@ -49,26 +49,15 @@ def reduced_residual(case, params, P, points=None) -> float:
 
 
 def operator_residual(op, P, pts) -> float:
-    """Max abs of ``op(P, *point)`` over similarity points, skipping points
-    where it raises a typed error or is not finite; raises
-    :class:`SamplingError` when fewer than max(4, a quarter) evaluate."""
-    worst = 0.0
-    evaluated = 0
-    for pt in pts:
-        try:
-            r = op(P, *pt)
-        except (LiesolveError, ArithmeticError, ValueError):
-            continue
-        v = hd.value(r)
-        if not math.isfinite(v):
-            continue
-        worst = max(worst, abs(v))
-        evaluated += 1
-    if evaluated < max(4, len(pts) // 4):
+    """Max abs of ``op(P, *point)`` over similarity points, skipping points as
+    :func:`liesolve.verify.sampled` does; raises :class:`SamplingError` when
+    fewer than max(4, a quarter) evaluate."""
+    kept, _ = sampled(lambda *pt: op(P, *pt), pts)
+    if len(kept) < max(4, len(pts) // 4):
         raise SamplingError(
-            f"reduced operator evaluable at only {evaluated} of {len(pts)} points"
+            f"reduced operator evaluable at only {len(kept)} of {len(pts)} points"
         )
-    return worst
+    return max([0.0] + [abs(v) for _, v in kept])
 
 
 def closed_form_solution(case, params, constants=None) -> SeparatedSolution:
@@ -111,28 +100,23 @@ def verify_reduction_consistency(
         Pf = random_smooth_field(rng, nargs=2, name=f"P{k}")
         u = reconstruct_u(case, params, Pf.fn)
         pts = case.region_xyt(params, n=n_points, seed=seed + k)
-        trial_worst = 0.0
-        used = 0
-        for (x, y, t) in pts:
-            if smap.singular(x, y, t):
-                continue
+
+        def ratio(x, y, t):
             lhs = (
                 u.dt(x, y, t)
                 - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t))
                 + M.fn(x, y) * u(x, y, t)
             )
             xi, eta = smap.to_sim(x, y, t)
-            try:
-                rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(
-                    op(Pf.fn, hd.value(xi), hd.value(eta))
-                )
-            except (LiesolveError, ArithmeticError, ValueError):
-                continue
-            scale = max(abs(lhs), abs(rhs), 1e-8)
-            trial_worst = max(trial_worst, abs(lhs - rhs) / scale)
-            used += 1
-        if used < max(3, n_points // 3):
-            raise SamplingError(f"case {case.case_id}: only {used} usable sample points")
+            rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(
+                op(Pf.fn, hd.value(xi), hd.value(eta))
+            )
+            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
+
+        kept, _ = sampled(ratio, [pt for pt in pts if not smap.singular(*pt)])
+        if len(kept) < max(3, n_points // 3):
+            raise SamplingError(f"case {case.case_id}: only {len(kept)} usable sample points")
+        trial_worst = max([0.0] + [v for _, v in kept])
         per_trial.append(trial_worst)
         worst = max(worst, trial_worst)
     return ConsistencyReport(case.case_id, trials, worst, worst <= tol, per_trial)

@@ -316,7 +316,12 @@ def _case_12a(p):
 
     def op(P, xi, eta):
         rho, th, v, pr, prr, ptt = _polar_jet(P, xi, eta)
-        return rho * rho * prr + (d1 * rho**3 + rho) * pr + ptt - 2.0 * C(th) * v
+        return (
+            rho * rho * prr
+            + (d1 * rho**3 + rho) * pr
+            + ptt
+            - 2.0 * C(th) * v
+        )
 
     def closed(c_):
         c1 = c_.get("c1", 1.0)
@@ -342,7 +347,12 @@ def _case_12b(p):
 
     def op(P, xi, eta):
         rho, th, v, pr, prr, ptt = _polar_jet(P, xi, eta)
-        return rho * rho * prr + rho * pr + ptt + 2.0 * (4.0 * c * d1 * d2 * rho**4 - C(th)) * v
+        return (
+            rho * rho * prr
+            + rho * pr
+            + ptt
+            + 2.0 * (4.0 * c * d1 * d2 * rho**4 - C(th)) * v
+        )
 
     def closed(c_):
         c1 = c_.get("c1", 1.0)
@@ -433,7 +443,9 @@ def _case_15a(p):
 
     def op(P, xi, eta):
         lap, px, py = _lap_grad(P, xi, eta)
-        return d1 * d1 * (lap + d1 * (xi * px + eta * py) + kap * P(xi, eta))
+        return d1 * d1 * (
+            lap + d1 * (xi * px + eta * py) + kap * P(xi, eta)
+        )
 
     def closed(c_):
         c1 = c_.get("c1", 1.0)

@@ -34,6 +34,7 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import LiesolveError, NotRadialPotential, SamplingError, UnsupportedF1Form
 from .fields import ScalarField
+from .verify import sampled
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +245,7 @@ def default_sampling(n=30, seed=1, r_range=(0.6, 2.4), t_range=(0.3, 1.2)):
 
 
 def _filter_points(M, points):
-    good = []
-    for (x, y, t) in points:
-        try:
-            v = M.fn(x, y)
-            if math.isfinite(hd.value(v)):
-                good.append((x, y, t))
-        except (LiesolveError, ArithmeticError, ValueError):
-            continue
+    good = [pt for pt, _ in sampled(lambda x, y, t: M.fn(x, y), points)[0]]
     if len(good) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     return good

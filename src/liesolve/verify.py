@@ -29,10 +29,11 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import hyperdual as hd
 from . import numdiff
 from .errors import (
     BoundaryContamination,
@@ -91,32 +92,50 @@ class Region:
         return out
 
 
-def _residual_report(residual_at, pts, threshold, h0, what) -> ResidualReport:
-    """Evaluate ``residual_at(p)`` at each point and summarize; a point where
-    it raises a typed error or is not finite is skipped and counted."""
-    vals = []
+def sampled(fn, pts):
+    """The one skip policy of the sampled residuals: ``(point, value)`` for
+    each point where ``hd.value(fn(*point))`` is finite, and the number of
+    points skipped because ``fn`` raised a typed, arithmetic or value error
+    there or gave a non-finite value.  Each caller keeps its own rule for how
+    many points must remain."""
+    kept = []
     skipped = 0
-    for p in pts:
+    for pt in pts:
         try:
-            r = residual_at(p)
+            v = hd.value(fn(*pt))
         except (LiesolveError, ArithmeticError, ValueError):
             skipped += 1
             continue
-        if not math.isfinite(r):
+        if math.isfinite(v):
+            kept.append((pt, v))
+        else:
             skipped += 1
-            continue
-        vals.append(r)
-    if not vals:
+    return kept, skipped
+
+
+def relative_scale(u, M, pts):
+    """Scale of a relative residual: max |u| (1 + |M|) over the points of
+    ``u``'s arguments (``M`` takes the spatial ones), at least 1e-12.  Points
+    are skipped as in :func:`sampled`."""
+    kept, _ = sampled(lambda *p: abs(u(*p)) * (1.0 + abs(M(*p[:-1]))), pts)
+    return max([1e-12] + [v for _, v in kept])
+
+
+def _residual_report(residual_at, pts, threshold, h0, what) -> ResidualReport:
+    """Evaluate ``residual_at(*p)`` at each point and summarize; points are
+    skipped and counted as in :func:`sampled`."""
+    kept, skipped = sampled(residual_at, pts)
+    if not kept:
         raise SamplingError(f"no usable sampling points for the {what}")
-    arr = np.asarray(vals)
+    arr = np.asarray([v for _, v in kept])
     max_abs = float(np.max(np.abs(arr)))
     return ResidualReport(
         max_abs,
         float(np.sqrt(np.mean(arr**2))),
-        len(vals),
+        len(kept),
         h0,
         skipped,
-        _verdict(max_abs, threshold, len(vals), skipped),
+        _verdict(max_abs, threshold, len(kept), skipped),
         threshold,
     )
 
@@ -133,7 +152,7 @@ def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualRe
     ufn = u.fn if hasattr(u, "fn") else u
     Mfn = M.fn if hasattr(M, "fn") else M
 
-    def at(p):
+    def at(*p):
         u0 = ufn(*p)
         ut = numdiff.partial1(ufn, p, len(p) - 1, h0)
         uxx = numdiff.partial12(ufn, p, 0, h0, u0)[1]
@@ -150,7 +169,7 @@ def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> Residu
     r_ = model.rate
     cfn = c.fn if hasattr(c, "fn") else c
 
-    def at(p):
+    def at(*p):
         # the S-stencil gives both c_S and c_SS, around the one center value
         c0 = cfn(*p)
         ct = numdiff.partial1(cfn, p, len(p) - 1, h0)

@@ -180,7 +180,7 @@ def test_double_cev_assembled_potential_is_the_gauge_assembly(dcev):
 
 
 def test_rel_fp_scale_skips_typed_errors_only():
-    from liesolve.casestudies import _rel_fp_scale
+    from liesolve.verify import relative_scale
     from liesolve.errors import DomainError
 
     def u_typed(x, t):
@@ -194,9 +194,9 @@ def test_rel_fp_scale_skips_typed_errors_only():
         return 2.0
 
     pts = [(0.5, 0.2), (1.5, 0.2)]
-    assert _rel_fp_scale(u_typed, lambda x: 1.0, pts) == 4.0
+    assert relative_scale(u_typed, lambda x: 1.0, pts) == 4.0
     with pytest.raises(RuntimeError, match="defect in u"):
-        _rel_fp_scale(u_defect, lambda x: 1.0, pts)
+        relative_scale(u_defect, lambda x: 1.0, pts)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "inverse-square"])

@@ -154,6 +154,16 @@ def test_eval_polar_derived_from_cartesian():
     assert got == pytest.approx(2.0 + math.pi / 4)
 
 
+def test_eval_derives_polar_only_when_read():
+    # theta is undefined at the origin; an expression that never reads it
+    # differentiates there
+    from liesolve import hyperdual as hd
+
+    e = ex.parse("2*x + 3*y + 1")
+    d = hd.derivative(lambda x, y: ex.evaluate(e, {"x": x, "y": y}), (0.0, 0.0), 0)
+    assert d == 2.0
+
+
 def test_eval_opaque_with_derivative_chain():
     e = ex.parse("C(x^2)")
     de = ex.differentiate(e, "x")

@@ -41,6 +41,34 @@ def test_fp_residual_negative_control():
     assert rep.max_abs > 1e-4  # residual = |u| > 0 on the sampling region
 
 
+def test_sampled_skips_typed_errors_and_non_finite_values():
+    from liesolve import hyperdual as hd
+    from liesolve.errors import DomainError
+
+    def fn(x, t):
+        if x == 1.0:
+            raise DomainError("outside the domain")
+        if x == 2.0:
+            return 1.0 / (x - 2.0)  # ZeroDivisionError, an ArithmeticError
+        if x == 3.0:
+            return math.nan
+        if x == 4.0:
+            return math.inf
+        return hd.Dual2(x * t, 1.0, 0.0, 0.0)
+
+    pts = [(0.5, 2.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (5.0, 1.0)]
+    assert verify.sampled(fn, pts) == ([((0.5, 2.0), 1.0), ((5.0, 1.0), 5.0)], 4)
+
+    def defect(x, t):
+        raise RuntimeError("defect")
+
+    with pytest.raises(RuntimeError, match="defect"):
+        verify.sampled(defect, pts)
+    # an infinite |u| (1 + |M|) is skipped, not taken as the scale
+    u = lambda x, t: math.inf if x > 1.0 else -3.0
+    assert verify.relative_scale(u, lambda x: 1.0, [(0.5, 0.1), (1.5, 0.1)]) == 6.0
+
+
 def _heat_kernel_derivative(x, y, t, nx, ny):
     """Exact mixed spatial derivative of the heat kernel via probabilists'
     Hermite polynomials: d^n/dx^n e^{-x^2/2t} = (-1/sqrt(t))^n He_n(x/sqrt(t)) e^{...}."""
