@@ -36,10 +36,12 @@ is bitwise equal to its scalar pass, by three rules:
 A value-dependent branch cannot take lanes: the truth value of an array
 comparison raises, and so do ``math`` functions, ``float()`` and, inside
 lane passes, a division by zero (``LANE_ERRSTATE``), where a float would
-raise ``ZeroDivisionError``.  A caller that gets any exception from a lane
-evaluation reruns it on the scalar path, so a lane never stands in for a
-domain error.  Callables that branch on values by design (an ``exprlang``
-potential) run one lane at a time through :func:`per_lane`.
+raise ``ZeroDivisionError``.  A caller whose lane evaluation raises a
+``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``
+reruns it with its callables wrapped in :func:`per_lane`, which gives the
+scalar result or the scalar error lane by lane, so a lane never stands in
+for a domain error.  Callables that branch on values by design (an
+``exprlang`` potential) run through :func:`per_lane` from the start.
 """
 
 from __future__ import annotations

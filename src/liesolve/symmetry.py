@@ -297,18 +297,21 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     16 n, 4 n, 4 n and n lanes for n points.  M branches on values, so it
     runs one lane at a time, and only on the lanes that read E: the term M u
     of E joins after the outer pass.  Every lane is bitwise equal to the
-    scalar nested passes, which rerun the whole call if a lane evaluation
-    raises anything.
+    scalar nested passes at its point.  A lane evaluation that raises a
+    TypeError, ValueError, ArithmeticError or LiesolveError (a callable that
+    branches on values or calls ``math`` on a jet, a lane division by zero)
+    reruns the same passes with u and vf's five coefficients wrapped in
+    :func:`liesolve.hyperdual.per_lane`, one lane at a time, which gives the
+    scalar passes' defects or their error.
     """
     M = _as_xy_field(M)
     points = _filter_points(M, points or default_sampling())
-    try:
-        with np.errstate(**hd.LANE_ERRSTATE):
+    with np.errstate(**hd.LANE_ERRSTATE):
+        try:
             defects = _lane_defects(vf, M, u_test.fn, points)
-    except Exception:
-        # a callable that cannot take lanes, or a lane that would raise on
-        # floats: the scalar passes give the result or the error
-        defects = [_scalar_defect(vf, M, u_test.fn, *pt) for pt in points]
+        except (TypeError, ValueError, ArithmeticError, LiesolveError):
+            one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
+            defects = _lane_defects(one_lane, M, hd.per_lane(u_test.fn), points)
     worst = 0.0
     for d in defects:
         worst = max(worst, abs(d))
@@ -357,44 +360,6 @@ def _lane_defects(vf, M, u, points):
         + vf.Y(x, y, t) * E_xy.c
     )
     return np.broadcast_to(hd.value(defect), (len(points),)).tolist()
-
-
-def _scalar_defect(vf, M, u, x, y, t):
-    """The invariance defect at one point from separate nested scalar passes."""
-
-    def sigma(x, y, t):
-        ut = hd.derivative(u, (x, y, t), 2)
-        ux, uy = hd.derivative_pair(u, (x, y, t), 0, 1)
-        return (
-            vf.A(x, y, t) * u(x, y, t)
-            + vf.B(x, y, t)
-            - vf.T(x, y, t) * ut
-            - vf.X(x, y, t) * ux
-            - vf.Y(x, y, t) * uy
-        )
-
-    def E(x, y, t):
-        ut = hd.derivative(u, (x, y, t), 2)
-        uxx = hd.derivative(u, (x, y, t), 0, order=2)
-        uyy = hd.derivative(u, (x, y, t), 1, order=2)
-        return ut - 0.5 * (uxx + uyy) + M.fn(x, y) * u(x, y, t)
-
-    def L_of(F, x, y, t):
-        ft = hd.derivative(F, (x, y, t), 2)
-        fxx = hd.derivative(F, (x, y, t), 0, order=2)
-        fyy = hd.derivative(F, (x, y, t), 1, order=2)
-        return ft - 0.5 * (fxx + fyy) + M.fn(x, y) * F(x, y, t)
-
-    Tt = hd.derivative(vf.T, (x, y, t), 2)
-    Ex, Ey = hd.derivative_pair(E, (x, y, t), 0, 1)
-    resid = (
-        L_of(sigma, x, y, t)
-        - (vf.A(x, y, t) - Tt) * E(x, y, t)
-        + vf.T(x, y, t) * hd.derivative(E, (x, y, t), 2)
-        + vf.X(x, y, t) * Ex
-        + vf.Y(x, y, t) * Ey
-    )
-    return hd.value(resid)
 
 
 # ---------------------------------------------------------------------------

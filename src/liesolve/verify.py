@@ -367,15 +367,9 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
         if dt * float(np.max(np.abs(mvals))) > 2.0:
             raise UnstableConfig("dt too large for the reaction term (growth check)")
         _check_contamination(u, grid, tau_end)
-        coef = 0.5 * dt * 0.5 / (h * h)
         n = len(xs)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -coef
-        ab[1, :] = 1.0 + 2.0 * coef + 0.5 * dt * mvals
-        ab[2, :-1] = -coef
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
+        ab = _banded_factors(n, h, dt, 0.5)
+        ab[1, 1:-1] += 0.5 * dt * mvals[1:-1]
         solve = _tridiagonal_solver(ab)
         hh = h * h
         lap, expl, rhs = np.zeros(n), np.empty(n), np.empty(n)

@@ -1,7 +1,8 @@
 """Lane passes: every lane of a batched jet pass is bitwise the scalar pass at
 its point, for plain and nested passes, powers, quotients of jets and the
-elementary functions; the invariance residual falls back to its scalar passes
-when a test field cannot take lanes."""
+elementary functions; the invariance residual reruns its passes one lane at a
+time when a test field or a coefficient cannot take lanes, and equals the
+nested scalar passes kept here as the reference."""
 
 import math
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from liesolve import fields as F
 from liesolve import hyperdual as hd
 from liesolve import symmetry as S
+from liesolve.errors import LiesolveError, UnboundSymbol
 from liesolve.fields import ScalarField
 from liesolve.reductions import catalog
 
@@ -160,6 +162,44 @@ def test_per_lane_rebuilds_scalar_arguments_and_stacks_the_results():
 # -- the invariance residual ------------------------------------------------------
 
 
+def _scalar_defect(vf, M, u, x, y, t):
+    """The invariance defect at one point from separate nested scalar passes."""
+
+    def sigma(x, y, t):
+        ut = hd.derivative(u, (x, y, t), 2)
+        ux, uy = hd.derivative_pair(u, (x, y, t), 0, 1)
+        return (
+            vf.A(x, y, t) * u(x, y, t)
+            + vf.B(x, y, t)
+            - vf.T(x, y, t) * ut
+            - vf.X(x, y, t) * ux
+            - vf.Y(x, y, t) * uy
+        )
+
+    def E(x, y, t):
+        ut = hd.derivative(u, (x, y, t), 2)
+        uxx = hd.derivative(u, (x, y, t), 0, order=2)
+        uyy = hd.derivative(u, (x, y, t), 1, order=2)
+        return ut - 0.5 * (uxx + uyy) + M.fn(x, y) * u(x, y, t)
+
+    def L_of(F, x, y, t):
+        ft = hd.derivative(F, (x, y, t), 2)
+        fxx = hd.derivative(F, (x, y, t), 0, order=2)
+        fyy = hd.derivative(F, (x, y, t), 1, order=2)
+        return ft - 0.5 * (fxx + fyy) + M.fn(x, y) * F(x, y, t)
+
+    Tt = hd.derivative(vf.T, (x, y, t), 2)
+    Ex, Ey = hd.derivative_pair(E, (x, y, t), 0, 1)
+    resid = (
+        L_of(sigma, x, y, t)
+        - (vf.A(x, y, t) - Tt) * E(x, y, t)
+        + vf.T(x, y, t) * hd.derivative(E, (x, y, t), 2)
+        + vf.X(x, y, t) * Ex
+        + vf.Y(x, y, t) * Ey
+    )
+    return hd.value(resid)
+
+
 def _draw(cid, draw):
     case = catalog()[cid]
     rng = np.random.default_rng([9, list(catalog()).index(cid), draw])
@@ -182,7 +222,7 @@ def test_invariance_lanes_are_bitwise_the_scalar_defects(cid, draw, kind, seed):
     vf, M, pts = _draw(cid, draw)
     u = _field(kind, seed)
     try:
-        want = [_hex(S._scalar_defect(vf, M, u, *pt)) for pt in pts]
+        want = [_hex(_scalar_defect(vf, M, u, *pt)) for pt in pts]
     except ArithmeticError as err:
         # a point outside the field's domain: the lanes raise where the
         # floats raise, and the residual gives the scalar passes' error
@@ -202,5 +242,74 @@ def test_field_on_math_exp_returns_the_scalar_result_through_the_fallback():
     vf, M, pts = _draw("1.2b", 3)
     with pytest.raises(TypeError):
         S._lane_defects(vf, M, u.fn, pts)
-    want = max(abs(S._scalar_defect(vf, M, u.fn, *pt)) for pt in pts)
+    want = max(abs(_scalar_defect(vf, M, u.fn, *pt)) for pt in pts)
     assert S.symmetry_residual(vf, M, u, points=pts).hex() == want.hex()
+
+
+def test_coefficient_on_math_exp_falls_back_with_the_field():
+    # the catalog coefficients with a B that calls math.exp on a jet's value:
+    # the rerun has to take every coefficient one lane at a time, not only u
+    vf, M, pts = _draw("1.2b", 3)
+    vf = S.VectorField(vf.T, vf.X, vf.Y, vf.A, lambda x, y, t: math.exp(-float(t)), name="libm B")
+    u = F.random_smooth_field(np.random.default_rng(5)).fn
+    with pytest.raises(TypeError):
+        S._lane_defects(vf, M, hd.per_lane(u), pts)
+    want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
+    got = S.symmetry_residual(vf, M, ScalarField(u, name="smooth"), points=pts)
+    assert got.hex() == want.hex()
+
+
+def _branch_on_t(x, y, t):
+    # the truth value of a lane comparison raises ValueError
+    return hd.exp(-t) * x * y if hd.value(t) > 0.6 else x * x - y * y + t
+
+
+def _raises_on_lanes(err):
+    def u(x, y, t):
+        if isinstance(hd.value(t), np.ndarray):
+            raise err
+        return hd.exp(-0.5 * t) * x * y + y * y * t
+
+    return u
+
+
+# TypeError: the math.exp tests above
+@pytest.mark.parametrize(
+    "u",
+    [
+        _branch_on_t,
+        _raises_on_lanes(FloatingPointError("lanes")),
+        _raises_on_lanes(UnboundSymbol("lanes")),
+    ],
+    ids=["ValueError", "ArithmeticError", "LiesolveError"],
+)
+def test_each_caught_class_reruns_one_lane_at_a_time(u):
+    vf, M, pts = _draw("1.4a", 2)
+    with pytest.raises((TypeError, ValueError, ArithmeticError, LiesolveError)):
+        S._lane_defects(vf, M, u, pts)
+    want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
+    assert S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts).hex() == want.hex()
+
+
+def test_runtime_error_propagates_unchanged():
+    err = RuntimeError("not a lane error")
+
+    def u(x, y, t):
+        raise err
+
+    vf, M, pts = _draw("1.4a", 2)
+    with pytest.raises(RuntimeError) as got:
+        S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts)
+    assert got.value is err
+
+
+def test_float_only_method_on_lanes_is_not_rescued():
+    # the scalar passes take hd.value(t).is_integer(); lanes raise
+    # AttributeError, which is not one of the rerun's classes
+    def u(x, y, t):
+        return hd.exp(t) * x if hd.value(t).is_integer() else y * t
+
+    vf, M, pts = _draw("1.4a", 2)
+    _scalar_defect(vf, M, u, *pts[0])
+    with pytest.raises(AttributeError):
+        S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts)

@@ -202,7 +202,7 @@ def _box_escape(error):
     return pytest.mark.xfail(
         raises=error,
         strict=True,
-        reason="ROADMAP item 4: draw_params leaves the 1F1 box",
+        reason="ROADMAP item 1: draw_params leaves the 1F1 box",
     )
 
 
