@@ -203,8 +203,8 @@ class _OpaqueWrapper:
         return f(z)
 
 
-# polar variables derived from bound x, y
-_POLAR = {"r_polar": hd.hypot, "theta": lambda x, y: hd.atan2(y, x)}
+# polar variables derived from bound x, y (r_polar as sqrt(x^2 + y^2), not libm hypot)
+_POLAR = {"r_polar": lambda x, y: hd.sqrt(x * x + y * y), "theta": lambda x, y: hd.atan2(y, x)}
 
 
 def evaluate(e, point=None, params=None, opaque=None):

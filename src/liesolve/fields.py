@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -84,14 +85,13 @@ def polynomial_field(coeffs, nargs=3, name="poly"):
     return ScalarField(fn, nargs=nargs, name=name)
 
 
-def random_polynomial_field(rng, nargs=3, degree=3, scale=1.0, name="randpoly"):
-    coeffs = {}
-    import itertools
+def _random_coeffs(rng, nargs, degree, scale=1.0):
+    expos = (e for e in itertools.product(range(degree + 1), repeat=nargs) if sum(e) <= degree)
+    return {e: scale * rng.uniform(-1.0, 1.0) for e in expos}
 
-    for expo in itertools.product(range(degree + 1), repeat=nargs):
-        if sum(expo) <= degree:
-            coeffs[expo] = scale * rng.uniform(-1.0, 1.0)
-    return polynomial_field(coeffs, nargs=nargs, name=name)
+
+def random_polynomial_field(rng, nargs=3, degree=3, scale=1.0, name="randpoly"):
+    return polynomial_field(_random_coeffs(rng, nargs, degree, scale), nargs=nargs, name=name)
 
 
 def gaussian_bump(center, width, amplitude=1.0, nargs=3, name="bump"):
@@ -120,11 +120,22 @@ def random_smooth_field(rng, nargs=3, name="smooth"):
     The standard draw for reduction-consistency trials: smooth, decaying,
     with exact derivatives.
     """
+    return smooth_field_lanes([rng], None, nargs, name)
+
+
+def smooth_field_lanes(rngs, counts, nargs=3, name="smooth"):
+    """A :func:`random_smooth_field` draw from each of ``rngs`` in turn, the
+    k-th draw's coefficients on ``counts[k]`` consecutive lanes (see
+    :mod:`liesolve.hyperdual`); ``counts=None`` keeps one draw's floats."""
     spatial = 2 if nargs >= 3 else 1
-    poly = random_polynomial_field(rng, nargs=nargs, degree=2, name="p")
-    center = [rng.uniform(-0.5, 0.5) for _ in range(spatial)]
-    width = rng.uniform(1.5, 3.0)
-    bump = gaussian_bump(center, width, nargs=nargs)
+    draws = []
+    for rng in rngs:
+        coeffs = _random_coeffs(rng, nargs, 2)
+        center = [rng.uniform(-0.5, 0.5) for _ in range(spatial)]
+        draws.append([*coeffs.values(), *center, rng.uniform(1.5, 3.0)])
+    cols = draws[0] if counts is None else [np.repeat(col, counts) for col in zip(*draws)]
+    poly = polynomial_field(dict(zip(coeffs, cols)), nargs=nargs, name="p")
+    bump = gaussian_bump(cols[len(coeffs):-1], cols[-1], nargs=nargs)
 
     def fn(*args):
         return (poly.fn(*args) + 0.5) * bump.fn(*args)

@@ -20,9 +20,10 @@ remain the *independent* route used by the verification oracles.
 Lanes (forward "vector mode", Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., ch. 3).  A slot may hold a numpy array: element k of every slot is
 then lane k, one independent evaluation.  :func:`lane_pass` runs ``fn`` once
-over ``len(patterns) x L`` lanes, one (seed pattern, point) pair per lane,
-and :func:`float_lanes` hands plain values to a callable as lanes.  Each lane
-is bitwise equal to its scalar pass, by three rules:
+over ``len(patterns) x L`` lanes, one (seed pattern, point) pair per lane;
+:func:`jet`, :func:`derivative` and :func:`derivative_pair` take L lanes as
+arguments, as they take floats; :func:`float_lanes` hands plain values to a
+callable as lanes.  Each lane is bitwise its scalar pass, by three rules:
 
 - ``+ - * /`` on float64 arrays are correctly rounded, as on floats, and
   every formula is the scalar one, so the association is the same;
@@ -313,7 +314,9 @@ def atan2(y, x):
 
 
 def hypot(x, y):
-    return sqrt(x * x + y * y)
+    if isinstance(x, Dual2) or isinstance(y, Dual2):
+        return sqrt(x * x + y * y)
+    return _each(math.hypot, x, y)
 
 
 def lift1(f, df, d2f):
@@ -330,8 +333,11 @@ def lift1(f, df, d2f):
 # -- seeded evaluation helpers ----------------------------------------------
 
 def _keep(a):
-    # nested derivative chains pass Dual2 coordinates through as-is
-    return a if isinstance(a, Dual2) else float(a)
+    # nested derivative chains pass Dual2 coordinates through as-is, and
+    # lane arrays stay lanes
+    if isinstance(a, Dual2):
+        return a
+    return np.asarray(a, float) if isinstance(a, np.ndarray) and a.ndim else float(a)
 
 
 def _seeded_pass(fn, args, i, j):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import hyperdual as hd
-from ..errors import SamplingError
-from ..fields import ScalarField, random_smooth_field
+from ..errors import LiesolveError, SamplingError
+from ..fields import ScalarField, random_smooth_field, smooth_field_lanes
 from ..verify import sampled
 from .catalog import CaseReduction, catalog
 from .separated import SeparatedSolution
@@ -88,38 +89,59 @@ def verify_reduction_consistency(
     reduced operator applied to P at the mapped points.  Agreement within
     ``tol`` relative at every point certifies the (map, prefactor, operator)
     triple as a unit.
+
+    All trials' points run as lanes of one evaluation, each on its trial's
+    field, the potential one lane at a time; each lane is bitwise its point's
+    scalar evaluation.  If the lanes raise a TypeError, ValueError,
+    ArithmeticError or LiesolveError, the same formula reruns one point at a
+    time, which gives the scalar skips, values and errors in scalar order.
     """
     case = case if isinstance(case, CaseReduction) else get_case(case)
     smap = case.similarity(params)
     op = case.reduced_operator(params)
-    M = case.potential_field(params)
-    worst = 0.0
-    per_trial = []
-    for k in range(trials):
-        rng = np.random.default_rng(seed + 1000 * k + 7)
-        Pf = random_smooth_field(rng, nargs=2, name=f"P{k}")
-        u = reconstruct_u(case, params, Pf.fn)
+    M = case.potential_field(params).fn
+
+    def draw(k):  # trial k's generator and its points off the singular locus
         pts = case.region_xyt(params, n=n_points, seed=seed + k)
+        rng = np.random.default_rng(seed + 1000 * k + 7)
+        return rng, [pt for pt in pts if not smap.singular(*pt)]
 
-        def ratio(x, y, t):
-            lhs = (
-                u.dt(x, y, t)
-                - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t))
-                + M.fn(x, y) * u(x, y, t)
-            )
-            xi, eta = smap.to_sim(x, y, t)
-            rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(
-                op(Pf.fn, hd.value(xi), hd.value(eta))
-            )
-            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
+    def trial_kept(rng, pts):
+        P = random_smooth_field(rng, nargs=2).fn
+        return sampled(lambda *pt: _ratio(*_sides(smap, op, M, P, *pt)), pts)[0]
 
-        kept, _ = sampled(ratio, [pt for pt in pts if not smap.singular(*pt)])
-        if len(kept) < max(3, n_points // 3):
-            raise SamplingError(f"case {case.case_id}: only {len(kept)} usable sample points")
-        trial_worst = max([0.0] + [v for _, v in kept])
-        per_trial.append(trial_worst)
-        worst = max(worst, trial_worst)
+    try:
+        draws = [draw(k) for k in range(trials)]
+        counts = [len(pts) for _, pts in draws]
+        P = smooth_field_lanes([rng for rng, _ in draws], counts, nargs=2).fn
+        xyt = hd.float_lanes(np.transpose([pt for _, pts in draws for pt in pts]))
+        with np.errstate(**hd.LANE_ERRSTATE):
+            sides = _sides(smap, op, hd.per_lane(M), P, *xyt)
+        pairs = zip(*(np.broadcast_to(s, (sum(counts),)).tolist() for s in sides))
+        kept = [sampled(_ratio, itertools.islice(pairs, n))[0] for n in counts]
+    except (TypeError, ValueError, ArithmeticError, LiesolveError):
+        # lazily, so that a trial's error comes before the next trial's points
+        kept = (trial_kept(*draw(k)) for k in range(trials))
+    per_trial = []
+    for k_kept in kept:
+        if len(k_kept) < max(3, n_points // 3):
+            raise SamplingError(f"case {case.case_id}: only {len(k_kept)} usable sample points")
+        per_trial.append(max([0.0] + [v for _, v in k_kept]))
+    worst = max([0.0] + per_trial)
     return ConsistencyReport(case.case_id, trials, worst, worst <= tol, per_trial)
+
+
+def _sides(smap, op, M, P, x, y, t):
+    """(FP(u), J * reduced_op(P)) at one point or on lanes, u rebuilt from P."""
+    u = smap.reconstruct(P)
+    lhs = u.dt(x, y, t) - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t)) + M(x, y) * u(x, y, t)
+    xi, eta = smap.to_sim(x, y, t)
+    rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(op(P, hd.value(xi), hd.value(eta)))
+    return lhs, rhs
+
+
+def _ratio(lhs, rhs):
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
 
 
 __all__ = [

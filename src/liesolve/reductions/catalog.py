@@ -71,8 +71,8 @@ def _polar_jet(P, xi, eta):
     def Pp(rho, th):
         return P(rho * hd.cos(th), rho * hd.sin(th))
 
-    rho = math.hypot(hd.value(xi), hd.value(eta))
-    th = math.atan2(hd.value(eta), hd.value(xi))
+    rho = hd.hypot(hd.value(xi), hd.value(eta))
+    th = hd.atan2(hd.value(eta), hd.value(xi))
     _, pr, prr = hd.jet(Pp, (rho, th), 0)
     ptt = hd.derivative(Pp, (rho, th), 1, order=2)
     return rho, th, Pp(rho, th), pr, prr, ptt
@@ -155,25 +155,25 @@ def _c_scalar(p, default):
 
 # opaque defaults: smooth profiles with analytic derivative chains
 _C_THETA = (
-    lambda s: 2.0 + math.sin(s) + 0.3 * math.sin(2 * s),
-    lambda s: math.cos(s) + 0.6 * math.cos(2 * s),
-    lambda s: -math.sin(s) - 1.2 * math.sin(2 * s),
-    lambda s: -math.cos(s) - 2.4 * math.cos(2 * s),
-    lambda s: math.sin(s) + 4.8 * math.sin(2 * s),
+    lambda s: 2.0 + hd.sin(s) + 0.3 * hd.sin(2 * s),
+    lambda s: hd.cos(s) + 0.6 * hd.cos(2 * s),
+    lambda s: -hd.sin(s) - 1.2 * hd.sin(2 * s),
+    lambda s: -hd.cos(s) - 2.4 * hd.cos(2 * s),
+    lambda s: hd.sin(s) + 4.8 * hd.sin(2 * s),
 )
 _C_RADIAL = (
-    lambda s: math.exp(-s) + 0.2 * s**3,
-    lambda s: -math.exp(-s) + 0.6 * s**2,
-    lambda s: math.exp(-s) + 1.2 * s,
-    lambda s: -math.exp(-s) + 1.2,
-    lambda s: math.exp(-s),
+    lambda s: hd.exp(-s) + 0.2 * s**3,
+    lambda s: -hd.exp(-s) + 0.6 * s**2,
+    lambda s: hd.exp(-s) + 1.2 * s,
+    lambda s: -hd.exp(-s) + 1.2,
+    lambda s: hd.exp(-s),
 )
 _C_LINE = (
-    lambda s: math.sin(1.3 * s) + 0.1 * s**4 + 1.5,
-    lambda s: 1.3 * math.cos(1.3 * s) + 0.4 * s**3,
-    lambda s: -1.69 * math.sin(1.3 * s) + 1.2 * s**2,
-    lambda s: -2.197 * math.cos(1.3 * s) + 2.4 * s,
-    lambda s: 2.8561 * math.sin(1.3 * s) + 2.4,
+    lambda s: hd.sin(1.3 * s) + 0.1 * s**4 + 1.5,
+    lambda s: 1.3 * hd.cos(1.3 * s) + 0.4 * s**3,
+    lambda s: -1.69 * hd.sin(1.3 * s) + 1.2 * s**2,
+    lambda s: -2.197 * hd.cos(1.3 * s) + 2.4 * s,
+    lambda s: 2.8561 * hd.sin(1.3 * s) + 2.4,
 )
 
 
@@ -382,10 +382,10 @@ def _case_13(p):
 
     def op(P, xi, eta):
         rho2 = xi * xi + eta * eta
-        rho = math.sqrt(hd.value(rho2))
-        th = math.atan2(hd.value(eta), hd.value(xi))
+        rho = hd.sqrt(hd.value(rho2))
+        th = hd.atan2(hd.value(eta), hd.value(xi))
         lap, px, py = _lap_grad(P, xi, eta)
-        s = lam * math.log(rho) + th
+        s = lam * hd.log(rho) + th
         return rho2 * (lap + (xi + lam * eta) * px + (eta - lam * xi) * py) - 2.0 * C(
             s
         ) * P(xi, eta)
@@ -483,7 +483,7 @@ def _case_16(p):
         # similarity variables are (xi, eta) = (rho^2, t)
         _, px, pxx = hd.jet(P, (xi, eta), 0)
         pe = hd.derivative(P, (xi, eta), 1)
-        r = math.sqrt(hd.value(xi))
+        r = hd.sqrt(hd.value(xi))
         return (
             4.0 * xi * xi * pxx
             + 4.0 * xi * px

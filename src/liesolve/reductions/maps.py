@@ -402,11 +402,13 @@ def map_18b(c, b, b1, b2):
     def W(x, y, t):
         # the pure-time factor makes the reduced operator exactly
         # P_xx - 2 P_t - 2 C(x) P
-        core = (g3(t) / f3(t)) * y * (c * y + b) / a1
+        f3t = f3(t)
+        core = (g3(t) / f3t) * y * (c * y + b) / a1
+        sign = (hd.value(f3t) > 0) * 2.0 - 1.0  # a product, not a branch, so lanes pass
         theta_t = (
-            0.5 * hd.log(f3(t) if hd.value(f3(t)) > 0 else -f3(t))
+            0.5 * hd.log(f3t * sign)
             - b * b * t / (4.0 * c)
-            + b * b * g3(t) / (4.0 * c * a1 * f3(t))
+            + b * b * g3(t) / (4.0 * c * a1 * f3t)
         )
         return core + theta_t
 

@@ -252,12 +252,12 @@ def _filter_points(M, points):
 
 
 def compatibility_condition(data: SymmetryData, M, points=None) -> float:
-    """Max abs of the scalar determining condition over the sampling set."""
+    """Max abs of the scalar determining condition over the sampling set, or NaN."""
     M = _as_xy_field(M)
     vf = infinitesimals(data)
     points = _filter_points(M, points or default_sampling())
     f1d = data.f1.d()
-    worst = 0.0
+    resids = []
     for (x, y, t) in points:
         Mx, My = M.grad(0, 1, (x, y))
         Mv = M.fn(x, y)
@@ -271,8 +271,8 @@ def compatibility_condition(data: SymmetryData, M, points=None) -> float:
             + vf.X(x, y, t) * Mx
             + vf.Y(x, y, t) * My
         )
-        worst = max(worst, abs(hd.value(resid)))
-    return worst
+        resids.append(hd.value(resid))
+    return float(np.max(np.abs(resids), initial=0.0))  # NaN-propagating
 
 
 def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> float:
@@ -302,7 +302,7 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     branches on values or calls ``math`` on a jet, a lane division by zero)
     reruns the same passes with u and vf's five coefficients wrapped in
     :func:`liesolve.hyperdual.per_lane`, one lane at a time, which gives the
-    scalar passes' defects or their error.
+    scalar passes' defects or their error, and a NaN defect gives NaN.
     """
     M = _as_xy_field(M)
     points = _filter_points(M, points or default_sampling())
@@ -312,10 +312,7 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
         except (TypeError, ValueError, ArithmeticError, LiesolveError):
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
             defects = _lane_defects(one_lane, M, hd.per_lane(u_test.fn), points)
-    worst = 0.0
-    for d in defects:
-        worst = max(worst, abs(d))
-    return worst
+    return float(np.max(np.abs(defects), initial=0.0))  # NaN-propagating
 
 
 # seed patterns (i, j): e1 on coordinate i, e2 on coordinate j of (x, y, t)

@@ -2,8 +2,12 @@
 its point, for plain and nested passes, powers, quotients of jets and the
 elementary functions; the invariance residual reruns its passes one lane at a
 time when a test field or a coefficient cannot take lanes, and equals the
-nested scalar passes kept here as the reference."""
+nested scalar passes kept here as the reference; the reduction-consistency
+check evaluates every trial's points as lanes of one evaluation, reruns point
+by point when the lanes raise, and equals the scalar ratio loop kept here as
+the reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import liesolve.reductions as R
 from liesolve import fields as F
 from liesolve import hyperdual as hd
 from liesolve import symmetry as S
-from liesolve.errors import LiesolveError, UnboundSymbol
+from liesolve.errors import LiesolveError, SamplingError, UnboundSymbol
 from liesolve.fields import ScalarField
-from liesolve.reductions import catalog
+from liesolve.reductions import catalog, reconstruct_u
+from liesolve.verify import sampled
 
 # every (i, j) seeding that derivative, derivative_pair and jet make
 PATTERNS = ((0, None), (1, None), (2, None), (0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2))
@@ -313,3 +319,137 @@ def test_float_only_method_on_lanes_is_not_rescued():
     _scalar_defect(vf, M, u, *pts[0])
     with pytest.raises(AttributeError):
         S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts)
+
+
+def test_nan_field_certifies_no_generator():
+    # a quiet NaN raises nothing on lanes; the residual must not drop it
+    vf, M, pts = _draw("1.4a", 2)
+    wrong = S.VectorField(vf.T, vf.X, vf.Y, vf.A, lambda x, y, t: 1000.0 * x, name="B = 1000 x")
+    nan_u = ScalarField(lambda x, y, t: x * y * t * math.nan, name="nan")
+    smooth = ScalarField(lambda x, y, t: x * y * hd.exp(t), name="x y e^t")
+    assert S.symmetry_residual(wrong, M, smooth, points=pts) > 1.0
+    for v in (vf, wrong):
+        assert math.isnan(S.symmetry_residual(v, M, nan_u, points=pts))
+    # the determining condition folds its residuals the same way
+    assert math.isnan(S.compatibility_condition(S.SymmetryData(f2=S.poly(math.nan)), M, points=pts))
+
+
+# -- the reduction-consistency check ----------------------------------------------
+
+
+def _reference_per_trial(case, params, trials=3, seed=0, tol=1e-6, n_points=12):
+    """The Jacobian-ratio loop one trial and one point at a time."""
+    smap = case.similarity(params)
+    op = case.reduced_operator(params)
+    M = case.potential_field(params)
+    worst = 0.0
+    per_trial = []
+    for k in range(trials):
+        rng = np.random.default_rng(seed + 1000 * k + 7)
+        Pf = F.random_smooth_field(rng, nargs=2, name=f"P{k}")
+        u = reconstruct_u(case, params, Pf.fn)
+        pts = case.region_xyt(params, n=n_points, seed=seed + k)
+
+        def ratio(x, y, t):
+            lhs = (
+                u.dt(x, y, t)
+                - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t))
+                + M.fn(x, y) * u(x, y, t)
+            )
+            xi, eta = smap.to_sim(x, y, t)
+            rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(
+                op(Pf.fn, hd.value(xi), hd.value(eta))
+            )
+            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
+
+        kept, _ = sampled(ratio, [pt for pt in pts if not smap.singular(*pt)])
+        if len(kept) < max(3, n_points // 3):
+            raise SamplingError(f"case {case.case_id}: only {len(kept)} usable sample points")
+        trial_worst = max([0.0] + [v for _, v in kept])
+        per_trial.append(trial_worst)
+        worst = max(worst, trial_worst)
+    return per_trial
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return [_hex(v) for v in fn(*args, **kw)]
+    except (LiesolveError, ArithmeticError, ValueError, TypeError) as err:
+        return type(err).__name__, str(err)
+
+
+def _consistency(monkeypatch, case, params, **kw):
+    """(per_trial hex or the error, number of _sides evaluations)."""
+    calls = []
+    sides = R._sides
+    monkeypatch.setattr(R, "_sides", lambda *a: calls.append(a) or sides(*a))
+    got = _outcome(lambda: R.verify_reduction_consistency(case, params, **kw).per_trial)
+    return got, len(calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cid=st.sampled_from(sorted(catalog())),
+    draw=st.integers(0, 2**16),
+    seed=st.integers(0, 64),
+    trials=st.integers(1, 3),
+    n_points=st.sampled_from((6, 12)),
+)
+def test_consistency_lanes_are_bitwise_the_scalar_loop(cid, draw, seed, trials, n_points):
+    case = catalog()[cid]
+    params = case.draw_params(np.random.default_rng([13, draw]))
+    kw = dict(trials=trials, seed=seed, n_points=n_points)
+    got = _outcome(lambda: R.verify_reduction_consistency(case, params, **kw).per_trial)
+    assert got == _outcome(_reference_per_trial, case, params, **kw)
+
+
+@pytest.mark.parametrize("cid", sorted(catalog()))
+def test_consistency_runs_every_case_on_lanes(monkeypatch, cid):
+    case = catalog()[cid]
+    params = case.draw_params(np.random.default_rng(3))
+    got, evaluations = _consistency(monkeypatch, case, params, seed=3)
+    assert evaluations == 1  # one lane evaluation, no fallback
+    assert got == _outcome(_reference_per_trial, case, params, seed=3)
+
+
+def _params_12a(**over):
+    return {**catalog()["1.2a"].draw_params(np.random.default_rng(2)), **over}
+
+
+@pytest.mark.parametrize(
+    "params, seed, evaluations",
+    [
+        # an opaque factor on math.sin cannot take lanes: one point at a time
+        (_params_12a(C=lambda s: 2.0 + math.sin(s)), 0, 1 + 36),
+        # math.sqrt also raises ValueError at theta < 0, where the scalar
+        # loop skips the point; trial 1 keeps too few, and trial 2 never runs
+        (_params_12a(C=lambda s: 2.0 + math.sqrt(s)), 2, 1 + 24),
+        # f1 = t (delta2 t + delta1) <= 0 for t > 0.38: trial 0 keeps no point
+        (_params_12a(delta1=0.5, delta2=-1.3), 1, 1),
+    ],
+    ids=["fallback", "fallback-sampling-error", "lanes-sampling-error"],
+)
+def test_consistency_pins_the_fallback_and_the_sampling_error(monkeypatch, params, seed,
+                                                              evaluations):
+    case = catalog()["1.2a"]
+    got = _consistency(monkeypatch, case, params, seed=seed)
+    assert got == (_outcome(_reference_per_trial, case, params, seed=seed), evaluations)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.parametrize("seed", [0, 16])
+def test_consistency_lanes_skip_non_finite_ratios(monkeypatch, seed):
+    # J * e^(300 y) * 1e300 overflows to inf for y > 0 without raising, on
+    # lanes as on floats; those ratios are NaN and skipped, and at seed 16
+    # a trial keeps only 3 points
+    case = catalog()["1.2a"]
+    params = case.draw_params(np.random.default_rng(2))
+    smap = case.similarity(params)
+    J = smap.jacobian
+    big = dataclasses.replace(smap, jacobian=lambda x, y, t: J(x, y, t) * hd.exp(300.0 * y) * 1e300)
+    try:
+        case.similarity = lambda p: big
+        got = _consistency(monkeypatch, case, params, seed=seed)
+        assert got == (_outcome(_reference_per_trial, case, params, seed=seed), 1)
+    finally:
+        del case.similarity
