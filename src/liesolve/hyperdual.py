@@ -39,10 +39,11 @@ comparison raises, and so do ``math`` functions, ``float()`` and, inside
 lane passes, a division by zero (``LANE_ERRSTATE``), where a float would
 raise ``ZeroDivisionError``.  A caller whose lane evaluation raises a
 ``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``
-reruns it with its callables wrapped in :func:`per_lane`, which gives the
-scalar result or the scalar error lane by lane, so a lane never stands in
-for a domain error.  Callables that branch on values by design (an
-``exprlang`` potential) run through :func:`per_lane` from the start.
+reruns it point by point, or with its callables wrapped in
+:func:`per_lane`, which gives the scalar result or the scalar error lane by
+lane, so a lane never stands in for a domain error.  Callables that branch
+on values by design (an ``exprlang`` potential) run through
+:func:`per_lane` from the start.
 """
 
 from __future__ import annotations

@@ -8,14 +8,19 @@ the caller (the symmetry checks use 1e-3, the potential assembly 1e-4).
 :func:`partial12` takes the first and the second partial along one axis from
 one shared stencil, and accepts the center value when the caller already has
 it, so a residual that needs both derivatives and the value pays four
-evaluations per axis plus one for the center.  Its formulas are those of
-:func:`d1` and :func:`d2`, so the results are bit-identical to theirs.
+evaluations per axis plus one for the center.
+
+The formulas live in :func:`first`, :func:`second` and :func:`cross`, which
+combine stencil values given as floats or as lanes (numpy arrays, element k
+the stencil of sample point k).  :func:`stencil_lanes` lays out every
+stencil point of many sample points as lanes of one evaluation, with the
+same step and offsets as the float routes, so each lane's combination is
+bitwise the float one (see :mod:`liesolve.hyperdual` on lanes).
 """
 
 from __future__ import annotations
 
-# O(h^4) central first derivative:  (-f2 + 8f1 - 8fm1 + fm2) / (12 h)
-# O(h^4) central second derivative: (-f2 + 16f1 - 30f0 + 16fm1 - fm2) / (12 h^2)
+import numpy as np
 
 DEFAULT_H = 1e-3
 
@@ -24,16 +29,29 @@ def step(coord, h0=DEFAULT_H):
     return h0 * max(1.0, abs(coord))
 
 
+# O(h^4) central first derivative:  (-f2 + 8f1 - 8fm1 + fm2) / (12 h)
+def first(fp2, fp1, fm1, fm2, h):
+    return (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
+
+
+# O(h^4) central second derivative: (-f2 + 16f1 - 30f0 + 16fm1 - fm2) / (12 h^2)
+def second(fp2, fp1, f0, fm1, fm2, h):
+    return (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
+
+
+# O(h^2) mixed second derivative from the four corners (+h_i +h_j, +h_i -h_j, ...)
+def cross(fpp, fpm, fmp, fmm, hi, hj):
+    return (fpp - fpm - fmp + fmm) / (4 * hi * hj)
+
+
 def d1(f, x, h0=DEFAULT_H):
     h = step(x, h0)
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+    return first(f(x + 2 * h), f(x + h), f(x - h), f(x - 2 * h), h)
 
 
 def d2(f, x, h0=DEFAULT_H):
     h = step(x, h0)
-    return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)) / (
-        12 * h * h
-    )
+    return second(f(x + 2 * h), f(x + h), f(x), f(x - h), f(x - 2 * h), h)
 
 
 def _along(f, args, i):
@@ -66,10 +84,7 @@ def partial12(f, args, i, h0=DEFAULT_H, center=None):
     h = step(x, h0)
     fp2, fp1, fm1, fm2 = g(x + 2 * h), g(x + h), g(x - h), g(x - 2 * h)
     f0 = g(x) if center is None else center
-    return (
-        (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h),
-        (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h),
-    )
+    return first(fp2, fp1, fm1, fm2, h), second(fp2, fp1, f0, fm1, fm2, h)
 
 
 def mixed2(f, args, i, j, h0=DEFAULT_H):
@@ -83,4 +98,38 @@ def mixed2(f, args, i, j, h0=DEFAULT_H):
         a[j] += dj
         return f(*a)
 
-    return (at(hi, hj) - at(hi, -hj) - at(-hi, hj) + at(-hi, -hj)) / (4 * hi * hj)
+    return cross(at(hi, hj), at(hi, -hj), at(-hi, hj), at(-hi, -hj), hi, hj)
+
+
+def stencil_lanes(pts, axes, h0=DEFAULT_H, mixed=None):
+    """Every stencil point of the sample points ``pts`` as lanes.
+
+    Returns ``(coords, h)``: row ``k`` of ``coords`` holds coordinate ``k``
+    of every lane, in blocks of ``len(pts)`` lanes: the sample points, then
+    for each axis ``i`` of ``axes`` the points at +2h, +h, -h, -2h along it
+    (the argument order of :func:`first`), then for ``mixed = (i, j)`` the
+    corners in the argument order of :func:`cross`.  ``h[i]`` holds the
+    steps along axis ``i``.  Offsets and steps are computed as
+    :func:`partial12` and :func:`mixed2` compute them, so every lane is
+    bitwise their point.
+    """
+    center = np.array(pts, float).reshape(len(pts), -1).T
+    h = {i: h0 * np.maximum(1.0, np.abs(center[i])) for i in {*axes, *(mixed or ())}}
+    blocks = [center]
+
+    def moved(*shifts):
+        b = center.copy()
+        for i, v in shifts:
+            b[i] = v
+        blocks.append(b)
+
+    for i in axes:
+        x, hi = center[i], h[i]
+        for v in (x + 2 * hi, x + hi, x - hi, x - 2 * hi):
+            moved((i, v))
+    if mixed:
+        i, j = mixed
+        xi, xj, hi, hj = center[i], center[j], h[i], h[j]
+        for di, dj in ((hi, hj), (hi, -hj), (-hi, hj), (-hi, -hj)):
+            moved((i, xi + di), (j, xj + dj))
+    return np.concatenate(blocks, axis=1), h

@@ -13,6 +13,12 @@ each :func:`ode_factor` keeps the values at its last few distinct points in a
 bounded :class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
 argument, so repeated stencil points cost nothing; the memo belongs to the
 factor that a ``closed_form`` call builds, and nothing is cached process-wide.
+
+The factors also take float lanes (see :mod:`liesolve.hyperdual`), each
+lane bitwise its float call: the Whittaker and Bessel jets take lanes (see
+:mod:`liesolve.specfun`), the even reflection is a product with +-1.0
+rather than a branch, and an ODE factor evaluates its dense output once on
+each half of its span.  The memos serve points, not lanes.
 """
 
 from __future__ import annotations
@@ -20,9 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import hyperdual as hd
 from ..errors import DomainError, SpecfunDomain
-from ..specfun import PointMemo, bessel_jet, point_key, whittakerM_jet, whittakerW_jet
+from ..specfun import (
+    ComplexLanes,
+    PointMemo,
+    bessel_jet,
+    point_key,
+    whittakerM_jet,
+    whittakerW_jet,
+)
 
 
 def solve_ivp(*args, **kwargs):
@@ -46,13 +61,20 @@ class SeparatedSolution:
         return self.F1(xi) * self.F2(eta)
 
 
+def _real(v):
+    return v.real if isinstance(v, ComplexLanes) else complex(v).real
+
+
 def _real_lift(jets):
     f, d1, d2 = jets
-    return hd.lift1(
-        lambda z: complex(f(z)).real,
-        lambda z: complex(d1(z)).real,
-        lambda z: complex(d2(z)).real,
-    )
+    return hd.lift1(lambda z: _real(f(z)), lambda z: _real(d1(z)), lambda z: _real(d2(z)))
+
+
+def reflect(xi):
+    """xi -> |xi| as a product with +-1.0, not a branch, so lanes pass: the
+    factor ODEs are invariant under xi -> -xi, and the even reflection keeps
+    the xi^(-1/2) branch real on both half-lines."""
+    return xi * (1.0 - (hd.value(xi) < 0) * 2.0)
 
 
 def whittaker_radial(d, s, C0, C1=1.0, C2=0.0):
@@ -67,10 +89,7 @@ def whittaker_radial(d, s, C0, C1=1.0, C2=0.0):
     wfun = _real_lift(whittakerW_jet(kap, mu)) if C2 else None
 
     def F(xi):
-        # the factor ODE is invariant under xi -> -xi; the even reflection
-        # keeps the xi^(-1/2) branch real on both half-lines
-        if hd.value(xi) < 0:
-            xi = -xi
+        xi = reflect(xi)
         z = 0.5 * d * xi * xi
         core = C1 * mfun(z)
         if wfun is not None:
@@ -88,6 +107,7 @@ def imag_whittaker_radial(w, s, C0, C1=1.0, C2=0.0):
     mu = math.sqrt(8 * C0 + 1) / 4.0
     kap = -1j * s / (4.0 * w)
     f, d1, d2 = whittakerM_jet(kap, mu)
+    iw = 1j * w
 
     def jets(xi):
         # value, first and second derivative of the complex factor at xi >= 0
@@ -107,9 +127,10 @@ def imag_whittaker_radial(w, s, C0, C1=1.0, C2=0.0):
         # even equation: reflect to the positive half-line (see
         # whittaker_radial); on the negative half-line F' changes sign
         if not isinstance(xi, hd.Dual2):
-            if xi < 0:
-                xi = -xi
-            v = xi ** (-0.5) * f(1j * w * xi * xi)
+            xi = reflect(xi)
+            # on lanes the complex products are CPython's, lane by lane
+            i = ComplexLanes.of(iw) if isinstance(xi, np.ndarray) else iw
+            v = xi ** (-0.5) * f(i * xi * xi)
             return C1 * v.real + C2 * v.imag
         x = xi.a
         Fv, F1v, F2v = jets(-x if x < 0 else x)
@@ -211,6 +232,8 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
     states = PointMemo()  # point -> (S1, S1', S2, S2') from the dense output
 
     def state_at(s):
+        if isinstance(s, np.ndarray):
+            return states_on(np.asarray(s, float))
         key = point_key(s)
         st = states.get(key)
         if st is not None:
@@ -225,6 +248,21 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
             st = sol_back.sol(max(s, sol_back.t[-1]))
         states.put(key, s, st)
         return st
+
+    def states_on(s):
+        # lanes: each half of the span's dense output once on its lanes
+        fwd = s >= anchor
+        out = np.empty((4, s.size))
+        for mask, res, beyond, clip in (
+            (fwd, sol, s > sol.t[-1] + 1e-12, np.minimum),
+            (~fwd, sol_back, s < sol_back.t[-1] - 1e-12, np.maximum),
+        ):
+            bad = mask & beyond
+            if bad.any():
+                raise DomainError(f"ODE factor evaluated outside span at {s[bad][0]}")
+            if mask.any():
+                out[:, mask] = res.sol(clip(s[mask], res.t[-1]))
+        return out
 
     def value(s):
         st = state_at(s)

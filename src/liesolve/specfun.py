@@ -16,14 +16,25 @@ Conventions:
   plus a cancellation-scaled roundoff term.  It is a heuristic, not a proof.
 * One extended-precision series routine, :func:`_mp_series`, serves 1F1 and
   both terms of the Tricomi connection formula.
-* One evaluation per distinct point: the ``(f, f', f'')`` jet builders
-  derive the derivatives from parameter-shifted orders, and each Whittaker
-  jet keeps the prefactor and each shifted order for its last
-  ``MEMO_POINTS`` distinct points in a :class:`PointMemo`, so a full jet at
-  one point costs three inner evaluations and a point seen again costs none.
-  The memo is keyed on the exact bits of a float or complex argument.  A
-  ``Dual2`` argument raises :class:`~liesolve.errors.DomainError` rather
-  than losing its derivative parts.
+* One evaluation per distinct argument, per point or per lane call: the
+  ``(f, f', f'')`` jet builders derive the derivatives from
+  parameter-shifted orders, and each Whittaker jet keeps the prefactor and
+  each shifted order for its last ``MEMO_POINTS`` distinct points in a
+  :class:`PointMemo`, so a full jet at one point costs three inner
+  evaluations and a point seen again costs none.  The memo is keyed on the
+  exact bits of a float or complex argument.  A ``Dual2`` argument raises
+  :class:`~liesolve.errors.DomainError` rather than losing its derivative
+  parts.
+* Lanes: the jets also take an array of float lanes or
+  :class:`ComplexLanes` (see :mod:`liesolve.hyperdual`), and each lane is
+  bitwise the call at its point.  A Whittaker jet evaluates each distinct
+  lane once per call, keyed on its bits as the memo is, without the memo.
+  The plain Kahan route of 1F1 sums all lanes at once
+  (:func:`_hyp1f1_lanes`), in CPython's complex arithmetic; a lane that
+  leaves it (Kummer reflection, terminating series, extended precision,
+  ``z = 0``, outside the box) takes the scalar route alone, with its value
+  or its error.  Tricomi U runs lane by lane.  Bessel jets map the
+  ``scipy.special`` ufunc over the lanes.
 * ``scipy.special`` (complex gamma, Bessel) and ``mpmath`` (extended
   precision) are imported on first use, so importing this module loads
   neither.
@@ -45,6 +56,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DivergenceError, DomainError, PoleError
 from .hyperdual import Dual2
@@ -137,6 +150,146 @@ def _as_scalar(z):
         if z.imag == 0.0 or abs(z.imag) <= 1e-14 * max(1.0, abs(z.real)):
             return z.real
     return z
+
+
+# ---------------------------------------------------------------------------
+# complex lanes
+# ---------------------------------------------------------------------------
+
+
+class ComplexLanes:
+    """Complex lanes: real and imaginary parts as float64 arrays (or floats
+    shared by every lane), under CPython's complex arithmetic, so each lane
+    is bitwise the ``complex`` operation at its point.  Products follow
+    ``_Py_c_prod`` and quotients ``_Py_c_quot`` (Smith's division); numpy's
+    complex128 loops need not match them.  A real operand, a float or float
+    lanes, acts as ``complex(x, 0.0)``, as CPython 3.11 promotes it."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # ndarray (op) ComplexLanes defers to ComplexLanes
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    @staticmethod
+    def of(v):
+        if isinstance(v, ComplexLanes):
+            return v
+        if isinstance(v, complex):
+            return ComplexLanes(v.real, v.imag)
+        return ComplexLanes(v, 0.0)
+
+    def __add__(self, o):
+        o = ComplexLanes.of(o)
+        return ComplexLanes(self.real + o.real, self.imag + o.imag)
+
+    def __sub__(self, o):
+        o = ComplexLanes.of(o)
+        return ComplexLanes(self.real - o.real, self.imag - o.imag)
+
+    def __mul__(self, o):
+        return _cprod(self, ComplexLanes.of(o))
+
+    def __rmul__(self, o):
+        return _cprod(ComplexLanes.of(o), self)
+
+    def __truediv__(self, o):
+        return _cquot(self, ComplexLanes.of(o))
+
+    def __rtruediv__(self, o):
+        return _cquot(ComplexLanes.of(o), self)
+
+    def __abs__(self):
+        # CPython's abs(complex) is libm hypot, as np.hypot is
+        return np.hypot(self.real, self.imag)
+
+
+def _cprod(a, b):
+    return ComplexLanes(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cquot(a, b):
+    br, bi = b.real, b.imag
+    if not isinstance(br, np.ndarray) and not isinstance(bi, np.ndarray):
+        # one denominator for every lane: CPython's branch, taken once
+        if abs(br) >= abs(bi):
+            if br == 0.0:
+                raise ZeroDivisionError("complex division by zero")
+            ratio = bi / br
+            denom = br + bi * ratio
+            return ComplexLanes(
+                (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
+            )
+        if abs(bi) >= abs(br):
+            ratio = br / bi
+            denom = br * ratio + bi
+            return ComplexLanes(
+                (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
+            )
+        return ComplexLanes(math.nan, math.nan)
+    # a denominator per lane: both branches, each lane keeps CPython's
+    abr, abi = np.abs(br), np.abs(bi)
+    if np.any((abr == 0.0) & (abi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    with np.errstate(all="ignore"):
+        r1 = bi / br
+        d1 = br + bi * r1
+        r2 = br / bi
+        d2 = br * r2 + bi
+        by_real = abr >= abi
+        by_imag = ~by_real & (abi >= abr)
+        parts = []
+        for one, two in (
+            ((a.real + a.imag * r1) / d1, (a.real * r2 + a.imag) / d2),
+            ((a.imag - a.real * r1) / d1, (a.imag * r2 - a.real) / d2),
+        ):
+            parts.append(np.where(by_real, one, np.where(by_imag, two, math.nan)))
+    return ComplexLanes(*parts)
+
+
+def _is_lanes(z):
+    return isinstance(z, (np.ndarray, ComplexLanes))
+
+
+def _lane_parts(z):
+    """(real parts, imaginary parts) of lanes as float64 arrays."""
+    if isinstance(z, ComplexLanes):
+        re, im = np.broadcast_arrays(np.asarray(z.real, float), np.asarray(z.imag, float))
+        return np.ascontiguousarray(re), np.ascontiguousarray(im)
+    re = np.ascontiguousarray(z, float)
+    return re, np.zeros_like(re)
+
+
+def _lane_scalars(z):
+    """Each lane as the scalar its point would be: a float for real lanes,
+    a complex for :class:`ComplexLanes`."""
+    if isinstance(z, ComplexLanes):
+        return list(map(complex, *_lane_parts(z)))
+    return np.asarray(z, float).tolist()
+
+
+def _distinct(z):
+    """(the distinct lanes of ``z``, each lane's index among them), keyed
+    on the bits of each lane as :func:`point_key` keys a point."""
+    re, im = _lane_parts(z)
+    if isinstance(z, ComplexLanes):
+        bits, inverse = np.unique(
+            np.stack([re, im], axis=1).view(np.int64), axis=0, return_inverse=True
+        )
+        bits = np.ascontiguousarray(bits)
+        return ComplexLanes(bits[:, 0].view(float), bits[:, 1].view(float)), inverse.ravel()
+    bits, inverse = np.unique(re.view(np.int64), return_inverse=True)
+    return bits.view(float), inverse.ravel()
+
+
+def _each_scalar(fn, z):
+    """``fn`` at each lane of ``z`` alone (a scalar call, with its error), as
+    :class:`ComplexLanes`."""
+    vals = [complex(fn(v)) for v in _lane_scalars(z)]
+    return ComplexLanes(
+        np.array([v.real for v in vals], float), np.array([v.imag for v in vals], float)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +427,110 @@ def _hyp1f1(a, b, z, tol=1e-12):
         )
     out = _kahan_series_1f1(a, b, z, tol=min(tol, 1e-14))
     if out is not None:
-        s, trunc_rel, canc, n_used = out
-        round_rel = canc * _EPS * 4
-        est = trunc_rel + round_rel
-        if est <= tol:
-            return SpecialValue(_as_scalar(s), True, est)
-        # cancellation ate the budget: redo with enough extra digits
-        max_term_abs = canc * max(abs(s), 1e-300)
-        v, rel = _raise_digits(lambda dps: _mp_series_1f1(a, b, z, dps), max_term_abs, tol, "1F1")
-        return SpecialValue(_as_scalar(v), True, max(trunc_rel, rel))
+        return _series_value(a, b, z, *out[:3], tol)
     raise DivergenceError("1F1 series failed to converge within the iteration cap")
+
+
+def _series_value(a, b, z, s, trunc_rel, canc, tol):
+    """1F1 from its converged plain series: the sum ``s``, or an
+    extended-precision rerun when cancellation ate the error budget."""
+    round_rel = canc * _EPS * 4
+    est = trunc_rel + round_rel
+    if est <= tol:
+        return SpecialValue(_as_scalar(s), True, est)
+    # cancellation ate the budget: redo with enough extra digits
+    max_term_abs = canc * max(abs(s), 1e-300)
+    v, rel = _raise_digits(lambda dps: _mp_series_1f1(a, b, z, dps), max_term_abs, tol, "1F1")
+    return SpecialValue(_as_scalar(v), True, max(trunc_rel, rel))
+
+
+def _kahan_lanes_1f1(a, b, z, tol, cap=_SERIES_CAP):
+    """:func:`_kahan_series_1f1` on the lanes of ``z`` (:class:`ComplexLanes`),
+    term by term in its order of operations; a lane leaves the sum at the
+    term where its scalar series returns.
+
+    Returns (sum, first_neglected_over_sum, max_term_over_sum, converged)
+    per lane; a lane that hits the cap has ``converged`` False.
+    """
+    size = np.size(z.real)
+    sums = ComplexLanes(np.empty(size), np.empty(size))
+    trunc, canc, converged = np.empty(size), np.empty(size), np.zeros(size, bool)
+    live = np.arange(size)
+    az = abs(z)
+    ones, zeros = np.ones(size), np.zeros(size)
+    term, s, comp = ComplexLanes(ones, zeros), ComplexLanes(ones, zeros), ComplexLanes(zeros, zeros)
+    max_term = ones
+    for n in range(cap):
+        if not live.size:
+            break
+        term = term * (a + n) / (b + n) * z / (n + 1)
+        at = abs(term)
+        max_term = np.where(at > max_term, at, max_term)
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        big = abs(s)
+        big = np.where(1e-300 > big, 1e-300, big)  # max(abs(s), 1e-300)
+        done = (at <= tol * big) & (n > az)
+        if not done.any():
+            continue
+        k = live[done]
+        sums.real[k], sums.imag[k] = s.real[done], s.imag[done]
+        trunc[k], canc[k], converged[k] = at[done] / big[done], max_term[done] / big[done], True
+        go = ~done
+        live, az, max_term = live[go], az[go], max_term[go]
+        term, s, comp, z = (ComplexLanes(v.real[go], v.imag[go]) for v in (term, s, comp, z))
+    return sums, trunc, canc, converged
+
+
+def _hyp1f1_lanes(a, b, z, tol=1e-12):
+    """``_hyp1f1(a, b, z).value`` on the lanes of ``z`` (float lanes or
+    :class:`ComplexLanes`), as :class:`ComplexLanes`; a real value ``v``
+    reads ``complex(v, 0.0)``, as it promotes in complex arithmetic.
+
+    Lanes on the plain route (inside the box, ``z != 0``, ``Re z >= 0``,
+    ``a`` not a non-positive integer) run :func:`_kahan_lanes_1f1` together;
+    a lane whose sum misses the error budget takes the scalar
+    extended-precision rerun (:func:`_series_value`) from that sum.  Each
+    other lane goes through :func:`_hyp1f1` alone, which gives its value or
+    raises its error.
+    """
+    if _is_nonpositive_int(b):
+        raise PoleError(f"1F1 undefined for b={b}")
+    a = complex(a)
+    b = complex(b)
+    re, im = _lane_parts(z)
+    az = np.hypot(re, im)
+    plain = np.isfinite(az) & (az <= Z_BOX) & (az != 0.0) & (re >= 0.0)
+    if abs(a) > PARAM_BOX or abs(b) > PARAM_BOX or _is_nonpositive_int(a):
+        plain[:] = False
+    idx = np.flatnonzero(plain)
+    out = ComplexLanes(np.empty(re.size), np.empty(re.size))
+    s, trunc_rel, canc, converged = _kahan_lanes_1f1(
+        a, b, ComplexLanes(re[idx], im[idx]), tol=min(tol, 1e-14)
+    )
+    ok = converged & (trunc_rel + canc * _EPS * 4 <= tol)
+    # _as_scalar: a negligible imaginary part leaves a real value
+    big = np.abs(s.real)
+    real = (s.imag == 0.0) | (np.abs(s.imag) <= 1e-14 * np.where(big > 1.0, big, 1.0))
+    out.real[idx[ok]] = s.real[ok]
+    out.imag[idx[ok]] = np.where(real, 0.0, s.imag)[ok]
+    for k in np.flatnonzero(converged & ~ok).tolist():
+        # cancellation ate the budget: the scalar extended-precision rerun
+        v = complex(_series_value(
+            a, b, complex(re[idx[k]], im[idx[k]]),
+            complex(s.real[k], s.imag[k]), float(trunc_rel[k]), float(canc[k]), tol,
+        ).value)
+        out.real[idx[k]], out.imag[idx[k]] = v.real, v.imag
+    plain[idx[~converged]] = False
+    rest = np.flatnonzero(~plain)
+    if rest.size:
+        # Kummer reflection, terminating series, z = 0, outside the box, the
+        # iteration cap: the scalar route, lane by lane
+        back = _each_scalar(lambda v: _hyp1f1(a, b, v, tol).value, ComplexLanes(re[rest], im[rest]))
+        out.real[rest], out.imag[rest] = back.real, back.imag
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +789,8 @@ def bessel_jet(kind, nu):
     """(f, f', f'') callables for a fixed-order Bessel function.
 
     Derivatives use the standard contiguous recurrences, not finite
-    differences.
+    differences.  Each callable takes a float, giving a float, or float
+    lanes, giving an array: the ufunc maps each element as it maps a float.
     """
     kind = BesselKind(kind) if not isinstance(kind, BesselKind) else kind
     f = _bessel_ufunc(kind)
@@ -565,35 +813,49 @@ def bessel_jet(kind, nu):
         def d2(z):
             return 0.25 * (f(nu - 2, z) + 2.0 * f(nu, z) + f(nu + 2, z))
 
-    return (lambda z: float(f(nu, z))), (lambda z: float(d1(z))), (lambda z: float(d2(z)))
+    def out(v):
+        return v if np.ndim(v) else float(v)
+
+    return (lambda z: out(f(nu, z))), (lambda z: out(d1(z))), (lambda z: out(d2(z)))
+
+
+def _hyp1f1_value(a, b, z):
+    return _hyp1f1_lanes(a, b, z) if _is_lanes(z) else _hyp1f1(a, b, z).value
 
 
 def hyp1f1_jet(a, b):
-    """(f, f', f'') for z -> 1F1(a;b;z) via the parameter-shift derivative."""
+    """(f, f', f'') for z -> 1F1(a;b;z) via the parameter-shift derivative;
+    each takes a point or lanes (see :func:`_hyp1f1_lanes`)."""
 
     def f(z):
-        return _hyp1f1(a, b, z).value
+        return _hyp1f1_value(a, b, z)
 
     def d1(z):
-        return a / b * _hyp1f1(a + 1, b + 1, z).value
+        return a / b * _hyp1f1_value(a + 1, b + 1, z)
 
     def d2(z):
-        return a * (a + 1) / (b * (b + 1)) * _hyp1f1(a + 2, b + 2, z).value
+        return a * (a + 1) / (b * (b + 1)) * _hyp1f1_value(a + 2, b + 2, z)
 
     return f, d1, d2
 
 
 def hypU_jet(a, b):
-    """(f, f', f'') for z -> U(a,b,z) via the parameter-shift derivative."""
+    """(f, f', f'') for z -> U(a,b,z) via the parameter-shift derivative;
+    lanes go through :func:`_hypU` one at a time."""
 
-    def f(z):
+    def value(a, b, z):
+        if _is_lanes(z):
+            return _each_scalar(lambda v: _hypU(a, b, v).value, z)
         return _hypU(a, b, z).value
 
+    def f(z):
+        return value(a, b, z)
+
     def d1(z):
-        return -a * _hypU(a + 1, b + 1, z).value
+        return -a * value(a + 1, b + 1, z)
 
     def d2(z):
-        return a * (a + 1) * _hypU(a + 2, b + 2, z).value
+        return a * (a + 1) * value(a + 2, b + 2, z)
 
     return f, d1, d2
 
@@ -602,10 +864,13 @@ def _whittaker_jet(inner_jet, kappa, mu):
     """(f, f', f'') for z -> exp(-z/2) z^(mu+1/2) F(z), with ``inner_jet``
     the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu.
 
-    The prefactor and F, F', F'' are computed at most once per distinct
-    point and kept in a :class:`PointMemo` of this jet, filled order by order
-    as the elements ask for them.  A :class:`Dual2` argument raises
-    :class:`DomainError`: ``cmath`` would drop its derivative parts.
+    At a point, the prefactor and F, F', F'' are computed at most once per
+    distinct point and kept in a :class:`PointMemo` of this jet, filled order
+    by order as the elements ask for them.  On lanes (float lanes or
+    :class:`ComplexLanes`; the result is :class:`ComplexLanes`), each
+    distinct lane is evaluated once per call, and the memo is not used.  A
+    :class:`Dual2` argument raises :class:`DomainError`: ``cmath`` would
+    drop its derivative parts.
     """
     a = complex(mu - kappa + 0.5)
     b = complex(1.0 + 2.0 * mu)
@@ -613,13 +878,21 @@ def _whittaker_jet(inner_jet, kappa, mu):
     e = mu + 0.5
     memo = PointMemo()  # point -> (prefactor, {order: inner value})
 
+    def prefactor(z):
+        return cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z))
+
     def at(z, *orders):
         if isinstance(z, Dual2):
             raise DomainError("Whittaker jets take a float or complex argument, not a Dual2")
+        if _is_lanes(z):
+            distinct, inverse = _distinct(z)
+            vals = [_each_scalar(prefactor, distinct)] + [inner[k](distinct) for k in orders]
+            pref, *vals = (ComplexLanes(v.real[inverse], v.imag[inverse]) for v in vals)
+            return pref, vals
         key = point_key(z)
         hit = memo.get(key)
         if hit is None:
-            pref, vals = cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z)), {}
+            pref, vals = prefactor(z), {}
         else:
             pref, vals = hit
         new = {k: inner[k](z) for k in orders if k not in vals}

@@ -591,10 +591,9 @@ PRINTED_TABLE_DEVIATIONS = {
 def vector_fields_equal(v, w, points=None, tol=1e-7):
     """Max coefficient deviation between two vector fields on sample points."""
     points = points or default_sampling(n=20, seed=11)
-    worst = 0.0
-    for (x, y, t) in points:
-        cv = v.coefficients(x, y, t)
-        cw = w.coefficients(x, y, t)
-        for a, b in zip(cv, cw):
-            worst = max(worst, abs(hd.value(a) - hd.value(b)))
-    return worst
+    devs = [
+        hd.value(a) - hd.value(b)
+        for (x, y, t) in points
+        for a, b in zip(v.coefficients(x, y, t), w.coefficients(x, y, t))
+    ]
+    return float(np.max(np.abs(devs), initial=0.0))  # NaN-propagating

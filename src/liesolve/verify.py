@@ -17,6 +17,17 @@ Carlo engine discretizes the price processes directly.
   number of threads.
 * :func:`compare` - L-infinity / sup-CDF comparison of two oracles.
 
+The two residual oracles evaluate the field once per call, on float lanes
+(see :mod:`liesolve.hyperdual`) that hold every stencil point of every
+sample point, and combine the lanes with the five-point formulas of
+:mod:`liesolve.numdiff`; the potential and the volatilities are evaluated
+once per sample point, one lane at a time.  Each lane is bitwise its
+scalar evaluation, so the report is the per-point loop's.  When the lanes
+raise a ``TypeError``, ``ValueError``, ``ArithmeticError`` or
+``LiesolveError`` (a field that branches on its values, a domain error at
+some stencil point), the per-point loop reruns and gives its own skips,
+values and errors; ``ResidualReport.notes`` names the path that ran.
+
 The array kernels update preallocated buffers in place, keeping the order
 of every floating-point operation of the plain formulas, so for fixed
 inputs their outputs are bit-identical to a straightforward NumPy
@@ -121,13 +132,25 @@ def relative_scale(u, M, pts):
     return max([1e-12] + [v for _, v in kept])
 
 
-def _residual_report(residual_at, pts, threshold, h0, what) -> ResidualReport:
-    """Evaluate ``residual_at(*p)`` at each point and summarize; points are
-    skipped and counted as in :func:`sampled`."""
-    kept, skipped = sampled(residual_at, pts)
+def _residual_report(residual_at, residual_lanes, pts, threshold, h0, what) -> ResidualReport:
+    """Summarize the residual at the points ``pts``.
+
+    ``residual_lanes(pts)`` gives the residual at every point from one
+    evaluation on lanes; a non-finite lane is skipped.  If it raises a
+    ``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``,
+    ``residual_at(*p)`` runs point by point instead, with points skipped and
+    counted as in :func:`sampled`.  ``notes`` names the path that ran."""
+    try:
+        with np.errstate(**hd.LANE_ERRSTATE):
+            values = np.broadcast_to(residual_lanes(pts), (len(pts),)).tolist()
+        kept = [v for v in values if math.isfinite(v)]
+        skipped, notes = len(values) - len(kept), ("lanes",)
+    except (TypeError, ValueError, ArithmeticError, LiesolveError) as exc:
+        kept, skipped = sampled(residual_at, pts)
+        kept, notes = [v for _, v in kept], (f"per-point: {type(exc).__name__}",)
     if not kept:
         raise SamplingError(f"no usable sampling points for the {what}")
-    arr = np.asarray([v for _, v in kept])
+    arr = np.asarray(kept)
     max_abs = float(np.max(np.abs(arr)))
     return ResidualReport(
         max_abs,
@@ -137,7 +160,18 @@ def _residual_report(residual_at, pts, threshold, h0, what) -> ResidualReport:
         skipped,
         _verdict(max_abs, threshold, len(kept), skipped),
         threshold,
+        notes,
     )
+
+
+def _on_stencils(fn, pts, axes, h0, mixed=None):
+    """``fn`` once over every stencil point of ``pts`` (see
+    :func:`numdiff.stencil_lanes`): the sample points as float lanes, the
+    values as one row per stencil point, and the steps per axis."""
+    coords, h = numdiff.stencil_lanes(pts, axes, h0, mixed)
+    X = hd.float_lanes(coords)
+    values = np.broadcast_to(fn(*X), X[0].shape)
+    return X[:, : len(pts)], values.reshape(-1, len(pts)), h
 
 
 def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualReport:
@@ -147,42 +181,54 @@ def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualRe
     arguments.  Derivatives are always finite differences here: this is the
     independent route, deliberately blind to any analytic derivative the
     fields may carry.
+
+    ``u`` is evaluated once, on lanes that hold every stencil point of every
+    sample point (13 per point in two dimensions, 9 in one), and ``M`` once
+    per sample point through :func:`hyperdual.per_lane`; a lane that cannot
+    be taken reruns the per-point loop (see :func:`_residual_report`).
     """
     one_dim = len(region.bounds) == 2
     ufn = u.fn if hasattr(u, "fn") else u
     Mfn = M.fn if hasattr(M, "fn") else M
+    axes = (1, 0) if one_dim else (2, 0, 1)
+
+    def operator(ut, uxx, uyy, m, u0):
+        if one_dim:
+            return ut - 0.5 * uxx + m * u0
+        return ut - 0.5 * (uxx + uyy) + m * u0
 
     def at(*p):
         u0 = ufn(*p)
         ut = numdiff.partial1(ufn, p, len(p) - 1, h0)
         uxx = numdiff.partial12(ufn, p, 0, h0, u0)[1]
-        if one_dim:
-            return ut - 0.5 * uxx + Mfn(p[0]) * u0
-        uyy = numdiff.partial12(ufn, p, 1, h0, u0)[1]
-        return ut - 0.5 * (uxx + uyy) + Mfn(p[0], p[1]) * u0
+        uyy = None if one_dim else numdiff.partial12(ufn, p, 1, h0, u0)[1]
+        return operator(ut, uxx, uyy, Mfn(*p[:-1]), u0)
 
-    return _residual_report(at, region.points(n), threshold, h0, "residual")
+    def on_lanes(pts):
+        X, U, h = _on_stencils(ufn, pts, axes, h0)
+        u0 = U[0]
+        ut = numdiff.first(*U[1:5], h[axes[0]])
+        uxx = numdiff.second(U[5], U[6], u0, U[7], U[8], h[0])
+        uyy = None if one_dim else numdiff.second(U[9], U[10], u0, U[11], U[12], h[1])
+        return operator(ut, uxx, uyy, hd.per_lane(Mfn)(*X[:-1]), u0)
+
+    return _residual_report(at, on_lanes, region.points(n), threshold, h0, "residual")
 
 
 def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> ResidualReport:
-    """FD residual of the asset-space pricing operator applied to c."""
+    """FD residual of the asset-space pricing operator applied to c.
+
+    ``c`` is evaluated once, on lanes that hold every stencil point of every
+    sample point (17 per point with two assets, 9 with one), and the
+    volatilities once per sample point, as in :func:`fp_residual`."""
     r_ = model.rate
     cfn = c.fn if hasattr(c, "fn") else c
 
-    def at(*p):
-        # the S-stencil gives both c_S and c_SS, around the one center value
-        c0 = cfn(*p)
-        ct = numdiff.partial1(cfn, p, len(p) - 1, h0)
-        c1, c11 = numdiff.partial12(cfn, p, 0, h0, c0)
+    def operator(S, sv, ct, c0, c1, c11, c2=None, c22=None, c12=None):
         if model.one_dim:
-            S = p[0]
-            sv = model.vol1.value(S)
-            return ct + 0.5 * sv * sv * c11 + r_ * S * c1 - r_ * c0
-        S1, S2 = p[0], p[1]
-        s1v = model.vol1.value(S1)
-        s2v = model.vol2.value(S2)
-        c2, c22 = numdiff.partial12(cfn, p, 1, h0, c0)
-        c12 = numdiff.mixed2(cfn, p, 0, 1, h0)
+            S = S[0]
+            return ct + 0.5 * sv[0] * sv[0] * c11 + r_ * S * c1 - r_ * c0
+        S1, S2, s1v, s2v = S[0], S[1], sv[0], sv[1]
         return (
             ct
             + 0.5 * s1v**2 * c11
@@ -193,7 +239,37 @@ def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> Residu
             - r_ * c0
         )
 
-    return _residual_report(at, region.points(n), threshold, h0, "pricing residual")
+    vols = (model.vol1,) if model.one_dim else (model.vol1, model.vol2)
+
+    def at(*p):
+        # the S-stencil gives both c_S and c_SS, around the one center value
+        c0 = cfn(*p)
+        ct = numdiff.partial1(cfn, p, len(p) - 1, h0)
+        c1, c11 = numdiff.partial12(cfn, p, 0, h0, c0)
+        sv = [vol.value(S) for vol, S in zip(vols, p)]
+        if model.one_dim:
+            return operator(p, sv, ct, c0, c1, c11)
+        c2, c22 = numdiff.partial12(cfn, p, 1, h0, c0)
+        c12 = numdiff.mixed2(cfn, p, 0, 1, h0)
+        return operator(p, sv, ct, c0, c1, c11, c2, c22, c12)
+
+    def on_lanes(pts):
+        axes = (1, 0) if model.one_dim else (2, 0, 1)
+        X, C, h = _on_stencils(cfn, pts, axes, h0, None if model.one_dim else (0, 1))
+        c0 = C[0]
+        ct = numdiff.first(*C[1:5], h[axes[0]])
+        c1 = numdiff.first(C[5], C[6], C[7], C[8], h[0])
+        c11 = numdiff.second(C[5], C[6], c0, C[7], C[8], h[0])
+        # vol values as float lanes, so that ** is the float power
+        sv = [hd.float_lanes(hd.per_lane(vol.value)(S)) for vol, S in zip(vols, X)]
+        if model.one_dim:
+            return operator(X, sv, ct, c0, c1, c11)
+        c2 = numdiff.first(C[9], C[10], C[11], C[12], h[1])
+        c22 = numdiff.second(C[9], C[10], c0, C[11], C[12], h[1])
+        c12 = numdiff.cross(*C[13:17], h[0], h[1])
+        return operator(X, sv, ct, c0, c1, c11, c2, c22, c12)
+
+    return _residual_report(at, on_lanes, region.points(n), threshold, h0, "pricing residual")
 
 
 # ---------------------------------------------------------------------------

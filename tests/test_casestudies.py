@@ -230,3 +230,28 @@ def test_one_asset_jacobian_ratio(family):
             rhs = smap.jacobian(x, t) * op(P, xi)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     assert worst < 1e-12
+
+
+# NaN-keeping folds: a NaN sample reads NaN and fails its gate
+
+
+def test_angular_factor_deviation_keeps_nan():
+    from liesolve.casestudies import _angular_factor_deviation
+
+    th = 2.5
+    good = 48.0 / math.cos(2 * th) ** 2
+    assert _angular_factor_deviation([(th, good)]) <= 1e-7
+    worst = _angular_factor_deviation([(th, good), (2.6, math.nan)])
+    assert math.isnan(worst)
+    assert not worst <= 1e-7
+
+
+def test_2f1_angular_claim_keeps_nan(monkeypatch):
+    import liesolve.casestudies as cs
+    from liesolve.specfun import SpecialValue
+
+    nan = SpecialValue(math.nan, False, math.nan)
+    monkeypatch.setattr(cs, "hypergeometric", lambda *a, **k: nan)
+    worst = cs._check_2f1_angular_claim(1.0)
+    assert math.isnan(worst)
+    assert not worst <= 1e-7

@@ -1,6 +1,7 @@
 """One evaluation per distinct point: the value-keyed memos of the Whittaker
 jets and the ODE factors, and the shared five-point stencils of the FD
-residual oracles."""
+residual oracles, which evaluate a field once on lanes and rerun point by
+point, bit for bit, when a field cannot take lanes."""
 
 import math
 
@@ -151,6 +152,17 @@ def test_ode_factor_dual_pass_makes_one_dense_output_call(monkeypatch):
     assert _hexes(out) == _hexes(fresh(hd.Dual2(0.7, 1.0, 1.0)))
 
 
+def test_ode_factor_lanes_match_points():
+    # each half of the span's dense output once on its lanes, bit for bit the
+    # points; a lane outside the span raises the point's DomainError
+    F = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4, anchor=0.3)
+    lanes = np.array([-1.7, 0.3, 1.9, -0.2, 0.3, 2.0])
+    fresh = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4, anchor=0.3)
+    assert [v.hex() for v in F(lanes).tolist()] == [fresh(s).hex() for s in lanes.tolist()]
+    with pytest.raises(DomainError, match="outside span"):
+        F(np.array([0.5, 2.5]))
+
+
 # -- shared stencils -------------------------------------------------------------
 
 
@@ -178,16 +190,16 @@ PRICE_2D = Region(((0.6, 1.8), (0.7, 1.6), (0.1, 0.9)))
 PRICE_1D = Region(((0.6, 1.8), (0.1, 0.9)))
 
 
-@pytest.mark.parametrize(
-    "region, per_point", [(REGION_2D, 13), (REGION_1D, 9)], ids=["2d", "1d"]
-)
-def test_fp_residual_evaluations_per_point(region, per_point):
-    fn = _poly3 if len(region.bounds) == 3 else _poly2
-    u, calls = _counting(fn)
-    M = (lambda x, y: 0.3) if len(region.bounds) == 3 else (lambda x: 0.3)
-    rep = fp_residual(u, M, region, threshold=1.0, n=7)
-    assert rep.n_points == 7
-    assert len(calls) == per_point * 7
+def _scalar_only(fn):
+    """fn for float arguments; lanes raise TypeError, as a field that
+    branches on its values does."""
+
+    def g(*args):
+        if any(isinstance(a, np.ndarray) for a in args):
+            raise TypeError("this field takes floats")
+        return fn(*args)
+
+    return g
 
 
 def _model(one_dim):
@@ -195,15 +207,96 @@ def _model(one_dim):
     return MarketModel(vol, None if one_dim else CEVVol(0.3, 0.5), 0.0 if one_dim else 0.35, 0.05)
 
 
+def _fp_counted(region, wrap):
+    fn = _poly3 if len(region.bounds) == 3 else _poly2
+    u, calls = _counting(fn)
+    M = (lambda x, y: 0.3) if len(region.bounds) == 3 else (lambda x: 0.3)
+    return fp_residual(wrap(u), M, region, threshold=1.0, n=7), calls
+
+
+def _bs_counted(region, wrap):
+    one_dim = len(region.bounds) == 2
+    c, calls = _counting(_poly2 if one_dim else _poly3)
+    return bs_residual(_model(one_dim), wrap(c), region, threshold=1.0, n=7), calls
+
+
+@pytest.mark.parametrize(
+    "region, per_point", [(REGION_2D, 13), (REGION_1D, 9)], ids=["2d", "1d"]
+)
+def test_fp_residual_evaluations_per_point(region, per_point):
+    # one call on lanes that hold every stencil point of every sample point
+    rep, calls = _fp_counted(region, lambda f: f)
+    assert (rep.n_points, rep.notes) == (7, ("lanes",))
+    assert len(calls) == 1
+    assert all(np.shape(a) == (per_point * 7,) for a in calls[0])
+
+
 @pytest.mark.parametrize(
     "region, per_point", [(PRICE_2D, 17), (PRICE_1D, 9)], ids=["2d", "1d"]
 )
 def test_bs_residual_evaluations_per_point(region, per_point):
-    one_dim = len(region.bounds) == 2
-    c, calls = _counting(_poly2 if one_dim else _poly3)
-    rep = bs_residual(_model(one_dim), c, region, threshold=1.0, n=7)
-    assert rep.n_points == 7
+    rep, calls = _bs_counted(region, lambda f: f)
+    assert (rep.n_points, rep.notes) == (7, ("lanes",))
+    assert len(calls) == 1
+    assert all(np.shape(a) == (per_point * 7,) for a in calls[0])
+
+
+@pytest.mark.parametrize(
+    "residual, region, per_point",
+    [
+        (_fp_counted, REGION_2D, 13),
+        (_fp_counted, REGION_1D, 9),
+        (_bs_counted, PRICE_2D, 17),
+        (_bs_counted, PRICE_1D, 9),
+    ],
+    ids=["fp-2d", "fp-1d", "bs-2d", "bs-1d"],
+)
+def test_residual_evaluations_per_point_without_lanes(residual, region, per_point):
+    # a field that rejects lanes reruns the per-point loop: the shared
+    # stencils still cost 13 / 9 / 17 evaluations per point
+    rep, calls = residual(region, _scalar_only)
+    assert (rep.n_points, rep.notes) == (7, ("per-point: TypeError",))
     assert len(calls) == per_point * 7
+    lanes, _ = residual(region, lambda f: f)
+    assert (lanes.max_abs.hex(), lanes.rms.hex()) == (rep.max_abs.hex(), rep.rms.hex())
+
+
+VERIFY_DRAWS = [
+    ("1.1a", 1), ("1.1b", 0), ("1.2a", 0), ("1.2b", 0), ("1.5a", 1), ("1.8a", 0), ("1.8b", 0)
+]
+
+
+@pytest.mark.parametrize("case_id, seed", VERIFY_DRAWS)
+def test_closed_form_residual_runs_on_lanes(case_id, seed):
+    # the residual that `verify` takes of each closed form, at one draw:
+    # lanes, with the report of the per-point loop bit for bit
+    from liesolve.cli import _bounding_region
+
+    case = get_case(case_id)
+    params = case.draw_params(np.random.default_rng(seed))
+    u = reconstruct_u(case, params, closed_form_solution(case, params))
+    M = case.potential_field(params)
+    box = _bounding_region(case, params, seed)
+    lanes = fp_residual(u, M, box, threshold=1.0, n=25)
+    points = fp_residual(_scalar_only(u.fn), M, box, threshold=1.0, n=25)
+    assert lanes.notes == ("lanes",)
+    assert points.notes == ("per-point: TypeError",)
+    assert (lanes.n_points, lanes.singular_points_skipped) == (
+        points.n_points,
+        points.singular_points_skipped,
+    )
+    assert (lanes.max_abs.hex(), lanes.rms.hex()) == (points.max_abs.hex(), points.rms.hex())
+
+
+def test_field_that_branches_on_float_t_runs_per_point():
+    heat = heat_kernel().fn
+
+    def u(x, y, t):
+        return heat(x, y, t) if float(t) > 0.0 else 0.0
+
+    rep = fp_residual(u, lambda x, y: 0.0, REGION_2D, threshold=1e-6, n=9)
+    assert rep.notes == ("per-point: TypeError",)
+    assert rep.n_points == 9
 
 
 # Reference: the residuals as they were computed before the stencils were

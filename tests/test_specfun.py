@@ -7,6 +7,9 @@ Expected values follow from stated independent oracles:
 * numerical quadrature of the Laplace integral representation, plus one
   exact contiguous recurrence step, for Whittaker W;
 * the direct power series for Bessel J at half-integer order.
+
+On lanes the reference is the scalar call itself: each lane must equal it
+bit for bit, or raise its error.
 """
 
 import math
@@ -14,10 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from liesolve import specfun as sf
-from liesolve.errors import DivergenceError, DomainError, PoleError
+from liesolve.errors import DivergenceError, DomainError, LiesolveError, PoleError
 
 SQRT_PI = 1.7724538509055159
 
@@ -400,3 +405,194 @@ def test_special_value_invariant():
     assert v.converged
     assert v.est_error <= 1e-10
     assert math.isfinite(abs(v.value))
+
+
+# ---------------------------------------------------------------------------
+# lanes: each lane bitwise its scalar call
+# ---------------------------------------------------------------------------
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).filter(lambda v: v != 0.0)
+parts = st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]))
+
+
+def _hex(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def _lane_hexes(lanes):
+    re, im = np.broadcast_arrays(lanes.real, lanes.imag)
+    return [(r.hex(), i.hex()) for r, i in zip(re.tolist(), im.tolist())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(parts, parts, parts, parts), min_size=1, max_size=6), parts, parts)
+def test_complex_lanes_follow_cpython(pairs, cr, ci):
+    # products, quotients (one denominator, or one per lane), sums and abs
+    a = sf.ComplexLanes(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    b = sf.ComplexLanes(np.array([p[2] for p in pairs]), np.array([p[3] for p in pairs]))
+    za = [complex(p[0], p[1]) for p in pairs]
+    zb = [complex(p[2], p[3]) for p in pairs]
+    c = complex(cr, ci)
+    real = np.array([p[2] for p in pairs])
+    with np.errstate(all="ignore"):  # overflow to inf, as in complex arithmetic
+        _check_complex_lanes(a, b, za, zb, c, real)
+
+
+def _check_complex_lanes(a, b, za, zb, c, real):
+    checks = [
+        (a * b, [x * y for x, y in zip(za, zb)]),
+        (a + b, [x + y for x, y in zip(za, zb)]),
+        (a - real, [x - y for x, y in zip(za, real.tolist())]),
+        (real * a, [y * x for x, y in zip(za, real.tolist())]),
+        (c * a, [c * x for x in za]),
+    ]
+    if c != 0:
+        checks.append((a / c, [x / c for x in za]))
+    if all(y != 0 for y in zb):
+        checks.append((a / b, [x / y for x, y in zip(za, zb)]))
+        checks.append((2.5 / b, [2.5 / y for y in zb]))
+    else:
+        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+            a / b
+    for got, want in checks:
+        assert _lane_hexes(got) == [_hex(w) for w in want]
+    assert [v.hex() for v in abs(a).tolist()] == [abs(x).hex() for x in za]
+
+
+def _scalar_1f1(a, b, z):
+    try:
+        return _hex(sf._hyp1f1(a, b, z).value)
+    except (LiesolveError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _lanes_of(kind, zs):
+    """(lanes, the scalar argument of each lane) for real, imaginary or
+    complex z."""
+    if kind == "real":
+        return np.array([z.real for z in zs]), [z.real for z in zs]
+    if kind == "imag":
+        zs = [complex(0.0, z.imag) for z in zs]
+    return sf.ComplexLanes(np.array([z.real for z in zs]), np.array([z.imag for z in zs])), zs
+
+
+def _check_1f1_lanes(a, b, kind, zs):
+    lanes, scalars = _lanes_of(kind, zs)
+    want = [_scalar_1f1(a, b, z) for z in scalars]
+    errors = [w for w in want if isinstance(w[0], type)]
+    if errors:
+        with pytest.raises((LiesolveError, ArithmeticError, ValueError)) as info:
+            sf._hyp1f1_lanes(a, b, lanes)
+        assert (type(info.value), str(info.value)) in errors
+        return
+    assert _lane_hexes(sf._hyp1f1_lanes(a, b, lanes)) == want
+
+
+z_value = st.builds(
+    complex,
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.floats(min_value=-40.0, max_value=40.0),
+)
+parameter = st.one_of(
+    st.floats(min_value=-12.0, max_value=12.0),
+    st.integers(min_value=-6, max_value=6).map(float),
+    st.builds(
+        complex, st.floats(min_value=-8.0, max_value=8.0), st.floats(min_value=-8.0, max_value=8.0)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parameter,
+    parameter,
+    st.sampled_from(["real", "imag", "complex"]),
+    st.lists(z_value, min_size=1, max_size=6),
+)
+@example(-10.5, 2.0, "real", [35.0, 2.0, 35.0])  # a < 0, large z: extended precision
+@example(0.3 - 0.4j, 1.7, "imag", [complex(0, 30.0), complex(0, 1.5)])  # extended precision
+@example(0.8, 1.6, "real", [-3.0, 1.5])  # Re z < 0: Kummer reflection
+@example(0.8 + 0.5j, 1.6, "complex", [complex(-3.0, 1.0), complex(2.0, -1.0)])
+@example(0.8, 1.6, "real", [0.0, 0.7, -0.0])  # z = 0
+@example(-3.0, 1.6, "complex", [complex(2.0, 1.0), complex(5.0, 0.0)])  # terminating series
+@example(0.8, 1.6, "real", [250.0, 1.0])  # outside the box: the scalar error
+@example(0.8, -2.0, "real", [1.0])  # pole in b
+def test_hyp1f1_lanes_match_scalar(a, b, kind, zs):
+    _check_1f1_lanes(a, b, kind, zs)
+
+
+def test_hyp1f1_lanes_take_every_route(monkeypatch):
+    # each hand-back route of the examples above is taken by its lanes, and
+    # only by them: extended precision from the lane sum, the rest through
+    # the scalar _hyp1f1 (the Kummer reflection calls it again inside)
+    routes = []
+    for name in ("_series_value", "_hyp1f1"):
+        original = getattr(sf, name)
+
+        def record(a, b, z, *rest, _f=original, _n=name):
+            routes.append((_n, complex(z)))
+            return _f(a, b, z, *rest)
+
+        monkeypatch.setattr(sf, name, record)
+    sf._hyp1f1_lanes(-10.5, 2.0, np.array([35.0, 2.0]))
+    sf._hyp1f1_lanes(0.3 - 0.4j, 1.7, sf.ComplexLanes(0.0, np.array([30.0, 1.5])))
+    assert routes == [("_series_value", 35.0), ("_series_value", 30j)]
+    handed_back = [
+        (0.8, [-3.0, 1.5], [-3.0]),  # Kummer reflection
+        (0.8, [0.0, 0.7], [0.0]),  # z = 0
+        (-3.0, [2.0, 5.0], [2.0, 5.0]),  # terminating series
+    ]
+    for a, z, back in handed_back:
+        routes.clear()
+        sf._hyp1f1_lanes(a, 1.6, np.array(z))
+        assert routes[: len(back)] == [("_hyp1f1", v) for v in back]
+        assert not {v for _, v in routes} & set(z) - set(back)  # plain lanes stay on lanes
+
+
+def test_hyp1f1_lane_outside_box_raises_scalar_error():
+    with pytest.raises(DivergenceError, match="1F1 arguments outside the supported box"):
+        sf._hyp1f1_lanes(0.8, 1.6, np.array([1.0, 250.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "jet, kappa, lanes",
+    [
+        (sf.whittakerM_jet, 0.3, np.array([1.7, 0.4, 1.7, 2.9, 0.4])),
+        (sf.whittakerW_jet, 0.3, np.array([1.7, 0.4, 1.7, 35.0])),
+        (sf.whittakerM_jet, -0.25j, sf.ComplexLanes(0.0, np.array([1.2, 3.5, 1.2, 7.0]))),
+        (
+            sf.whittakerW_jet,
+            0.4,
+            sf.ComplexLanes(np.array([-2.0, -2.0, 0.5]), np.array([0.0, -0.0, 1.0])),
+        ),
+    ],
+    ids=["M-real", "W-real", "M-imag", "W-signed-zero"],
+)
+def test_whittaker_jets_on_lanes_match_scalar(monkeypatch, jet, kappa, lanes):
+    f, df, ddf = jet(kappa, 0.45)
+    scalars = sf._lane_scalars(lanes)
+    for g in (f, df, ddf):
+        fresh = jet(kappa, 0.45)[(f, df, ddf).index(g)]
+        assert _lane_hexes(g(lanes)) == [_hex(fresh(z)) for z in scalars]
+    # one evaluation per distinct lane
+    sizes = []
+    original = sf._hyp1f1_lanes
+
+    def counting(a, b, z, tol=1e-12):
+        sizes.append(np.size(z.real if isinstance(z, sf.ComplexLanes) else z))
+        return original(a, b, z, tol)
+
+    monkeypatch.setattr(sf, "_hyp1f1_lanes", counting)
+    sf.whittakerM_jet(kappa, 0.45)[2](lanes)
+    distinct = len({(complex(z).real.hex(), complex(z).imag.hex()) for z in scalars})
+    assert sizes == [distinct] * 3
+
+
+@pytest.mark.parametrize("kind", ["J", "Y", "I", "K"])
+def test_bessel_jet_on_lanes_matches_scalar(kind):
+    lanes = np.array([0.3, 1.7, 4.2, 1.7])
+    for g in sf.bessel_jet(kind, 0.7):
+        got = g(lanes)
+        assert [v.hex() for v in got.tolist()] == [g(z).hex() for z in lanes.tolist()]
+        assert isinstance(g(1.7), float)

@@ -1,6 +1,7 @@
 """Symmetry-machinery tests: generator assembly, determining-equation
 residuals, the commutation table, group actions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,14 @@ def test_infinitesimals_scaling_matches_v5():
     assert A == -1.0  # U = -u
     w = v5(poly(1.0))
     assert vector_fields_equal(vf, w) == 0.0
+
+
+def test_vector_fields_equal_keeps_nan():
+    # a NaN coefficient reads NaN and fails the equality gate
+    vf = infinitesimals(SymmetryData(f4=poly(1.0)))
+    worst = vector_fields_equal(vf, dataclasses.replace(vf, B=lambda x, y, t: math.nan))
+    assert math.isnan(worst)
+    assert not worst <= 1e-7
 
 
 # ---------------------------------------------------------------------------
