@@ -9,13 +9,16 @@ Conventions:
 * Confluent series are summed with compensated (Kahan) accumulation and an
   iteration cap of 10 000 terms.  When floating-point cancellation would eat
   the requested accuracy (large imaginary argument, Tricomi connection
-  formula), the same series is re-run in extended precision; when the series
+  formula), the value is recomputed in extended precision; when the series
   route is hopeless for Tricomi (large ``|z|``) the asymptotic expansion is
   used instead.
 * ``est_error`` is a running bound assembled from the first neglected term
   plus a cancellation-scaled roundoff term.  It is a heuristic, not a proof.
-* One extended-precision series routine, :func:`_mp_series`, serves 1F1 and
-  both terms of the Tricomi connection formula.
+* Extended precision is ``mpmath.hyp1f1``, for 1F1 and both terms of the
+  Tricomi connection formula, at the digits :func:`_raise_digits` picks from
+  the size of the cancelling terms and checks against the result.  mpmath
+  raises its own working precision while its terms cancel; its failures
+  raise :class:`DivergenceError`.
 * One evaluation per distinct argument, per point or per lane call: the
   ``(f, f', f'')`` jet builders derive the derivatives from
   parameter-shifted orders, and each Whittaker jet keeps the prefactor and
@@ -349,34 +352,23 @@ def _kahan_series_1f1(a, b, z, tol, cap=_SERIES_CAP):
     return None
 
 
-def _mp_series(a, b, z, dps):
-    """1F1(a; b; z) as an mpmath value, summed at the working precision until
-    a term drops below 10^-dps of the largest one.  ``a`` and ``b`` may be
-    mpmath values; ``z`` is the double-precision argument."""
+def _mp_hyp1f1(a, b, z, what):
+    """``mpmath.hyp1f1(a, b, z)`` at the caller's working precision; its
+    convergence, precision-cap and division failures raise
+    :class:`DivergenceError` naming ``what``."""
     import mpmath
 
-    am = mpmath.mpmathify(a)
-    bm = mpmath.mpmathify(b)
-    zm = mpmath.mpmathify(z)
-    term = mpmath.mpmathify(1)
-    s = mpmath.mpmathify(1)
-    max_term = mpmath.mpf(1)
-    rel_tol = mpmath.mpf(10) ** (-dps)
-    for n in range(_SERIES_CAP):
-        term = term * (am + n) / (bm + n) * zm / (n + 1)
-        s += term
-        at = abs(term)
-        max_term = max(max_term, at)
-        if at <= rel_tol * max_term and n > abs(z):
-            return s
-    raise DivergenceError("extended-precision 1F1 series hit the iteration cap")
+    try:
+        return mpmath.hyp1f1(a, b, z)
+    except (mpmath.libmp.NoConvergence, ValueError, ZeroDivisionError) as exc:
+        raise DivergenceError(f"{what} extended precision failed: {exc}") from exc
 
 
 def _mp_series_1f1(a, b, z, dps):
     import mpmath
 
     with mpmath.workdps(dps):
-        return complex(_mp_series(a, b, z, dps))
+        return complex(_mp_hyp1f1(a, b, z, "1F1"))
 
 
 def _raise_digits(evaluate, big, tol, what):
@@ -614,10 +606,10 @@ def _hypU(a, b, z, tol=1e-10):
         with mpmath.workdps(dps):
             am, bm, zm = map(mpmath.mpmathify, (a, b, z))
             return complex(
-                mpmath.gamma(1 - bm) / mpmath.gamma(am - bm + 1) * _mp_series(am, bm, z, dps)
+                mpmath.gamma(1 - bm) / mpmath.gamma(am - bm + 1) * _mp_hyp1f1(am, bm, zm, "U")
                 + mpmath.gamma(bm - 1) / mpmath.gamma(am)
                 * mpmath.exp((1 - bm) * mpmath.log(zm))
-                * _mp_series(am - bm + 1, 2 - bm, z, dps)
+                * _mp_hyp1f1(am - bm + 1, 2 - bm, zm, "U")
             )
 
     v, rel = _raise_digits(connection, abs(t1) + abs(t2), tol, "U")

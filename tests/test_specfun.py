@@ -3,7 +3,8 @@
 Expected values follow from stated independent oracles:
 * factorials / reflection identities for gamma;
 * a plain high-precision Taylor sum (implemented here, independent of the
-  kernel's transformations) for 1F1;
+  kernel's transformations) for 1F1, and for its extended-precision rerun
+  the same sum in mpmath arithmetic with 40 more digits than the rerun;
 * numerical quadrature of the Laplace integral representation, plus one
   exact contiguous recurrence step, for Whittaker W;
 * the direct power series for Bessel J at half-integer order.
@@ -12,6 +13,7 @@ On lanes the reference is the scalar call itself: each lane must equal it
 bit for bit, or raise its error.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import NoConvergence
 from scipy.integrate import quad
 
 from liesolve import specfun as sf
@@ -194,14 +197,16 @@ HYPU_EXTENDED_GOLDEN = {
 
 @pytest.mark.parametrize("a, b, z", sorted(HYPU_EXTENDED_GOLDEN, key=repr))
 def test_hypU_extended_precision_golden(monkeypatch, a, b, z):
-    # count the series that the connection formula sums itself, apart from
-    # the ones behind an extended-precision 1F1
+    # count the mpmath.hyp1f1 calls that the connection formula makes itself,
+    # apart from the ones behind an extended-precision 1F1
+    import mpmath
+
     direct = []
-    series, series_1f1 = sf._mp_series, sf._mp_series_1f1
+    hyp1f1, series_1f1 = mpmath.hyp1f1, sf._mp_series_1f1
 
     def counting(*args):
         direct.append(args)
-        return series(*args)
+        return hyp1f1(*args)
 
     def via_1f1(*args):
         n = len(direct)
@@ -209,12 +214,131 @@ def test_hypU_extended_precision_golden(monkeypatch, a, b, z):
         del direct[n:]
         return out
 
-    monkeypatch.setattr(sf, "_mp_series", counting)
+    monkeypatch.setattr(mpmath, "hyp1f1", counting)
     monkeypatch.setattr(sf, "_mp_series_1f1", via_1f1)
     got = sf._hypU(a, b, z)
     v = complex(got.value)
     assert (v.real.hex(), v.imag.hex(), got.est_error.hex()) == HYPU_EXTENDED_GOLDEN[(a, b, z)]
     assert len(direct) >= 2
+
+
+# ---------------------------------------------------------------------------
+# extended precision
+# ---------------------------------------------------------------------------
+
+
+def reference_mp_series(a, b, z, dps):
+    """1F1(a; b; z) summed term by term at ``dps`` digits until a term drops
+    below 10^-dps of the largest one, rounded to ``complex``."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        am, bm, zm = map(mpmath.mpmathify, (a, b, z))
+        term = s = max_term = mpmath.mpf(1)
+        rel_tol = mpmath.mpf(10) ** (-dps)
+        for n in range(10_000):
+            term = term * (am + n) / (bm + n) * zm / (n + 1)
+            s += term
+            max_term = max(max_term, abs(term))
+            if abs(term) <= rel_tol * max_term and n > abs(z):
+                return complex(s)
+    raise AssertionError("reference series hit its iteration cap")
+
+
+def _rerun_digits(monkeypatch):
+    """The digits of each extended-precision 1F1 rerun, as they run."""
+    digits, rerun = [], sf._mp_series_1f1
+
+    def spy(a, b, z, dps):
+        digits.append(dps)
+        return rerun(a, b, z, dps)
+
+    monkeypatch.setattr(sf, "_mp_series_1f1", spy)
+    return digits
+
+
+# a rerun at 83 digits; the reference series summed at those same 83 digits
+# rounds a few ulps away from the correctly rounded value
+HARD_RERUN = (9.164739378184663, 25.740689314738987, 23.244876383201007 + 183.05667457404792j)
+
+
+def test_1f1_rerun_matches_reference_series(monkeypatch):
+    # seeded draws in the box with Re z >= 0 whose plain series cancels too
+    # much: the rerun rounds to the reference summed with 40 more digits
+    digits = _rerun_digits(monkeypatch)
+    rng = np.random.default_rng(2024)
+    draws = []
+    for _ in range(100):
+        r, theta = rng.uniform(20.0, 200.0), rng.uniform(-math.pi / 2, math.pi / 2)
+        draws.append((rng.uniform(-10.0, 10.0), rng.uniform(0.5, 30.0), cmath.rect(r, theta)))
+    checked = 0
+    for a, b, z in draws:
+        del digits[:]
+        got = complex(sf._hyp1f1(a, b, z).value)
+        if not digits:
+            continue
+        assert got == reference_mp_series(a, b, z, digits[-1] + 40), (a, b, z)
+        checked += 1
+    assert checked >= 50, checked
+
+
+def test_1f1_rerun_hard_draw_rounds_correctly(monkeypatch):
+    digits = _rerun_digits(monkeypatch)
+    correct = complex(-3.556496803176071e-08, 1.5126377469122567e-08)
+    assert complex(sf._hyp1f1(*HARD_RERUN).value) == correct
+    assert digits == [83]
+    assert reference_mp_series(*HARD_RERUN, 83 + 40) == correct
+    assert reference_mp_series(*HARD_RERUN, 83) == complex(
+        -3.556496803176074e-08, 1.5126377469122577e-08
+    )
+
+
+def _failing_hyp1f1(error):
+    def hyp1f1(*args):
+        raise error
+
+    return hyp1f1
+
+
+# the three errors mpmath.hyp1f1 raises: no convergence, hypsum's maxprec
+# cap, and a division by zero
+MP_FAILURES = [
+    pytest.param(NoConvergence("hypsum"), id="NoConvergence"),
+    pytest.param(ValueError("hypsum: maxprec exceeded"), id="ValueError"),
+    pytest.param(ZeroDivisionError("division by zero"), id="ZeroDivisionError"),
+]
+
+
+@pytest.mark.parametrize("error", MP_FAILURES)
+def test_extended_precision_failure_is_typed(monkeypatch, error):
+    import mpmath
+
+    monkeypatch.setattr(mpmath, "hyp1f1", _failing_hyp1f1(error))
+    with pytest.raises(DivergenceError, match="1F1 extended precision"):
+        sf._hyp1f1(*HARD_RERUN)
+    with pytest.raises(DivergenceError, match="U extended precision"):
+        sf._hypU(0.3, 1.5, 25.0)
+
+
+@pytest.mark.parametrize("error", MP_FAILURES)
+def test_fp_residual_skips_points_whose_rerun_fails(monkeypatch, error):
+    # 1.1b at CLI seed 3 takes extended-precision reruns in its residual: a
+    # failing rerun sends the lanes to the per-point loop, which skips it
+    import mpmath
+
+    from liesolve.cli import _bounding_region
+    from liesolve.reductions import closed_form_solution, get_case, reconstruct_u
+    from liesolve.verify import fp_residual
+
+    case = get_case("1.1b")
+    params = case.draw_params(np.random.default_rng(3))
+    u = reconstruct_u(case, params, closed_form_solution(case, params))
+    monkeypatch.setattr(mpmath, "hyp1f1", _failing_hyp1f1(error))
+    box = _bounding_region(case, params, 3)
+    rep = fp_residual(u, case.potential_field(params), box, threshold=1.0, n=25)
+    assert rep.notes == ("per-point: DivergenceError",)
+    assert rep.singular_points_skipped > 0
+    assert rep.n_points + rep.singular_points_skipped == 25
 
 
 # ---------------------------------------------------------------------------
