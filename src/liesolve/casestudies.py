@@ -90,11 +90,10 @@ TWO_ASSET_POTENTIAL_SRC = "48*(x^2+y^2)/(x^2-y^2)^2 + r^2*(x^2+y^2) - 18*r"
 
 
 def _wedge_angle(xi, eta):
-    """Continuous angle on the left wedge (the image of the price box)."""
+    """Continuous angle on the left wedge (the image of the price box):
+    2 pi is added as a product with 0 or 1, not a branch, so lanes pass."""
     th = hd.atan2(eta, xi)
-    if hd.value(th) < 0:
-        th = th + 2.0 * math.pi
-    return th
+    return th + (hd.value(th) < 0) * (2.0 * math.pi)
 
 
 def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,

@@ -197,9 +197,7 @@ class _OpaqueWrapper:
             f0 = self.call(prime, z.a)
             f1 = self.call(prime + 1, z.a)
             f2 = self.call(prime + 2, z.a)
-            return hd.Dual2(
-                f0, z.b * f1, z.c * f1, z.d * f1 + z.b * z.c * f2
-            )
+            return hd._chain1(z, f0, f1, f2)
         return f(z)
 
 

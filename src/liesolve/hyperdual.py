@@ -39,9 +39,10 @@ comparison raises, and so do ``math`` functions, ``float()`` and, inside
 lane passes, a division by zero (``LANE_ERRSTATE``), where a float would
 raise ``ZeroDivisionError``.  A caller whose lane evaluation raises a
 ``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``
-reruns it point by point, or with its callables wrapped in
-:func:`per_lane`, which gives the scalar result or the scalar error lane by
-lane, so a lane never stands in for a domain error.  Callables that branch
+reruns it with its callables wrapped in :func:`per_lane` (the FD residuals
+and the invariance check) or point by point (the consistency check).
+:func:`per_lane` gives the scalar result or the scalar error lane by lane,
+so a lane never stands in for a domain error.  Callables that branch
 on values by design (an ``exprlang`` potential) run through
 :func:`per_lane` from the start.
 """

@@ -5,11 +5,6 @@ oracles; everything that has an analytic derivative path uses it instead.
 Step-size convention: ``h = h0 * max(1, |coordinate|)`` with ``h0`` given by
 the caller (the symmetry checks use 1e-3, the potential assembly 1e-4).
 
-:func:`partial12` takes the first and the second partial along one axis from
-one shared stencil, and accepts the center value when the caller already has
-it, so a residual that needs both derivatives and the value pays four
-evaluations per axis plus one for the center.
-
 The formulas live in :func:`first`, :func:`second` and :func:`cross`, which
 combine stencil values given as floats or as lanes (numpy arrays, element k
 the stencil of sample point k).  :func:`stencil_lanes` lays out every
@@ -76,17 +71,6 @@ def partial2(f, args, i, h0=DEFAULT_H):
     return d2(_along(f, args, i), args[i], h0)
 
 
-def partial12(f, args, i, h0=DEFAULT_H, center=None):
-    """(first, second) partial of f(*args) in coordinate i from one
-    five-point stencil; ``center`` is f(*args) when the caller has it."""
-    g = _along(f, args, i)
-    x = args[i]
-    h = step(x, h0)
-    fp2, fp1, fm1, fm2 = g(x + 2 * h), g(x + h), g(x - h), g(x - 2 * h)
-    f0 = g(x) if center is None else center
-    return first(fp2, fp1, fm1, fm2, h), second(fp2, fp1, f0, fm1, fm2, h)
-
-
 def mixed2(f, args, i, j, h0=DEFAULT_H):
     """Mixed second partial d^2 f / d args[i] d args[j] (i != j)."""
     hi = step(args[i], h0)
@@ -110,8 +94,8 @@ def stencil_lanes(pts, axes, h0=DEFAULT_H, mixed=None):
     (the argument order of :func:`first`), then for ``mixed = (i, j)`` the
     corners in the argument order of :func:`cross`.  ``h[i]`` holds the
     steps along axis ``i``.  Offsets and steps are computed as
-    :func:`partial12` and :func:`mixed2` compute them, so every lane is
-    bitwise their point.
+    :func:`partial1`, :func:`partial2` and :func:`mixed2` compute them, so
+    every lane is bitwise their point.
     """
     center = np.array(pts, float).reshape(len(pts), -1).T
     h = {i: h0 * np.maximum(1.0, np.abs(center[i])) for i in {*axes, *(mixed or ())}}

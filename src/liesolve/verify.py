@@ -17,16 +17,17 @@ Carlo engine discretizes the price processes directly.
   number of threads.
 * :func:`compare` - L-infinity / sup-CDF comparison of two oracles.
 
-The two residual oracles evaluate the field once per call, on float lanes
-(see :mod:`liesolve.hyperdual`) that hold every stencil point of every
-sample point, and combine the lanes with the five-point formulas of
-:mod:`liesolve.numdiff`; the potential and the volatilities are evaluated
-once per sample point, one lane at a time.  Each lane is bitwise its
-scalar evaluation, so the report is the per-point loop's.  When the lanes
-raise a ``TypeError``, ``ValueError``, ``ArithmeticError`` or
-``LiesolveError`` (a field that branches on its values, a domain error at
-some stencil point), the per-point loop reruns and gives its own skips,
-values and errors; ``ResidualReport.notes`` names the path that ran.
+The two residual oracles hold one formula each: the five-point formulas of
+:mod:`liesolve.numdiff` over float lanes (see :mod:`liesolve.hyperdual`)
+that hold every stencil point of every sample point.  The field is
+evaluated once on those lanes, the potential and the volatilities once per
+sample point, one lane at a time.  Each lane is bitwise its scalar
+evaluation, so the report is the per-point loop's.  When the lanes raise a
+``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError`` (a
+field that branches on its values, a domain error at some stencil point),
+the formula reruns with every callable one lane at a time, NaN where it
+raised an error that :func:`sampled` skips; ``ResidualReport.notes`` names
+the run.
 
 The array kernels update preallocated buffers in place, keeping the order
 of every floating-point operation of the plain formulas, so for fixed
@@ -103,6 +104,10 @@ class Region:
         return out
 
 
+# the errors at a point that make the sampled residuals skip it
+SKIPPED_ERRORS = (LiesolveError, ArithmeticError, ValueError)
+
+
 def sampled(fn, pts):
     """The one skip policy of the sampled residuals: ``(point, value)`` for
     each point where ``hd.value(fn(*point))`` is finite, and the number of
@@ -114,7 +119,7 @@ def sampled(fn, pts):
     for pt in pts:
         try:
             v = hd.value(fn(*pt))
-        except (LiesolveError, ArithmeticError, ValueError):
+        except SKIPPED_ERRORS:
             skipped += 1
             continue
         if math.isfinite(v):
@@ -132,22 +137,40 @@ def relative_scale(u, M, pts):
     return max([1e-12] + [v for _, v in kept])
 
 
-def _residual_report(residual_at, residual_lanes, pts, threshold, h0, what) -> ResidualReport:
+def _per_lane_or_nan(fn):
+    """fn one lane at a time (:func:`hyperdual.per_lane`), NaN at a lane
+    where it raised one of :data:`SKIPPED_ERRORS`."""
+
+    def at(*args):
+        try:
+            return fn(*args)
+        except SKIPPED_ERRORS:
+            return math.nan
+
+    return hd.per_lane(at)
+
+
+def _residual_report(formula, pts, threshold, h0, what) -> ResidualReport:
     """Summarize the residual at the points ``pts``.
 
-    ``residual_lanes(pts)`` gives the residual at every point from one
-    evaluation on lanes; a non-finite lane is skipped.  If it raises a
-    ``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``,
-    ``residual_at(*p)`` runs point by point instead, with points skipped and
-    counted as in :func:`sampled`.  ``notes`` names the path that ran."""
+    ``formula(pts, field, scalar)`` gives the residual at every point from
+    one evaluation on lanes; ``field`` and ``scalar`` make lane callables of
+    the field and of the callables that take one point at a time.  It runs
+    with the field on lanes and the others through :func:`hyperdual.per_lane`,
+    then, on a ``TypeError`` or an error of :data:`SKIPPED_ERRORS`, with
+    every callable through :func:`_per_lane_or_nan`.  A non-finite residual
+    is skipped; ``notes`` names the run that gave the values."""
     try:
         with np.errstate(**hd.LANE_ERRSTATE):
-            values = np.broadcast_to(residual_lanes(pts), (len(pts),)).tolist()
-        kept = [v for v in values if math.isfinite(v)]
-        skipped, notes = len(values) - len(kept), ("lanes",)
-    except (TypeError, ValueError, ArithmeticError, LiesolveError) as exc:
-        kept, skipped = sampled(residual_at, pts)
-        kept, notes = [v for _, v in kept], (f"per-point: {type(exc).__name__}",)
+            values = formula(pts, lambda fn: fn, hd.per_lane)
+        notes = ("lanes",)
+    except (TypeError, *SKIPPED_ERRORS) as exc:
+        with np.errstate(invalid="ignore"):
+            values = formula(pts, _per_lane_or_nan, _per_lane_or_nan)
+        notes = (f"per-lane: {type(exc).__name__}",)
+    values = np.broadcast_to(values, (len(pts),)).tolist()
+    kept = [v for v in values if math.isfinite(v)]
+    skipped = len(values) - len(kept)
     if not kept:
         raise SamplingError(f"no usable sampling points for the {what}")
     arr = np.asarray(kept)
@@ -184,35 +207,27 @@ def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualRe
 
     ``u`` is evaluated once, on lanes that hold every stencil point of every
     sample point (13 per point in two dimensions, 9 in one), and ``M`` once
-    per sample point through :func:`hyperdual.per_lane`; a lane that cannot
-    be taken reruns the per-point loop (see :func:`_residual_report`).
+    per sample point through :func:`hyperdual.per_lane`; lanes that cannot
+    be taken rerun the formula one lane at a time (see
+    :func:`_residual_report`).
     """
     one_dim = len(region.bounds) == 2
     ufn = u.fn if hasattr(u, "fn") else u
     Mfn = M.fn if hasattr(M, "fn") else M
     axes = (1, 0) if one_dim else (2, 0, 1)
 
-    def operator(ut, uxx, uyy, m, u0):
-        if one_dim:
-            return ut - 0.5 * uxx + m * u0
-        return ut - 0.5 * (uxx + uyy) + m * u0
-
-    def at(*p):
-        u0 = ufn(*p)
-        ut = numdiff.partial1(ufn, p, len(p) - 1, h0)
-        uxx = numdiff.partial12(ufn, p, 0, h0, u0)[1]
-        uyy = None if one_dim else numdiff.partial12(ufn, p, 1, h0, u0)[1]
-        return operator(ut, uxx, uyy, Mfn(*p[:-1]), u0)
-
-    def on_lanes(pts):
-        X, U, h = _on_stencils(ufn, pts, axes, h0)
+    def formula(pts, field, scalar):
+        X, U, h = _on_stencils(field(ufn), pts, axes, h0)
         u0 = U[0]
         ut = numdiff.first(*U[1:5], h[axes[0]])
         uxx = numdiff.second(U[5], U[6], u0, U[7], U[8], h[0])
-        uyy = None if one_dim else numdiff.second(U[9], U[10], u0, U[11], U[12], h[1])
-        return operator(ut, uxx, uyy, hd.per_lane(Mfn)(*X[:-1]), u0)
+        m = scalar(Mfn)(*X[:-1])
+        if one_dim:
+            return ut - 0.5 * uxx + m * u0
+        uyy = numdiff.second(U[9], U[10], u0, U[11], U[12], h[1])
+        return ut - 0.5 * (uxx + uyy) + m * u0
 
-    return _residual_report(at, on_lanes, region.points(n), threshold, h0, "residual")
+    return _residual_report(formula, region.points(n), threshold, h0, "residual")
 
 
 def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> ResidualReport:
@@ -223,53 +238,34 @@ def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> Residu
     volatilities once per sample point, as in :func:`fp_residual`."""
     r_ = model.rate
     cfn = c.fn if hasattr(c, "fn") else c
-
-    def operator(S, sv, ct, c0, c1, c11, c2=None, c22=None, c12=None):
-        if model.one_dim:
-            S = S[0]
-            return ct + 0.5 * sv[0] * sv[0] * c11 + r_ * S * c1 - r_ * c0
-        S1, S2, s1v, s2v = S[0], S[1], sv[0], sv[1]
-        return (
-            ct
-            + 0.5 * s1v**2 * c11
-            + model.rho * s1v * s2v * c12
-            + 0.5 * s2v**2 * c22
-            + r_ * S1 * c1
-            + r_ * S2 * c2
-            - r_ * c0
-        )
-
     vols = (model.vol1,) if model.one_dim else (model.vol1, model.vol2)
+    axes = (1, 0) if model.one_dim else (2, 0, 1)
 
-    def at(*p):
-        # the S-stencil gives both c_S and c_SS, around the one center value
-        c0 = cfn(*p)
-        ct = numdiff.partial1(cfn, p, len(p) - 1, h0)
-        c1, c11 = numdiff.partial12(cfn, p, 0, h0, c0)
-        sv = [vol.value(S) for vol, S in zip(vols, p)]
-        if model.one_dim:
-            return operator(p, sv, ct, c0, c1, c11)
-        c2, c22 = numdiff.partial12(cfn, p, 1, h0, c0)
-        c12 = numdiff.mixed2(cfn, p, 0, 1, h0)
-        return operator(p, sv, ct, c0, c1, c11, c2, c22, c12)
-
-    def on_lanes(pts):
-        axes = (1, 0) if model.one_dim else (2, 0, 1)
-        X, C, h = _on_stencils(cfn, pts, axes, h0, None if model.one_dim else (0, 1))
+    def formula(pts, field, scalar):
+        X, C, h = _on_stencils(field(cfn), pts, axes, h0, None if model.one_dim else (0, 1))
         c0 = C[0]
         ct = numdiff.first(*C[1:5], h[axes[0]])
         c1 = numdiff.first(C[5], C[6], C[7], C[8], h[0])
         c11 = numdiff.second(C[5], C[6], c0, C[7], C[8], h[0])
         # vol values as float lanes, so that ** is the float power
-        sv = [hd.float_lanes(hd.per_lane(vol.value)(S)) for vol, S in zip(vols, X)]
+        sv = [hd.float_lanes(scalar(vol.value)(S)) for vol, S in zip(vols, X)]
         if model.one_dim:
-            return operator(X, sv, ct, c0, c1, c11)
+            return ct + 0.5 * sv[0] * sv[0] * c11 + r_ * X[0] * c1 - r_ * c0
         c2 = numdiff.first(C[9], C[10], C[11], C[12], h[1])
         c22 = numdiff.second(C[9], C[10], c0, C[11], C[12], h[1])
         c12 = numdiff.cross(*C[13:17], h[0], h[1])
-        return operator(X, sv, ct, c0, c1, c11, c2, c22, c12)
+        s1v, s2v = sv
+        return (
+            ct
+            + 0.5 * s1v**2 * c11
+            + model.rho * s1v * s2v * c12
+            + 0.5 * s2v**2 * c22
+            + r_ * X[0] * c1
+            + r_ * X[1] * c2
+            - r_ * c0
+        )
 
-    return _residual_report(at, on_lanes, region.points(n), threshold, h0, "pricing residual")
+    return _residual_report(formula, region.points(n), threshold, h0, "pricing residual")
 
 
 # ---------------------------------------------------------------------------

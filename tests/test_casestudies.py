@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from liesolve import hyperdual as hd
 from liesolve.casestudies import (
+    _wedge_angle,
     cev_1d,
     double_cev,
     expvol_1d,
@@ -61,6 +63,38 @@ def test_double_cev_catalog_chain_passes(dcev):
         "published hypergeometric angular form solves the angular equation",
     ):
         assert _check(dcev, name).passed, name
+
+
+def _branching_wedge_angle(xi, eta):
+    th = hd.atan2(eta, xi)
+    return th + 2.0 * math.pi if hd.value(th) < 0 else th
+
+
+def _slot_hexes(jet, k=None):
+    return [float(getattr(jet, s) if k is None else getattr(jet, s)[k]).hex() for s in "abcd"]
+
+
+def test_wedge_angle_lanes_match_scalar_calls():
+    # 2 pi is added as a product, not a branch: float lanes and Dual2 lanes
+    # on both sides of theta = pi are bitwise the scalar calls, which are
+    # bitwise the branch
+    xi = [-1.0, -0.7, -1.3, -0.4, -2.0]
+    eta = [0.8, 1e-9, -1e-9, -0.6, -1.7]
+    scalar = [_wedge_angle(x, e) for x, e in zip(xi, eta)]
+    assert min(scalar) < math.pi < max(scalar)
+    branch = [_branching_wedge_angle(x, e) for x, e in zip(xi, eta)]
+    assert [v.hex() for v in scalar] == [v.hex() for v in branch]
+    lanes = _wedge_angle(hd.float_lanes(xi), hd.float_lanes(eta))
+    assert [v.hex() for v in lanes.tolist()] == [v.hex() for v in scalar]
+
+    def seeded(x, e):
+        return hd.Dual2(x, 1.0, 0.3, 0.0), hd.Dual2(e, 0.2, 1.0, 0.5)
+
+    jets = _wedge_angle(*seeded(np.array(xi), np.array(eta)))
+    for k, (x, e) in enumerate(zip(xi, eta)):
+        one = _wedge_angle(*seeded(x, e))
+        assert _slot_hexes(one) == _slot_hexes(_branching_wedge_angle(*seeded(x, e)))
+        assert _slot_hexes(jets, k) == _slot_hexes(one)
 
 
 def test_double_cev_documented_discrepancies(dcev):

@@ -16,7 +16,7 @@ from liesolve.fields import heat_kernel
 from liesolve.reductions import closed_form_solution, get_case, reconstruct_u
 from liesolve.reductions import separated as SEP
 from liesolve.transform import CEVVol, MarketModel
-from liesolve.verify import Region, bs_residual, fp_residual
+from liesolve.verify import Region, bs_residual, fp_residual, sampled
 
 
 @pytest.fixture
@@ -252,10 +252,10 @@ def test_bs_residual_evaluations_per_point(region, per_point):
     ids=["fp-2d", "fp-1d", "bs-2d", "bs-1d"],
 )
 def test_residual_evaluations_per_point_without_lanes(residual, region, per_point):
-    # a field that rejects lanes reruns the per-point loop: the shared
-    # stencils still cost 13 / 9 / 17 evaluations per point
+    # a field that rejects lanes reruns the formula one lane at a time: the
+    # shared stencils still cost 13 / 9 / 17 evaluations per point
     rep, calls = residual(region, _scalar_only)
-    assert (rep.n_points, rep.notes) == (7, ("per-point: TypeError",))
+    assert (rep.n_points, rep.notes) == (7, ("per-lane: TypeError",))
     assert len(calls) == per_point * 7
     lanes, _ = residual(region, lambda f: f)
     assert (lanes.max_abs.hex(), lanes.rms.hex()) == (rep.max_abs.hex(), rep.rms.hex())
@@ -269,7 +269,7 @@ VERIFY_DRAWS = [
 @pytest.mark.parametrize("case_id, seed", VERIFY_DRAWS)
 def test_closed_form_residual_runs_on_lanes(case_id, seed):
     # the residual that `verify` takes of each closed form, at one draw:
-    # lanes, with the report of the per-point loop bit for bit
+    # lanes, with the report of the per-lane rerun bit for bit
     from liesolve.cli import _bounding_region
 
     case = get_case(case_id)
@@ -280,7 +280,7 @@ def test_closed_form_residual_runs_on_lanes(case_id, seed):
     lanes = fp_residual(u, M, box, threshold=1.0, n=25)
     points = fp_residual(_scalar_only(u.fn), M, box, threshold=1.0, n=25)
     assert lanes.notes == ("lanes",)
-    assert points.notes == ("per-point: TypeError",)
+    assert points.notes == ("per-lane: TypeError",)
     assert (lanes.n_points, lanes.singular_points_skipped) == (
         points.n_points,
         points.singular_points_skipped,
@@ -295,7 +295,7 @@ def test_field_that_branches_on_float_t_runs_per_point():
         return heat(x, y, t) if float(t) > 0.0 else 0.0
 
     rep = fp_residual(u, lambda x, y: 0.0, REGION_2D, threshold=1e-6, n=9)
-    assert rep.notes == ("per-point: TypeError",)
+    assert rep.notes == ("per-lane: TypeError",)
     assert rep.n_points == 9
 
 
@@ -424,12 +424,76 @@ def test_bs_residual_matches_per_derivative_stencils(field):
     )
 
 
-def test_partial12_matches_d1_and_d2():
-    f = lambda x, t: math.sin(1.3 * x) * math.exp(-t) + x**5  # noqa: E731
-    args = (0.37, 1.1)
-    for i in (0, 1):
-        first, second = numdiff.partial12(f, args, i, 1e-3)
-        assert first.hex() == numdiff.partial1(f, args, i, 1e-3).hex()
-        assert second.hex() == numdiff.partial2(f, args, i, 1e-3).hex()
-        with_center = numdiff.partial12(f, args, i, 1e-3, f(*args))
-        assert (with_center[0].hex(), with_center[1].hex()) == (first.hex(), second.hex())
+# -- the per-lane rerun against the per-point loop -------------------------------
+
+
+def _spotty(fn, raised):
+    """fn on floats, except at some stencil points: a DomainError, a
+    ZeroDivisionError or a ValueError (each recorded in ``raised``), or inf.
+    The class of a point hangs on digits finer than the stencil step, so the
+    stencil points of one sample point fall in different classes."""
+
+    def g(*p):
+        k = int(sum(abs(v) for v in p) * 1e4) % 97
+        if k == 0:
+            raised.add("DomainError")
+            raise DomainError("spotty field")
+        if k == 1:
+            raised.add("ZeroDivisionError")
+            return 1.0 / (k - 1)
+        if k == 2:
+            raised.add("ValueError")
+            return math.sqrt(-1.0)
+        if k == 3:
+            return math.inf
+        return fn(*p)
+
+    return g
+
+
+@pytest.mark.parametrize("oracle", ["fp-2d", "fp-1d", "bs-2d", "bs-1d"])
+def test_per_lane_rerun_matches_per_point_loop(oracle):
+    # the field rejects lanes (int() of an array) and raises or gives inf at
+    # some stencil points: the per-lane rerun skips and keeps the points the
+    # per-point loop of the reference formulas skips and keeps, bit for bit
+    h0, n, raised = 1e-3, 30, set()
+    one_dim = oracle.endswith("1d")
+    if oracle.startswith("fp"):
+        region = REGION_1D if one_dim else REGION_2D
+        ufn = _spotty(_poly2 if one_dim else _poly3, raised)
+        Mfn = (lambda x: 0.3 * x) if one_dim else (lambda x, y: 0.3 * x - y)
+        rep = fp_residual(ufn, Mfn, region, threshold=1.0, h0=h0, n=n)
+        reference = lambda *p: _old_fp(ufn, Mfn, p, h0)  # noqa: E731
+    else:
+        region = PRICE_1D if one_dim else PRICE_2D
+        model = _model(one_dim)
+        cfn = _spotty(_poly2 if one_dim else _poly3, raised)
+        rep = bs_residual(model, cfn, region, threshold=1.0, h0=h0, n=n)
+        reference = lambda *p: _old_bs(model, cfn, p, h0)  # noqa: E731
+    with np.errstate(invalid="ignore"):  # numpy scalar points: inf - inf
+        kept, skipped = sampled(reference, region.points(n))
+    old = np.asarray([v for _, v in kept])
+    assert rep.notes == ("per-lane: TypeError",)
+    assert raised == {"DomainError", "ZeroDivisionError", "ValueError"}
+    assert 0 < skipped < n
+    assert (rep.n_points, rep.singular_points_skipped) == (len(kept), skipped)
+    assert rep.max_abs.hex() == float(np.max(np.abs(old))).hex()
+    assert rep.rms.hex() == float(np.sqrt(np.mean(old**2))).hex()
+
+
+@pytest.mark.parametrize(
+    "residual, region", [(_fp_counted, REGION_2D), (_bs_counted, PRICE_2D)], ids=["fp", "bs"]
+)
+def test_type_error_of_the_field_on_floats_propagates(residual, region):
+    # not a skip: a TypeError on floats is a fault of the field, as it is in
+    # the per-point loop
+    def wrap(fn):
+        def g(*p):
+            if p[0] > 0.9:
+                raise TypeError("not a domain error")
+            return fn(*p)
+
+        return _scalar_only(g)
+
+    with pytest.raises(TypeError, match="not a domain error"):
+        residual(region, wrap)

@@ -323,7 +323,7 @@ def test_extended_precision_failure_is_typed(monkeypatch, error):
 @pytest.mark.parametrize("error", MP_FAILURES)
 def test_fp_residual_skips_points_whose_rerun_fails(monkeypatch, error):
     # 1.1b at CLI seed 3 takes extended-precision reruns in its residual: a
-    # failing rerun sends the lanes to the per-point loop, which skips it
+    # failing one sends the residual one lane at a time, which skips its point
     import mpmath
 
     from liesolve.cli import _bounding_region
@@ -336,7 +336,7 @@ def test_fp_residual_skips_points_whose_rerun_fails(monkeypatch, error):
     monkeypatch.setattr(mpmath, "hyp1f1", _failing_hyp1f1(error))
     box = _bounding_region(case, params, 3)
     rep = fp_residual(u, case.potential_field(params), box, threshold=1.0, n=25)
-    assert rep.notes == ("per-point: DivergenceError",)
+    assert rep.notes == ("per-lane: DivergenceError",)
     assert rep.singular_points_skipped > 0
     assert rep.n_points + rep.singular_points_skipped == 25
 
