@@ -50,10 +50,6 @@ class EvalDomainError(LiesolveError, ArithmeticError):
     """Division by zero, log of a non-positive number, and similar."""
 
 
-class UnsupportedDerivative(LiesolveError, ValueError):
-    """differentiate() was asked for a direction it does not support."""
-
-
 class AmbiguousMatch(LiesolveError):
     """Two or more templates fit within tolerance; carries all of them."""
 

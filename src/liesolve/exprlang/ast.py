@@ -34,24 +34,6 @@ _FUNC_IMPL = {
 class Expr:
     __slots__ = ()
 
-    def __add__(self, o):
-        return Bin("+", self, _as_expr(o))
-
-    def __sub__(self, o):
-        return Bin("-", self, _as_expr(o))
-
-    def __mul__(self, o):
-        return Bin("*", self, _as_expr(o))
-
-    def __truediv__(self, o):
-        return Bin("/", self, _as_expr(o))
-
-
-def _as_expr(v):
-    if isinstance(v, Expr):
-        return v
-    return Num(float(v))
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -287,24 +269,6 @@ def free_parameters(e):
             walk(n.operand)
         elif isinstance(n, Call):
             walk(n.arg)
-
-    walk(e)
-    return out
-
-
-def opaque_symbols(e):
-    out = set()
-
-    def walk(n):
-        if isinstance(n, Call):
-            if n.opaque:
-                out.add(n.fn)
-            walk(n.arg)
-        elif isinstance(n, Bin):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Neg):
-            walk(n.operand)
 
     walk(e)
     return out

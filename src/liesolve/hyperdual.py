@@ -31,7 +31,8 @@ callable as lanes.  Each lane is bitwise its scalar pass, by three rules:
   ``np.fromiter(map(math.exp, a), float, n)``: ``np.exp`` is not libm and
   differs in the last bit;
 - ``**`` on float lanes goes through Python's ``pow`` per element, both in
-  :meth:`Dual2.__pow__` and on :func:`float_lanes`: numpy's ``a ** 2`` is
+  :meth:`Dual2.__pow__` and on :func:`float_lanes`, which is also how
+  :func:`lift1` hands lane values to its callables: numpy's ``a ** 2`` is
   ``a * a``, which is not always libm ``pow(a, 2)``.
 
 A value-dependent branch cannot take lanes: the truth value of an array
@@ -327,7 +328,9 @@ def lift1(f, df, d2f):
     def wrapped(x):
         if not isinstance(x, Dual2):
             return f(x)
-        return _chain1(x, f(x.a), df(x.a), d2f(x.a))
+        # float lanes: a ** in f, f', f'' is pow per element, as in the scalar pass
+        a = x.a.view(_FloatLanes) if isinstance(x.a, np.ndarray) else x.a
+        return _chain1(x, f(a), df(a), d2f(a))
 
     return wrapped
 

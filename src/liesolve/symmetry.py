@@ -245,7 +245,8 @@ def default_sampling(n=30, seed=1, r_range=(0.6, 2.4), t_range=(0.3, 1.2)):
 
 
 def _filter_points(M, points):
-    good = [pt for pt, _ in sampled(lambda x, y, t: M.fn(x, y), points)[0]]
+    """``(point, M value)`` at each point where M is finite (:func:`sampled`)."""
+    good = sampled(lambda x, y, t: M.fn(x, y), points)[0]
     if len(good) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     return good
@@ -255,12 +256,11 @@ def compatibility_condition(data: SymmetryData, M, points=None) -> float:
     """Max abs of the scalar determining condition over the sampling set, or NaN."""
     M = _as_xy_field(M)
     vf = infinitesimals(data)
-    points = _filter_points(M, points or default_sampling())
+    kept = _filter_points(M, points or default_sampling())
     f1d = data.f1.d()
     resids = []
-    for (x, y, t) in points:
+    for (x, y, t), Mv in kept:
         Mx, My = M.grad(0, 1, (x, y))
-        Mv = M.fn(x, y)
         A_t = hd.derivative(vf.A, (x, y, t), 2)
         A_xx = hd.derivative(vf.A, (x, y, t), 0, order=2)
         A_yy = hd.derivative(vf.A, (x, y, t), 1, order=2)
@@ -305,7 +305,7 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     scalar passes' defects or their error, and a NaN defect gives NaN.
     """
     M = _as_xy_field(M)
-    points = _filter_points(M, points or default_sampling())
+    points = [pt for pt, _ in _filter_points(M, points or default_sampling())]
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
             defects = _lane_defects(vf, M, u_test.fn, points)

@@ -1,4 +1,4 @@
-"""Expression-language tests: parser, evaluator, differentiation, matching."""
+"""Expression-language tests: parser, evaluator, matching."""
 
 import math
 import zlib
@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from liesolve import exprlang as ex
-from liesolve import numdiff
-from liesolve.errors import (
-    EvalDomainError,
-    ExprSyntaxError,
-    UnboundSymbol,
-    UnsupportedDerivative,
-)
+from liesolve import hyperdual as hd
+from liesolve.errors import EvalDomainError, ExprSyntaxError, UnboundSymbol
 from liesolve.exprlang import ast as A
 
 # the corpus the round-trip invariant quantifies over
@@ -157,80 +152,30 @@ def test_eval_polar_derived_from_cartesian():
 def test_eval_derives_polar_only_when_read():
     # theta is undefined at the origin; an expression that never reads it
     # differentiates there
-    from liesolve import hyperdual as hd
-
     e = ex.parse("2*x + 3*y + 1")
     d = hd.derivative(lambda x, y: ex.evaluate(e, {"x": x, "y": y}), (0.0, 0.0), 0)
     assert d == 2.0
 
 
 def test_eval_opaque_with_derivative_chain():
-    e = ex.parse("C(x^2)")
-    de = ex.differentiate(e, "x")
+    de = ex.parse("C_prime(x^2)*(2*x)")
     got = ex.evaluate(de, {"x": 1.5}, opaque={"C": (math.sin, math.cos)})
     assert got == pytest.approx(math.cos(1.5**2) * 3.0, rel=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# differentiation
-# ---------------------------------------------------------------------------
+def test_eval_opaque_fills_missing_orders_by_stencils():
+    # a bare callable under Dual2: C' and C'' come from five-point stencils
+    x = hd.Dual2(1.5, 1.0, 1.0, 0.0)
+    got = ex.evaluate(ex.parse("C(x^2)"), {"x": x}, opaque={"C": math.sin})
+    assert got.a == math.sin(2.25)
+    assert got.b == pytest.approx(3.0 * math.cos(2.25), rel=1e-9)
+    assert got.d == pytest.approx(-9.0 * math.sin(2.25) + 2.0 * math.cos(2.25), rel=1e-5)
 
 
-def test_differentiate_power_rule():
-    e = ex.parse("C0/x^2")
-    de = ex.differentiate(e, "x")
-    got = ex.evaluate(de, {"x": 2.0}, {"C0": 3.0})
-    assert got == pytest.approx(-2 * 3.0 / 2.0**3, rel=1e-14)
-
-
-def test_differentiate_linear():
-    de = ex.differentiate(ex.parse("b*y + c0"), "y")
-    assert de == A.Param("b")
-
-
-def test_differentiate_opaque_chain_rule():
-    e = ex.parse("C(x^2+y^2)")
-    de = ex.differentiate(e, "x")
-    # C'(x^2+y^2) * 2x
-    got = ex.evaluate(de, {"x": 1.2, "y": 0.7}, opaque={"C": (math.exp, math.exp)})
-    assert got == pytest.approx(math.exp(1.2**2 + 0.7**2) * 2 * 1.2, rel=1e-12)
-
-
-def test_differentiate_direction_guard():
-    with pytest.raises(UnsupportedDerivative):
-        ex.differentiate(ex.parse("x + y"), "theta")
-
-
-@pytest.mark.parametrize("src", CORPUS)
-def test_differentiate_against_central_differences(src):
-    e = ex.parse(src)
-    rng = np.random.default_rng(zlib.crc32(src.encode()))
-    params = {name: rng.uniform(0.5, 2.0) for name in ex.free_parameters(e)}
-    opaque = {name: (math.sin, math.cos, lambda v: -math.sin(v)) for name in ex.opaque_symbols(e)}
-    for var in ("x", "y", "S"):
-        de = ex.differentiate(e, var)
-        checked = 0
-        for _ in range(50):
-            pt = {
-                "x": rng.uniform(0.6, 2.0),
-                "y": rng.uniform(0.1, 0.45),
-                "t": rng.uniform(0.5, 2.0),
-                "S": rng.uniform(0.5, 2.0),
-            }
-            try:
-                sym = ex.evaluate(de, pt, params, opaque)
-            except EvalDomainError:
-                continue
-
-            def scalar(v):
-                q = dict(pt)
-                q[var] = v
-                return ex.evaluate(e, q, params, opaque)
-
-            fd = numdiff.d1(scalar, pt[var], 1e-5)
-            assert sym == pytest.approx(fd, rel=1e-6, abs=1e-8)
-            checked += 1
-        assert checked >= 40
+def test_eval_opaque_needs_at_most_two_orders_past_the_binding():
+    x = hd.Dual2(1.5, 1.0, 1.0, 0.0)
+    with pytest.raises(EvalDomainError, match="needs derivative order 3, only 0 provided"):
+        ex.evaluate(ex.parse("C_prime(x)"), {"x": x}, opaque={"C": math.sin})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def _elementary(x, y, t):
     )
 
 
-_OPAQUE_EXPR = ex.differentiate(ex.parse("C(x*y + x^2) * y + C(x - y)"), "x")
+_OPAQUE_EXPR = ex.parse("C_prime(x*y + x^2)*(y + 2*x)*y + C_prime(x - y)")
 _OPAQUE = {"C": (hd.sin, hd.cos, lambda v: -hd.sin(v), lambda v: -hd.cos(v), hd.sin, hd.cos)}
 
 

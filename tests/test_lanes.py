@@ -151,6 +151,22 @@ def test_lane_division_by_zero_raises_where_floats_raise():
         hd.lane_pass(lambda x: 1.0 / x, (hd.float_lanes([1.0, 0.0]),), ((0, None),))
 
 
+def test_lifted_callables_take_float_lanes():
+    # numpy's a**4 is not pow(a, 4) in the last bit at the first point
+    f = hd.lift1(lambda s: 0.1 * s**4, lambda s: 0.4 * s**3, lambda s: 1.2 * s**2)
+
+    def g(s):
+        return f(s) * f(s)
+
+    xs = [1.9967044602602857, 0.33413039750901763, 0.5, 1.3, 2.7]
+    want = [hd.derivative(g, (x,), 0, order=2) for x in xs]
+    got = hd.derivative(g, (hd.float_lanes(xs),), 0, order=2)
+    assert [_hex(v) for v in got] == [_hex(v) for v in want]
+    (tiled,) = hd.lane_pass(g, (hd.float_lanes(xs),), ((0, 0),))
+    assert [_hex(v) for v in tiled.d] == [_hex(v) for v in want]
+    assert [_hex(v) for v in tiled.a] == [_hex(g(x)) for x in xs]
+
+
 def test_per_lane_rebuilds_scalar_arguments_and_stacks_the_results():
     seen = []
 
