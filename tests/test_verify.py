@@ -4,13 +4,14 @@ oracle comparison."""
 import hashlib
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from liesolve import fields, verify
-from liesolve.errors import BoundaryContamination, DomainMismatch, UnstableConfig
+from liesolve.errors import BoundaryContamination, ConfigError, DomainMismatch, UnstableConfig
 from liesolve.fields import ScalarField, heat_kernel
 from liesolve.transform import CEVVol, ExponentialVol, RescaledExponentialVol, TabulatedVol
 from liesolve.verify import Grid, Region, SdeConfig, compare, fd_evolve, fp_residual, mc_simulate
@@ -213,6 +214,20 @@ def test_fd_evolve_rejects_non_finite_initial_values():
     u0 = lambda x: math.nan if abs(x) < 0.1 else math.exp(-x * x)
     with pytest.raises(UnstableConfig, match="initial values are not finite"):
         fd_evolve(lambda x: 0.0, u0, grid, 1.0)
+
+
+@pytest.mark.parametrize("extents", [(), ((-1.0, 1.0, 17),) * 3])
+def test_grid_needs_one_or_two_axes(extents):
+    with pytest.raises(UnstableConfig, match="one or two axes"):
+        Grid(extents, dt=1e-2)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_fd_evolve_rejects_unknown_bc(dims):
+    grid = Grid(((-4.0, 4.0, 33),) * dims, dt=1e-2)
+    u0 = lambda *x: math.exp(-sum(v * v for v in x))
+    with pytest.raises(ConfigError, match="'absorbing' or 'fixed'"):
+        fd_evolve(lambda *x: 0.0, u0, grid, 0.1, bc="reflecting", bc_value=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +475,28 @@ def test_mc_golden_digests(name):
     assert _samples_sha(mc_simulate(SdeConfig(**kw), T=1.0)) == digest
 
 
+def _fd2_runs(grid):
+    """The two 2-D golden runs (absorbing and fixed boundary) on ``grid``."""
+    M2 = lambda x, y: 0.5 + 0.1 * math.tanh(x) * math.tanh(y)
+    g2 = lambda x, y: math.exp(-x * x - 0.5 * y * y)
+    return [
+        fd_evolve(M2, g2, grid, 0.1).values,
+        fd_evolve(M2, g2, grid, 0.1, bc="fixed", bc_value=0.05).values,
+    ]
+
+
+FD2_GOLDEN_GRID = Grid(((-4.0, 4.0, 33), (-3.0, 3.0, 25)), dt=1e-2)
+
+
 @pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
 def test_fd_evolve_golden_digests():
     M1 = lambda x: 0.5 + 0.1 * math.tanh(x)
     g1 = lambda x: math.exp(-x * x)
-    M2 = lambda x, y: 0.5 + 0.1 * math.tanh(x) * math.tanh(y)
-    g2 = lambda x, y: math.exp(-x * x - 0.5 * y * y)
     g1d = Grid(((-4.0, 4.0, 65),), dt=1e-2)
-    g2d = Grid(((-4.0, 4.0, 33), (-3.0, 3.0, 25)), dt=1e-2)
     got = [
         _sha(fd_evolve(M1, g1, g1d, 0.2).values),
         _sha(fd_evolve(M1, g1, g1d, 0.2, bc="fixed", bc_value=0.1).values),
-        _sha(fd_evolve(M2, g2, g2d, 0.1).values),
-        _sha(fd_evolve(M2, g2, g2d, 0.1, bc="fixed", bc_value=0.05).values),
+        *(_sha(v) for v in _fd2_runs(FD2_GOLDEN_GRID)),
     ]
     assert got == [
         "7cf794e68f6566caff840f441911ed9e8c78f2ec92702605b4a4f8707d360663",
@@ -493,7 +517,7 @@ def test_fd_evolve_non_finite_is_typed():
 
 def test_mc_worker_count_independence(monkeypatch):
     def run(cfg, workers):
-        monkeypatch.setattr(verify, "_mc_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(verify, "_workers", lambda n_blocks: workers)
         # more workers than blocks or cores, switching threads often
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -556,3 +580,44 @@ def test_sup_cdf_distance_matches_scalar_loop(monkeypatch):
         assert got == _sup_cdf_reference(samples, model)
     assert verify.sup_cdf_distance(samples, smooth) < 0.02
     assert verify.sup_cdf_distance(np.array([]), smooth) == 0.0
+
+
+def _forced_split(monkeypatch, workers):
+    # every grid splits, into ``workers`` blocks per phase
+    monkeypatch.setattr(verify, "_FD_SPLIT_POINTS", 0)
+    monkeypatch.setattr(verify, "_workers", lambda n_blocks: workers)
+
+
+@pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
+def test_fd_evolve_worker_count_independence(monkeypatch):
+    # the golden grids and an odd-sized one, whose blocks are uneven
+    grids = (FD2_GOLDEN_GRID, Grid(((-4.0, 4.0, 37), (-3.0, 3.0, 29)), dt=1e-2))
+    outs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            _forced_split(monkeypatch, workers)
+            outs[workers] = [v for g in grids for v in _fd2_runs(g)]
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3):
+        assert all(np.array_equal(a, b) for a, b in zip(outs[1], outs[workers]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
+def test_fd_evolve_split_keeps_error_state(monkeypatch):
+    # the half-Laplacian overflows only at x > 1, in the second row block:
+    # the worker thread must raise under the caller's error state, as the
+    # one-thread run does, and shut its pool down
+    u0 = lambda x, y: 1.5e308 * math.exp(-(x - 2.0) ** 2 - y * y)
+    grid = Grid(((-4.0, 4.0, 41), (-4.0, 4.0, 41)), dt=1e-2)
+    for workers in (1, 2):
+        _forced_split(monkeypatch, workers)
+        threads = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            fd_evolve(lambda x, y: 0.0, u0, grid, 0.1)
+        assert threading.active_count() == threads
+    with pytest.raises(UnstableConfig):
+        fd_evolve(lambda x, y: 0.0, u0, grid, 0.1)
