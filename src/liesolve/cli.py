@@ -7,8 +7,13 @@ solution, sample it to CSV), ``verify`` (full residual suite for one case),
 ``case-study`` (the end-to-end study chains).
 
 Every run is driven by a config mapping validated against a versioned JSON
-schema; command-line flags are sugar that assembles the same mapping.  Exit
-codes: 0 all verdicts pass, 2 verification failures, 1 usage/config errors.
+schema.  Command-line flags assemble the same mapping: each option's argparse
+dest is its config key (``--index`` -> ``transform_index``, ``--samples`` ->
+``samples_csv``, ``--param`` -> ``potential_params``, ``--json`` ->
+``out_json``), and an option left unset is absent, so its default is stated
+once, by the command that reads it.  Exit codes: 0 all verdicts pass, 2
+verification failures, 1 usage and config errors (a bad flag, an unreadable
+``--config`` file, an unknown case, a report path that cannot be written).
 Reports are deterministic for a fixed config and seed (no timestamps).
 """
 
@@ -31,7 +36,6 @@ from .fields import shifted_heat_kernel
 from .reductions import (
     catalog,
     closed_form_solution,
-    get_case,
     reconstruct_u,
     reduced_residual,
     verify_reduction_consistency,
@@ -89,16 +93,16 @@ def validate_config(config):
 
 
 def _parse_kv(text):
+    # the argparse type of the name=value,... options
     out = {}
-    if not text:
-        return out
     for piece in text.split(","):
         if not piece.strip():
             continue
-        if "=" not in piece:
-            raise ConfigError(f"expected name=value, got {piece!r}")
-        k, v = piece.split("=", 1)
-        out[k.strip()] = float(v)
+        k, _, v = piece.partition("=")
+        try:
+            out[k.strip()] = float(v)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected name=number, got {piece!r}") from None
     return out
 
 
@@ -141,8 +145,15 @@ def _cmd_classify(config):
     return rep
 
 
+def _case(config):
+    cases = catalog()
+    if config.get("case") not in cases:
+        raise ConfigError(f"case must be one of {sorted(cases)}, got {config.get('case')!r}")
+    return cases[config["case"]]
+
+
 def _cmd_reduce(config):
-    case = get_case(config["case"])
+    case = _case(config)
     rep = VerificationReport(f"similarity reduction, case {case.case_id}")
     sim, red = case.summary
     rep.payload["similarity variables"] = sim
@@ -153,9 +164,9 @@ def _cmd_reduce(config):
     return rep
 
 
-def _required_params(case, given, seed):
-    params = case.draw_params(np.random.default_rng(seed))
-    params.update(given)
+def _required_params(case, config):
+    params = case.draw_params(np.random.default_rng(config["seed"]))
+    params.update(config.get("params", {}))
     return params
 
 
@@ -166,9 +177,9 @@ def _cmd_verify(config):
 def _verify_suite(config):
     """The verify report with the case, the drawn parameters and the closed
     form it checked (None when the case has none), for ``solve`` to reuse."""
-    case = get_case(config["case"])
-    seed = config.get("seed", 0)
-    params = _required_params(case, config.get("params", {}), seed)
+    case = _case(config)
+    seed = config["seed"]
+    params = _required_params(case, config)
     constants = dict(config.get("constants", {}))
     rep = VerificationReport(f"verification suite, case {case.case_id}")
     rep.payload["parameters"] = {k: v for k, v in sorted(params.items()) if isinstance(v, float)}
@@ -222,16 +233,16 @@ def _bounding_region(case, params, seed):
 
 
 def _cmd_solve(config):
-    seed = config.get("seed", 0)
+    seed = config["seed"]
     if config.get("allow_unverified"):
-        rep = VerificationReport(f"solution build, case {config['case']} (verification skipped)")
+        case = _case(config)
+        rep = VerificationReport(f"solution build, case {case.case_id} (verification skipped)")
         rep.record(
             "WARNING: verification skipped on request",
             True,
             notes="--allow-unverified was given; the sampled solution is unchecked",
         )
-        case = get_case(config["case"])
-        params = _required_params(case, config.get("params", {}), seed)
+        params = _required_params(case, config)
         sol = None
     else:
         rep, case, params, sol = _verify_suite(config)
@@ -281,12 +292,10 @@ def _cmd_transform(config):
 def _cmd_case_study(config):
     study = config["study"]
     if study == "double-cev":
-        sigma = tuple(config.get("sigma", [1.0, 1.0]))
-        alpha = tuple(config.get("alpha", [2.0, 2.0]))
-        res = casestudies.double_cev(
-            r=config.get("r", 0.05), sigma=sigma, alpha=alpha, rho=config.get("rho", 0.0),
-            seed=config.get("seed", 0),
-        )
+        given = {k: tuple(config[k]) for k in ("sigma", "alpha") if k in config}
+        if "rho" in config:
+            given["rho"] = config["rho"]
+        res = casestudies.double_cev(r=config.get("r", 0.05), seed=config["seed"], **given)
     elif study == "cev":
         sigma = config.get("sigma", [1.0])[0]
         alpha = config.get("alpha", [2.0])[0]
@@ -314,15 +323,26 @@ def run(config):
     Config errors raise :class:`ConfigError` (exit code 1 at the CLI).
     """
     validate_config(config)
+    config = {"seed": 0, **config}
     rep = _COMMANDS[config["command"]](config)
-    rep.payload.setdefault("seed", config.get("seed", 0))
+    rep.payload.setdefault("seed", config["seed"])
     return (0 if rep.clean else 2), rep
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error (exit 1); argparse would exit 2,
+        # the code of a failed verification
+        raise ConfigError(message)
+
+
 def build_parser():
-    # SUPPRESS keeps a subcommand's unset options from clobbering values
-    # parsed at the top level, so flags work on either side of the verb
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    # every dest is a config key, and SUPPRESS leaves an unset option out of
+    # the namespace: a subcommand's unset options then cannot clobber values
+    # parsed at the top level, and each default lives in the command that
+    # reads it
+    parser = functools.partial(_Parser, argument_default=argparse.SUPPRESS)
+    common = parser(add_help=False)
     common.add_argument("--seed", type=int,
                         help="draws the parameters and sample points of verify and solve; "
                         "of the case studies only double-cev reads it (its sample points)")
@@ -331,123 +351,96 @@ def build_parser():
     common.add_argument("--text", dest="out_text",
                         help="write the human-readable report here")
 
-    ap = argparse.ArgumentParser(
+    ap = parser(
         prog="liesolve",
         description="similarity-reduction solution builder and verifier for pricing potentials",
         parents=[common],
     )
     ap.add_argument("--config", help="JSON run configuration (overrides other flags)")
-    sub = ap.add_subparsers(dest="command", parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sub = ap.add_subparsers(dest="command",
+                            parser_class=functools.partial(parser, parents=[common]))
 
     c = sub.add_parser("classify", help="classify a potential against the catalog")
     c.add_argument("--potential", required=True)
-    c.add_argument("--param", action="append", default=[], help="name=value binding")
+    c.add_argument("--param", dest="potential_params", type=_parse_kv, action="append",
+                   help="name=value binding")
 
     r = sub.add_parser("reduce", help="print similarity variables and the reduced equation")
     r.add_argument("--case", required=True)
 
     s = sub.add_parser("solve", help="build a separated solution and sample it")
-    s.add_argument("--case", required=True)
-    s.add_argument("--params", default="")
-    s.add_argument("--c1", type=float, default=None)
-    s.add_argument("--constants", default="")
+    v = sub.add_parser("verify", help="run the residual suite for one case")
+    for p in (s, v):
+        p.add_argument("--case", required=True)
+        p.add_argument("--params", type=_parse_kv)
+        p.add_argument("--c1", type=float)
+        p.add_argument("--constants", type=_parse_kv)
     s.add_argument("--samples", dest="samples_csv")
     s.add_argument("--allow-unverified", action="store_true")
 
-    v = sub.add_parser("verify", help="run the residual suite for one case")
-    v.add_argument("--case", required=True)
-    v.add_argument("--params", default="")
-    v.add_argument("--c1", type=float, default=None)
-    v.add_argument("--constants", default="")
-
     t = sub.add_parser("transform", help="apply a group action and re-verify")
-    t.add_argument("--index", type=int, required=True, choices=range(1, 7))
-    t.add_argument("--eps", type=float, default=0.5)
-    t.add_argument("--delta", type=float, default=0.8)
+    t.add_argument("--index", dest="transform_index", type=int, required=True,
+                   choices=range(1, 7))
+    t.add_argument("--eps", type=float)
+    t.add_argument("--delta", type=float)
 
     cs = sub.add_parser("case-study", help="run an end-to-end study")
     cs.add_argument("study", choices=["double-cev", "cev", "expvol"])
-    cs.add_argument("--r", type=float, default=None)
-    cs.add_argument("--sigma", type=float, nargs="+", default=None)
-    cs.add_argument("--alpha", type=float, nargs="+", default=None)
-    cs.add_argument("--rho", type=float, default=None)
+    cs.add_argument("--r", type=float)
+    cs.add_argument("--sigma", type=float, nargs="+")
+    cs.add_argument("--alpha", type=float, nargs="+")
+    cs.add_argument("--rho", type=float)
 
     return ap
 
 
 def config_from_args(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for name in ("out_json", "out_text"):
-            v = getattr(args, name, None)
-            if v:
-                cfg[name] = v
+    """The run configuration of parsed flags, whose dests are its keys."""
+    given = dict(vars(args))
+    path = given.pop("config", None)
+    if path:
+        # the file is the run; only the report paths come from flags
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"--config {path}: {exc}") from exc
+        if isinstance(cfg, dict):
+            cfg.update({k: given[k] for k in ("out_json", "out_text") if given.get(k)})
         return cfg
-    if not args.command:
+    if given["command"] is None:
         raise ConfigError("a subcommand or --config is required")
-    cfg = {
-        "version": SCHEMA_VERSION,
-        "command": args.command,
-        "seed": getattr(args, "seed", 0),
-    }
-    if getattr(args, "out_json", None):
-        cfg["out_json"] = args.out_json
-    if getattr(args, "out_text", None):
-        cfg["out_text"] = args.out_text
-    if args.command == "classify":
-        cfg["potential"] = args.potential
-        cfg["potential_params"] = _parse_kv(",".join(args.param))
-    elif args.command == "reduce":
-        cfg["case"] = args.case
-    elif args.command in ("solve", "verify"):
-        cfg["case"] = args.case
-        cfg["params"] = _parse_kv(args.params)
-        constants = _parse_kv(args.constants)
-        if args.c1 is not None:
-            constants["c1"] = args.c1
-        cfg["constants"] = constants
-        if args.command == "solve":
-            if args.samples_csv:
-                cfg["samples_csv"] = args.samples_csv
-            cfg["allow_unverified"] = bool(args.allow_unverified)
-    elif args.command == "transform":
-        cfg["transform_index"] = args.index
-        cfg["eps"] = args.eps
-        cfg["delta"] = args.delta
-    elif args.command == "case-study":
-        cfg["study"] = args.study
-        for name in ("r", "rho"):
-            v = getattr(args, name)
-            if v is not None:
-                cfg[name] = v
-        for name in ("sigma", "alpha"):
-            v = getattr(args, name)
-            if v is not None:
-                cfg[name] = list(v)
+    cfg = {"version": SCHEMA_VERSION, **given}
+    if "c1" in cfg:
+        cfg["constants"] = {**cfg.get("constants", {}), "c1": cfg.pop("c1")}
+    if "potential_params" in cfg:
+        cfg["potential_params"] = {k: x for kv in cfg["potential_params"] for k, x in kv.items()}
     return cfg
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         code, rep = run(config)
+        text = rep.to_text()
+        print(text)
+        if config.get("out_text"):
+            with open(config["out_text"], "w") as fh:
+                fh.write(text + "\n")
+        if config.get("out_json"):
+            with open(config["out_json"], "w") as fh:
+                fh.write(rep.to_json() + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except LiesolveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = rep.to_text()
-    print(text)
-    if config.get("out_text"):
-        with open(config["out_text"], "w") as fh:
-            fh.write(text + "\n")
-    if config.get("out_json"):
-        with open(config["out_json"], "w") as fh:
-            fh.write(rep.to_json() + "\n")
+    except OSError as exc:
+        # a --config file that cannot be read, or a report path that cannot
+        # be written; the message names the file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -171,13 +171,14 @@ def shifted_heat_kernel(x0, y0=0.0, nargs=3):
     return ScalarField(fn, nargs=nargs, name="heat-kernel-shifted")
 
 
-def halton(n, dim, skip=20):
-    """Quasi-random points in [0,1)^dim (Halton sequence, small primes)."""
+def halton(n, dim):
+    """Quasi-random points in [0,1)^dim (Halton sequence, small primes),
+    from index 40 on."""
     primes = [2, 3, 5, 7, 11, 13][:dim]
     out = np.empty((n, dim))
     for j, p in enumerate(primes):
         seq = []
-        for i in range(skip, skip + n):
+        for i in range(40, 40 + n):
             f, r = 1.0, 0.0
             k = i
             while k > 0:

@@ -79,15 +79,13 @@ class ConsistencyReport:
     per_trial: list = field(default_factory=list)
 
 
-def verify_reduction_consistency(
-    case, params, trials=3, seed=0, tol=1e-6, n_points=12
-) -> ConsistencyReport:
+def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) -> ConsistencyReport:
     """Jacobian-ratio test of the similarity reduction.
 
     Draws random smooth fields P, reconstructs u, and compares the full
     evolution operator applied to u against the catalog Jacobian times the
     reduced operator applied to P at the mapped points.  Agreement within
-    ``tol`` relative at every point certifies the (map, prefactor, operator)
+    1e-6 relative at every point certifies the (map, prefactor, operator)
     triple as a unit.
 
     All trials' points run as lanes of one evaluation, each on its trial's
@@ -128,7 +126,7 @@ def verify_reduction_consistency(
             raise SamplingError(f"case {case.case_id}: only {len(k_kept)} usable sample points")
         per_trial.append(max([0.0] + [v for _, v in k_kept]))
     worst = max([0.0] + per_trial)
-    return ConsistencyReport(case.case_id, trials, worst, worst <= tol, per_trial)
+    return ConsistencyReport(case.case_id, trials, worst, worst <= 1e-6, per_trial)
 
 
 def _sides(smap, op, M, P, x, y, t):

@@ -327,9 +327,10 @@ def _q_fields(model: MarketModel):
     )
 
 
-def default_gauge_sampling(model: MarketModel, n_per_axis=6, s_range=(0.5, 2.0)):
-    """Forward-mapped grid of the desk-scale price box."""
-    ss = np.linspace(s_range[0], s_range[1], n_per_axis)
+def default_gauge_sampling(model: MarketModel):
+    """Forward-mapped 6-point-per-axis grid of the desk-scale price box
+    [0.5, 2]^d."""
+    ss = np.linspace(0.5, 2.0, 6)
     pts = []
     if model.one_dim:
         for s in ss:
@@ -342,19 +343,19 @@ def default_gauge_sampling(model: MarketModel, n_per_axis=6, s_range=(0.5, 2.0))
     return pts
 
 
-def drift_and_gauge(model: MarketModel, base_spot=(1.0, 1.0), sampling=None,
-                    curl_tol=1e-8) -> GaugeData:
+def drift_and_gauge(model: MarketModel) -> GaugeData:
     """Drift coefficients, scalar gauge, and the compatibility residual.
 
     omega integrates -(Q1, Q2) along the axis-aligned L-path from the image
-    of ``base_spot``; path independence is exactly the zero-curl condition,
-    which is checked first on the sampling set.  On failure the data is still
-    assembled and attached to the raised :class:`GaugeObstruction`.
+    of the spot (1, 1); path independence is exactly the zero-curl
+    condition, which is checked first, to 1e-8, on
+    :func:`default_gauge_sampling`.  On failure the data is still assembled
+    and attached to the raised :class:`GaugeObstruction`.
     """
     Q1, Q2 = _q_fields(model)
 
     if model.one_dim:
-        x0 = hd.value(gauge_coord_map(model, base_spot[0])[0])
+        x0 = hd.value(gauge_coord_map(model, 1.0)[0])
 
         def omega_fn(x):
             val, err = quad(lambda s: -Q1.fn(s), x0, hd.value(x), epsabs=QUAD_TOL, limit=200)
@@ -369,15 +370,14 @@ def drift_and_gauge(model: MarketModel, base_spot=(1.0, 1.0), sampling=None,
         return Q2.deriv(0, (xg, yg)) - Q1.deriv(1, (xg, yg))
 
     curl = ScalarField(curl_fn, nargs=2, dual=False, name="curl")
-    pts = sampling or default_gauge_sampling(model)
     max_curl = 0.0
-    for p in pts:
+    for p in default_gauge_sampling(model):
         try:
             max_curl = max(max_curl, abs(curl.fn(*p)))
         except (OutOfRange, DomainError):
             continue
 
-    x0, y0 = gauge_coord_map(model, *base_spot)
+    x0, y0 = gauge_coord_map(model, 1.0, 1.0)
     x0, y0 = hd.value(x0), hd.value(y0)
 
     def omega_fn(xg, yg):
@@ -390,7 +390,7 @@ def drift_and_gauge(model: MarketModel, base_spot=(1.0, 1.0), sampling=None,
 
     omega = ScalarField(omega_fn, nargs=2, dual=False, h0=1e-4, name="omega")
     data = GaugeData(Q1, Q2, omega, curl, max_curl)
-    if max_curl > curl_tol:
+    if max_curl > 1e-8:
         raise GaugeObstruction(
             f"compatibility condition violated: max |curl Q| = {max_curl:.3e}", gauge=data
         )

@@ -94,9 +94,9 @@ class Region:
     bounds: tuple  # ((lo, hi), ...) per argument
     guard: object = None  # callable(*point) -> True when the point is bad
 
-    def points(self, n, skip=40):
+    def points(self, n):
         dim = len(self.bounds)
-        qr = halton(3 * n, dim, skip=skip)
+        qr = halton(3 * n, dim)
         out = []
         for row in qr:
             p = tuple(lo + (hi - lo) * v for (lo, hi), v in zip(self.bounds, row))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +251,63 @@ def test_main_config_error_exit_1(tmp_path, capsys):
     cfg.write_text(json.dumps({"version": 1, "command": "nope"}))
     assert main(["--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+# invocations that end in one "config error:" or "error:" line and exit 1:
+# usage errors (argparse's own exit code, 2, is the one of a failed
+# verification), unreadable configs, non-numeric bindings, an unknown case,
+# and report paths that cannot be written
+BAD_INVOCATIONS = [
+    "transform --index 9",
+    "--seed abc reduce --case 1.2b",
+    "verify",
+    "frobnicate",
+    "reduce --case 1.2b --bogus",
+    "--config missing.json",
+    "--config invalid.json",
+    "verify --case 1.3 --params a=x",
+    "verify --case 1.3 --params a",
+    "solve --case 1.3 --constants c1=x",
+    "classify --potential a*x --param a=x",
+    "verify --case 9.9",
+    "reduce --case 1.6 --json nodir/report.json",
+    "reduce --case 1.6 --text nodir/report.txt",
+    "solve --case 1.2b --allow-unverified --samples nodir/samples.csv",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS)
+def test_bad_invocations_exit_1_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "invalid.json").write_text('{"version": 1,')
+    assert main(shlex.split(argv)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(("config error: ", "error: ")) and "Traceback" not in err
+
+
+def test_unknown_or_missing_case_is_a_config_error_in_run():
+    for command in ("reduce", "solve", "verify"):
+        for config in ({"case": "9.9"}, {}):
+            with pytest.raises(ConfigError, match="case must be one of"):
+                run(dict(config, version=1, command=command))
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--help"])
+    assert ei.value.code == 0
+    assert "--case" in capsys.readouterr().out
+
+
+def test_usage_error_process_exit_status():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "liesolve.cli", "transform", "--index", "9"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("config error: argument --index: invalid choice: 9")
 
 
 def test_main_writes_reports(tmp_path):

@@ -12,6 +12,7 @@ on x86-64 Linux.
 """
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -113,3 +114,71 @@ def test_classify_report_bytes(potential):
     params = STUDY_PARAMS if potential == STUDY_POTENTIAL else {}
     got = _run(command="classify", potential=potential, potential_params=params)
     assert got == CLASSIFY[potential]
+
+
+# argv of ``liesolve`` -> (exit code, sha256 of stdout followed by the bytes of
+# ``report.json`` when the run writes one).  Every flag appears, the common
+# ones on both sides of the verb; ``run.json`` is RUN_JSON.
+P14B = "--params delta1=1,delta2=1,c=0.5,C0=1"
+RUN_JSON = '{"version": 1, "command": "verify", "case": "1.3", "seed": 1}'
+ARGV = {
+    'classify --potential "1/x^2 + 2*y + 3"': (
+        0, "3d3466ed4efca8536912e2351a13034493aae1b9cd87d17a49d7359ca416745e"),
+    'classify --potential "a/x^2 + b*y" --param a=1 --param b=2': (
+        0, "7210811c1bbfd9a5ae5aae2a90bedb08910d79ce6a0f0efe909a7a87499c252c"),
+    'classify --potential "a/x^2 + b*y" --param a=1,b=2 --param a=3 --seed 4': (
+        0, "e8f3349d3bd64da9899a68022c214af73d11e43dce2c63b9c662ceb2b7d58126"),
+    '--seed 4 --json report.json classify --potential "x^2 + y^2"': (
+        0, "7b4d8442deeb2b9b27f00e6450a1f38982cdfd42dc799bd0706ea8d0bf4a279c"),
+    "--json report.json --text report.txt reduce --case 1.6": (
+        0, "da9fe0a69b07b5380cff8e9c5eb356f8f5625832f720175f3cc38bc0abd7b394"),
+    "reduce --case 1.6 --json report.json --text report.txt": (
+        0, "da9fe0a69b07b5380cff8e9c5eb356f8f5625832f720175f3cc38bc0abd7b394"),
+    "verify --case 1.3 --seed 1": (
+        0, "8d4130fa83ff8dc4796910b74b383b00ee0a7e9a8994b31969d6631ea8e2a198"),
+    "--seed 1 verify --case 1.3 --json report.json": (
+        0, "82a03715eee996a944bea297ae644d3a4701c146f470a92e054d399de35d9aa0"),
+    f"verify --case 1.4b {P14B} --c1 4": (
+        0, "fb9620fe1268363e044114304184aeff81df86f01303199a46176fa852cedca6"),
+    f"verify --case 1.4b {P14B} --constants c1=4 --json report.json": (
+        0, "cf90ce7bad1ce24e6b7d69a9ab64c9909393a00880d398ee4b908c46451ddc64"),
+    f"verify --case 1.4b {P14B} --constants c1=3 --c1 4": (
+        0, "fb9620fe1268363e044114304184aeff81df86f01303199a46176fa852cedca6"),
+    "verify --case 1.4a": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    f"solve --case 1.4b {P14B} --c1 4 --samples samples.csv --json report.json": (
+        0, "5ac5582ffc743e3680a3f80defe53eb6f1535d02b4a1adaa73eb574ded0a27d0"),
+    "solve --case 1.2b --allow-unverified --samples samples.csv": (
+        0, "7aae4f8be6e7640822e4a9c0c3c82c33521b6d018182665a638b72a1ecc7a56c"),
+    "solve --case 1.6 --allow-unverified": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "transform --index 5 --eps 0.7": (
+        0, "dc7e5579aecf62fad911032f50959d94bdb15d6d623e622844414304c668ea75"),
+    "transform --index 2": (
+        0, "6cc2921f3c4379153f8b2c37c09408966e48f6d2602278a238eb2f2ee69c01dc"),
+    "transform --index 2 --eps 0.3 --delta 0.5 --json report.json": (
+        0, "054f829795532c67f33a3ab049dcbf22c95c4352aed34908460f3ab0f9189356"),
+    "case-study cev --sigma 1 --alpha 2 --r 0.1": (
+        0, "257ccd31c6c893bc63b03aa981b7ab3f0b905491b7cf46fe3065eadba79720cd"),
+    "case-study expvol --json report.json": (
+        0, "4c071a3e33f1798f3bc19b0d01f360361585b00bb432554a7f8723bcd5e00a09"),
+    "case-study double-cev --r 0.04 --sigma 1 1 --alpha 2 2 --seed 2": (
+        0, "ba571502f0656799074efa15162d04e7ac4b6021c8517e0ab2e1ea36e69f6b33"),
+    "case-study double-cev --rho 0.3": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--config run.json --seed 5 --json report.json reduce --case 1.6": (
+        0, "82a03715eee996a944bea297ae644d3a4701c146f470a92e054d399de35d9aa0"),
+    "": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ARGV))
+def test_main_argv_bytes(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(RUN_JSON)
+    code = cli.main(shlex.split(argv))
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
+    if (tmp_path / "report.json").exists():
+        digest.update((tmp_path / "report.json").read_bytes())
+    assert (code, digest.hexdigest()) == ARGV[argv]

@@ -353,7 +353,7 @@ def test_nan_field_certifies_no_generator():
 # -- the reduction-consistency check ----------------------------------------------
 
 
-def _reference_per_trial(case, params, trials=3, seed=0, tol=1e-6, n_points=12):
+def _reference_per_trial(case, params, trials=3, seed=0, n_points=12):
     """The Jacobian-ratio loop one trial and one point at a time."""
     smap = case.similarity(params)
     op = case.reduced_operator(params)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from liesolve import numdiff, transform as tr
+from liesolve import hyperdual as hd, numdiff, transform as tr
 from liesolve.errors import DomainError, GaugeObstruction, OutOfRange
 from liesolve.fields import ScalarField
 
@@ -89,6 +89,47 @@ def test_tabulated_vol_round_trip():
     x, _ = tr.coord_map(m, 1.4)
     (s,) = tr.invert_coord(m, x)
     assert s == pytest.approx(1.4, rel=1e-9)
+
+
+REXP_VOLS = {
+    "alpha 0": tr.RescaledExponentialVol(0.3, 2.0, 0.0),
+    "alpha 1.5": tr.RescaledExponentialVol(0.3, 2.0, 1.5),
+    "alpha -0.8": tr.RescaledExponentialVol(1.2, 0.7, -0.8),
+}
+REXP_SPOTS = [float(s) for s in np.linspace(-1.0, 4.0, 11)]
+
+
+@pytest.mark.parametrize("name", list(REXP_VOLS))
+def test_rescaled_exponential_vol_round_trip(name):
+    vol = REXP_VOLS[name]
+    assert vol.antideriv(0.0) == 0.0
+    for s in REXP_SPOTS:
+        i = vol.antideriv(s)
+        assert vol.invert(i) == pytest.approx(s, rel=1e-12, abs=1e-12)
+        # the antiderivative of 1/sigma
+        assert hd.derivative(vol.antideriv, (s,), 0) == pytest.approx(1.0 / vol.value(s),
+                                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list(REXP_VOLS))
+def test_rescaled_exponential_vol_slope(name):
+    vol = REXP_VOLS[name]
+    for s in REXP_SPOTS:
+        assert vol.slope(s) == pytest.approx(hd.derivative(vol.value, (s,), 0), rel=1e-13,
+                                             abs=1e-15)
+
+
+def test_rescaled_exponential_vol_out_of_range():
+    vol = REXP_VOLS["alpha 1.5"]
+    # for alpha > 0 the antiderivative only tends to -exp(-alpha)/(sigma0 alpha)
+    # as S -> -inf
+    floor = -math.exp(-1.5) / (0.3 * 1.5)
+    assert vol.invert(floor + 1e-3) < -1.0
+    for i in (floor, floor - 0.1, -10.0):
+        with pytest.raises(OutOfRange, match="not attained"):
+            vol.invert(i)
+    with pytest.raises(DomainError):
+        tr.RescaledExponentialVol(0.0, 2.0, 1.5)
 
 
 def test_tabulated_quadratures_go_through_module_quad(monkeypatch):
