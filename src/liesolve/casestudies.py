@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hyperdual as hd
 from .errors import AlphaOne
-from .exprlang import evaluate, match_case, parse
+from .exprlang import compile_expr, match_case, parse
 from .fields import ScalarField
 from .report import VerificationReport
 from .reductions import get_case, operator_residual, reconstruct_u
@@ -122,10 +122,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
         return CaseStudyResult(model, m, None, rep, {"assembled_potential": M_asm})
 
     # --- catalog potential and classification -------------------------------
-    expr = parse(TWO_ASSET_POTENTIAL_SRC)
-
-    def M_cat_fn(x, y):
-        return evaluate(expr, {"x": x, "y": y}, {"r": r})
+    M_cat_fn = compile_expr(parse(TWO_ASSET_POTENTIAL_SRC), ("x", "y"), {"r": r})
 
     M_cat = ScalarField(M_cat_fn, nargs=2, name="M-catalog")
     rep.payload["catalog potential at (2,1)"] = M_cat.fn(2.0, 1.0)

@@ -315,6 +315,11 @@ _COMMANDS = {
 }
 
 
+# the keys a command reads with no default of its own; verify, solve and
+# reduce check their case in _case
+_REQUIRED_KEYS = {"classify": ("potential",), "case-study": ("study",)}
+
+
 def run(config):
     """Execute a validated run configuration.
 
@@ -323,6 +328,9 @@ def run(config):
     Config errors raise :class:`ConfigError` (exit code 1 at the CLI).
     """
     validate_config(config)
+    for key in _REQUIRED_KEYS.get(config["command"], ()):
+        if key not in config:
+            raise ConfigError(f"command {config['command']} needs the config key {key!r}")
     config = {"seed": 0, **config}
     rep = _COMMANDS[config["command"]](config)
     rep.payload.setdefault("seed", config["seed"])
@@ -418,9 +426,38 @@ def config_from_args(args):
     return cfg
 
 
+def _option_names(parser):
+    """Each dest of ``parser`` and its subcommands -> its first option string."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out.update(_option_names(sub))
+        elif action.option_strings:
+            out[action.dest] = action.option_strings[0]
+    return out
+
+
+def _ignored_by_config(parser, args):
+    """The subcommand and options that ``--config`` overrides, in the order given."""
+    given = vars(args)
+    if not given.get("config"):
+        return []
+    names = _option_names(parser)
+    ignored = [given["command"]] if given.get("command") else []
+    skip = ("config", "command", "out_json", "out_text")
+    # an option by its flag, a positional argument (the study) by its value
+    return ignored + [names.get(k, str(v)) for k, v in given.items() if k not in skip]
+
+
 def main(argv=None):
     try:
-        config = config_from_args(build_parser().parse_args(argv))
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        ignored = _ignored_by_config(parser, args)
+        if ignored:
+            print(f"warning: --config {args.config} ignores: {' '.join(ignored)}", file=sys.stderr)
+        config = config_from_args(args)
         code, rep = run(config)
         text = rep.to_text()
         print(text)

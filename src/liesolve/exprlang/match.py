@@ -19,6 +19,7 @@ every fitter reads those values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -82,7 +83,9 @@ TEMPLATE_SOURCES = {
 }
 
 
+@functools.cache
 def template_expr(case_id):
+    # parsed once: the tree is immutable, so every caller can share it
     return parse(TEMPLATE_SOURCES[case_id])
 
 
@@ -407,7 +410,7 @@ def _structural_match(expr, params, opaque):
 def _bound_opaque(fn, coef, opaque):
     if opaque is None or fn not in opaque:
         return None
-    wrapper = A._OpaqueWrapper(fn, opaque[fn])
+    wrapper = A._Opaque(fn, opaque[fn])
     if coef == 1.0:
         return wrapper.fns[0] if len(wrapper.fns) == 1 else wrapper.fns
     base = wrapper.fns[0]
@@ -747,7 +750,7 @@ def _excluded(match, fitted=False):
 
 def _as_xy_callable(m, params=None, opaque=None):
     if isinstance(m, A.Expr):
-        return lambda x, y: A.evaluate(m, {"x": x, "y": y}, params, opaque)
+        return A.compile_expr(m, ("x", "y"), params, opaque)
     if callable(m):  # a plain callable or a ScalarField on (x, y)
         return m
     raise TypeError(f"cannot classify object of type {type(m)!r}")

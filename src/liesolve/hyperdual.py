@@ -41,11 +41,9 @@ lane passes, a division by zero (``LANE_ERRSTATE``), where a float would
 raise ``ZeroDivisionError``.  A caller whose lane evaluation raises a
 ``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``
 reruns it with its callables wrapped in :func:`per_lane` (the FD residuals
-and the invariance check) or point by point (the consistency check).
+and the symmetry checks) or point by point (the consistency check).
 :func:`per_lane` gives the scalar result or the scalar error lane by lane,
-so a lane never stands in for a domain error.  Callables that branch
-on values by design (an ``exprlang`` potential) run through
-:func:`per_lane` from the start.
+so a lane never stands in for a domain error.
 """
 
 from __future__ import annotations
@@ -224,6 +222,10 @@ def float_lanes(values):
 def _each(f, *args):
     """f element by element over lane arrays: libm or Python's pow, so each
     lane is bitwise the float call.  Float lanes stay float lanes."""
+    if len(args) == 1 and isinstance(args[0], np.ndarray) and args[0].ndim == 1:
+        a = args[0]  # one lane array: the quick path of the elementary functions
+        out = np.fromiter(map(f, a.tolist()), float, a.size)
+        return out.view(_FloatLanes) if isinstance(a, _FloatLanes) else out
     lanes = [a for a in args if isinstance(a, np.ndarray)]
     if not lanes:
         return f(*args)  # no lanes: the float call's own error
@@ -235,75 +237,56 @@ def _each(f, *args):
     return out.view(_FloatLanes) if any(isinstance(a, _FloatLanes) for a in lanes) else out
 
 
-# -- elementary functions (accept float or Dual2; recursion keeps nested
+# -- elementary functions (accept float, lanes or Dual2; recursion keeps nested
 #    Dual2-of-Dual2 working, which higher-order derivative chains rely on) ---
 
 def exp(x):
     if not isinstance(x, Dual2):
-        try:
-            return math.exp(x)
-        except TypeError:
-            return _each(math.exp, x)
+        return _each(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
     e = exp(x.a)
     return _chain1(x, e, e, e)
 
 
 def log(x):
     if not isinstance(x, Dual2):
-        try:
-            return math.log(x)
-        except TypeError:
-            return _each(math.log, x)
+        return _each(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
     ia = 1.0 / x.a
     return _chain1(x, log(x.a), ia, -ia * ia)
 
 
 def sqrt(x):
     if not isinstance(x, Dual2):
-        try:
-            return math.sqrt(x)
-        except TypeError:
-            return _each(math.sqrt, x)
+        return _each(math.sqrt, x) if isinstance(x, np.ndarray) else math.sqrt(x)
     s = sqrt(x.a)
     return _chain1(x, s, 0.5 / s, -0.25 / (s * x.a))
 
 
 def sin(x):
     if not isinstance(x, Dual2):
-        try:
-            return math.sin(x)
-        except TypeError:
-            return _each(math.sin, x)
+        return _each(math.sin, x) if isinstance(x, np.ndarray) else math.sin(x)
     s, c = sin(x.a), cos(x.a)
     return _chain1(x, s, c, -s)
 
 
 def cos(x):
     if not isinstance(x, Dual2):
-        try:
-            return math.cos(x)
-        except TypeError:
-            return _each(math.cos, x)
+        return _each(math.cos, x) if isinstance(x, np.ndarray) else math.cos(x)
     s, c = sin(x.a), cos(x.a)
     return _chain1(x, c, -s, -c)
 
 
 def atan(x):
     if not isinstance(x, Dual2):
-        try:
-            return math.atan(x)
-        except TypeError:
-            return _each(math.atan, x)
+        return _each(math.atan, x) if isinstance(x, np.ndarray) else math.atan(x)
     den = 1.0 + x.a * x.a
     return _chain1(x, atan(x.a), 1.0 / den, -2.0 * x.a / (den * den))
 
 
 def atan2(y, x):
     if not isinstance(y, Dual2) and not isinstance(x, Dual2):
-        try:
-            return math.atan2(y, x)
-        except TypeError:
+        if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
             return _each(math.atan2, y, x)
+        return math.atan2(y, x)
     y = _as_dual(y)
     x = _as_dual(x)
     r2 = x.a * x.a + y.a * y.a

@@ -89,10 +89,10 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
     triple as a unit.
 
     All trials' points run as lanes of one evaluation, each on its trial's
-    field, the potential one lane at a time; each lane is bitwise its point's
-    scalar evaluation.  If the lanes raise a TypeError, ValueError,
-    ArithmeticError or LiesolveError, the same formula reruns one point at a
-    time, which gives the scalar skips, values and errors in scalar order.
+    field; each lane is bitwise its point's scalar evaluation.  If the lanes
+    raise a TypeError, ValueError, ArithmeticError or LiesolveError, the same
+    formula reruns one point at a time, which gives the scalar skips, values
+    and errors in scalar order.
     """
     case = case if isinstance(case, CaseReduction) else get_case(case)
     smap = case.similarity(params)
@@ -114,7 +114,7 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
         P = smooth_field_lanes([rng for rng, _ in draws], counts, nargs=2).fn
         xyt = hd.float_lanes(np.transpose([pt for _, pts in draws for pt in pts]))
         with np.errstate(**hd.LANE_ERRSTATE):
-            sides = _sides(smap, op, hd.per_lane(M), P, *xyt)
+            sides = _sides(smap, op, M, P, *xyt)
         pairs = zip(*(np.broadcast_to(s, (sum(counts),)).tolist() for s in sides))
         kept = [sampled(_ratio, itertools.islice(pairs, n))[0] for n in counts]
     except (TypeError, ValueError, ArithmeticError, LiesolveError):

@@ -245,34 +245,59 @@ def default_sampling(n=30, seed=1, r_range=(0.6, 2.4), t_range=(0.3, 1.2)):
 
 
 def _filter_points(M, points):
-    """``(point, M value)`` at each point where M is finite (:func:`sampled`)."""
-    good = sampled(lambda x, y, t: M.fn(x, y), points)[0]
+    """``(point, M value)`` at each point where M is finite, as
+    :func:`sampled` gives them: from one evaluation on lanes, or point by
+    point when the lanes raise."""
+    try:
+        with np.errstate(**hd.LANE_ERRSTATE):
+            x, y, _ = hd.float_lanes(np.transpose(points))
+            values = np.broadcast_to(hd.value(M.fn(x, y)), (len(points),)).tolist()
+        good = [(pt, v) for pt, v in zip(points, values) if math.isfinite(v)]
+    except (TypeError, ValueError, ArithmeticError, LiesolveError):
+        good = sampled(lambda x, y, t: M.fn(x, y), points)[0]
     if len(good) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     return good
 
 
 def compatibility_condition(data: SymmetryData, M, points=None) -> float:
-    """Max abs of the scalar determining condition over the sampling set, or NaN."""
+    """Max abs of the scalar determining condition over the sampling set, or NaN.
+
+    Every kept point is a lane of one evaluation: one jet pass of M gives
+    M_x and M_y, one of A gives A_t, A_xx and A_yy.  Each lane is bitwise
+    the scalar passes at its point.  A lane evaluation that raises a
+    TypeError, ValueError, ArithmeticError or LiesolveError reruns the same
+    formula with M, f1' and vf's five coefficients wrapped in
+    :func:`liesolve.hyperdual.per_lane`, which gives the scalar values or
+    their error.
+    """
     M = _as_xy_field(M)
     vf = infinitesimals(data)
     kept = _filter_points(M, points or default_sampling())
     f1d = data.f1.d()
-    resids = []
-    for (x, y, t), Mv in kept:
-        Mx, My = M.grad(0, 1, (x, y))
-        A_t = hd.derivative(vf.A, (x, y, t), 2)
-        A_xx = hd.derivative(vf.A, (x, y, t), 0, order=2)
-        A_yy = hd.derivative(vf.A, (x, y, t), 1, order=2)
-        resid = (
-            A_t
-            - 0.5 * (A_xx + A_yy)
-            + f1d(t) * Mv
-            + vf.X(x, y, t) * Mx
-            + vf.Y(x, y, t) * My
-        )
-        resids.append(hd.value(resid))
+    with np.errstate(**hd.LANE_ERRSTATE):
+        try:
+            resids = _compatibility_lanes(vf, f1d, M.fn, kept)
+        except (TypeError, ValueError, ArithmeticError, LiesolveError):
+            one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
+            resids = _compatibility_lanes(one_lane, *map(hd.per_lane, (f1d, M.fn)), kept)
     return float(np.max(np.abs(resids), initial=0.0))  # NaN-propagating
+
+
+def _compatibility_lanes(vf, f1d, M, kept):
+    xyt = hd.float_lanes(np.transpose([pt for pt, _ in kept]))
+    Mv = hd.float_lanes([v for _, v in kept])
+    x, y, t = xyt
+    (M_xy,) = hd.lane_pass(M, (x, y), ((0, 1),))
+    A_t, A_xx, A_yy = hd.lane_pass(vf.A, xyt, ((2, None), (0, 0), (1, 1)))
+    resid = (
+        A_t.b
+        - 0.5 * (A_xx.d + A_yy.d)
+        + f1d(t) * Mv
+        + vf.X(x, y, t) * M_xy.b
+        + vf.Y(x, y, t) * M_xy.c
+    )
+    return np.broadcast_to(hd.value(resid), (len(kept),)).tolist()
 
 
 def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> float:
@@ -294,13 +319,13 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     forms sigma and E; the outer pass seeds that function with ``_OUTER`` and
     gives sigma_t, sigma_xx, sigma_yy, E_t, E_x and E_y; one float-lane call
     gives the values of sigma and E.  u is evaluated four times per call, on
-    16 n, 4 n, 4 n and n lanes for n points.  M branches on values, so it
-    runs one lane at a time, and only on the lanes that read E: the term M u
-    of E joins after the outer pass.  Every lane is bitwise equal to the
-    scalar nested passes at its point.  A lane evaluation that raises a
-    TypeError, ValueError, ArithmeticError or LiesolveError (a callable that
-    branches on values or calls ``math`` on a jet, a lane division by zero)
-    reruns the same passes with u and vf's five coefficients wrapped in
+    16 n, 4 n, 4 n and n lanes for n points.  M is evaluated only on the
+    lanes that read E: the term M u of E joins after the outer pass.  Every
+    lane is bitwise equal to the scalar nested passes at its point.  A lane
+    evaluation that raises a TypeError, ValueError, ArithmeticError or
+    LiesolveError (a callable that branches on values or calls ``math`` on a
+    jet, a lane division by zero, a domain error of M at some point) reruns
+    the same passes with u, M and vf's five coefficients wrapped in
     :func:`liesolve.hyperdual.per_lane`, one lane at a time, which gives the
     scalar passes' defects or their error, and a NaN defect gives NaN.
     """
@@ -308,10 +333,10 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     points = [pt for pt, _ in _filter_points(M, points or default_sampling())]
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
-            defects = _lane_defects(vf, M, u_test.fn, points)
+            defects = _lane_defects(vf, M.fn, u_test.fn, points)
         except (TypeError, ValueError, ArithmeticError, LiesolveError):
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
-            defects = _lane_defects(one_lane, M, hd.per_lane(u_test.fn), points)
+            defects = _lane_defects(one_lane, *map(hd.per_lane, (M.fn, u_test.fn)), points)
     return float(np.max(np.abs(defects), initial=0.0))  # NaN-propagating
 
 
@@ -322,7 +347,6 @@ _OUTER = ((2, None), (0, 0), (1, 1), (0, 1))
 
 def _lane_defects(vf, M, u, points):
     xyt = hd.float_lanes(np.transpose(points))
-    M_fn = hd.per_lane(M.fn)
 
     def sigma_E0(x, y, t):
         # sigma, E without its potential term M u, and u: M joins E after
@@ -342,10 +366,10 @@ def _lane_defects(vf, M, u, points):
     x, y, t = xyt
     outer = hd.lane_pass(sigma_E0, xyt, _OUTER)
     (s_t, E0_t, u_t), (s_xx, _, _), (s_yy, _, _), (_, E0_xy, u_xy) = outer
-    M_t, M_xy = hd.lane_pass(M_fn, (x, y), ((2, None), (0, 1)))
+    M_t, M_xy = hd.lane_pass(M, (x, y), ((2, None), (0, 1)))
     E_t = E0_t + M_t * u_t
     E_xy = E0_xy + M_xy * u_xy
-    m = M_fn(x, y)
+    m = M(x, y)
     sigma, E0, uv = sigma_E0(x, y, t)
     E = E0 + m * uv
     (T_t,) = hd.lane_pass(vf.T, xyt, ((2, None),))

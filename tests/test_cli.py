@@ -265,6 +265,7 @@ BAD_INVOCATIONS = [
     "reduce --case 1.2b --bogus",
     "--config missing.json",
     "--config invalid.json",
+    "--config classify.json",
     "verify --case 1.3 --params a=x",
     "verify --case 1.3 --params a",
     "solve --case 1.3 --constants c1=x",
@@ -280,6 +281,7 @@ BAD_INVOCATIONS = [
 def test_bad_invocations_exit_1_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "invalid.json").write_text('{"version": 1,')
+    (tmp_path / "classify.json").write_text('{"version": 1, "command": "classify"}')
     assert main(shlex.split(argv)) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
@@ -291,6 +293,27 @@ def test_unknown_or_missing_case_is_a_config_error_in_run():
         for config in ({"case": "9.9"}, {}):
             with pytest.raises(ConfigError, match="case must be one of"):
                 run(dict(config, version=1, command=command))
+
+
+@pytest.mark.parametrize("command, key", [("classify", "potential"), ("case-study", "study")])
+def test_a_command_without_its_required_key_is_a_config_error(command, key):
+    with pytest.raises(ConfigError, match=f"command {command} needs the config key '{key}'"):
+        run({"version": 1, "command": command})
+
+
+def test_config_names_the_flags_it_ignores_on_stderr(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('{"version": 1, "command": "reduce", "case": "1.3"}')
+    assert main(["--config", "run.json", "--json", "plain.json"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    argv = "--config run.json --seed 5 --json flags.json case-study cev --r 0.2"
+    assert main(shlex.split(argv)) == 0
+    flagged = capsys.readouterr()
+    assert flagged.err == "warning: --config run.json ignores: case-study --seed cev --r\n"
+    # the run, its stdout and its report are the config file's
+    assert flagged.out == plain.out
+    assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_help_exits_0(capsys):

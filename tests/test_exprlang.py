@@ -1,15 +1,25 @@
-"""Expression-language tests: parser, evaluator, matching."""
+"""Expression-language tests: parser, evaluator, matching.  The compiled
+evaluator is checked against the tree walker it replaced, kept here as the
+reference: on floats, float lanes, Dual2 lanes and nested Dual2 lanes, every
+lane is bitwise the reference at its point, or the lanes raise and a rerun
+one lane at a time gives the reference's error."""
 
 import math
+import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesolve import exprlang as ex
 from liesolve import hyperdual as hd
-from liesolve.errors import EvalDomainError, ExprSyntaxError, UnboundSymbol
+from liesolve import numdiff
+from liesolve.errors import EvalDomainError, ExprSyntaxError, LiesolveError, UnboundSymbol
 from liesolve.exprlang import ast as A
+from liesolve.reductions import catalog
 
 # the corpus the round-trip invariant quantifies over
 CORPUS = list(ex.TEMPLATE_SOURCES.values()) + [
@@ -176,6 +186,293 @@ def test_eval_opaque_needs_at_most_two_orders_past_the_binding():
     x = hd.Dual2(1.5, 1.0, 1.0, 0.0)
     with pytest.raises(EvalDomainError, match="needs derivative order 3, only 0 provided"):
         ex.evaluate(ex.parse("C_prime(x)"), {"x": x}, opaque={"C": math.sin})
+
+
+def test_unbound_symbols_raise_when_called_not_when_compiled():
+    for src in ("a*x", "C(x)", "theta"):
+        f = ex.compile_expr(ex.parse(src), ("x",))
+        with pytest.raises(UnboundSymbol):
+            f(1.0)
+    for binding in (3.0, (math.sin, 3.0)):
+        with pytest.raises(EvalDomainError, match="must be callable"):
+            ex.compile_expr(ex.parse("C(x)"), ("x",), opaque={"C": binding})
+
+
+def test_polar_variables_are_derived_once_per_call(monkeypatch):
+    calls = []
+    theta = A._POLAR["theta"]
+    monkeypatch.setitem(A._POLAR, "theta", lambda x, y: calls.append(1) or theta(x, y))
+    f = ex.compile_expr(ex.parse("theta + theta*r_polar + theta"), ("x", "y"))
+    for _ in range(3):
+        f(1.0, 1.0)
+    assert len(calls) == 3
+    assert ex.compile_expr(ex.parse("x + 2*y"), ("x", "y"))(0.0, 0.0) == 0.0
+
+
+def test_one_compiled_potential_serves_many_threads():
+    # the polar variables live in a per-call environment, not in the closure
+    f = ex.compile_expr(ex.parse("C(theta)/r_polar^2 + c0"), ("x", "y"),
+                        {"c0": 0.3}, {"C": lambda s: 2.0 + hd.sin(s)})
+    pts = [(math.cos(k), 1.5 * math.sin(k)) for k in np.linspace(0.1, 6.0, 40)]
+    want = [f(*pt) for pt in pts]
+    got = {}
+
+    def work(k):
+        got[k] = [[f(*pt) for pt in pts] for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(run == want for runs in got.values() for run in runs) and len(got) == 6
+
+
+# -- the reference: the tree walker the compiled evaluator replaced ------------
+
+
+class _ReferenceOpaque:
+    def __init__(self, name, binding):
+        self.name = name
+        self.fns = (binding,) if callable(binding) else tuple(binding)
+
+    def call(self, prime, z):
+        if prime < len(self.fns):
+            f = self.fns[prime]
+        else:
+            base = self.fns[-1]
+            k = prime - (len(self.fns) - 1)
+            if k == 1:
+                f = lambda v: numdiff.d1(base, v, 1e-5)
+            elif k == 2:
+                f = lambda v: numdiff.d2(base, v, 1e-5)
+            else:
+                raise EvalDomainError(
+                    f"opaque symbol {self.name} needs derivative order {prime}, "
+                    f"only {len(self.fns) - 1} provided"
+                )
+        if isinstance(z, hd.Dual2):
+            f0 = self.call(prime, z.a)
+            f1 = self.call(prime + 1, z.a)
+            f2 = self.call(prime + 2, z.a)
+            return hd._chain1(z, f0, f1, f2)
+        return f(z)
+
+
+_REFERENCE_FUNC = {"exp": hd.exp, "ln": hd.log, "sin": hd.sin, "cos": hd.cos,
+                   "sqrt": hd.sqrt, "arctan": hd.atan}
+
+
+def _reference_evaluate(e, point, params, opaque):
+    """One float or scalar Dual2 point, one recursive walk of the tree."""
+    point = dict(point)
+    opaque = {k: _ReferenceOpaque(k, v) for k, v in (opaque or {}).items()}
+
+    def ev(n):
+        if isinstance(n, A.Num):
+            return n.value
+        if isinstance(n, A.Var):
+            if n.name not in point:
+                if n.name not in A._POLAR or "x" not in point or "y" not in point:
+                    raise UnboundSymbol(f"variable {n.name} not bound")
+                point[n.name] = A._POLAR[n.name](point["x"], point["y"])
+            return point[n.name]
+        if isinstance(n, A.Param):
+            if n.name not in params:
+                raise UnboundSymbol(f"parameter {n.name} not bound")
+            return params[n.name]
+        if isinstance(n, A.Neg):
+            return -ev(n.operand)
+        if isinstance(n, A.Call):
+            z = ev(n.arg)
+            if not n.opaque:
+                zv = hd.value(z)
+                if n.fn == "ln" and zv <= 0:
+                    raise EvalDomainError(f"ln of non-positive value {zv}")
+                if n.fn == "sqrt" and zv < 0:
+                    raise EvalDomainError(f"sqrt of negative value {zv}")
+                return _REFERENCE_FUNC[n.fn](z)
+            if n.fn not in opaque:
+                raise UnboundSymbol(f"opaque function {n.fn} not bound")
+            return opaque[n.fn].call(n.prime, z)
+        a = ev(n.left)
+        b = ev(n.right)
+        if n.op == "+":
+            return a + b
+        if n.op == "-":
+            return a - b
+        if n.op == "*":
+            return a * b
+        if n.op == "/":
+            if hd.value(b) == 0:
+                raise EvalDomainError("division by zero")
+            return a / b
+        av, bv = hd.value(a), hd.value(b)
+        if av == 0 and bv < 0:
+            raise EvalDomainError("zero raised to a negative power")
+        if av < 0 and bv != int(bv):
+            raise EvalDomainError("negative base with non-integer exponent")
+        if isinstance(b, hd.Dual2):
+            return a**b
+        return a ** (int(bv) if bv == int(bv) and av < 0 else bv)
+
+    out = ev(e)
+    if not math.isfinite(hd.value(out)):
+        raise EvalDomainError("evaluation produced a non-finite value")
+    return out
+
+
+# -- lanes against the reference -------------------------------------------------
+
+VARS = ("x", "y", "t", "S")
+# seed patterns (i, j) over (x, y, t, S): e1 on VARS[i], e2 on VARS[j]
+SEEDS = ((0, 1), (2, 3), (0, 0), (1, None), (3, 0))
+CAUGHT = (TypeError, ValueError, ArithmeticError, LiesolveError)
+
+# an opaque binding with four derivative orders, on hd functions and powers
+_CHAIN = (
+    lambda s: 2.0 + hd.sin(s) + 0.1 * s**3,
+    lambda s: hd.cos(s) + 0.3 * s**2,
+    lambda s: -hd.sin(s) + 0.6 * s,
+    lambda s: -hd.cos(s) + 0.6,
+    lambda s: hd.sin(s),
+)
+
+
+def _pinned_templates():
+    """Every catalog template at the draws of tests/test_catalog_pins.py."""
+    out = []
+    for cid, case in sorted(catalog().items()):
+        for seed in (0, 1, 2):
+            params = case.draw_params(np.random.default_rng(seed))
+            out.append((f"{cid}/{seed}", case.template, params, case.opaque_binding(params)))
+    return out
+
+
+SOURCES = [(src, src, None, {"C": _CHAIN}) for src in CORPUS] + _pinned_templates()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CAUGHT as err:
+        return type(err).__name__, str(err)
+
+
+def _slots(out, n):
+    """Per point, the hex of each slot of out (nested Dual2 slots flattened)."""
+    if not isinstance(out, hd.Dual2):
+        return [[float(v).hex()] for v in np.broadcast_to(out, (n,)).tolist()]
+    parts = [_slots(s, n) for s in (out.a, out.b, out.c, out.d)]
+    return [sum(lane, []) for lane in zip(*parts)]
+
+
+def _nested(f, lanes):
+    """A function of every slot of a (0, 1)-seeded pass of f: under an
+    enclosing pass, f sees nested Dual2 arguments."""
+
+    def g(*args):
+        if lanes:
+            (p,) = hd.lane_pass(f, args, ((0, 1),))
+        else:
+            p = hd._seeded_pass(f, args, 0, 1)
+        return p.a * p.d + p.b - p.c * args[2]
+
+    return g
+
+
+def _lane_modes(pts):
+    """Per mode: f on lanes, the rerun of that call one lane at a time, and
+    the reference point by point, each giving one hex list per point (per
+    seed pattern and point for the jets)."""
+    n = len(pts)
+    lanes = hd.float_lanes(np.transpose(pts))
+
+    def floats(f):
+        return [_slots(f(*pt), 1)[0] for pt in pts]
+
+    def jets(g):
+        return [row for out in hd.lane_pass(g, lanes, SEEDS) for row in _slots(out, n)]
+
+    def ref_jets(g):
+        return [_slots(hd._seeded_pass(g, pt, i, j), 1)[0] for i, j in SEEDS for pt in pts]
+
+    return [
+        ("floats", floats, floats, floats),
+        ("float lanes", lambda f: _slots(f(*lanes), n),
+         lambda f: _slots(hd.per_lane(f)(*lanes), n), floats),
+        ("Dual2 lanes", jets, lambda f: jets(hd.per_lane(f)), ref_jets),
+        ("nested Dual2 lanes", lambda f: jets(_nested(f, True)),
+         lambda f: jets(hd.per_lane(_nested(f, False))), lambda ref: ref_jets(_nested(ref, False))),
+    ]
+
+
+coord = st.floats(min_value=-2.0, max_value=2.0)
+lane_points = st.lists(
+    st.tuples(coord, coord, st.floats(0.2, 2.0), st.floats(0.1, 3.0)), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(SOURCES), pts=lane_points, data=st.data())
+def test_lanes_are_bitwise_the_reference_walker(source, pts, data):
+    _, src, params, opaque = source
+    e = ex.parse(src)
+    if params is None:
+        names = sorted(ex.free_parameters(e))
+        values = data.draw(st.lists(st.floats(0.5, 2.0), min_size=len(names), max_size=len(names)))
+        params = dict(zip(names, values))
+    f = ex.compile_expr(e, VARS, params, opaque)
+
+    def ref(*v):
+        return _reference_evaluate(e, dict(zip(VARS, v)), params, opaque)
+
+    for mode, on_lanes, rerun, reference in _lane_modes(pts):
+        want = _outcome(lambda: reference(ref))
+        with np.errstate(**hd.LANE_ERRSTATE):
+            got = _outcome(lambda: on_lanes(f))
+            if mode == "floats" or got == want:
+                assert got == want, mode
+                continue
+            # lanes raise at a point where the reference raises, or where a
+            # lane pass meets inf * 0 (LANE_ERRSTATE); one lane at a time
+            # then gives the reference's values or its error
+            assert isinstance(got, tuple), (mode, got)
+            assert _outcome(lambda: rerun(f)) == want, mode
+
+
+@pytest.mark.parametrize(
+    "src, bad",
+    [
+        ("ln(x)", 0.0),
+        ("sqrt(x) + 1", -2.0),
+        ("1/x", 0.0),
+        ("x^(-1)", 0.0),
+        ("x^0.5", -1.0),
+        ("1e300*x*x", 1e10),  # a non-finite result
+    ],
+    ids=["ln", "sqrt", "div", "zero-neg-power", "neg-fractional-power", "non-finite"],
+)
+def test_a_domain_error_at_one_lane_raises_and_reruns_one_lane_at_a_time(src, bad):
+    f = ex.compile_expr(ex.parse(src), ("x",))
+    good = [1.5, 0.7]
+    xs = hd.float_lanes([good[0], bad, good[1]])
+    with pytest.raises(EvalDomainError):
+        f(xs)
+    # in a jet pass, inf * 0 in a derivative slot can raise FloatingPointError first
+    with pytest.raises(EvalDomainError if src != "1e300*x*x" else FloatingPointError):
+        hd.lane_pass(f, (xs,), ((0, 0),))
+    # one lane at a time: the scalar error, or the scalar values
+    assert _outcome(lambda: hd.per_lane(f)(xs)) == _outcome(lambda: f(bad))
+    want = [f(v).hex() for v in good]
+    assert [v.hex() for v in hd.per_lane(f)(hd.float_lanes(good)).tolist()] == want
+    assert [v.hex() for v in f(hd.float_lanes(good)).tolist()] == want
 
 
 # ---------------------------------------------------------------------------

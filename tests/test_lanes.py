@@ -5,7 +5,9 @@ time when a test field or a coefficient cannot take lanes, and equals the
 nested scalar passes kept here as the reference; the reduction-consistency
 check evaluates every trial's points as lanes of one evaluation, reruns point
 by point when the lanes raise, and equals the scalar ratio loop kept here as
-the reference."""
+the reference; the determining condition runs on lanes and equals the
+per-point formula kept here as the reference, and the potential's sampling
+filter keeps what the per-point filter keeps."""
 
 import dataclasses
 import math
@@ -20,6 +22,7 @@ from liesolve import fields as F
 from liesolve import hyperdual as hd
 from liesolve import symmetry as S
 from liesolve.errors import LiesolveError, SamplingError, UnboundSymbol
+from liesolve.exprlang import compile_expr, parse
 from liesolve.fields import ScalarField
 from liesolve.reductions import catalog, reconstruct_u
 from liesolve.verify import sampled
@@ -249,12 +252,12 @@ def test_invariance_lanes_are_bitwise_the_scalar_defects(cid, draw, kind, seed):
         # a point outside the field's domain: the lanes raise where the
         # floats raise, and the residual gives the scalar passes' error
         with pytest.raises(ArithmeticError), np.errstate(**hd.LANE_ERRSTATE):
-            S._lane_defects(vf, M, u, pts)
+            S._lane_defects(vf, M.fn, u, pts)
         with pytest.raises(type(err)):
             S.symmetry_residual(vf, M, ScalarField(u, name=kind), points=pts)
         return
     with np.errstate(**hd.LANE_ERRSTATE):
-        lanes = S._lane_defects(vf, M, u, pts)
+        lanes = S._lane_defects(vf, M.fn, u, pts)
     assert [_hex(v) for v in lanes] == want
 
 
@@ -263,7 +266,7 @@ def test_field_on_math_exp_returns_the_scalar_result_through_the_fallback():
     u = ScalarField(lambda x, y, t: math.exp(-0.1 * float(t)) * x * y + y * y * t, name="libm")
     vf, M, pts = _draw("1.2b", 3)
     with pytest.raises(TypeError):
-        S._lane_defects(vf, M, u.fn, pts)
+        S._lane_defects(vf, M.fn, u.fn, pts)
     want = max(abs(_scalar_defect(vf, M, u.fn, *pt)) for pt in pts)
     assert S.symmetry_residual(vf, M, u, points=pts).hex() == want.hex()
 
@@ -275,7 +278,7 @@ def test_coefficient_on_math_exp_falls_back_with_the_field():
     vf = S.VectorField(vf.T, vf.X, vf.Y, vf.A, lambda x, y, t: math.exp(-float(t)), name="libm B")
     u = F.random_smooth_field(np.random.default_rng(5)).fn
     with pytest.raises(TypeError):
-        S._lane_defects(vf, M, hd.per_lane(u), pts)
+        S._lane_defects(vf, M.fn, hd.per_lane(u), pts)
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
     got = S.symmetry_residual(vf, M, ScalarField(u, name="smooth"), points=pts)
     assert got.hex() == want.hex()
@@ -308,7 +311,7 @@ def _raises_on_lanes(err):
 def test_each_caught_class_reruns_one_lane_at_a_time(u):
     vf, M, pts = _draw("1.4a", 2)
     with pytest.raises((TypeError, ValueError, ArithmeticError, LiesolveError)):
-        S._lane_defects(vf, M, u, pts)
+        S._lane_defects(vf, M.fn, u, pts)
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
     assert S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts).hex() == want.hex()
 
@@ -469,3 +472,79 @@ def test_consistency_lanes_skip_non_finite_ratios(monkeypatch, seed):
         assert got == (_outcome(_reference_per_trial, case, params, seed=seed), 1)
     finally:
         del case.similarity
+
+
+# -- the determining condition ----------------------------------------------------
+
+
+def _reference_compatibility(data, M, points):
+    """The determining condition one point at a time: the per-point formula."""
+    vf = S.infinitesimals(data)
+    kept, _ = sampled(lambda x, y, t: M.fn(x, y), points)
+    if len(kept) < max(4, len(points) // 3):
+        raise SamplingError("sampling region intersects the potential's singular loci")
+    f1d = data.f1.d()
+    resids = []
+    for (x, y, t), Mv in kept:
+        Mx, My = M.grad(0, 1, (x, y))
+        A_t = hd.derivative(vf.A, (x, y, t), 2)
+        A_xx = hd.derivative(vf.A, (x, y, t), 0, order=2)
+        A_yy = hd.derivative(vf.A, (x, y, t), 1, order=2)
+        resid = (
+            A_t
+            - 0.5 * (A_xx + A_yy)
+            + f1d(t) * Mv
+            + vf.X(x, y, t) * Mx
+            + vf.Y(x, y, t) * My
+        )
+        resids.append(hd.value(resid))
+    return float(np.max(np.abs(resids), initial=0.0))
+
+
+@pytest.mark.parametrize("cid", sorted(catalog()))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compatibility_lanes_are_bitwise_the_per_point_formula(monkeypatch, cid, seed):
+    case = catalog()[cid]
+    params = case.draw_params(np.random.default_rng(seed))
+    data, M = case.symmetry_data(params), case.potential_field(params)
+    pts = case.region_xyt(params, n=12, seed=seed)
+    calls = []
+    formula = S._compatibility_lanes
+    monkeypatch.setattr(S, "_compatibility_lanes", lambda *a: calls.append(a) or formula(*a))
+    got = _outcome(lambda: [S.compatibility_condition(data, M, pts)])
+    assert len(calls) == 1  # on lanes, no rerun
+    assert got == _outcome(lambda: [_reference_compatibility(data, M, pts)])
+
+
+# at x = 0, sqrt(x^2) has a value but its jet divides by zero, and 1/x has none
+@pytest.mark.parametrize("src", ["sqrt(x^2) + y", "1/x + y"], ids=["jet-raises", "value-raises"])
+def test_compatibility_gives_the_scalar_error_or_skip_of_the_potential(src):
+    case = catalog()["1.4a"]
+    params = case.draw_params(np.random.default_rng(2))
+    data = case.symmetry_data(params)
+    pts = case.region_xyt(params, n=8, seed=2) + [(0.0, 0.9, 0.6)]
+    M = ScalarField(compile_expr(parse(src), ("x", "y")), nargs=2, name=src)
+    want = _outcome(lambda: [_reference_compatibility(data, M, pts)])
+    assert isinstance(want, tuple) == (src == "sqrt(x^2) + y")
+    assert _outcome(lambda: [S.compatibility_condition(data, M, pts)]) == want
+
+
+_FILTER_POINTS = [(0.5, 0.3, 0.4), (0.7, -0.2, 0.5), (0.0, 0.9, 0.6), (2.0, 0.4, 0.7),
+                  (-0.6, 0.8, 0.8), (0.9, -0.9, 0.9)]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        compile_expr(parse("1/x + y"), ("x", "y")),  # raises at x = 0
+        lambda x, y: 1e308 * x * x + y,  # inf at x = 2, on lanes and floats alike
+        lambda x, y: hd.exp(400.0 * x) * y,  # OverflowError at x = 2
+    ],
+    ids=["exprlang-domain-error", "inf", "overflow"],
+)
+def test_filter_points_keeps_what_sampled_keeps(fn):
+    M = ScalarField(fn, nargs=2)
+    want = sampled(lambda x, y, t: fn(x, y), _FILTER_POINTS)[0]
+    got = S._filter_points(M, _FILTER_POINTS)
+    assert [(pt, v.hex()) for pt, v in got] == [(pt, v.hex()) for pt, v in want]
+    assert len(want) == len(_FILTER_POINTS) - 1
