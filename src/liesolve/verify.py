@@ -9,10 +9,9 @@ Carlo engine discretizes the price processes directly.
 * :func:`bs_residual` - pointwise residual of the asset-space pricing
   operator (the same oracle in original coordinates).
 * :func:`fd_evolve` - Crank-Nicolson (one space dimension) or Douglas ADI
-  with an explicit-then-corrected reaction term (two dimensions); the
-  constant implicit matrices are factored once per run.  Above a grid size,
-  the 2-D step runs its row and column blocks on one thread per available
-  core, with output bit-identical to the one-thread run.
+  with an explicit-then-corrected reaction term (two dimensions), on the
+  calling thread; the constant implicit matrices are factored once per run
+  as L D L^T.
 * :func:`mc_simulate` - Euler-Maruyama with correlated draws from a
   counter-based generator, reproducible per seed; path blocks run on one
   thread per available core, with samples that do not depend on the
@@ -34,13 +33,15 @@ the run.
 The array kernels update preallocated buffers in place, keeping the order
 of every floating-point operation of the plain formulas, so for fixed
 inputs their outputs are bit-identical to a straightforward NumPy
-transcription.
+transcription; the one exception is the L D L^T solve of :func:`fd_evolve`,
+within 1e-12 of a transcription that solves each step with
+``solve_banded``.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -288,12 +289,14 @@ class Grid:
         if len(self.extents) not in (1, 2):
             raise UnstableConfig(f"grid needs one or two axes, got {len(self.extents)}")
         for (lo, hi, n) in self.extents:
+            if not isinstance(n, numbers.Integral):
+                raise UnstableConfig(f"grid point counts must be integers, got {n!r}")
             if n < 16:
                 raise UnstableConfig("grid needs at least 16 points per axis")
-            if hi <= lo:
-                raise UnstableConfig("grid extents must be increasing")
-        if self.dt <= 0:
-            raise UnstableConfig("dt must be positive")
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise UnstableConfig("grid extents must be finite and increasing")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise UnstableConfig("dt must be finite and positive")
 
     @property
     def dims(self):
@@ -330,38 +333,37 @@ class Grid:
                         w.writerow([repr(float(x)), repr(float(y)), repr(float(self.values[i, j]))])
 
 
-def _banded_factors(n, h, dt, theta):
-    """Banded representation of I - theta dt (1/2) D2 with Dirichlet rows."""
-    coef = theta * dt * 0.5 / (h * h)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -coef
-    ab[1, :] = 1.0 + 2.0 * coef
-    ab[2, :-1] = -coef
-    # boundary rows: identity
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    return ab
+def _tridiagonal_solver(n, h, dt, bval, reaction=0.0):
+    """``solve(b)`` for the implicit half-step matrix I - (dt/2) (1/2) D2,
+    plus ``reaction`` ((dt/2) M) on the interior diagonal, on ``n`` points of
+    spacing ``h`` with identity boundary rows, the Dirichlet values ``bval``.
+    ``solve`` works along the first axis of ``b``, whose first and last rows
+    hold ``bval``, in place when ``b`` is Fortran-contiguous, and returns
+    ``b``.
 
+    The couplings of rows 1 and n-2 to the known boundary values move to the
+    right-hand side (coef * bval), which leaves a symmetric matrix with a
+    diagonal of at least 2 coef (the callers' growth checks), positive
+    definite; it is factored once as L D L^T (LAPACK ``dpttrf``) and each
+    solve back-substitutes (``dpttrs``)."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
-def _tridiagonal_solver(ab):
-    """Factor the tridiagonal matrix in banded storage ``ab`` once (LAPACK
-    ``dgttrf``) and return ``solve(b)``, which solves with those factors in
-    place and returns ``b``; LAPACK works on ``b`` itself when it is
-    Fortran-contiguous, and on a copy, written back, otherwise.
-
-    The elimination and back substitution are those of the ``gtsv`` route
-    that ``solve_banded`` takes for one sub- and one super-diagonal, so the
-    solution has the same bits."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
-    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    coef = 0.5 * dt * 0.5 / (h * h)
+    d = np.full(n, 1.0 + 2.0 * coef)
+    d[1:-1] += reaction
+    d[0] = d[-1] = 1.0
+    e = np.full(n - 1, -coef)
+    e[0] = e[-1] = 0.0
+    d, e, info = dpttrf(d, e)
     if info != 0:
-        raise UnstableConfig("singular implicit-step matrix")
+        raise UnstableConfig("implicit-step matrix is not positive definite")
+    lift = coef * bval
 
     def solve(b):
-        x = dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+        if lift:
+            b[1] += lift
+            b[-2] += lift
+        x = dpttrs(d, e, b, overwrite_b=1)[0]
         if x is not b:
             b[...] = x
         return b
@@ -371,16 +373,22 @@ def _tridiagonal_solver(ab):
 
 def _half_lap_into(v, hh, out, axis=0):
     """Write (1/2) the second difference of ``v`` along ``axis`` into the
-    interior of ``out``; ``hh`` is the squared spacing.  The edge rows of
-    ``out`` are not touched: the callers' buffers keep them at zero, the
-    zero second derivative outside the Dirichlet values."""
-    if axis == 0:
-        o, up, mid, down = out[1:-1], v[2:], v[1:-1], v[:-2]
-    else:
-        o, up, mid, down = out[:, 1:-1], v[:, 2:], v[:, 1:-1], v[:, :-2]
-    np.multiply(mid, 2.0, out=o)
-    np.subtract(up, o, out=o)
-    o += down
+    interior of ``out``; ``hh`` is the squared spacing.  The edge rows (or
+    columns) of ``out`` are left at zero, the zero second derivative outside
+    the Dirichlet values.
+
+    Along axis 1 of C-ordered grids the difference runs in one contiguous
+    pass over the flattened arrays.  Its lanes at the edge columns wrap
+    around to the neighbouring rows; they are set to zero before the
+    difference is scaled, so that they raise no overflow the lanes of a
+    pass row by row would not."""
+    vf, flat = (v.reshape(-1), out.reshape(-1)) if axis == 1 else (v, out)
+    o = flat[1:-1]
+    np.multiply(vf[1:-1], 2.0, out=o)
+    np.subtract(vf[2:], o, out=o)
+    o += vf[:-2]
+    if axis == 1:
+        out[:, 0] = out[:, -1] = 0.0
     o *= 0.5
     o /= hh
 
@@ -424,27 +432,25 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
     One dimension: Crank-Nicolson with the reaction folded into the theta
     scheme.  Two dimensions: Douglas splitting with the reaction term taken
     explicitly and corrected by a second trapezoidal pass, second order in
-    dt and h.  Deterministic for fixed inputs.
+    dt and h.  Deterministic for fixed inputs; runs on the calling thread.
 
-    The implicit matrices are constant, so each is factored once per run
-    (LAPACK ``dgttrf``) and every step only back-substitutes (``dgttrs``);
-    each step evaluates the half-Laplacians of u once and reuses them.
-    The result is bit-identical to solving each step with ``solve_banded``.
+    The implicit matrices are constant and, with the boundary couplings
+    moved to the right-hand side, symmetric positive definite, so each is
+    factored once per run as L D L^T (LAPACK ``dpttrf``) and every step only
+    back-substitutes (``dpttrs``); each step evaluates the half-Laplacians
+    of u once and reuses them.  The result agrees with solving each step's
+    full matrix with ``solve_banded`` to within 1e-12 of max |u|.
 
-    On grids of at least ``_FD_SPLIT_POINTS`` points, each phase of the 2-D
-    step (explicit predictor, x solve, y solve, corrector, x solve, y solve)
-    runs its row or column blocks on one thread per core this process may
-    use; every grid element goes through the same operations, so the output
-    is bit-identical whatever the number of threads.  The blocks run under
-    the caller's numpy error state.  The 1-D step runs on the calling thread.
-
+    ``tau_end`` must be finite, at least 0 and a whole number of steps.
     ``bc`` is ``"absorbing"`` (zero boundary values) or ``"fixed"`` (the
     boundary held at ``bc_value``); any other value raises
-    :class:`ConfigError`.  Raises :class:`UnstableConfig` when the evolved
-    values are not finite.
+    :class:`ConfigError`.  Raises :class:`UnstableConfig` for a bad
+    ``tau_end`` and when the evolved values are not finite.
     """
     if bc not in ("absorbing", "fixed"):
         raise ConfigError(f"bc must be 'absorbing' or 'fixed', got {bc!r}")
+    if not (math.isfinite(tau_end) and tau_end >= 0.0):
+        raise UnstableConfig(f"tau_end must be finite and >= 0, got {tau_end!r}")
     steps = int(round(tau_end / grid.dt))
     if abs(steps * grid.dt - tau_end) > 1e-9 * max(1.0, tau_end):
         raise UnstableConfig("tau_end must be an integer number of time steps")
@@ -463,9 +469,7 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
             raise UnstableConfig("dt too large for the reaction term (growth check)")
         _check_contamination(u, grid, tau_end)
         n = len(xs)
-        ab = _banded_factors(n, h, dt, 0.5)
-        ab[1, 1:-1] += 0.5 * dt * mvals[1:-1]
-        solve = _tridiagonal_solver(ab)
+        solve = _tridiagonal_solver(n, h, dt, bval, 0.5 * dt * mvals[1:-1])
         hh = h * h
         lap, expl, rhs = np.zeros(n), np.empty(n), np.empty(n)
         u[0] = u[-1] = bval
@@ -494,107 +498,50 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
     u[:, 0] = u[:, -1] = bval
 
     nx, ny = u.shape
-    solve_x = _tridiagonal_solver(_banded_factors(nx, hx, dt, 0.5))
-    solve_y = _tridiagonal_solver(_banded_factors(ny, hy, dt, 0.5))
-    # lap_x, lap_y keep zero edges; the x sweep's right-hand side is
-    # Fortran-ordered so that LAPACK solves each column block of it in place
-    # (and the y sweep solves the transpose of each row block of a C-ordered
-    # buffer, also in place)
+    solve_x = _tridiagonal_solver(nx, hx, dt, bval)
+    solve_y = _tridiagonal_solver(ny, hy, dt, bval)
+    # every full-grid pass runs on C-ordered buffers; lap_x, lap_y keep zero
+    # edges.  The x solve works in place on the Fortran-ordered rhs_x, filled
+    # and read back by plain copies, and the y solve on the transpose of a
+    # C-ordered buffer
     lap_x, lap_y = np.zeros_like(u), np.zeros_like(u)
     f_u, f_y2, y0, y2, cx, cy, tmp = (np.empty_like(u) for _ in range(7))
     rhs_x = np.empty(u.shape, order="F")
 
-    # Each phase of a step updates row blocks [a, b) or column blocks [c, d)
-    # of the grid; every element goes through the operations of the
-    # whole-grid formulas, so the result does not depend on the blocks.
-    def F(v, out, a, b):
-        # (1/2) Lap v - M v on rows [a, b), whose x half-Laplacian reads
-        # rows a-1 .. b; leaves the half-Laplacians of v in lap_x, lap_y
-        around = slice(max(a - 1, 0), b + 1)
-        _half_lap_into(v[around], hxx, lap_x[around], 0)
-        _half_lap_into(v[a:b], hyy, lap_y[a:b], 1)
-        np.add(lap_x[a:b], lap_y[a:b], out=out[a:b])
-        np.multiply(mvals[a:b], v[a:b], out=tmp[a:b])
-        out[a:b] -= tmp[a:b]
+    def F(v, out):
+        # (1/2) Lap v - M v; leaves the half-Laplacians of v in lap_x, lap_y
+        _half_lap_into(v, hxx, lap_x, 0)
+        _half_lap_into(v, hyy, lap_y, 1)
+        np.add(lap_x, lap_y, out=out)
+        np.multiply(mvals, v, out=tmp)
+        out -= tmp
 
-    def x_rhs(v, a, b):
-        # the x sweep's right-hand side, against the explicit x half-step of u
-        np.subtract(v[a:b], cx[a:b], out=rhs_x[a:b])
-        if a == 0:
-            rhs_x[0, :] = bval
-        if b == nx:
-            rhs_x[-1, :] = bval
+    def sweeps(rhs, out):
+        # implicit x then implicit y, each against the explicit half-step of u
+        np.subtract(rhs, cx, out=tmp)
+        tmp[0] = tmp[-1] = bval
+        rhs_x[...] = tmp
+        out[...] = solve_x(rhs_x)
+        out -= cy
+        out[:, 0] = out[:, -1] = bval
+        solve_y(out.T)
 
-    def predictor(a, b):
-        F(u, f_u, a, b)
-        np.multiply(lap_x[a:b], hdt, out=cx[a:b])
-        np.multiply(lap_y[a:b], hdt, out=cy[a:b])
-        np.multiply(f_u[a:b], dt, out=y0[a:b])
-        y0[a:b] += u[a:b]
-        x_rhs(y0, a, b)
-
-    def corrector(a, b):
-        # right-hand side y0 + (dt/2) (F(y2) - F(u))
-        F(y2, f_y2, a, b)
-        f_y2[a:b] -= f_u[a:b]
-        f_y2[a:b] *= hdt
-        f_y2[a:b] += y0[a:b]
-        x_rhs(f_y2, a, b)
-
-    def x_sweep(out, c, d):
-        # implicit x, then the y sweep's right-hand side, against the
-        # explicit y half-step of u
-        np.subtract(solve_x(rhs_x[:, c:d]), cy[:, c:d], out=out[:, c:d])
-        if c == 0:
-            out[:, 0] = bval
-        if d == ny:
-            out[:, -1] = bval
-
-    def y_sweep(out, a, b):
-        solve_y(out[a:b].T)
-
-    def last_y_sweep(a, b):
-        y_sweep(u, a, b)
-        if a == 0:
-            u[0, :] = bval
-        if b == nx:
-            u[-1, :] = bval
-        u[a:b, 0] = u[a:b, -1] = bval
-
-    # the first block of each phase runs on this thread and the others on
-    # the pool, each in its own copy of this thread's context (a context
-    # runs in one thread at a time), so that numpy's error state, a context
-    # variable, holds there too
-    workers = _workers(min(nx, ny)) if nx * ny >= _FD_SPLIT_POINTS else 1
-    rows, cols = _blocks(nx, workers), _blocks(ny, workers)
-    contexts = [contextvars.copy_context() for _ in range(workers - 1)]
-
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-
-        def phase(fn, blocks, *args):
-            futures = [pool.submit(ctx.run, fn, *args, lo, hi)
-                       for ctx, (lo, hi) in zip(contexts, blocks[1:])]
-            try:
-                fn(*args, *blocks[0])
-            finally:
-                for f in futures:  # wait for every block, even if this one raised
-                    f.exception()
-            for f in futures:
-                f.result()
-
-        for _ in range(steps):
-            phase(predictor, rows)
-            phase(x_sweep, cols, y2)
-            phase(y_sweep, rows, y2)
-            phase(corrector, rows)
-            phase(x_sweep, cols, u)
-            phase(last_y_sweep, rows)
+    for _ in range(steps):
+        F(u, f_u)
+        np.multiply(lap_x, hdt, out=cx)
+        np.multiply(lap_y, hdt, out=cy)
+        np.multiply(f_u, dt, out=y0)
+        y0 += u
+        sweeps(y0, y2)
+        # corrector right-hand side y0 + (dt/2) (F(y2) - F(u))
+        F(y2, f_y2)
+        f_y2 -= f_u
+        f_y2 *= hdt
+        f_y2 += y0
+        sweeps(f_y2, u)
+        u[0, :] = u[-1, :] = bval
+        u[:, 0] = u[:, -1] = bval
     return _evolved(grid, u, steps)
-
-
-def _blocks(n, k):
-    """``k`` contiguous index ranges ``(lo, hi)`` that cover ``range(n)``."""
-    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _evolved(grid, u, steps):
@@ -626,6 +573,8 @@ class SdeConfig:
     max_excluded_frac: float = 0.01
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.paths, self.steps)):
+            raise UnstableConfig("paths and steps must be integers")
         if self.paths < 1 or self.steps < 1:
             raise UnstableConfig("paths and steps must be at least 1")
         if abs(self.rho) >= 1.0:
@@ -655,10 +604,6 @@ class SampleSet:
 
 
 _CHUNK = 1 << 16
-# grids of at least this many points run the 2-D FD step on several threads:
-# each phase hands blocks to the pool for about 75 us, which a Douglas step
-# on 2 vCPUs won back between 161^2 (25 921) and 177^2 (31 329) points
-_FD_SPLIT_POINTS = 30_000
 
 
 def _workers(n_blocks):
@@ -678,7 +623,7 @@ def mc_simulate(cfg: SdeConfig, T: float) -> SampleSet:
     counter-based generator is jumped per path block, so path streams do not
     depend on scheduling.  Paths crossing zero are absorbed (full truncation);
     paths exceeding the explosion cap are flagged and excluded with the count
-    reported.
+    reported.  ``T`` must be finite and at least 0 (:class:`UnstableConfig`).
 
     Blocks of ``_CHUNK`` paths run on a thread pool with one worker per core
     this process may use (``os.sched_getaffinity``), or inline when there is
@@ -686,6 +631,8 @@ def mc_simulate(cfg: SdeConfig, T: float) -> SampleSet:
     each block writes only its own slice of the output, so the samples are
     bit-identical whatever the number of workers.
     """
+    if not (math.isfinite(T) and T >= 0.0):
+        raise UnstableConfig(f"T must be finite and >= 0, got {T!r}")
     dt = T / cfg.steps
     sq = math.sqrt(dt)
     mu1 = cfg.rate if cfg.use_risk_neutral else cfg.mu1

@@ -230,6 +230,29 @@ def test_fd_evolve_rejects_unknown_bc(dims):
         fd_evolve(lambda *x: 0.0, u0, grid, 0.1, bc="reflecting", bc_value=0.3)
 
 
+@pytest.mark.parametrize("tau_end", [-0.1, math.nan, math.inf, -math.inf])
+def test_fd_evolve_rejects_bad_tau_end(tau_end):
+    grid = Grid(((-4.0, 4.0, 33),), dt=1e-2)
+    with pytest.raises(UnstableConfig, match="tau_end must be finite and >= 0"):
+        fd_evolve(lambda x: 0.0, lambda x: math.exp(-x * x), grid, tau_end)
+
+
+@pytest.mark.parametrize("n", [33.5, 33.0, "33", None])
+def test_grid_rejects_non_integer_point_counts(n):
+    with pytest.raises(UnstableConfig, match="point counts must be integers"):
+        Grid(((-4.0, 4.0, n),), dt=1e-2)
+    assert len(Grid(((-4.0, 4.0, np.int64(33)),), dt=1e-2).axis(0)) == 33
+
+
+@pytest.mark.parametrize("lo, hi, dt", [
+    (math.nan, 4.0, 1e-2), (-4.0, math.inf, 1e-2), (4.0, -4.0, 1e-2),
+    (-4.0, 4.0, math.nan), (-4.0, 4.0, math.inf), (-4.0, 4.0, 0.0),
+])
+def test_grid_rejects_non_finite_extents_or_dt(lo, hi, dt):
+    with pytest.raises(UnstableConfig, match="must be finite and"):
+        Grid(((lo, hi, 33),), dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
@@ -260,6 +283,19 @@ def test_mc_zero_vol_deterministic():
     expected = 2.0 * (1 + 0.04 / 32) ** 32
     assert np.all(out.s1 == out.s1[0])
     assert out.s1[0] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("T", [-1.0, math.nan, math.inf, -math.inf])
+def test_mc_simulate_rejects_bad_horizon(T):
+    cfg = SdeConfig(vol1=CEVVol(0.3, 1.0), paths=10, steps=4)
+    with pytest.raises(UnstableConfig, match="T must be finite and >= 0"):
+        mc_simulate(cfg, T=T)
+
+
+@pytest.mark.parametrize("kw", [dict(paths=1e3), dict(steps=8.0), dict(paths="10")])
+def test_sde_config_rejects_non_integer_counts(kw):
+    with pytest.raises(UnstableConfig, match="paths and steps must be integers"):
+        SdeConfig(vol1=CEVVol(0.3, 1.0), **kw)
 
 
 def test_mc_zero_correlation():
@@ -422,8 +458,8 @@ def test_compare_linf_2d():
 # bit-identity of the oracle kernels
 # ---------------------------------------------------------------------------
 
-# sha256 of the outputs, recorded with the straightforward array engine
-# (per-step temporaries, solve_banded, one path block after another)
+# sha256 of the samples, recorded with the straightforward array engine
+# (per-step temporaries, one path block after another)
 MC_GOLDEN = {
     # 150 000 paths: three blocks, the last one partial; paths absorbed at 0
     "cev_half": (dict(vol1=CEVVol(1.0, 0.5), rate=0.02, paths=150_000, steps=8, seed=7),
@@ -475,35 +511,114 @@ def test_mc_golden_digests(name):
     assert _samples_sha(mc_simulate(SdeConfig(**kw), T=1.0)) == digest
 
 
-def _fd2_runs(grid):
-    """The two 2-D golden runs (absorbing and fixed boundary) on ``grid``."""
-    M2 = lambda x, y: 0.5 + 0.1 * math.tanh(x) * math.tanh(y)
-    g2 = lambda x, y: math.exp(-x * x - 0.5 * y * y)
-    return [
-        fd_evolve(M2, g2, grid, 0.1).values,
-        fd_evolve(M2, g2, grid, 0.1, bc="fixed", bc_value=0.05).values,
-    ]
-
-
-FD2_GOLDEN_GRID = Grid(((-4.0, 4.0, 33), (-3.0, 3.0, 25)), dt=1e-2)
+_M1 = lambda x: 0.5 + 0.1 * math.tanh(x)
+_G1 = lambda x: math.exp(-x * x)
+_M2 = lambda x, y: 0.5 + 0.1 * math.tanh(x) * math.tanh(y)
+_G2 = lambda x, y: math.exp(-x * x - 0.5 * y * y)
+_GRID1 = Grid(((-4.0, 4.0, 65),), dt=1e-2)
+_GRID2 = Grid(((-4.0, 4.0, 33), (-3.0, 3.0, 25)), dt=1e-2)
+# (M, u0, grid, tau_end, keyword arguments): the four golden runs, absorbing
+# and fixed boundary in one and two dimensions
+FD_GOLDEN_RUNS = [
+    (_M1, _G1, _GRID1, 0.2, {}),
+    (_M1, _G1, _GRID1, 0.2, dict(bc="fixed", bc_value=0.1)),
+    (_M2, _G2, _GRID2, 0.1, {}),
+    (_M2, _G2, _GRID2, 0.1, dict(bc="fixed", bc_value=0.05)),
+]
 
 
 @pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
 def test_fd_evolve_golden_digests():
-    M1 = lambda x: 0.5 + 0.1 * math.tanh(x)
-    g1 = lambda x: math.exp(-x * x)
-    g1d = Grid(((-4.0, 4.0, 65),), dt=1e-2)
-    got = [
-        _sha(fd_evolve(M1, g1, g1d, 0.2).values),
-        _sha(fd_evolve(M1, g1, g1d, 0.2, bc="fixed", bc_value=0.1).values),
-        *(_sha(v) for v in _fd2_runs(FD2_GOLDEN_GRID)),
-    ]
+    # recorded with the L D L^T solve; test_fd_evolve_matches_solve_banded
+    # bounds their distance from the solve_banded engine
+    got = [_sha(fd_evolve(M, u0, grid, tau, **kw).values)
+           for M, u0, grid, tau, kw in FD_GOLDEN_RUNS]
     assert got == [
-        "7cf794e68f6566caff840f441911ed9e8c78f2ec92702605b4a4f8707d360663",
-        "ec0b9140e17672e3bf7c40d44c3bbc1aaeb3aed425fd6f7277547eecd1935857",
-        "9e6fd56b419c3b1487e3c6647e6669b50a8d369dfa918cfcc992b8851dc57c88",
-        "c44c27c7e56f09536e7ed14f7c73f545ce6f073f56a7aee750b3915509814c19",
+        "dffe0bae15478edf269d5a0b40cc7b8e89d44ccbca0bc1cb1bd80ebcdb4a5675",
+        "48b6906d012e4e6b51f2dfc03e9684e51310ba982f403d65a4cb50087966cb97",
+        "5b2bdcb2a8bfc009f1eea4c7f132100697a819a55e16a695573b78a67667b872",
+        "52fcffc14eb883ac932ba3601030f954ae6440213c3475b2b3b59eaea3cf4827",
     ]
+
+
+def _half_lap(v, h, axis):
+    out = np.zeros_like(v)
+    if axis == 0:
+        out[1:-1] = 0.5 * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    else:
+        out[:, 1:-1] = 0.5 * (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
+    return out
+
+
+def _implicit_bands(n, h, dt, reaction):
+    # I - (dt/2) (1/2) D2 + reaction, identity boundary rows that keep their
+    # couplings, in solve_banded's storage
+    coef = 0.5 * dt * 0.5 / (h * h)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -coef
+    ab[1] = 1.0 + 2.0 * coef + reaction
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[0, 1] = ab[2, -2] = 0.0
+    return ab
+
+
+def _solve_banded_reference(M, u0, grid, tau_end, bc="absorbing", bc_value=0.0):
+    """fd_evolve's scheme in its first form: per-step temporaries, and each
+    implicit step solved by ``scipy.linalg.solve_banded`` on the full
+    matrix."""
+    from scipy.linalg import solve_banded
+
+    dt, steps = grid.dt, int(round(tau_end / grid.dt))
+    bval = 0.0 if bc == "absorbing" else bc_value
+    if grid.dims == 1:
+        xs, h = grid.axis(0), grid.spacing(0)
+        u = np.array([u0(x) for x in xs])
+        m = np.array([M(x) for x in xs])
+        ab = _implicit_bands(len(xs), h, dt, 0.5 * dt * m)
+        u[0] = u[-1] = bval
+        for _ in range(steps):
+            rhs = u + 0.5 * dt * (_half_lap(u, h, 0) - m * u)
+            rhs[0] = rhs[-1] = bval
+            u = solve_banded((1, 1), ab, rhs)
+        return u
+    hx, hy = grid.spacing(0), grid.spacing(1)
+    X, Y = grid.meshgrid()
+    u = np.vectorize(u0)(X, Y).astype(float)
+    m = np.vectorize(M)(X, Y).astype(float)
+    abx = _implicit_bands(X.shape[0], hx, dt, 0.0)
+    aby = _implicit_bands(X.shape[1], hy, dt, 0.0)
+    u[0, :] = u[-1, :] = u[:, 0] = u[:, -1] = bval
+
+    def F(v):
+        return _half_lap(v, hx, 0) + _half_lap(v, hy, 1) - m * v
+
+    def sweeps(rhs, v_old):
+        b = rhs - 0.5 * dt * _half_lap(v_old, hx, 0)
+        b[0, :] = b[-1, :] = bval
+        b = solve_banded((1, 1), abx, b) - 0.5 * dt * _half_lap(v_old, hy, 1)
+        b[:, 0] = b[:, -1] = bval
+        return solve_banded((1, 1), aby, b.T).T
+
+    for _ in range(steps):
+        y0 = u + dt * F(u)
+        y2 = sweeps(y0, u)
+        u = sweeps(y0 + 0.5 * dt * (F(y2) - F(u)), u)
+        u[0, :] = u[-1, :] = u[:, 0] = u[:, -1] = bval
+    return u
+
+
+@pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
+@pytest.mark.parametrize("run", [
+    *FD_GOLDEN_RUNS,
+    # a rung of the 2-D convergence-order check
+    (_M2, lambda x, y: math.exp(-(x * x + y * y)) / math.pi,
+     Grid(((-7.0, 7.0, 97), (-7.0, 7.0, 97)), dt=2.5e-3), 0.25, {}),
+], ids=["1d", "1d-fixed", "2d", "2d-fixed", "2d-97"])
+def test_fd_evolve_matches_solve_banded(run):
+    M, u0, grid, tau, kw = run
+    ref = _solve_banded_reference(M, u0, grid, tau, **kw)
+    got = fd_evolve(M, u0, grid, tau, **kw).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -582,42 +697,26 @@ def test_sup_cdf_distance_matches_scalar_loop(monkeypatch):
     assert verify.sup_cdf_distance(np.array([]), smooth) == 0.0
 
 
-def _forced_split(monkeypatch, workers):
-    # every grid splits, into ``workers`` blocks per phase
-    monkeypatch.setattr(verify, "_FD_SPLIT_POINTS", 0)
-    monkeypatch.setattr(verify, "_workers", lambda n_blocks: workers)
-
-
-@pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
-def test_fd_evolve_worker_count_independence(monkeypatch):
-    # the golden grids and an odd-sized one, whose blocks are uneven
-    grids = (FD2_GOLDEN_GRID, Grid(((-4.0, 4.0, 37), (-3.0, 3.0, 29)), dt=1e-2))
-    outs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 2, 3):
-            _forced_split(monkeypatch, workers)
-            outs[workers] = [v for g in grids for v in _fd2_runs(g)]
-    finally:
-        sys.setswitchinterval(interval)
-    for workers in (2, 3):
-        assert all(np.array_equal(a, b) for a, b in zip(outs[1], outs[workers]))
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::liesolve.errors.BoundaryContamination")
-def test_fd_evolve_split_keeps_error_state(monkeypatch):
-    # the half-Laplacian overflows only at x > 1, in the second row block:
-    # the worker thread must raise under the caller's error state, as the
-    # one-thread run does, and shut its pool down
+def test_fd_evolve_keeps_error_state():
+    # the half-Laplacian overflows only at x > 1: the step raises under the
+    # caller's error state and starts no thread
     u0 = lambda x, y: 1.5e308 * math.exp(-(x - 2.0) ** 2 - y * y)
     grid = Grid(((-4.0, 4.0, 41), (-4.0, 4.0, 41)), dt=1e-2)
-    for workers in (1, 2):
-        _forced_split(monkeypatch, workers)
-        threads = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            fd_evolve(lambda x, y: 0.0, u0, grid, 0.1)
-        assert threading.active_count() == threads
+    threads = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        fd_evolve(lambda x, y: 0.0, u0, grid, 0.1)
+    assert threading.active_count() == threads
     with pytest.raises(UnstableConfig):
         fd_evolve(lambda x, y: 0.0, u0, grid, 0.1)
+    # near 1e307, rising from the zero boundary with second differences that
+    # do not overflow: the y half-Laplacian, one pass over the flattened
+    # rows, must not overflow at its lanes that wrap around the edge columns
+    # ((1/2) 1.5e307 / 0.2^2), nor leave non-finite values there
+    ramp = (0.0, 1.5, 3.0, 4.0, 4.5)
+    q = lambda t: ramp[min(round((t + 4.0) / 0.2), round((4.0 - t) / 0.2), 4)]
+    u0 = lambda x, y: 1e307 * (q(x) * q(y) / 4.5)
+    with np.errstate(over="raise", invalid="raise"):
+        strict = fd_evolve(lambda x, y: 0.0, u0, grid, 0.05).values
+    assert np.array_equal(strict, fd_evolve(lambda x, y: 0.0, u0, grid, 0.05).values)
