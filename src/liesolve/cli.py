@@ -7,13 +7,17 @@ solution, sample it to CSV), ``verify`` (full residual suite for one case),
 ``case-study`` (the end-to-end study chains).
 
 Every run is driven by a config mapping validated against a versioned JSON
-schema.  Command-line flags assemble the same mapping: each option's argparse
-dest is its config key (``--index`` -> ``transform_index``, ``--samples`` ->
-``samples_csv``, ``--param`` -> ``potential_params``, ``--json`` ->
-``out_json``), and an option left unset is absent, so its default is stated
-once, by the command that reads it.  Exit codes: 0 all verdicts pass, 2
-verification failures, 1 usage and config errors (a bad flag, an unreadable
-``--config`` file, an unknown case, a report path that cannot be written).
+schema, ``CONFIG_SCHEMA``.  ``validate_config`` in this module checks it: it
+implements the few flat keywords the schema uses, refuses a schema that uses
+any other, and raises the line jsonschema would give (the tests compare the
+two, so jsonschema is a test dependency only).  Command-line flags assemble
+the same mapping: each option's argparse dest is its config key (``--index``
+-> ``transform_index``, ``--samples`` -> ``samples_csv``, ``--param`` ->
+``potential_params``, ``--json`` -> ``out_json``), and an option left unset
+is absent, so its default is stated once, by the command that reads it.
+Exit codes: 0 all verdicts pass, 2 verification failures, 1 usage and config
+errors (a bad flag, an unreadable ``--config`` file, an unknown case, a
+report path that cannot be written).
 Reports are deterministic for a fixed config and seed (no timestamps).
 """
 
@@ -22,11 +26,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import sys
 
 import numpy as np
-
-import jsonschema
 
 from . import casestudies
 from . import hyperdual as hd
@@ -76,20 +79,106 @@ CONFIG_SCHEMA = {
     },
 }
 
-@functools.cache
-def _config_validator():
-    # built on first use: checking the schema itself costs about 10 ms
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+# the JSON Schema keywords and types validate_config checks; it refuses a
+# CONFIG_SCHEMA that uses any other, so a schema edit cannot go unchecked
+_KEYWORDS = frozenset({
+    "type", "enum", "const", "required", "properties", "additionalProperties",
+    "minimum", "maximum", "items", "minItems", "maxItems",
+})
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _unsupported(schema):
+    # what in schema _errors does not implement: keywords, types other than
+    # one name, and const or enum values that are not scalars
+    if not isinstance(schema, dict):
+        return [f"subschema {schema!r}"]
+    t = schema.get("type", "object")
+    values = [schema["const"]] if "const" in schema else []
+    bad = [repr(k) for k in schema if k not in _KEYWORDS]
+    if not (isinstance(t, str) and t in _TYPES):
+        bad.append(f"type {t!r}")
+    bad += [f"value {v!r}" for v in values + list(schema.get("enum", []))
+            if not isinstance(v, (str, int, float, type(None)))]
+    subs = list(schema.get("properties", {}).values())
+    subs += [v for k, v in schema.items()
+             if k == "items" or k == "additionalProperties" and not isinstance(v, bool)]
+    return bad + [b for sub in subs for b in _unsupported(sub)]
+
+
+def _equal(a, b):
+    # JSON equality of scalars: a boolean equals only a boolean (True is not 1)
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _errors(schema, instance, path=()):
+    # (path, message) for each failed keyword, in jsonschema's order and words
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](instance):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            if not any(_equal(each, instance) for each in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "const":
+            if not _equal(instance, value):
+                yield path, f"{value!r} was expected"
+        elif _TYPES["object"](instance):
+            if key == "required":
+                for k in value:
+                    if k not in instance:
+                        yield path, f"{k!r} is a required property"
+            elif key == "properties":
+                for k, sub in value.items():
+                    if k in instance:
+                        yield from _errors(sub, instance[k], path + (k,))
+            elif key == "additionalProperties":
+                extras = [k for k in instance if k not in schema.get("properties", {})]
+                if isinstance(value, dict):
+                    for k in extras:
+                        yield from _errors(value, instance[k], path + (k,))
+                elif value is False and extras:
+                    names = ", ".join(map(repr, sorted(extras, key=str)))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif _TYPES["array"](instance):
+            if key == "items":
+                for i, item in enumerate(instance):
+                    yield from _errors(value, item, path + (i,))
+            elif key == "minItems" and len(instance) < value:
+                yield path, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+            elif key == "maxItems" and len(instance) > value:
+                yield path, f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif _TYPES["number"](instance):
+            if key == "minimum" and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+            elif key == "maximum" and instance > value:
+                yield path, f"{instance!r} is greater than the maximum of {value!r}"
 
 
 def validate_config(config):
-    # the error jsonschema.validate would raise, without re-checking the schema
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
-    if exc is not None:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise ConfigError(f"config invalid at {pointer or '/'}: {exc.message}") from exc
+    """Raise ConfigError with the line ``jsonschema.validate`` would give.
+
+    Of several errors that line names the one jsonschema's ``best_match``
+    picks: the shortest path, then of sibling paths the greatest, then the
+    first in schema order.
+    """
+    bad = _unsupported(CONFIG_SCHEMA)
+    if bad:
+        raise NotImplementedError("CONFIG_SCHEMA uses what validate_config does not check: "
+                                  + ", ".join(bad))
+    best = max(_errors(CONFIG_SCHEMA, config), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is not None:
+        path, message = best
+        raise ConfigError(f"config invalid at /{'/'.join(map(str, path))}: {message}")
 
 
 def _parse_kv(text):

@@ -44,7 +44,6 @@ import math
 import numbers
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -665,6 +664,8 @@ def mc_simulate(cfg: SdeConfig, T: float) -> SampleSet:
     if workers <= 1:
         run(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # kept out of the cold start
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(workers)))
 
