@@ -58,7 +58,7 @@ CONFIG_SCHEMA = {
         "command": {
             "enum": ["classify", "reduce", "solve", "verify", "transform", "case-study"]
         },
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "potential": {"type": "string"},
         "potential_params": {"type": "object", "additionalProperties": {"type": "number"}},
         "case": {"type": "string"},
@@ -421,6 +421,10 @@ def run(config):
         if key not in config:
             raise ConfigError(f"command {config['command']} needs the config key {key!r}")
     config = {"seed": 0, **config}
+    # JSON Schema counts 2.0 as an integer; the commands get the int
+    for key, sub in CONFIG_SCHEMA["properties"].items():
+        if sub.get("type") == "integer" and isinstance(config.get(key), float):
+            config[key] = int(config[key])
     rep = _COMMANDS[config["command"]](config)
     rep.payload.setdefault("seed", config["seed"])
     return (0 if rep.clean else 2), rep

@@ -234,6 +234,9 @@ BAD_CONFIGS = [
     {"version": 1, "command": "transform", "transform_index": 0},
     {"version": 1, "command": "transform", "transform_index": -3.0},
     {"version": 1, "command": "transform", "transform_index": 7.0},
+    # a seed is non-negative, as numpy's generators need
+    {"version": 1, "command": "verify", "case": "1.3", "seed": -1},
+    {"version": 1, "command": "case-study", "study": "double-cev", "seed": -1.0},
     # items, minItems, maxItems
     {"version": 1, "command": "case-study", "sigma": [1.0, "a"]},
     {"version": 1, "command": "case-study", "alpha": [True]},
@@ -377,6 +380,22 @@ def test_deterministic_reports():
     assert rep1.to_json() == rep2.to_json()
 
 
+@pytest.mark.parametrize("config", [
+    {"version": 1, "command": "verify", "case": "1.3", "seed": 2},
+    {"version": 1, "command": "transform", "seed": 3, "transform_index": 5},
+])
+def test_an_integral_float_runs_as_its_integer(config, tmp_path):
+    # JSON Schema counts 2.0 as an integer; the report is the one of 2
+    floats = {k: float(v) if k in ("seed", "transform_index") else v for k, v in config.items()}
+    reports = []
+    for i, cfg in enumerate((config, floats)):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--json", str(tmp_path / f"{i}.out")]) == 0
+        reports.append((tmp_path / f"{i}.out").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_main_exit_codes(capsys):
     assert main(["classify", "--potential", "1/x^2 + 2*y + 3"]) == 0
     out = capsys.readouterr().out
@@ -408,6 +427,8 @@ BAD_INVOCATIONS = [
     "solve --case 1.3 --constants c1=x",
     "classify --potential a*x --param a=x",
     "verify --case 9.9",
+    "verify --case 1.3 --seed -1",
+    "case-study double-cev --seed -1",
     "reduce --case 1.6 --json nodir/report.json",
     "reduce --case 1.6 --text nodir/report.txt",
     "solve --case 1.2b --allow-unverified --samples nodir/samples.csv",

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesolve import fields, verify
 from liesolve.errors import BoundaryContamination, ConfigError, DomainMismatch, UnstableConfig
@@ -296,6 +298,18 @@ def test_mc_simulate_rejects_bad_horizon(T):
 def test_sde_config_rejects_non_integer_counts(kw):
     with pytest.raises(UnstableConfig, match="paths and steps must be integers"):
         SdeConfig(vol1=CEVVol(0.3, 1.0), **kw)
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, -1, 2**128, 2**130, "x", None])
+def test_sde_config_rejects_bad_seeds(seed):
+    with pytest.raises(UnstableConfig, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+        SdeConfig(vol1=CEVVol(0.3, 1.0), seed=seed)
+
+
+def test_sde_config_takes_any_integer_seed_below_2_to_128():
+    for seed in (0, np.int64(7), 2**128 - 1):
+        out = mc_simulate(SdeConfig(vol1=CEVVol(0.3, 1.0), paths=8, steps=2, seed=seed), T=1.0)
+        assert out.seed == seed and len(out.s1) == 8
 
 
 def test_mc_zero_correlation():
@@ -695,6 +709,92 @@ def test_sup_cdf_distance_matches_scalar_loop(monkeypatch):
         assert got == _sup_cdf_reference(samples, model)
     assert verify.sup_cdf_distance(samples, smooth) < 0.02
     assert verify.sup_cdf_distance(np.array([]), smooth) == 0.0
+
+
+def _counting(fn):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return fn(v)
+
+    return counted, calls
+
+
+@st.composite
+def _cdf_cases(draw):
+    """Samples with ties, an atom at zero, ``-0.0``, NaN and at times
+    negative values, and a nondecreasing model near their CDF: piecewise
+    linear or a step function with flat stretches, with or without a NaN
+    band."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 3000))
+    samples = rng.uniform(draw(st.sampled_from([0.0, -1.0])), 4.0, n)
+    samples[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    samples = np.round(samples, draw(st.sampled_from([1, 3, 12])))
+    samples = np.concatenate([samples, [-0.0] * draw(st.integers(0, 3)),
+                              [math.nan] * draw(st.integers(0, 3))])
+    knots = np.sort(np.concatenate([[0.0, 4.0], rng.uniform(-1.0, 4.0, draw(st.integers(0, 12)))]))
+    noise = rng.normal(0.0, draw(st.sampled_from([0.0, 0.01, 0.1])), len(knots))
+    levels = np.clip(np.maximum.accumulate(knots / 4.0 + noise), 0.0, 1.0)
+    atom = draw(st.sampled_from([0.0, 0.1]))
+    if draw(st.booleans()):
+        model = lambda v: atom + (1.0 - atom) * float(np.interp(v, knots, levels, left=0.0))
+    else:
+        steps = np.round(np.concatenate([[0.0], levels]), 1)
+        model = lambda v: atom + (1.0 - atom) * float(steps[np.searchsorted(knots, v, side="right")])
+    if draw(st.booleans()):
+        lo = draw(st.floats(0.0, 4.0))
+        band = (lo, lo + draw(st.sampled_from([0.01, 0.5])))
+        smooth = model
+        model = lambda v: math.nan if band[0] < v < band[1] else smooth(v)
+    return rng.permutation(samples), model
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cdf_cases(), st.sampled_from([4, 100, 1 << 16]))
+def test_sup_cdf_distance_matches_full_pass_on_cdfs(case, block):
+    samples, model = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_CDF_BLOCK", block)
+        assert verify.sup_cdf_distance(samples, model) == _sup_cdf_reference(samples, model)
+
+
+def test_sup_cdf_distance_falls_back_for_a_decreasing_model():
+    rng = np.random.default_rng(11)
+    paths = np.concatenate([np.zeros(500), rng.exponential(1.0, 20_000), [math.nan]])
+    survival = lambda v: math.exp(-v) if v > 0.0 else 1.0
+    # a CDF that dips once, at a point the first evaluations see
+    dips = lambda v: -math.expm1(-v) - (0.5 if 0.0 < v < 1e-3 else 0.0)
+    # a dip that only an outright evaluation of a short gap sees
+    integers = np.arange(1000.0)
+    leaf = lambda v: 0.0 if v == 5.0 else v / 1000
+    for samples, model in ((paths, survival), (paths, dips), (integers, leaf)):
+        counted, calls = _counting(model)
+        assert verify.sup_cdf_distance(samples, counted) == _sup_cdf_reference(samples, model)
+        # the search, then one call per distinct value
+        assert len(calls) > len(np.unique(samples))
+
+
+def test_sup_cdf_distance_bounds_a_gap_from_its_first_value(monkeypatch):
+    # the largest deviation is at the lower side of the first value after
+    # node 100, a value with 50 tied samples; a bound that counted the
+    # samples below the second value would skip the gap
+    monkeypatch.setattr(verify, "_CDF_BLOCK", 100)
+    samples = np.concatenate([np.arange(1000.0), [100.7] * 50])
+    model = lambda v: 0.77 if v < 100.5 else 0.9
+    assert verify.sup_cdf_distance(samples, model) == _sup_cdf_reference(samples, model) > 0.8
+
+
+def test_sup_cdf_distance_calls_the_model_where_the_maximum_can_lie():
+    # the exact CDF of the samples, a hard case for the bound: the maximum
+    # is small and many gaps come close to it
+    samples = np.random.default_rng(5).exponential(1.0, 200_000)
+    cdf = lambda v: -math.expm1(-v)
+    counted, calls = _counting(cdf)
+    got = verify.sup_cdf_distance(samples, counted)
+    assert got == _sup_cdf_reference(samples, cdf)
+    assert len(calls) <= 0.02 * len(np.unique(samples))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
