@@ -18,7 +18,6 @@ Layers, bottom up:
 from . import errors
 from .casestudies import cev_1d, double_cev, expvol_1d, smirk_expansion
 from .exprlang import match_case, parse
-from .fields import ScalarField
 from .reductions import (
     catalog,
     closed_form_solution,
@@ -72,7 +71,6 @@ __all__ = [
     "smirk_expansion",
     "match_case",
     "parse",
-    "ScalarField",
     "catalog",
     "closed_form_solution",
     "reconstruct_u",

@@ -29,7 +29,6 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import AlphaOne
 from .exprlang import compile_expr, match_case, parse
-from .fields import ScalarField
 from .report import VerificationReport
 from .reductions import get_case, operator_residual, reconstruct_u
 from .reductions.maps import map_1d_exp, map_1d_poly
@@ -52,7 +51,7 @@ from .verify import Region, bs_residual, fp_residual, relative_scale
 class CaseStudyResult:
     model: MarketModel
     case_match: object
-    solution_chain: ScalarField | None
+    solution_chain: object  # the price callable, or None
     verification: VerificationReport
     extras: dict = field(default_factory=dict)
 
@@ -113,7 +112,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
 
     exact_branch = rho == 0.0 and alpha == (2.0, 2.0)
     if not exact_branch:
-        m = match_case(lambda x, y: M_asm.fn(x, y))
+        m = match_case(M_asm)
         rep.record(
             "generic pipeline classification",
             True,
@@ -122,12 +121,10 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
         return CaseStudyResult(model, m, None, rep, {"assembled_potential": M_asm})
 
     # --- catalog potential and classification -------------------------------
-    M_cat_fn = compile_expr(parse(TWO_ASSET_POTENTIAL_SRC), ("x", "y"), {"r": r})
+    M_cat = compile_expr(parse(TWO_ASSET_POTENTIAL_SRC), ("x", "y"), {"r": r})
+    rep.payload["catalog potential at (2,1)"] = M_cat(2.0, 1.0)
 
-    M_cat = ScalarField(M_cat_fn, nargs=2, name="M-catalog")
-    rep.payload["catalog potential at (2,1)"] = M_cat.fn(2.0, 1.0)
-
-    m = match_case(M_cat_fn)
+    m = match_case(M_cat)
     rep.record(
         "classification lands on case 1.2b",
         m.case_id == "1.2b",
@@ -149,18 +146,12 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     def C_theta(s):
         return 48.0 / math.cos(2 * s) ** 2
 
-    def C_theta_d(s):
-        return 192.0 * math.sin(2 * s) / math.cos(2 * s) ** 3
-
-    def C_theta_dd(s):
-        return 384.0 / math.cos(2 * s) ** 2 + 1152.0 * math.sin(2 * s) ** 2 / math.cos(2 * s) ** 4
-
     params = {
         "c": r * r,
         "c0": -18.0 * r,
         "delta1": delta1,
         "delta2": delta2,
-        "C": (C_theta, C_theta_d, C_theta_dd),
+        "C": C_theta,
     }
     case = get_case("1.2b")
     data = case.symmetry_data(params)
@@ -198,7 +189,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     u = reconstruct_u(case, params, P_wedge)
     region = _wedge_xyt_region()
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
-    scale = relative_scale(u, M_cat.fn, region.points(10))
+    scale = relative_scale(u, M_cat, region.points(10))
     rep.check("reconstruction solves the catalog potential equation (relative FD residual)",
               fp.max_abs / scale, 1e-6)
 
@@ -216,7 +207,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     diff = 0.0
     for (x, y, _) in wedge_pts:
         xg, yg = x, y
-        diff = max(diff, abs(M_cat.fn(xg, yg) - M_asm.fn(xg, yg)))
+        diff = max(diff, abs(M_cat(xg, yg) - M_asm(xg, yg)))
     rep.check(
         "catalog potential equals the drift-eliminated assembly",
         diff,
@@ -235,7 +226,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     s_region = Region(((0.8, 1.6), (0.8, 1.6), (0.2, 0.8)),
                       guard=lambda s1, s2, t: abs(s1 - s2) < 0.12)
     bs = bs_residual(model, price, s_region, threshold=1.0, n=20)
-    price_scale = max(abs(price.fn(1.2, 1.0, 0.5)), 1e-6)
+    price_scale = max(abs(price(1.2, 1.0, 0.5)), 1e-6)
     rep.check(
         "price chain satisfies the asset-space pricing equation (relative FD residual)",
         bs.max_abs / price_scale,
@@ -372,10 +363,9 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0) -> CaseStudyResult:
         exponent = 0.25 - c0 / math.sqrt(2.0 * c)
         rep.payload["published power-law exponent"] = exponent
 
-    def M_cat_fn(x):
+    def M_cat(x):
         return C0 / (x * x) + c * x * x + c0
 
-    M_cat = ScalarField(M_cat_fn, nargs=1, name="M-catalog-1d")
     if alpha == 0.0:
         rep.record("inverse-square coefficient vanishes at alpha = 0", C0 == 0.0)
 
@@ -384,7 +374,7 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0) -> CaseStudyResult:
         (hd.value(gauge_coord_map(model, 0.6)[0]), hd.value(gauge_coord_map(model, 1.9)[0]))
     )
     xs = np.linspace(x_lo + 0.02, x_hi - 0.02, 25)
-    diff = max(abs(M_cat_fn(x) - M_asm.fn(x)) for x in xs)
+    diff = max(abs(M_cat(x) - M_asm(x)) for x in xs)
     rep.check(
         "published potential equals the drift-eliminated assembly",
         diff,
@@ -441,7 +431,7 @@ def cev_1d(sigma, alpha, r, delta1=1.0, delta2=1.0) -> CaseStudyResult:
     u = smap.reconstruct(P_good)
     region = Region(((x_lo + 0.05, x_hi - 0.05), (0.1, 0.6)))
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
-    scale = relative_scale(u, lambda x: M_cat.fn(x), region.points(10))
+    scale = relative_scale(u, M_cat, region.points(10))
     rep.check(
         "reconstruction solves the catalog potential equation (relative FD residual)",
         fp.max_abs / scale,
@@ -466,7 +456,7 @@ def _priced_chain_with_bridge_check(model, u, rep, s_range, T=1.0):
     region = Region(((s_range[0], s_range[1]), (0.3, 0.8)))
     bs = bs_residual(model, price, region, threshold=1.0, n=15)
     mid = 0.5 * (s_range[0] + s_range[1])
-    price_scale = max(abs(price.fn(mid, 0.5)), 1e-9)
+    price_scale = max(abs(price(mid, 0.5)), 1e-9)
     rep.check(
         "price chain satisfies the asset-space pricing equation (relative FD residual)",
         bs.max_abs / price_scale,
@@ -498,14 +488,12 @@ def expvol_1d(delta1=1.0, delta2=1.0) -> CaseStudyResult:
     rep.payload["whittaker second index"] = second_index
     rep.payload["inverse-square coefficient"] = C0
 
-    def M_cat_fn(x):
+    def M_cat(x):
         return 0.5 / (x * x)
-
-    M_cat = ScalarField(M_cat_fn, nargs=1, name="M-catalog-expvol")
 
     M_asm = potential_m(model)
     xs = np.linspace(0.6, 3.0, 25)
-    diff = max(abs(M_cat_fn(x) - M_asm.fn(x)) for x in xs)
+    diff = max(abs(M_cat(x) - M_asm(x)) for x in xs)
     rep.check(
         "published potential equals the drift-eliminated assembly",
         diff,
@@ -513,8 +501,8 @@ def expvol_1d(delta1=1.0, delta2=1.0) -> CaseStudyResult:
         expected_discrepancy=True,
         notes="both values are computed and reported; the catalog entry drives the chain",
     )
-    rep.payload["assembled potential at x=1"] = M_asm.fn(1.0)
-    rep.payload["catalog potential at x=1"] = M_cat_fn(1.0)
+    rep.payload["assembled potential at x=1"] = M_asm(1.0)
+    rep.payload["catalog potential at x=1"] = M_cat(1.0)
 
     smap = map_1d_poly(delta1, delta2)
     F = whittaker_radial(delta1, 0.0, C0)  # the one-variable family pins c1 = 0
@@ -526,7 +514,7 @@ def expvol_1d(delta1=1.0, delta2=1.0) -> CaseStudyResult:
     u = smap.reconstruct(F)
     region = Region(((0.6, 2.6), (0.2, 0.9)))
     fp = fp_residual(u, M_cat, region, threshold=1.0, n=30)
-    scale = relative_scale(u, lambda x: M_cat.fn(x), region.points(10))
+    scale = relative_scale(u, M_cat, region.points(10))
     rep.check(
         "reconstruction solves the catalog potential equation (relative FD residual)",
         fp.max_abs / scale,

@@ -751,7 +751,7 @@ def _excluded(match, fitted=False):
 def _as_xy_callable(m, params=None, opaque=None):
     if isinstance(m, A.Expr):
         return A.compile_expr(m, ("x", "y"), params, opaque)
-    if callable(m):  # a plain callable or a ScalarField on (x, y)
+    if callable(m):  # a field on (x, y)
         return m
     raise TypeError(f"cannot classify object of type {type(m)!r}")
 

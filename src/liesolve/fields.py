@@ -1,11 +1,11 @@
-"""Scalar fields: the universal "solution candidate" currency.
+"""Test-field builders.
 
-A :class:`ScalarField` wraps a plain callable on ``(x, y, t)`` / ``(x, y)``
-(two spatial dimensions) or ``(x, t)`` / ``(x,)`` (one spatial dimension) and
-provides partial derivatives.  Fields whose callables are transparent to
-:mod:`liesolve.hyperdual` numbers (everything built inside this package) get
-exact derivatives; black-box callables fall back to the five-point stencils
-of :mod:`liesolve.numdiff`.
+A field is a plain callable on ``(x, y, t)`` / ``(x, y)`` (two spatial
+dimensions) or ``(x, t)`` / ``(x,)`` (one spatial dimension).  The builders
+here return callables that are transparent to :mod:`liesolve.hyperdual`
+numbers, so :func:`liesolve.hyperdual.derivative` gives their exact partial
+derivatives; the five-point stencils of :mod:`liesolve.numdiff` serve
+black-box callables.
 
 Fields are immutable closures over immutable data, safe to share across
 threads.
@@ -19,56 +19,16 @@ import math
 import numpy as np
 
 from . import hyperdual as hd
-from . import numdiff
-
-
-class ScalarField:
-    def __init__(self, fn, nargs=3, dual=True, h0=numdiff.DEFAULT_H, name=""):
-        self.fn = fn
-        self.nargs = nargs
-        self.dual = dual
-        self.h0 = h0
-        self.name = name
-
-    def __call__(self, *args):
-        return hd.value(self.fn(*args))
-
-    def __repr__(self):
-        return f"ScalarField({self.name or 'anonymous'}, nargs={self.nargs})"
-
-    # -- derivatives ---------------------------------------------------------
-
-    def deriv(self, i, args, order=1):
-        if self.dual:
-            return hd.derivative(self.fn, args, i, order)
-        if order == 1:
-            return numdiff.partial1(self.fn, args, i, self.h0)
-        return numdiff.partial2(self.fn, args, i, self.h0)
-
-    def grad(self, i, j, args):
-        """(d/d args[i], d/d args[j]); one pass for dual fields."""
-        if self.dual:
-            return hd.derivative_pair(self.fn, args, i, j)
-        return self.deriv(i, args), self.deriv(j, args)
-
-    # convenience names assuming argument order (x, y, t) or (x, t)
-    def dxx(self, *a):
-        return self.deriv(0, a, order=2)
-
-    def dyy(self, *a):
-        return self.deriv(1, a, order=2)
-
-    def dt(self, *a):
-        return self.deriv(self.nargs - 1, a)
 
 
 # -- test-field builders ------------------------------------------------------
 
 
-def polynomial_field(coeffs, nargs=3, name="poly"):
-    """Field ``sum c * x^i * y^j * t^k`` with exact (dual) derivatives.
+def polynomial_field(coeffs):
+    """Field ``sum c * x^i * y^j * t^k``.
 
-    ``coeffs`` maps exponent tuples of length ``nargs`` to coefficients.
+    ``coeffs`` maps exponent tuples, one exponent per argument, to
+    coefficients.
     """
     items = tuple(coeffs.items())
 
@@ -82,7 +42,7 @@ def polynomial_field(coeffs, nargs=3, name="poly"):
             total = term + total
         return total
 
-    return ScalarField(fn, nargs=nargs, name=name)
+    return fn
 
 
 def _random_coeffs(rng, nargs, degree, scale=1.0):
@@ -90,11 +50,11 @@ def _random_coeffs(rng, nargs, degree, scale=1.0):
     return {e: scale * rng.uniform(-1.0, 1.0) for e in expos}
 
 
-def random_polynomial_field(rng, nargs=3, degree=3, scale=1.0, name="randpoly"):
-    return polynomial_field(_random_coeffs(rng, nargs, degree, scale), nargs=nargs, name=name)
+def random_polynomial_field(rng, nargs=3, degree=3, scale=1.0):
+    return polynomial_field(_random_coeffs(rng, nargs, degree, scale))
 
 
-def gaussian_bump(center, width, amplitude=1.0, nargs=3, name="bump"):
+def gaussian_bump(center, width, amplitude=1.0, nargs=3):
     """amplitude * exp(-sum((z-c)^2) / (2 width^2)) over the spatial arguments.
 
     With nargs=3 the bump is in (x, y) and constant in t; with nargs=2 it is
@@ -111,19 +71,19 @@ def gaussian_bump(center, width, amplitude=1.0, nargs=3, name="bump"):
             q = q + dz * dz
         return amplitude * hd.exp(-q * inv2w2)
 
-    return ScalarField(fn, nargs=nargs, name=name)
+    return fn
 
 
-def random_smooth_field(rng, nargs=3, name="smooth"):
+def random_smooth_field(rng, nargs=3):
     """Random low-order polynomial times a Gaussian envelope.
 
     The standard draw for reduction-consistency trials: smooth, decaying,
     with exact derivatives.
     """
-    return smooth_field_lanes([rng], None, nargs, name)
+    return smooth_field_lanes([rng], None, nargs)
 
 
-def smooth_field_lanes(rngs, counts, nargs=3, name="smooth"):
+def smooth_field_lanes(rngs, counts, nargs=3):
     """A :func:`random_smooth_field` draw from each of ``rngs`` in turn, the
     k-th draw's coefficients on ``counts[k]`` consecutive lanes (see
     :mod:`liesolve.hyperdual`); ``counts=None`` keeps one draw's floats."""
@@ -134,13 +94,13 @@ def smooth_field_lanes(rngs, counts, nargs=3, name="smooth"):
         center = [rng.uniform(-0.5, 0.5) for _ in range(spatial)]
         draws.append([*coeffs.values(), *center, rng.uniform(1.5, 3.0)])
     cols = draws[0] if counts is None else [np.repeat(col, counts) for col in zip(*draws)]
-    poly = polynomial_field(dict(zip(coeffs, cols)), nargs=nargs, name="p")
+    poly = polynomial_field(dict(zip(coeffs, cols)))
     bump = gaussian_bump(cols[len(coeffs):-1], cols[-1], nargs=nargs)
 
     def fn(*args):
-        return (poly.fn(*args) + 0.5) * bump.fn(*args)
+        return (poly(*args) + 0.5) * bump(*args)
 
-    return ScalarField(fn, nargs=nargs, name=name)
+    return fn
 
 
 def heat_kernel(nargs=3):
@@ -156,7 +116,7 @@ def heat_kernel(nargs=3):
             return hd.exp(-q / (2.0 * t)) / (2.0 * math.pi * t)
         return hd.exp(-q / (2.0 * t)) / hd.sqrt(2.0 * math.pi * t)
 
-    return ScalarField(fn, nargs=nargs, name="heat-kernel")
+    return fn
 
 
 def shifted_heat_kernel(x0, y0=0.0, nargs=3):
@@ -168,7 +128,7 @@ def shifted_heat_kernel(x0, y0=0.0, nargs=3):
         q = (args[0] - x0) ** 2
         return hd.exp(-q / (2.0 * t)) / hd.sqrt(2.0 * math.pi * t)
 
-    return ScalarField(fn, nargs=nargs, name="heat-kernel-shifted")
+    return fn
 
 
 def halton(n, dim):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import hyperdual as hd
 from ..errors import LiesolveError, SamplingError
-from ..fields import ScalarField, random_smooth_field, smooth_field_lanes
+from ..fields import random_smooth_field, smooth_field_lanes
 from ..verify import sampled
 from .catalog import CaseReduction, catalog
 from .separated import SeparatedSolution
@@ -33,11 +33,11 @@ def similarity_map(case, params, point):
     return hd.value(xi), hd.value(eta), hd.value(pref)
 
 
-def reconstruct_u(case, params, P) -> ScalarField:
+def reconstruct_u(case, params, P):
     """u(x, y, t) = P(xi, eta) / prefactor, as a dual-capable field."""
     case = case if isinstance(case, CaseReduction) else get_case(case)
     Pfn = P.P if isinstance(P, SeparatedSolution) else P
-    return case.similarity(params).reconstruct(Pfn, name=f"u[{case.case_id}]")
+    return case.similarity(params).reconstruct(Pfn)
 
 
 def reduced_residual(case, params, P, points=None) -> float:
@@ -65,8 +65,6 @@ def closed_form_solution(case, params, constants=None) -> SeparatedSolution:
     case = case if isinstance(case, CaseReduction) else get_case(case)
     constants = dict(constants or {})
     constants.setdefault("c1", 1.0)
-    constants.setdefault("C1", 1.0)
-    constants.setdefault("C3", 1.0)
     return case.closed_form(params, constants)
 
 
@@ -97,7 +95,7 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
     case = case if isinstance(case, CaseReduction) else get_case(case)
     smap = case.similarity(params)
     op = case.reduced_operator(params)
-    M = case.potential_field(params).fn
+    M = case.potential_field(params)
 
     def draw(k):  # trial k's generator and its points off the singular locus
         pts = case.region_xyt(params, n=n_points, seed=seed + k)
@@ -105,13 +103,13 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
         return rng, [pt for pt in pts if not smap.singular(*pt)]
 
     def trial_kept(rng, pts):
-        P = random_smooth_field(rng, nargs=2).fn
+        P = random_smooth_field(rng, nargs=2)
         return sampled(lambda *pt: _ratio(*_sides(smap, op, M, P, *pt)), pts)[0]
 
     try:
         draws = [draw(k) for k in range(trials)]
         counts = [len(pts) for _, pts in draws]
-        P = smooth_field_lanes([rng for rng, _ in draws], counts, nargs=2).fn
+        P = smooth_field_lanes([rng for rng, _ in draws], counts, nargs=2)
         xyt = hd.float_lanes(np.transpose([pt for _, pts in draws for pt in pts]))
         with np.errstate(**hd.LANE_ERRSTATE):
             sides = _sides(smap, op, M, P, *xyt)
@@ -131,8 +129,10 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
 
 def _sides(smap, op, M, P, x, y, t):
     """(FP(u), J * reduced_op(P)) at one point or on lanes, u rebuilt from P."""
-    u = smap.reconstruct(P)
-    lhs = u.dt(x, y, t) - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t)) + M(x, y) * u(x, y, t)
+    u, pt = smap.reconstruct(P), (x, y, t)
+    u_t = hd.derivative(u, pt, 2)
+    lap = hd.derivative(u, pt, 0, 2) + hd.derivative(u, pt, 1, 2)
+    lhs = u_t - 0.5 * lap + M(x, y) * u(x, y, t)
     xi, eta = smap.to_sim(x, y, t)
     rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(op(P, hd.value(xi), hd.value(eta)))
     return lhs, rhs

@@ -34,7 +34,6 @@ import numpy as np
 from .. import hyperdual as hd
 from ..errors import NoClosedForm, SamplingError
 from ..exprlang import TEMPLATE_SOURCES, instantiate
-from ..fields import ScalarField
 from ..symmetry import SymmetryData, exp_pair, poly
 from . import maps as MP
 from . import separated as SEP
@@ -52,9 +51,6 @@ class SumTimeFn:
 
     def d(self):
         return SumTimeFn(tuple(p.d() for p in self.parts))
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
 
 
 def _lap_grad(P, xi, eta):
@@ -107,8 +103,7 @@ class CaseReduction:
     # -- potential ----------------------------------------------------------
     def potential_field(self, params, opaque=None):
         op = opaque if opaque is not None else self.opaque_binding(params)
-        M = instantiate(self.case_id, params, op)
-        return ScalarField(M, nargs=2, name=f"M[{self.case_id}]")
+        return instantiate(self.case_id, params, op)
 
     def opaque_binding(self, params):
         if self._opaque_default is None:

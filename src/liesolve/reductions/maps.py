@@ -2,7 +2,7 @@
 
 A :class:`SimilarityMap` holds, for bound parameters, four callables on the
 original arguments, ``(x, y, t)`` for the catalog cases or ``(x, t)`` for
-the one-asset studies (``nargs`` says which):
+the one-asset studies:
 
 * ``to_sim(...) -> (xi, eta)`` or ``(xi,)``   (dual-transparent),
 * ``prefactor_log(...) -> W``   with ``P = exp(W) u``,
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .. import hyperdual as hd
 from ..errors import SingularPoint
-from ..fields import ScalarField
 
 SING_MARGIN = 0.1
 
@@ -42,20 +41,19 @@ class SimilarityMap:
     prefactor_log: object
     jacobian: object
     singular: object
-    nargs: int = 3
 
     def check(self, x, y, t):
         if self.singular(hd.value(x), hd.value(y), hd.value(t)):
             raise SingularPoint(f"similarity map singular at {(x, y, t)}")
 
-    def reconstruct(self, P, name="u"):
+    def reconstruct(self, P):
         """u = P(similarity variables) * exp(-W), as a dual-capable field."""
         to_sim, W = self.to_sim, self.prefactor_log
 
         def fn(*args):
             return P(*to_sim(*args)) * hd.exp(-W(*args))
 
-        return ScalarField(fn, nargs=self.nargs, name=name)
+        return fn
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def map_1d_poly(d1, d2):
     def jacobian(x, t):
         return -hd.exp(-W(x, t)) / (2.0 * f1(t))
 
-    return SimilarityMap(to_sim, W, jacobian, None, nargs=2)
+    return SimilarityMap(to_sim, W, jacobian, None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def map_1d_exp(c, c0, d1, d2):
         (xi,) = to_sim(x, t)
         return -hd.exp(-W(x, t)) / (2.0 * f1(t) * xi * xi)
 
-    return SimilarityMap(to_sim, W, jacobian, None, nargs=2)
+    return SimilarityMap(to_sim, W, jacobian, None)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import hyperdual as hd
 from .errors import LiesolveError, NotRadialPotential, SamplingError, UnsupportedF1Form
-from .fields import ScalarField
 from .verify import sampled
 
 
@@ -57,9 +56,6 @@ class PolyTimeFn:
     def d(self):
         return PolyTimeFn(tuple((i + 1) * c for i, c in enumerate(self.coeffs[1:])) or (0.0,))
 
-    def is_zero(self):
-        return all(c == 0.0 for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class ExpPairTimeFn:
@@ -74,9 +70,6 @@ class ExpPairTimeFn:
 
     def d(self):
         return ExpPairTimeFn(self.d1 * self.lam, -self.d2 * self.lam, self.lam)
-
-    def is_zero(self):
-        return self.d1 == 0.0 and self.d2 == 0.0
 
 
 def poly(*coeffs):
@@ -97,7 +90,7 @@ class SymmetryData:
     f2: object = ZERO_FN
     f3: object = ZERO_FN
     f4: object = ZERO_FN
-    g: ScalarField | None = None
+    g: object = None  # a known solution (x, y, t) -> value, or None
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +149,7 @@ def infinitesimals(data: SymmetryData) -> VectorField:
     def A(x, y, t):
         return -(0.25 * f1dd(t) * (x * x + y * y) + f2d(t) * x + f3d(t) * y + f4(t))
 
-    if data.g is None:
-        B = _zero3
-    else:
-        def B(x, y, t):
-            return data.g.fn(x, y, t)
-
+    B = _zero3 if data.g is None else data.g
     return VectorField(T, X, Y, A, B, name="infinitesimal")
 
 
@@ -186,8 +174,8 @@ def v5(phi):
     return infinitesimals(SymmetryData(f4=phi))
 
 
-def v6(psi: ScalarField):
-    return VectorField(_zero3, _zero3, _zero3, _zero3, lambda x, y, t: psi.fn(x, y, t), name="v6")
+def v6(psi):
+    return VectorField(_zero3, _zero3, _zero3, _zero3, psi, name="v6")
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:
@@ -223,14 +211,6 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _as_xy_field(M):
-    if isinstance(M, ScalarField):
-        return M
-    if callable(M):
-        return ScalarField(M, nargs=2, name="M")
-    raise TypeError("M must be a ScalarField or callable (x, y) -> value")
-
-
 def default_sampling(n=30, seed=1, r_range=(0.6, 2.4), t_range=(0.3, 1.2)):
     rng = np.random.default_rng(seed)
     pts = []
@@ -251,10 +231,10 @@ def _filter_points(M, points):
     try:
         with np.errstate(**hd.LANE_ERRSTATE):
             x, y, _ = hd.float_lanes(np.transpose(points))
-            values = np.broadcast_to(hd.value(M.fn(x, y)), (len(points),)).tolist()
+            values = np.broadcast_to(hd.value(M(x, y)), (len(points),)).tolist()
         good = [(pt, v) for pt, v in zip(points, values) if math.isfinite(v)]
     except (TypeError, ValueError, ArithmeticError, LiesolveError):
-        good = sampled(lambda x, y, t: M.fn(x, y), points)[0]
+        good = sampled(lambda x, y, t: M(x, y), points)[0]
     if len(good) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     return good
@@ -271,16 +251,15 @@ def compatibility_condition(data: SymmetryData, M, points=None) -> float:
     :func:`liesolve.hyperdual.per_lane`, which gives the scalar values or
     their error.
     """
-    M = _as_xy_field(M)
     vf = infinitesimals(data)
     kept = _filter_points(M, points or default_sampling())
     f1d = data.f1.d()
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
-            resids = _compatibility_lanes(vf, f1d, M.fn, kept)
+            resids = _compatibility_lanes(vf, f1d, M, kept)
         except (TypeError, ValueError, ArithmeticError, LiesolveError):
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
-            resids = _compatibility_lanes(one_lane, *map(hd.per_lane, (f1d, M.fn)), kept)
+            resids = _compatibility_lanes(one_lane, *map(hd.per_lane, (f1d, M)), kept)
     return float(np.max(np.abs(resids), initial=0.0))  # NaN-propagating
 
 
@@ -300,7 +279,7 @@ def _compatibility_lanes(vf, f1d, M, kept):
     return np.broadcast_to(hd.value(resid), (len(kept),)).tolist()
 
 
-def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> float:
+def symmetry_residual(vf: VectorField, M, u_test, points=None) -> float:
     """Invariance defect of the linearized equation on the jet variety.
 
     For the evolutionary symmetry function sigma = A u + B - T u_t - X u_x -
@@ -329,14 +308,13 @@ def symmetry_residual(vf: VectorField, M, u_test: ScalarField, points=None) -> f
     :func:`liesolve.hyperdual.per_lane`, one lane at a time, which gives the
     scalar passes' defects or their error, and a NaN defect gives NaN.
     """
-    M = _as_xy_field(M)
     points = [pt for pt, _ in _filter_points(M, points or default_sampling())]
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
-            defects = _lane_defects(vf, M.fn, u_test.fn, points)
+            defects = _lane_defects(vf, M, u_test, points)
         except (TypeError, ValueError, ArithmeticError, LiesolveError):
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
-            defects = _lane_defects(one_lane, *map(hd.per_lane, (M.fn, u_test.fn)), points)
+            defects = _lane_defects(one_lane, *map(hd.per_lane, (M, u_test)), points)
     return float(np.max(np.abs(defects), initial=0.0))  # NaN-propagating
 
 
@@ -388,8 +366,8 @@ def _lane_defects(vf, M, u, points):
 # ---------------------------------------------------------------------------
 
 
-def transform_solution(index: int, phi: ScalarField, *, eps=0.0, delta=None,
-                       f2=None, f3=None, f4=None, g=None) -> ScalarField:
+def transform_solution(index: int, phi, *, eps=0.0, delta=None,
+                       f2=None, f3=None, f4=None, g=None):
     """Push a solution through one of the six one-parameter group actions.
 
     index 1: rotation by eps.
@@ -400,14 +378,13 @@ def transform_solution(index: int, phi: ScalarField, *, eps=0.0, delta=None,
     index 5: exp(-f4 eps) scaling.
     index 6: superposition phi - g*eps with a known solution g.
     """
-    p = phi.fn
     if index == 1:
         c, s = math.cos(eps), math.sin(eps)
 
         def fn(x, y, t):
-            return p(c * x - s * y, s * x + c * y, t)
+            return phi(c * x - s * y, s * x + c * y, t)
 
-        return ScalarField(fn, nargs=3, name=f"rot({phi.name})")
+        return fn
     if index == 2:
         if delta is None:
             raise UnsupportedF1Form("index 2 requires the linear-coefficient delta")
@@ -415,9 +392,9 @@ def transform_solution(index: int, phi: ScalarField, *, eps=0.0, delta=None,
         root = math.sqrt(a)
 
         def fn(x, y, t):
-            return p(root * x, root * y, a * t)
+            return phi(root * x, root * y, a * t)
 
-        return ScalarField(fn, nargs=3, name=f"scale({phi.name})")
+        return fn
     if index in (3, 4):
         fj = f2 if index == 3 else f3
         if fj is None:
@@ -426,46 +403,45 @@ def transform_solution(index: int, phi: ScalarField, *, eps=0.0, delta=None,
         if index == 3:
             def fn(x, y, t):
                 shift = fj(t) * eps
-                return hd.exp(fjd(t) * (0.5 * fj(t) * eps * eps - x * eps)) * p(
+                return hd.exp(fjd(t) * (0.5 * fj(t) * eps * eps - x * eps)) * phi(
                     x - shift, y, t
                 )
         else:
             def fn(x, y, t):
                 shift = fj(t) * eps
-                return hd.exp(fjd(t) * (0.5 * fj(t) * eps * eps - y * eps)) * p(
+                return hd.exp(fjd(t) * (0.5 * fj(t) * eps * eps - y * eps)) * phi(
                     x, y - shift, t
                 )
-        return ScalarField(fn, nargs=3, name=f"boost{index}({phi.name})")
+        return fn
     if index == 5:
         if f4 is None:
             raise ValueError("index 5 requires the time function f4")
 
         def fn(x, y, t):
-            return hd.exp(-f4(t) * eps) * p(x, y, t)
+            return hd.exp(-f4(t) * eps) * phi(x, y, t)
 
-        return ScalarField(fn, nargs=3, name=f"gauge({phi.name})")
+        return fn
     if index == 6:
         if g is None:
             raise ValueError("index 6 requires a known solution g")
 
         def fn(x, y, t):
-            return p(x, y, t) - g.fn(x, y, t) * eps
+            return phi(x, y, t) - g(x, y, t) * eps
 
-        return ScalarField(fn, nargs=3, name=f"superpose({phi.name})")
+        return fn
     raise ValueError(f"index must be 1..6, got {index}")
 
 
-def rotation_derived_solution(g: ScalarField, M) -> ScalarField:
+def rotation_derived_solution(g, M):
     """y g_x - x g_y: a new solution whenever the potential is of the radial
     quadratic type c (x^2 + y^2) (including c = 0)."""
-    M = _as_xy_field(M)
     # radial-type check: least squares against c (x^2+y^2) on a ring
     pts = default_sampling(n=24, seed=3)
     rows, rhs = [], []
     for (x, y, _) in pts:
         try:
             rows.append(x * x + y * y)
-            rhs.append(M.fn(x, y))
+            rhs.append(M(x, y))
         except (LiesolveError, ArithmeticError, ValueError) as exc:
             raise SamplingError(str(exc)) from exc
     rows = np.asarray(rows)
@@ -479,10 +455,10 @@ def rotation_derived_solution(g: ScalarField, M) -> ScalarField:
         )
 
     def fn(x, y, t):
-        gx, gy = hd.derivative_pair(g.fn, (x, y, t), 0, 1)
+        gx, gy = hd.derivative_pair(g, (x, y, t), 0, 1)
         return y * gx - x * gy
 
-    return ScalarField(fn, nargs=3, name=f"rotgen({g.name})")
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +466,7 @@ def rotation_derived_solution(g: ScalarField, M) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _v6_from(fn):
-    return VectorField(_zero3, _zero3, _zero3, _zero3, fn, name="v6")
-
-
-def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = None):
+def expected_commutator(i, j, phi_i=None, phi_j=None, psi=None):
     """The verified bracket [v_i, v_j] for the generator family above.
 
     phi_i / phi_j are time functions for rows/columns 2..5; psi is the field
@@ -521,9 +493,6 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = 
             def d(self):
                 return _Wrap(lambda t, f=self.f: hd.derivative(lambda s: f(s), (t,), 0))
 
-            def is_zero(self):
-                return False
-
         return _Wrap(fn)
 
     if key in ((1, 1), (1, 2)):
@@ -544,10 +513,10 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = 
         return Z
     if key == (1, 6):
         def fn(x, y, t):
-            px, py = hd.derivative_pair(psi.fn, (x, y, t), 0, 1)
+            px, py = hd.derivative_pair(psi, (x, y, t), 0, 1)
             return y * px - x * py
 
-        return _v6_from(fn)
+        return v6(fn)
     if key == (2, 2):
         return v2(fn_time(chi(phi_i, phi_j)))
     if key == (2, 3):
@@ -566,15 +535,15 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = 
         phidd = phi_i.d().d()
 
         def fn(x, y, t):
-            pt = hd.derivative(psi.fn, (x, y, t), 2)
-            px, py = hd.derivative_pair(psi.fn, (x, y, t), 0, 1)
+            pt = hd.derivative(psi, (x, y, t), 2)
+            px, py = hd.derivative_pair(psi, (x, y, t), 0, 1)
             return (
                 phi_i(t) * pt
                 + 0.5 * phid(t) * (x * px + y * py)
-                + 0.25 * phidd(t) * (x * x + y * y) * psi.fn(x, y, t)
+                + 0.25 * phidd(t) * (x * x + y * y) * psi(x, y, t)
             )
 
-        return _v6_from(fn)
+        return v6(fn)
     if key in ((3, 3), (4, 4)):
         return v5(fn_time(chi(phi_i, phi_j)))
     if key in ((3, 4), (3, 5), (4, 5), (5, 5), (6, 6)):
@@ -583,23 +552,23 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi: ScalarField | None = 
         phid = phi_i.d()
 
         def fn(x, y, t):
-            px = hd.derivative(psi.fn, (x, y, t), 0)
-            return phi_i(t) * px + phid(t) * x * psi.fn(x, y, t)
+            px = hd.derivative(psi, (x, y, t), 0)
+            return phi_i(t) * px + phid(t) * x * psi(x, y, t)
 
-        return _v6_from(fn)
+        return v6(fn)
     if key == (4, 6):
         phid = phi_i.d()
 
         def fn(x, y, t):
-            py = hd.derivative(psi.fn, (x, y, t), 1)
-            return phi_i(t) * py + phid(t) * y * psi.fn(x, y, t)
+            py = hd.derivative(psi, (x, y, t), 1)
+            return phi_i(t) * py + phid(t) * y * psi(x, y, t)
 
-        return _v6_from(fn)
+        return v6(fn)
     if key == (5, 6):
         def fn(x, y, t):
-            return phi_i(t) * psi.fn(x, y, t)
+            return phi_i(t) * psi(x, y, t)
 
-        return _v6_from(fn)
+        return v6(fn)
     raise KeyError(f"no table entry for {key}")
 
 

@@ -14,6 +14,10 @@ Pipeline for the two-asset pricing equation
 4. map solutions of the potential heat equation back to prices
    (:func:`price_from_u`).
 
+Every field here is a plain callable.  The derivatives of Q are exact jets
+when every volatility carries them and five-point stencils otherwise
+(:func:`_q_partial`): a :class:`TabulatedVol` is a black box.
+
 Chart conventions.  ``coord_map`` uses the prefactors sqrt(2/(1 +/- rho)) on
 the antiderivative sum/difference.  Producing *exactly* the normalized heat
 operator (1/2) Laplacian requires half those prefactors, so the gauge chain
@@ -31,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
+from . import numdiff
 from .errors import (
     DomainError,
     GaugeObstruction,
     OutOfRange,
     QuadratureFailure,
 )
-from .fields import ScalarField
 
 QUAD_TOL = 1e-11
 
@@ -230,10 +234,10 @@ class MarketModel:
 
 @dataclass
 class GaugeData:
-    Q1: ScalarField
-    Q2: ScalarField | None
-    omega: ScalarField
-    curl_residual: ScalarField | None
+    Q1: object  # callables on the gauge chart
+    Q2: object
+    omega: object
+    curl_residual: object
     max_curl: float
 
 
@@ -289,6 +293,14 @@ def invert_gauge_coord(model: MarketModel, xg, yg=None):
 # ---------------------------------------------------------------------------
 
 
+def _q_partial(model: MarketModel, Q, args, i):
+    """dQ/d args[i]: the exact jet when every volatility carries jets, the
+    five-point stencil at h0 = 1e-4 otherwise."""
+    if model.dual_ok:
+        return hd.derivative(Q, args, i)
+    return numdiff.partial1(Q, args, i, 1e-4)
+
+
 def _q_fields(model: MarketModel):
     r = model.rate
     if model.one_dim:
@@ -298,7 +310,7 @@ def _q_fields(model: MarketModel):
             S = vol.invert(x)
             return r * S / vol.value(S) - 0.5 * vol.slope(S)
 
-        return ScalarField(Q, nargs=1, dual=vol.dual, h0=1e-4, name="Q"), None
+        return Q, None
 
     ah = 1.0 / math.sqrt(2.0 * (1.0 + model.rho))
     bh = 1.0 / math.sqrt(2.0 * (1.0 - model.rho))
@@ -320,11 +332,7 @@ def _q_fields(model: MarketModel):
             + 0.5 * (v1.slope(S1) - v2.slope(S2))
         )
 
-    dual = model.dual_ok
-    return (
-        ScalarField(Q1, nargs=2, dual=dual, h0=1e-4, name="Q1"),
-        ScalarField(Q2, nargs=2, dual=dual, h0=1e-4, name="Q2"),
-    )
+    return Q1, Q2
 
 
 def default_gauge_sampling(model: MarketModel):
@@ -357,38 +365,35 @@ def drift_and_gauge(model: MarketModel) -> GaugeData:
     if model.one_dim:
         x0 = hd.value(gauge_coord_map(model, 1.0)[0])
 
-        def omega_fn(x):
-            val, err = quad(lambda s: -Q1.fn(s), x0, hd.value(x), epsabs=QUAD_TOL, limit=200)
+        def omega(x):
+            val, err = quad(lambda s: -Q1(s), x0, hd.value(x), epsabs=QUAD_TOL, limit=200)
             if err > 1e-9:
                 raise QuadratureFailure(f"gauge quadrature error {err:.2e}")
             return val
 
-        omega = ScalarField(omega_fn, nargs=1, dual=False, h0=1e-4, name="omega")
         return GaugeData(Q1, None, omega, None, 0.0)
 
-    def curl_fn(xg, yg):
-        return Q2.deriv(0, (xg, yg)) - Q1.deriv(1, (xg, yg))
+    def curl(xg, yg):
+        return _q_partial(model, Q2, (xg, yg), 0) - _q_partial(model, Q1, (xg, yg), 1)
 
-    curl = ScalarField(curl_fn, nargs=2, dual=False, name="curl")
     max_curl = 0.0
     for p in default_gauge_sampling(model):
         try:
-            max_curl = max(max_curl, abs(curl.fn(*p)))
+            max_curl = max(max_curl, abs(curl(*p)))
         except (OutOfRange, DomainError):
             continue
 
     x0, y0 = gauge_coord_map(model, 1.0, 1.0)
     x0, y0 = hd.value(x0), hd.value(y0)
 
-    def omega_fn(xg, yg):
+    def omega(xg, yg):
         xg, yg = hd.value(xg), hd.value(yg)
-        leg1, e1 = quad(lambda s: -Q1.fn(s, y0), x0, xg, epsabs=QUAD_TOL, limit=200)
-        leg2, e2 = quad(lambda s: -Q2.fn(xg, s), y0, yg, epsabs=QUAD_TOL, limit=200)
+        leg1, e1 = quad(lambda s: -Q1(s, y0), x0, xg, epsabs=QUAD_TOL, limit=200)
+        leg2, e2 = quad(lambda s: -Q2(xg, s), y0, yg, epsabs=QUAD_TOL, limit=200)
         if max(e1, e2) > 1e-9:
             raise QuadratureFailure(f"gauge quadrature error {max(e1, e2):.2e}")
         return leg1 + leg2
 
-    omega = ScalarField(omega_fn, nargs=2, dual=False, h0=1e-4, name="omega")
     data = GaugeData(Q1, Q2, omega, curl, max_curl)
     if max_curl > 1e-8:
         raise GaugeObstruction(
@@ -397,7 +402,7 @@ def drift_and_gauge(model: MarketModel) -> GaugeData:
     return data
 
 
-def potential_m(model: MarketModel, gauge: GaugeData | None = None) -> ScalarField:
+def potential_m(model: MarketModel, gauge: GaugeData | None = None):
     """M = (1/2)(dQ1/dx + dQ2/dy + Q1^2 + Q2^2) on the gauge chart."""
     if gauge is None:
         gauge = drift_and_gauge(model)
@@ -405,23 +410,22 @@ def potential_m(model: MarketModel, gauge: GaugeData | None = None) -> ScalarFie
 
     if model.one_dim:
         def M(x):
-            return 0.5 * (Q1.deriv(0, (x,)) + Q1.fn(x) ** 2)
+            return 0.5 * (_q_partial(model, Q1, (x,), 0) + Q1(x) ** 2)
 
-        return ScalarField(M, nargs=1, dual=False, h0=1e-4, name="M-assembled")
+        return M
 
     def M(xg, yg):
         return 0.5 * (
-            Q1.deriv(0, (xg, yg))
-            + Q2.deriv(1, (xg, yg))
-            + Q1.fn(xg, yg) ** 2
-            + Q2.fn(xg, yg) ** 2
+            _q_partial(model, Q1, (xg, yg), 0)
+            + _q_partial(model, Q2, (xg, yg), 1)
+            + Q1(xg, yg) ** 2
+            + Q2(xg, yg) ** 2
         )
 
-    return ScalarField(M, nargs=2, dual=False, h0=1e-4, name="M-assembled")
+    return M
 
 
-def price_from_u(model: MarketModel, u: ScalarField, T: float,
-                 gauge: GaugeData | None = None) -> ScalarField:
+def price_from_u(model: MarketModel, u, T: float, gauge: GaugeData | None = None):
     """c(S1, S2, t) = exp(omega - r (T-t)) u(gauge coords, T-t)."""
     if gauge is None:
         gauge = drift_and_gauge(model)
@@ -432,14 +436,14 @@ def price_from_u(model: MarketModel, u: ScalarField, T: float,
         def c(S, t):
             x, _ = gauge_coord_map(model, S)
             tau = T - t
-            return math.exp(omega.fn(hd.value(x)) - r * tau) * u.fn(hd.value(x), tau)
+            return math.exp(omega(hd.value(x)) - r * tau) * u(hd.value(x), tau)
 
-        return ScalarField(c, nargs=2, dual=False, name="price")
+        return c
 
     def c(S1, S2, t):
         xg, yg = gauge_coord_map(model, S1, S2)
         xg, yg = hd.value(xg), hd.value(yg)
         tau = T - t
-        return math.exp(omega.fn(xg, yg) - r * tau) * u.fn(xg, yg, tau)
+        return math.exp(omega(xg, yg) - r * tau) * u(xg, yg, tau)
 
-    return ScalarField(c, nargs=3, dual=False, name="price")
+    return c

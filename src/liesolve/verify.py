@@ -219,16 +219,14 @@ def fp_residual(u, M, region: Region, threshold, h0=RESID_H, n=40) -> ResidualRe
     :func:`_residual_report`).
     """
     one_dim = len(region.bounds) == 2
-    ufn = u.fn if hasattr(u, "fn") else u
-    Mfn = M.fn if hasattr(M, "fn") else M
     axes = (1, 0) if one_dim else (2, 0, 1)
 
     def formula(pts, field, scalar):
-        X, U, h = _on_stencils(field(ufn), pts, axes, h0)
+        X, U, h = _on_stencils(field(u), pts, axes, h0)
         u0 = U[0]
         ut = numdiff.first(*U[1:5], h[axes[0]])
         uxx = numdiff.second(U[5], U[6], u0, U[7], U[8], h[0])
-        m = scalar(Mfn)(*X[:-1])
+        m = scalar(M)(*X[:-1])
         if one_dim:
             return ut - 0.5 * uxx + m * u0
         uyy = numdiff.second(U[9], U[10], u0, U[11], U[12], h[1])
@@ -244,12 +242,11 @@ def bs_residual(model, c, region: Region, threshold, h0=RESID_H, n=30) -> Residu
     sample point (17 per point with two assets, 9 with one), and the
     volatilities once per sample point, as in :func:`fp_residual`."""
     r_ = model.rate
-    cfn = c.fn if hasattr(c, "fn") else c
     vols = (model.vol1,) if model.one_dim else (model.vol1, model.vol2)
     axes = (1, 0) if model.one_dim else (2, 0, 1)
 
     def formula(pts, field, scalar):
-        X, C, h = _on_stencils(field(cfn), pts, axes, h0, None if model.one_dim else (0, 1))
+        X, C, h = _on_stencils(field(c), pts, axes, h0, None if model.one_dim else (0, 1))
         c0 = C[0]
         ct = numdiff.first(*C[1:5], h[axes[0]])
         c1 = numdiff.first(C[5], C[6], C[7], C[8], h[0])
@@ -456,8 +453,6 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
     steps = int(round(tau_end / grid.dt))
     if abs(steps * grid.dt - tau_end) > 1e-9 * max(1.0, tau_end):
         raise UnstableConfig("tau_end must be an integer number of time steps")
-    Mfn = M.fn if hasattr(M, "fn") else M
-    u0fn = u0.fn if hasattr(u0, "fn") else u0
     dt = grid.dt
     hdt = 0.5 * dt
     bval = 0.0 if bc == "absorbing" else float(bc_value)
@@ -465,8 +460,8 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
     if grid.dims == 1:
         xs = grid.axis(0)
         h = grid.spacing(0)
-        u = np.array([u0fn(x) for x in xs], dtype=float)
-        mvals = np.array([Mfn(x) for x in xs], dtype=float)
+        u = np.array([u0(x) for x in xs], dtype=float)
+        mvals = np.array([M(x) for x in xs], dtype=float)
         if dt * float(np.max(np.abs(mvals))) > 2.0:
             raise UnstableConfig("dt too large for the reaction term (growth check)")
         _check_contamination(u, grid, tau_end)
@@ -491,8 +486,8 @@ def fd_evolve(M, u0, grid: Grid, tau_end, bc="absorbing", bc_value=0.0) -> Grid:
     hx, hy = grid.spacing(0), grid.spacing(1)
     hxx, hyy = hx * hx, hy * hy
     X, Y = grid.meshgrid()
-    u = np.ascontiguousarray(np.vectorize(u0fn)(X, Y), dtype=float)
-    mvals = np.vectorize(Mfn)(X, Y).astype(float)
+    u = np.ascontiguousarray(np.vectorize(u0)(X, Y), dtype=float)
+    mvals = np.vectorize(M)(X, Y).astype(float)
     if dt * float(np.max(np.abs(mvals))) > 1.0:
         raise UnstableConfig("dt too large for the explicit reaction term")
     _check_contamination(u, grid, tau_end)
@@ -901,18 +896,17 @@ def compare(closed_form, oracle, metric="Linf_rel", threshold=1e-3,
     if metric == "Linf_rel":
         if not isinstance(oracle, Grid) or oracle.values is None:
             raise DomainMismatch("Linf_rel expects an evolved Grid oracle")
-        fn = closed_form.fn if hasattr(closed_form, "fn") else closed_form
         if oracle.dims == 1:
             xs = oracle.axis(0)
             mask = (xs >= xs[0] + boundary_margin) & (xs <= xs[-1] - boundary_margin)
-            ref = np.array([fn(x, oracle.tau) for x in xs[mask]])
+            ref = np.array([closed_form(x, oracle.tau) for x in xs[mask]])
             got = oracle.values[mask]
         else:
             xs, ys = oracle.axis(0), oracle.axis(1)
             mx = (xs >= xs[0] + boundary_margin) & (xs <= xs[-1] - boundary_margin)
             my = (ys >= ys[0] + boundary_margin) & (ys <= ys[-1] - boundary_margin)
             X, Y = np.meshgrid(xs[mx], ys[my], indexing="ij")
-            ref = np.vectorize(lambda a, b: fn(a, b, oracle.tau))(X, Y)
+            ref = np.vectorize(lambda a, b: closed_form(a, b, oracle.tau))(X, Y)
             got = oracle.values[np.ix_(mx, my)]
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         diff = float(np.max(np.abs(got - ref))) / scale

@@ -168,7 +168,7 @@ def _reconstruction_relative_residual(cid, constants):
     scale = 0.0
     for p in region.points(12):
         try:
-            scale = max(scale, abs(u(*p)) * (1.0 + abs(M.fn(*p[:2]))))
+            scale = max(scale, abs(u(*p)) * (1.0 + abs(M(*p[:2]))))
         except Exception:
             continue
     return rep.max_abs / max(scale, 1e-12)

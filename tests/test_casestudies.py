@@ -210,7 +210,7 @@ def test_double_cev_assembled_potential_is_the_gauge_assembly(dcev):
     M_direct = potential_m(dcev.model)
     M_study = dcev.extras["assembled_potential"]
     for (x, y) in [(-1.9, 0.3), (-2.4, -0.5), (-1.6, 0.1)]:
-        assert M_study.fn(x, y) == pytest.approx(M_direct.fn(x, y), abs=1e-8)
+        assert M_study(x, y) == pytest.approx(M_direct(x, y), abs=1e-8)
 
 
 def test_rel_fp_scale_skips_typed_errors_only():
@@ -259,7 +259,8 @@ def test_one_asset_jacobian_ratio(family):
     worst = 0.0
     for x in (0.6, 0.9, 1.3, 1.8):
         for t in (0.2, 0.5, 0.9):
-            lhs = u.dt(x, t) - 0.5 * u.dxx(x, t) + M(x) * u(x, t)
+            u_t, u_xx = hd.derivative(u, (x, t), 1), hd.derivative(u, (x, t), 0, 2)
+            lhs = u_t - 0.5 * u_xx + M(x) * u(x, t)
             (xi,) = smap.to_sim(x, t)
             rhs = smap.jacobian(x, t) * op(P, xi)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))

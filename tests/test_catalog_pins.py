@@ -97,7 +97,7 @@ def case_pieces(cid, seed):
         for t in TIMES:
             lines += _values(f, t)
 
-    P = random_smooth_field(np.random.default_rng(2024), nargs=2, name="P").fn
+    P = random_smooth_field(np.random.default_rng(2024), nargs=2)
     op = case.reduced_operator(params)
     for pt in sim[:3]:
         lines += _values(op, P, *pt)

@@ -475,6 +475,34 @@ def test_a_domain_error_at_one_lane_raises_and_reruns_one_lane_at_a_time(src, ba
     assert [v.hex() for v in f(hd.float_lanes(good)).tolist()] == want
 
 
+@pytest.mark.parametrize(
+    "src, variables, points, bad",
+    [
+        (
+            "x^y",
+            ("x", "y"),
+            [(1.5, 2.5), (0.7, -1.0), (-2.0, 3.0), (-1.5, -2.0), (0.0, 2.0)],
+            [(0.0, -1.0), (-2.0, 0.5)],  # zero to a negative power, negative base to 0.5
+        ),
+        ("2^x", ("x",), [(0.5,), (-1.5,), (3.0,), (0.0,), (-1e-3,)], []),
+    ],
+    ids=["x^y", "2^x"],
+)
+def test_an_exponent_with_lanes_is_bitwise_the_scalar_call(src, variables, points, bad):
+    f = ex.compile_expr(ex.parse(src), variables)
+    lanes = [hd.float_lanes(col) for col in zip(*points)]
+    want = [f(*pt).hex() for pt in points]
+    assert [v.hex() for v in f(*lanes).tolist()] == want
+    positive = [pt for pt in points if min(pt) > 0.0]
+    jets = hd.derivative(f, [hd.float_lanes(col) for col in zip(*positive)], 0)
+    assert [v.hex() for v in jets.tolist()] == [hd.derivative(f, pt, 0).hex() for pt in positive]
+    for pt in bad:
+        with pytest.raises(EvalDomainError):
+            f(*pt)
+        with pytest.raises(EvalDomainError):
+            f(*(hd.float_lanes(col) for col in zip(*points, pt)))
+
+
 # ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------

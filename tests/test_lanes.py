@@ -23,7 +23,6 @@ from liesolve import hyperdual as hd
 from liesolve import symmetry as S
 from liesolve.errors import LiesolveError, SamplingError, UnboundSymbol
 from liesolve.exprlang import compile_expr, parse
-from liesolve.fields import ScalarField
 from liesolve.reductions import catalog, reconstruct_u
 from liesolve.verify import sampled
 
@@ -51,11 +50,11 @@ def _elementary(x, y, t):
 def _field(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "poly3":  # reaches Dual2.__pow__ with p = 3 and float lanes ** 3
-        return F.random_polynomial_field(rng, degree=3).fn
+        return F.random_polynomial_field(rng, degree=3)
     if kind == "smooth":
-        return F.random_smooth_field(rng).fn
+        return F.random_smooth_field(rng)
     if kind == "heat":  # a Dual2 divided by a Dual2
-        return F.heat_kernel().fn
+        return F.heat_kernel()
     return _elementary
 
 
@@ -205,13 +204,13 @@ def _scalar_defect(vf, M, u, x, y, t):
         ut = hd.derivative(u, (x, y, t), 2)
         uxx = hd.derivative(u, (x, y, t), 0, order=2)
         uyy = hd.derivative(u, (x, y, t), 1, order=2)
-        return ut - 0.5 * (uxx + uyy) + M.fn(x, y) * u(x, y, t)
+        return ut - 0.5 * (uxx + uyy) + M(x, y) * u(x, y, t)
 
     def L_of(F, x, y, t):
         ft = hd.derivative(F, (x, y, t), 2)
         fxx = hd.derivative(F, (x, y, t), 0, order=2)
         fyy = hd.derivative(F, (x, y, t), 1, order=2)
-        return ft - 0.5 * (fxx + fyy) + M.fn(x, y) * F(x, y, t)
+        return ft - 0.5 * (fxx + fyy) + M(x, y) * F(x, y, t)
 
     Tt = hd.derivative(vf.T, (x, y, t), 2)
     Ex, Ey = hd.derivative_pair(E, (x, y, t), 0, 1)
@@ -252,22 +251,22 @@ def test_invariance_lanes_are_bitwise_the_scalar_defects(cid, draw, kind, seed):
         # a point outside the field's domain: the lanes raise where the
         # floats raise, and the residual gives the scalar passes' error
         with pytest.raises(ArithmeticError), np.errstate(**hd.LANE_ERRSTATE):
-            S._lane_defects(vf, M.fn, u, pts)
+            S._lane_defects(vf, M, u, pts)
         with pytest.raises(type(err)):
-            S.symmetry_residual(vf, M, ScalarField(u, name=kind), points=pts)
+            S.symmetry_residual(vf, M, u, points=pts)
         return
     with np.errstate(**hd.LANE_ERRSTATE):
-        lanes = S._lane_defects(vf, M.fn, u, pts)
+        lanes = S._lane_defects(vf, M, u, pts)
     assert [_hex(v) for v in lanes] == want
 
 
 def test_field_on_math_exp_returns_the_scalar_result_through_the_fallback():
     # math.exp of a jet's value cannot take lanes (float() of an array raises)
-    u = ScalarField(lambda x, y, t: math.exp(-0.1 * float(t)) * x * y + y * y * t, name="libm")
+    u = lambda x, y, t: math.exp(-0.1 * float(t)) * x * y + y * y * t
     vf, M, pts = _draw("1.2b", 3)
     with pytest.raises(TypeError):
-        S._lane_defects(vf, M.fn, u.fn, pts)
-    want = max(abs(_scalar_defect(vf, M, u.fn, *pt)) for pt in pts)
+        S._lane_defects(vf, M, u, pts)
+    want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
     assert S.symmetry_residual(vf, M, u, points=pts).hex() == want.hex()
 
 
@@ -276,11 +275,11 @@ def test_coefficient_on_math_exp_falls_back_with_the_field():
     # the rerun has to take every coefficient one lane at a time, not only u
     vf, M, pts = _draw("1.2b", 3)
     vf = S.VectorField(vf.T, vf.X, vf.Y, vf.A, lambda x, y, t: math.exp(-float(t)), name="libm B")
-    u = F.random_smooth_field(np.random.default_rng(5)).fn
+    u = F.random_smooth_field(np.random.default_rng(5))
     with pytest.raises(TypeError):
-        S._lane_defects(vf, M.fn, hd.per_lane(u), pts)
+        S._lane_defects(vf, M, hd.per_lane(u), pts)
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
-    got = S.symmetry_residual(vf, M, ScalarField(u, name="smooth"), points=pts)
+    got = S.symmetry_residual(vf, M, u, points=pts)
     assert got.hex() == want.hex()
 
 
@@ -311,9 +310,9 @@ def _raises_on_lanes(err):
 def test_each_caught_class_reruns_one_lane_at_a_time(u):
     vf, M, pts = _draw("1.4a", 2)
     with pytest.raises((TypeError, ValueError, ArithmeticError, LiesolveError)):
-        S._lane_defects(vf, M.fn, u, pts)
+        S._lane_defects(vf, M, u, pts)
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
-    assert S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts).hex() == want.hex()
+    assert S.symmetry_residual(vf, M, u, points=pts).hex() == want.hex()
 
 
 def test_runtime_error_propagates_unchanged():
@@ -324,7 +323,7 @@ def test_runtime_error_propagates_unchanged():
 
     vf, M, pts = _draw("1.4a", 2)
     with pytest.raises(RuntimeError) as got:
-        S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts)
+        S.symmetry_residual(vf, M, u, points=pts)
     assert got.value is err
 
 
@@ -337,15 +336,15 @@ def test_float_only_method_on_lanes_is_not_rescued():
     vf, M, pts = _draw("1.4a", 2)
     _scalar_defect(vf, M, u, *pts[0])
     with pytest.raises(AttributeError):
-        S.symmetry_residual(vf, M, ScalarField(u, name="u"), points=pts)
+        S.symmetry_residual(vf, M, u, points=pts)
 
 
 def test_nan_field_certifies_no_generator():
     # a quiet NaN raises nothing on lanes; the residual must not drop it
     vf, M, pts = _draw("1.4a", 2)
     wrong = S.VectorField(vf.T, vf.X, vf.Y, vf.A, lambda x, y, t: 1000.0 * x, name="B = 1000 x")
-    nan_u = ScalarField(lambda x, y, t: x * y * t * math.nan, name="nan")
-    smooth = ScalarField(lambda x, y, t: x * y * hd.exp(t), name="x y e^t")
+    nan_u = lambda x, y, t: x * y * t * math.nan
+    smooth = lambda x, y, t: x * y * hd.exp(t)
     assert S.symmetry_residual(wrong, M, smooth, points=pts) > 1.0
     for v in (vf, wrong):
         assert math.isnan(S.symmetry_residual(v, M, nan_u, points=pts))
@@ -365,19 +364,19 @@ def _reference_per_trial(case, params, trials=3, seed=0, n_points=12):
     per_trial = []
     for k in range(trials):
         rng = np.random.default_rng(seed + 1000 * k + 7)
-        Pf = F.random_smooth_field(rng, nargs=2, name=f"P{k}")
-        u = reconstruct_u(case, params, Pf.fn)
+        Pf = F.random_smooth_field(rng, nargs=2)
+        u = reconstruct_u(case, params, Pf)
         pts = case.region_xyt(params, n=n_points, seed=seed + k)
 
         def ratio(x, y, t):
             lhs = (
-                u.dt(x, y, t)
-                - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t))
-                + M.fn(x, y) * u(x, y, t)
+                hd.derivative(u, (x, y, t), 2)
+                - 0.5 * (hd.derivative(u, (x, y, t), 0, 2) + hd.derivative(u, (x, y, t), 1, 2))
+                + M(x, y) * u(x, y, t)
             )
             xi, eta = smap.to_sim(x, y, t)
             rhs = hd.value(smap.jacobian(x, y, t)) * hd.value(
-                op(Pf.fn, hd.value(xi), hd.value(eta))
+                op(Pf, hd.value(xi), hd.value(eta))
             )
             return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
 
@@ -480,13 +479,13 @@ def test_consistency_lanes_skip_non_finite_ratios(monkeypatch, seed):
 def _reference_compatibility(data, M, points):
     """The determining condition one point at a time: the per-point formula."""
     vf = S.infinitesimals(data)
-    kept, _ = sampled(lambda x, y, t: M.fn(x, y), points)
+    kept, _ = sampled(lambda x, y, t: M(x, y), points)
     if len(kept) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     f1d = data.f1.d()
     resids = []
     for (x, y, t), Mv in kept:
-        Mx, My = M.grad(0, 1, (x, y))
+        Mx, My = hd.derivative_pair(M, (x, y), 0, 1)
         A_t = hd.derivative(vf.A, (x, y, t), 2)
         A_xx = hd.derivative(vf.A, (x, y, t), 0, order=2)
         A_yy = hd.derivative(vf.A, (x, y, t), 1, order=2)
@@ -523,7 +522,7 @@ def test_compatibility_gives_the_scalar_error_or_skip_of_the_potential(src):
     params = case.draw_params(np.random.default_rng(2))
     data = case.symmetry_data(params)
     pts = case.region_xyt(params, n=8, seed=2) + [(0.0, 0.9, 0.6)]
-    M = ScalarField(compile_expr(parse(src), ("x", "y")), nargs=2, name=src)
+    M = compile_expr(parse(src), ("x", "y"))
     want = _outcome(lambda: [_reference_compatibility(data, M, pts)])
     assert isinstance(want, tuple) == (src == "sqrt(x^2) + y")
     assert _outcome(lambda: [S.compatibility_condition(data, M, pts)]) == want
@@ -543,7 +542,7 @@ _FILTER_POINTS = [(0.5, 0.3, 0.4), (0.7, -0.2, 0.5), (0.0, 0.9, 0.6), (2.0, 0.4,
     ids=["exprlang-domain-error", "inf", "overflow"],
 )
 def test_filter_points_keeps_what_sampled_keeps(fn):
-    M = ScalarField(fn, nargs=2)
+    M = fn
     want = sampled(lambda x, y, t: fn(x, y), _FILTER_POINTS)[0]
     got = S._filter_points(M, _FILTER_POINTS)
     assert [(pt, v.hex()) for pt, v in got] == [(pt, v.hex()) for pt, v in want]

@@ -122,7 +122,7 @@ def test_y_stencil_at_fixed_xi_makes_one_f1_call(hyp1f1_calls):
     x, y, t = case.region_xyt(params, n=1, seed=2)[0]
     kappa, mu = 1.0 / (2.0 * params["delta1"]) - 0.25, 0.25  # F1: s = c1, C0 = 0
     f1_order = (complex(mu - kappa + 0.5), complex(1.0 + 2.0 * mu))
-    numdiff.partial2(u.fn, (x, y, t), 1)
+    numdiff.partial2(u, (x, y, t), 1)
     assert hyp1f1_calls.count(f1_order) == 1
     assert len(hyp1f1_calls) == 6  # and F2 at each of the 5 points
 
@@ -278,7 +278,7 @@ def test_closed_form_residual_runs_on_lanes(case_id, seed):
     M = case.potential_field(params)
     box = _bounding_region(case, params, seed)
     lanes = fp_residual(u, M, box, threshold=1.0, n=25)
-    points = fp_residual(_scalar_only(u.fn), M, box, threshold=1.0, n=25)
+    points = fp_residual(_scalar_only(u), M, box, threshold=1.0, n=25)
     assert lanes.notes == ("lanes",)
     assert points.notes == ("per-lane: TypeError",)
     assert (lanes.n_points, lanes.singular_points_skipped) == (
@@ -289,7 +289,7 @@ def test_closed_form_residual_runs_on_lanes(case_id, seed):
 
 
 def test_field_that_branches_on_float_t_runs_per_point():
-    heat = heat_kernel().fn
+    heat = heat_kernel()
 
     def u(x, y, t):
         return heat(x, y, t) if float(t) > 0.0 else 0.0
@@ -381,7 +381,7 @@ def _case15a_field():
     case = get_case("1.5a")
     params = case.draw_params(np.random.default_rng(3))
     u = reconstruct_u(case, params, closed_form_solution(case, params, {"c1": 1.0}))
-    return u.fn, case.potential_field(params).fn
+    return u, case.potential_field(params)
 
 
 @pytest.mark.parametrize("field", ["poly2d", "poly1d", "closed2d", "closed1d"])
@@ -391,7 +391,7 @@ def test_fp_residual_matches_per_derivative_stencils(field):
         ufn, Mfn = _case15a_field()
         region = Region(((0.4, 1.4), (-0.8, 0.9), (0.3, 0.9)))
     elif field == "closed1d":
-        ufn, Mfn, region = heat_kernel(nargs=2).fn, (lambda x: 0.0), REGION_1D
+        ufn, Mfn, region = heat_kernel(nargs=2), (lambda x: 0.0), REGION_1D
     elif field == "poly2d":
         ufn, Mfn, region = _poly3, (lambda x, y: 0.3 * x - y), REGION_2D
     else:

@@ -96,14 +96,14 @@ def test_reconstruct_round_trip():
         params = params_for(cid, seed=4)
         rng = np.random.default_rng(9)
         P = random_smooth_field(rng, nargs=2)
-        u = reconstruct_u(case, params, P.fn)
+        u = reconstruct_u(case, params, P)
         smap = case.similarity(params)
         for (x, y, t) in case.region_xyt(params, n=100, seed=5):
             xi, eta = smap.to_sim(x, y, t)
             pref = math.exp(hd.value(smap.prefactor_log(x, y, t)))
             # P = prefactor * u must recover the drawn P
             assert pref * u(x, y, t) == pytest.approx(
-                P.fn(hd.value(xi), hd.value(eta)), rel=1e-10, abs=1e-12
+                P(hd.value(xi), hd.value(eta)), rel=1e-10, abs=1e-12
             ), cid
 
 
@@ -254,9 +254,10 @@ def _reconstructs_to_solution(cid, params):
     M = case.potential_field(params)
     worst = 0.0
     for (x, y, t) in case.region_xyt(params, n=10, seed=4):
-        r = u.dt(x, y, t) - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t)) + M.fn(x, y) * u(
-            x, y, t
-        )
+        pt = (x, y, t)
+        r = hd.derivative(u, pt, 2) - 0.5 * (
+            hd.derivative(u, pt, 0, 2) + hd.derivative(u, pt, 1, 2)
+        ) + M(x, y) * u(x, y, t)
         scale = max(1.0, abs(u(x, y, t)))
         worst = max(worst, abs(r) / scale)
     assert worst <= 1e-8, (cid, worst)

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from liesolve import fields, symmetry as sym
+from liesolve import fields, hyperdual as hd, symmetry as sym
 from liesolve.errors import NotRadialPotential, UnsupportedF1Form
-from liesolve.fields import ScalarField
 from liesolve.symmetry import (
     SymmetryData,
     commutator,
@@ -30,7 +29,7 @@ from liesolve.symmetry import (
     vector_fields_equal,
 )
 
-M_ZERO = ScalarField(lambda x, y: 0.0, nargs=2, name="0")
+M_ZERO = lambda x, y: 0.0
 
 
 def test_timefn_derivatives_are_symbolic():
@@ -105,7 +104,7 @@ def test_compatibility_zero_potential():
 def test_compatibility_case_11a():
     rng = np.random.default_rng(5)
     C0, b, c0 = 1.3, 0.8, 0.6
-    M = ScalarField(lambda x, y: C0 / x**2 + b * y + c0, nargs=2)
+    M = lambda x, y: C0 / x**2 + b * y + c0
     data = case_11a_data(rng, C0, b, c0)
     assert compatibility_condition(data, M) <= 1e-9
 
@@ -125,7 +124,7 @@ def test_compatibility_case_12b_exp_pair():
     f1 = exp_pair(d1, d2, 2 * a)
     f4 = exp_pair((a + c0) * d1, -(a - c0) * d2, 2 * a)
     data = SymmetryData(f1=f1, f4=f4)
-    M = ScalarField(Mfn, nargs=2)
+    M = Mfn
     assert compatibility_condition(data, M) <= 1e-9
 
 
@@ -133,7 +132,7 @@ def test_compatibility_negative_control():
     # perturbing b by 10% in f3 only must break the condition visibly
     rng = np.random.default_rng(5)
     C0, b, c0 = 1.3, 0.8, 0.6
-    M = ScalarField(lambda x, y: C0 / x**2 + b * y + c0, nargs=2)
+    M = lambda x, y: C0 / x**2 + b * y + c0
     data = case_11a_data(rng, C0, 1.1 * b, c0)
     bad = SymmetryData(f1=data.f1, f3=data.f3, f4=case_11a_data(np.random.default_rng(5), C0, b, c0).f4)
     assert compatibility_condition(bad, M) > 1e-3
@@ -153,7 +152,7 @@ def test_symmetry_residual_rotation_on_zero_potential():
 def test_symmetry_residual_case_11a():
     rng = np.random.default_rng(7)
     C0, b, c0 = 1.1, 0.9, 0.4
-    M = ScalarField(lambda x, y: C0 / x**2 + b * y + c0, nargs=2)
+    M = lambda x, y: C0 / x**2 + b * y + c0
     data = case_11a_data(rng, C0, b, c0)
     vf = infinitesimals(data)
     for trial in range(3):
@@ -204,7 +203,7 @@ def test_commutation_table_entry(i, j):
     rng = np.random.default_rng(100 + 10 * i + j)
     phi_i = _random_cubic(rng)
     phi_j = _random_cubic(rng)
-    psi = fields.random_polynomial_field(rng, nargs=3, degree=2, name="psi")
+    psi = fields.random_polynomial_field(rng, nargs=3, degree=2)
     v = _vf_of(i, phi_i, psi)
     w = _vf_of(j, phi_j, psi)
     got = commutator(v, w)
@@ -252,7 +251,9 @@ def test_jacobi_identity():
 def _fp_residual_lite(u, M, pts):
     worst = 0.0
     for (x, y, t) in pts:
-        r = u.dt(x, y, t) - 0.5 * (u.dxx(x, y, t) + u.dyy(x, y, t)) + M(x, y) * u(x, y, t)
+        pt = (x, y, t)
+        lap = hd.derivative(u, pt, 0, 2) + hd.derivative(u, pt, 1, 2)
+        r = hd.derivative(u, pt, 2) - 0.5 * lap + M(x, y) * u(x, y, t)
         worst = max(worst, abs(r))
     return worst
 
@@ -326,6 +327,6 @@ def test_rotation_derived_radial_gives_zero():
 
 
 def test_rotation_derived_guard():
-    M_bad = ScalarField(lambda x, y: x, nargs=2)
+    M_bad = lambda x, y: x
     with pytest.raises(NotRadialPotential):
         rotation_derived_solution(fields.heat_kernel(), M_bad)

@@ -13,7 +13,6 @@ import pytest
 
 from liesolve import hyperdual as hd, numdiff, transform as tr
 from liesolve.errors import DomainError, GaugeObstruction, OutOfRange
-from liesolve.fields import ScalarField
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,9 +160,9 @@ def test_q_constant_vols_vanish():
     m = tr.MarketModel(vol, vol, rho=0.0, rate=0.0)
     g = tr.drift_and_gauge(m)
     for (x, y) in tr.default_gauge_sampling(m):
-        assert abs(g.Q1.fn(x, y)) <= 1e-13
-        assert abs(g.Q2.fn(x, y)) <= 1e-13
-        assert abs(g.omega.fn(x, y)) <= 1e-10
+        assert abs(g.Q1(x, y)) <= 1e-13
+        assert abs(g.Q2(x, y)) <= 1e-13
+        assert abs(g.omega(x, y)) <= 1e-10
     assert g.max_curl <= 1e-10
 
 
@@ -173,10 +172,10 @@ def test_q_1d_lognormal_constant():
     m = tr.MarketModel(tr.CEVVol(st, 1.0), rate=0.0)
     g = tr.drift_and_gauge(m)
     for (x,) in tr.default_gauge_sampling(m):
-        assert g.Q1.fn(x) == pytest.approx(-st / 2.0, rel=1e-12)
+        assert g.Q1(x) == pytest.approx(-st / 2.0, rel=1e-12)
     # omega' = -Q = st/2 (linear omega)
     x0 = tr.gauge_coord_map(m, 1.0)[0]
-    assert g.omega.fn(x0 + 1.0) - g.omega.fn(x0) == pytest.approx(st / 2.0, rel=1e-9)
+    assert g.omega(x0 + 1.0) - g.omega(x0) == pytest.approx(st / 2.0, rel=1e-9)
 
 
 def test_curl_vanishes_for_quadratic_cev_pair():
@@ -198,7 +197,7 @@ def test_potential_constant_vols_zero():
     m = tr.MarketModel(vol, vol, rho=0.0, rate=0.0)
     M = tr.potential_m(m)
     for (x, y) in tr.default_gauge_sampling(m):
-        assert abs(M.fn(x, y)) <= 1e-10
+        assert abs(M(x, y)) <= 1e-10
 
 
 def test_potential_1d_quadratic_vol_heat_reducible():
@@ -206,7 +205,7 @@ def test_potential_1d_quadratic_vol_heat_reducible():
     m = tr.MarketModel(tr.CEVVol(1.0, 2.0), rate=0.0)
     M = tr.potential_m(m)
     for (x,) in tr.default_gauge_sampling(m):
-        assert abs(M.fn(x)) <= 1e-9
+        assert abs(M(x)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +216,24 @@ def test_potential_1d_quadratic_vol_heat_reducible():
 def test_price_identity_gauge():
     vol = tr.CEVVol(1.0, 0.0)
     m = tr.MarketModel(vol, vol, rho=0.0, rate=0.0)
-    u = ScalarField(lambda x, y, t: x + 2 * y + t, nargs=3)
+    u = lambda x, y, t: x + 2 * y + t
     c = tr.price_from_u(m, u, T=1.0)
     for s1, s2 in [(0.8, 1.1), (1.4, 0.6)]:
         xg, yg = tr.gauge_coord_map(m, s1, s2)
-        assert c.fn(s1, s2, 0.25) == pytest.approx(u.fn(xg, yg, 0.75), rel=1e-9)
+        assert c(s1, s2, 0.25) == pytest.approx(u(xg, yg, 0.75), rel=1e-9)
 
 
 def test_price_pure_discounting():
     vol = tr.CEVVol(1.0, 0.0)
     m = tr.MarketModel(vol, vol, rho=0.0, rate=0.07)
-    u = ScalarField(lambda x, y, t: 1.0, nargs=3)
+    u = lambda x, y, t: 1.0
     g = tr.drift_and_gauge(m)
     c = tr.price_from_u(m, u, T=2.0, gauge=g)
     # constant vols with r > 0 have a nontrivial gauge; remove it explicitly
     for s1, s2, t in [(1.0, 1.0, 0.0), (0.9, 1.3, 1.5)]:
         xg, yg = tr.gauge_coord_map(m, s1, s2)
-        expected = math.exp(g.omega.fn(xg, yg)) * math.exp(-0.07 * (2.0 - t))
-        assert c.fn(s1, s2, t) == pytest.approx(expected, rel=1e-9)
+        expected = math.exp(g.omega(xg, yg)) * math.exp(-0.07 * (2.0 - t))
+        assert c(s1, s2, t) == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +247,12 @@ def _bs_operator_fd(model, c, S1, S2, t):
     s2v = model.vol2.value(S2)
     r = model.rate
     args = (S1, S2, t)
-    c_t = numdiff.partial1(c.fn, args, 2, 1e-5)
-    c_11 = numdiff.partial2(c.fn, args, 0, 1e-4)
-    c_22 = numdiff.partial2(c.fn, args, 1, 1e-4)
-    c_12 = numdiff.mixed2(c.fn, args, 0, 1, 1e-4)
-    c_1 = numdiff.partial1(c.fn, args, 0, 1e-5)
-    c_2 = numdiff.partial1(c.fn, args, 1, 1e-5)
+    c_t = numdiff.partial1(c, args, 2, 1e-5)
+    c_11 = numdiff.partial2(c, args, 0, 1e-4)
+    c_22 = numdiff.partial2(c, args, 1, 1e-4)
+    c_12 = numdiff.mixed2(c, args, 0, 1, 1e-4)
+    c_1 = numdiff.partial1(c, args, 0, 1e-5)
+    c_2 = numdiff.partial1(c, args, 1, 1e-5)
     return (
         c_t
         + 0.5 * s1v**2 * c_11
@@ -261,15 +260,15 @@ def _bs_operator_fd(model, c, S1, S2, t):
         + 0.5 * s2v**2 * c_22
         + r * S1 * c_1
         + r * S2 * c_2
-        - r * c.fn(S1, S2, t)
+        - r * c(S1, S2, t)
     )
 
 
 def _fp_operator_fd(u, M, x, y, tau):
-    u_t = numdiff.partial1(u.fn, (x, y, tau), 2, 1e-5)
-    u_xx = numdiff.partial2(u.fn, (x, y, tau), 0, 1e-4)
-    u_yy = numdiff.partial2(u.fn, (x, y, tau), 1, 1e-4)
-    return u_t - 0.5 * (u_xx + u_yy) + M.fn(x, y) * u.fn(x, y, tau)
+    u_t = numdiff.partial1(u, (x, y, tau), 2, 1e-5)
+    u_xx = numdiff.partial2(u, (x, y, tau), 0, 1e-4)
+    u_yy = numdiff.partial2(u, (x, y, tau), 1, 1e-4)
+    return u_t - 0.5 * (u_xx + u_yy) + M(x, y) * u(x, y, tau)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +291,7 @@ def test_operational_intertwining(model):
             -0.1 * ((x + 2.0) ** 2 + y**2)
         ) * (1.0 + 0.5 * tau)
 
-    u = ScalarField(u_fn, nargs=3, dual=False)
+    u = u_fn
     c = tr.price_from_u(model, u, T=T, gauge=gauge)
 
     rng = np.random.default_rng(23)
@@ -303,7 +302,7 @@ def test_operational_intertwining(model):
         tau = T - t
         xg, yg = tr.gauge_coord_map(model, s1, s2)
         lhs = _bs_operator_fd(model, c, s1, s2, t)
-        rhs = -math.exp(gauge.omega.fn(xg, yg) - model.rate * tau) * _fp_operator_fd(
+        rhs = -math.exp(gauge.omega(xg, yg) - model.rate * tau) * _fp_operator_fd(
             u, M, xg, yg, tau
         )
         scale = max(1.0, abs(lhs), abs(rhs))
@@ -327,7 +326,7 @@ def test_price_inverse_gauge_identity():
     def u_fn(x, y, tau):
         return (0.7 + 0.3 * x - 0.1 * y) * math.exp(-0.2 * ((x + 2.0) ** 2 + y * y))
 
-    u = ScalarField(u_fn, nargs=3, dual=False)
+    u = u_fn
     c = tr.price_from_u(model, u, T=T, gauge=gauge)
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -335,7 +334,7 @@ def test_price_inverse_gauge_identity():
         t = rng.uniform(0.1, 0.9)
         xg, yg = tr.gauge_coord_map(model, s1, s2)
         tau = T - t
-        back = math.exp(-gauge.omega.fn(xg, yg) + model.rate * tau) * c.fn(s1, s2, t)
+        back = math.exp(-gauge.omega(xg, yg) + model.rate * tau) * c(s1, s2, t)
         assert back == pytest.approx(u_fn(xg, yg, tau), rel=1e-12)
 
 
@@ -353,4 +352,4 @@ def test_tabulated_vol_matches_closed_form_pipeline():
         x_closed = tr.gauge_coord_map(closed, s)[0]
         x_tab = tr.gauge_coord_map(tabbed, s)[0]
         assert x_tab == pytest.approx(x_closed, abs=1e-9)
-        assert M2.fn(x_tab) == pytest.approx(M1.fn(x_closed), rel=1e-5, abs=1e-7)
+        assert M2(x_tab) == pytest.approx(M1(x_closed), rel=1e-5, abs=1e-7)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from liesolve import fields, verify
 from liesolve.errors import BoundaryContamination, ConfigError, DomainMismatch, UnstableConfig
-from liesolve.fields import ScalarField, heat_kernel
+from liesolve.fields import heat_kernel
 from liesolve.transform import CEVVol, ExponentialVol, RescaledExponentialVol, TabulatedVol
 from liesolve.verify import Grid, Region, SdeConfig, compare, fd_evolve, fp_residual, mc_simulate
 
@@ -23,22 +23,22 @@ REGION_2D = Region(((-1.5, 1.5), (-1.5, 1.5), (0.5, 2.0)))
 
 def test_fp_residual_heat_kernel():
     u = heat_kernel()
-    M = ScalarField(lambda x, y: 0.0, nargs=2)
+    M = lambda x, y: 0.0
     rep = fp_residual(u, M, REGION_2D, threshold=1e-6)
     assert rep.passed
     assert rep.max_abs <= 1e-6
 
 
 def test_fp_residual_constant_solution():
-    u = ScalarField(lambda x, y, t: 1.0, nargs=3)
-    M = ScalarField(lambda x, y: 0.0, nargs=2)
+    u = lambda x, y, t: 1.0
+    M = lambda x, y: 0.0
     rep = fp_residual(u, M, REGION_2D, threshold=1e-12)
     assert rep.max_abs <= 1e-12
 
 
 def test_fp_residual_negative_control():
     u = heat_kernel()
-    M = ScalarField(lambda x, y: 1.0, nargs=2)
+    M = lambda x, y: 1.0
     rep = fp_residual(u, M, REGION_2D, threshold=1e-6)
     assert rep.verdict == "fail"
     assert rep.max_abs > 1e-4  # residual = |u| > 0 on the sampling region
@@ -100,7 +100,7 @@ def test_fp_residual_truncation_error_model():
     """Self-calibration: the reported max_abs must sit within a factor of 10
     of the analytic truncation model for the five-point stencils."""
     u = heat_kernel()
-    M = ScalarField(lambda x, y: 0.0, nargs=2)
+    M = lambda x, y: 0.0
     rep = fp_residual(u, M, REGION_2D, threshold=1.0, n=60)
     # five-point stencils: first-derivative truncation h^4 |f^(5)|/30,
     # second-derivative truncation h^4 |f^(6)|/90
@@ -118,7 +118,7 @@ def test_fp_residual_truncation_error_model():
         # at h = 1e-3 the stencils sit near the truncation/roundoff
         # crossover for O(0.1) fields, so the model carries both terms:
         # |first-deriv roundoff| <= 1.5 eps |u| / h, |second| <= 5.4 eps |u|/h^2
-        amp = abs(u.fn(x, y, t))
+        amp = abs(u(x, y, t))
         round_ = eps * amp * (1.5 / h_t + 0.5 * 5.4 * (1.0 / h_x**2 + 1.0 / h_y**2))
         model = max(model, trunc + round_)
     assert rep.max_abs <= 10 * model
