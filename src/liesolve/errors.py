@@ -12,8 +12,9 @@ class PoleError(LiesolveError, ValueError):
 
 
 class DivergenceError(LiesolveError, ArithmeticError):
-    """Series / continued fraction failed to converge within the iteration cap,
-    or the arguments fall outside the supported parameter box."""
+    """Series / continued fraction failed to converge within the iteration cap
+    (or a spectral ODE factor within its degree cap), or the arguments fall
+    outside the supported parameter box."""
 
 
 class DomainError(LiesolveError, ValueError):

@@ -2,8 +2,12 @@
 
 Factors are dual-transparent callables assembled from the special-function
 kernel; second derivatives come from exact parameter-shift jets, never finite
-differences.  Free-function cases integrate the factor ODE numerically with a
-high-order adaptive scheme at local tolerance 1e-10.
+differences.  Free-function cases solve the factor ODE F'' = (2 C(s) - c1) F
+in one Chebyshev spectral-integration solve over the whole span
+(:func:`ode_factor`): the degree doubles from 48 until the last Chebyshev
+coefficients of both fundamental solutions fall below 1e-13 of the largest,
+and a C the cap cannot resolve raises :class:`DivergenceError`, as a node
+where C is not finite, or a bad span or anchor, raises :class:`DomainError`.
 
 One evaluation per distinct point: a float argument asks the jet for the
 value only, and a ``Dual2`` argument asks for the value and both derivatives
@@ -12,24 +16,28 @@ of :func:`imag_whittaker_radial` share that one jet.  Each Whittaker jet and
 each :func:`ode_factor` keeps the values at its last few distinct points in a
 bounded :class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
 argument, so repeated stencil points cost nothing; the memo belongs to the
-factor that a ``closed_form`` call builds, and nothing is cached process-wide.
+factor that a ``closed_form`` call builds, and no value at a point is cached
+process-wide.
 
 The factors also take float lanes (see :mod:`liesolve.hyperdual`), each
 lane bitwise its float call: the Whittaker and Bessel jets take lanes (see
 :mod:`liesolve.specfun`), the even reflection is a product with +-1.0
-rather than a branch, and an ODE factor evaluates its dense output once on
-each half of its span.  The memos serve points, not lanes.
+rather than a branch, and an ODE factor interpolates on all its lanes in
+one pass whose per-lane sums run over the nodes alone.  The memos serve
+points, not lanes; the Chebyshev matrices of each degree are built once per
+process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .. import hyperdual as hd
-from ..errors import DomainError, SpecfunDomain
+from ..errors import DivergenceError, DomainError, SpecfunDomain
 from ..specfun import (
     ComplexLanes,
     PointMemo,
@@ -38,13 +46,6 @@ from ..specfun import (
     whittakerM_jet,
     whittakerW_jet,
 )
-
-
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first call."""
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
 
 
 @dataclass
@@ -196,81 +197,139 @@ def trig_angular(c1, C0, C3=1.0, C4=0.0):
     return F
 
 
+# Chebyshev degrees of an ODE factor's spectral solve: the first, and the cap
+# the doubling stops at; the relative size its last coefficients must reach
+ODE_N_START = 48
+ODE_N_CAP = 384
+ODE_TAIL_TOL = 1e-13
+_ODE_TAIL = 4  # coefficients in the tail
+
+
+@lru_cache(maxsize=None)
+def _chebyshev(n):
+    """Chebyshev points x_j = cos(j pi / n) of degree n (exactly symmetric),
+    their barycentric weights, the values-to-coefficients matrix ``T``, the
+    indefinite-integration matrix ``BT`` (values to the coefficients of an
+    antiderivative) and its values ``EBT`` at the points."""
+    j = np.arange(n + 1)
+    x = np.sin(np.pi * (n - 2 * j) / (2 * n))
+    half = np.where((j == 0) | (j == n), 0.5, 1.0)
+    w = (-1.0) ** j * half
+    # T_k(x_j) = cos(jk pi / n) and the discrete orthogonality of its rows
+    T = (2.0 / n) * half[:, None] * np.cos(np.outer(j, j) * (np.pi / n)) * half
+    # antiderivatives up to a constant: T_0 -> T_1, T_1 -> T_2/4 and
+    # T_k -> T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)) for k >= 2
+    B = np.zeros((n + 2, n + 1))
+    B[j + 1, j] = np.where(j == 0, 1.0, 0.5 / (j + 1))
+    B[j[2:] - 1, j[2:]] = -0.5 / (j[2:] - 1)
+    BT = B @ T
+    return x, w, T, BT, np.cos(np.outer(j, np.arange(n + 2)) * (np.pi / n)) @ BT
+
+
+def _fundamental(C, c1, a, b, anchor):
+    """Nodes s, their barycentric weights, and the states of S1, S2
+    (columns) and of S1', S2' at the nodes.
+
+    Spectral integration (Greengard 1991): the unknowns are g = F'' at the
+    Chebyshev points of [a, b].  With Q the indefinite integral from the
+    anchor in x = (2s - a - b)/(b - a) and h = (b - a)/2, F = base + h^2 Q^2 g
+    and F' = base' + h Q g, so one dense solve of (I - diag(q) h^2 Q^2) g =
+    q base, q = 2 C(s) - c1 at the nodes, gives both fundamental solutions.
+    The degree doubles from ``ODE_N_START`` until the last coefficients of
+    both solutions are below ``ODE_TAIL_TOL`` of their largest."""
+    h, mid = 0.5 * (b - a), 0.5 * (a + b)
+    theta_a = math.acos(min(1.0, max(-1.0, (anchor - mid) / h)))
+    n = ODE_N_START
+    while True:
+        x, w, T, BT, EBT = _chebyshev(n)
+        s = mid + h * x
+        s[0], s[n] = b, a
+        q = np.empty(n + 1)
+        for i, sv in enumerate(s.tolist()):
+            try:
+                qv = float(2.0 * C(sv) - c1)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"ODE factor: C is not finite at node s = {sv!r} ({exc})") from exc
+            if not math.isfinite(qv):
+                raise DomainError(f"ODE factor: 2 C(s) - c1 = {qv!r} at node s = {sv!r}")
+            q[i] = qv
+        Q = EBT - np.cos(np.arange(n + 2) * theta_a) @ BT  # integral from the anchor
+        hQ2 = (h * h) * (Q @ Q)
+        base = np.stack([np.ones(n + 1), s - anchor], axis=1)
+        g = np.linalg.solve(np.eye(n + 1) - q[:, None] * hQ2, q[:, None] * base)
+        F = base + hQ2 @ g
+        coef = np.abs(T @ F)
+        tail = (coef[-_ODE_TAIL:].max(axis=0) / coef.max(axis=0)).max()
+        if tail <= ODE_TAIL_TOL:
+            return s, w, F, np.array([0.0, 1.0]) + h * (Q @ g)
+        if n >= ODE_N_CAP:
+            raise DivergenceError(
+                f"ODE factor on span ({a!r}, {b!r}) unresolved at Chebyshev degree {n}: "
+                f"coefficient tail {tail:.3g} of the largest (> {ODE_TAIL_TOL:g})"
+            )
+        n *= 2
+
+
+def _barycentric(s, nodes, w, vals):
+    """Rows of ``vals`` (nodal values) interpolated at the points ``s``, one
+    row per point.  Each point's sums run over the nodes alone, so a point
+    gives the same bits alone or among other lanes; a point on a node takes
+    the node's values."""
+    d = s[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = w / d
+        out = (t[:, None, :] * vals).sum(axis=-1) / t.sum(axis=-1)[:, None]
+    at, node = np.nonzero(d == 0.0)
+    out[at] = vals[:, node].T
+    return out
+
+
 def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
     """Numeric fundamental solutions of F'' + (c1 - 2 C(s)) F = 0 on span.
 
     Returns Ca*S1 + Cb*S2 with S1(anchor)=1, S1'(anchor)=0 and S2(anchor)=0,
-    S2'(anchor)=1.  Second derivatives come from the ODE itself.
+    S2'(anchor)=1, from one Chebyshev spectral solve over the whole span (see
+    :func:`_fundamental`); the value and F' are barycentric interpolants of
+    their nodal values, and F'' comes from the ODE itself.
+
+    Raises :class:`DomainError` for an empty or non-finite span, an anchor
+    outside it, a node where C is not finite, and a point outside the span;
+    :class:`DivergenceError` when degree ``ODE_N_CAP`` cannot resolve C.
     """
-    a, bnd = span
-    anchor = anchor if anchor is not None else 0.5 * (a + bnd)
+    a, b = float(span[0]), float(span[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"ODE factor span ({a!r}, {b!r}) must be finite and non-empty")
+    anchor = 0.5 * (a + b) if anchor is None else float(anchor)
+    if not a <= anchor <= b:
+        raise DomainError(f"ODE factor anchor {anchor!r} outside span ({a!r}, {b!r})")
+    nodes, w, F, Fp = _fundamental(C, c1, a, b, anchor)
+    vals = np.stack([Ca * F[:, 0] + Cb * F[:, 1], Ca * Fp[:, 0] + Cb * Fp[:, 1]])
+    lo, hi = a - 1e-12, b + 1e-12
 
-    def rhs(s, state):
-        f1, f1p, f2, f2p = state
-        acc = 2.0 * C(s) - c1
-        return [f1p, acc * f1, f2p, acc * f2]
-
-    sol = solve_ivp(
-        rhs,
-        (anchor, bnd),
-        [1.0, 0.0, 0.0, 1.0],
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=True,
-    )
-    sol_back = solve_ivp(
-        rhs,
-        (anchor, a),
-        [1.0, 0.0, 0.0, 1.0],
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=True,
-    )
-
-    states = PointMemo()  # point -> (S1, S1', S2, S2') from the dense output
+    states = PointMemo()  # point -> (F, F')
 
     def state_at(s):
         if isinstance(s, np.ndarray):
-            return states_on(np.asarray(s, float))
+            s = np.asarray(s, float)
+            bad = (s < lo) | (s > hi)
+            if bad.any():
+                raise DomainError(f"ODE factor evaluated outside span at {s[bad][0]}")
+            return _barycentric(s, nodes, w, vals).T
         key = point_key(s)
         st = states.get(key)
         if st is not None:
             return st
-        if s >= anchor:
-            if s > sol.t[-1] + 1e-12:
-                raise DomainError(f"ODE factor evaluated outside span at {s}")
-            st = sol.sol(min(s, sol.t[-1]))
-        else:
-            if s < sol_back.t[-1] - 1e-12:
-                raise DomainError(f"ODE factor evaluated outside span at {s}")
-            st = sol_back.sol(max(s, sol_back.t[-1]))
+        if s < lo or s > hi:
+            raise DomainError(f"ODE factor evaluated outside span at {s}")
+        st = _barycentric(np.array([s], float), nodes, w, vals)[0].tolist()
         states.put(key, s, st)
         return st
 
-    def states_on(s):
-        # lanes: each half of the span's dense output once on its lanes
-        fwd = s >= anchor
-        out = np.empty((4, s.size))
-        for mask, res, beyond, clip in (
-            (fwd, sol, s > sol.t[-1] + 1e-12, np.minimum),
-            (~fwd, sol_back, s < sol_back.t[-1] - 1e-12, np.maximum),
-        ):
-            bad = mask & beyond
-            if bad.any():
-                raise DomainError(f"ODE factor evaluated outside span at {s[bad][0]}")
-            if mask.any():
-                out[:, mask] = res.sol(clip(s[mask], res.t[-1]))
-        return out
-
     def value(s):
-        st = state_at(s)
-        return Ca * st[0] + Cb * st[2]
+        return state_at(s)[0]
 
     def deriv(s):
-        st = state_at(s)
-        return Ca * st[1] + Cb * st[3]
+        return state_at(s)[1]
 
     def second(s):
         return (2.0 * C(s) - c1) * value(s)

@@ -144,12 +144,14 @@ def test_solve_samples_let_an_untyped_error_propagate(monkeypatch, tmp_path):
 
 
 # sha256 of the report JSON and of the samples CSV of solve --case 1.2b at
-# seed 0, with and without the verification suite
+# seed 0, with and without the verification suite; re-recorded for the
+# spectral ODE factor (samples moved by at most 3.5e-10 of max |P|, the
+# report's FD residual from 1.9e-7 to 7.3e-9)
 SOLVE_12B = {
-    False: ("4695efd85510ca6b56b30c7c9ddf3ebf4929077058ae2d573056e22804525d3e",
-            "8572c139c6141b774564808737ac50ef1698a27ce45ddae3d97e78ab494c77d6"),
+    False: ("abf89991cd64d95d1522bd851c1b72a480f3b8754679090f09f45165ff279081",
+            "1e5ab17e3733fd7b05d114dac16bf94d3d2bd13aa2c569222c205a3c9f6ded19"),
     True: ("1d668614f561dcf5542a252a9764e1b2eea8f54322102f6b7b1d9f36f60595c2",
-           "8572c139c6141b774564808737ac50ef1698a27ce45ddae3d97e78ab494c77d6"),
+           "1e5ab17e3733fd7b05d114dac16bf94d3d2bd13aa2c569222c205a3c9f6ded19"),
 }
 
 
@@ -544,6 +546,15 @@ def test_classify_then_verify_loop():
     assert code == 0 and rep.clean
 
 
+def test_verify_18a_seed4_passes_its_fd_residual():
+    # the FD stencil (h = 1e-3) read the step-boundary jumps of the former
+    # piecewise ODE dense output as a 1.42e-6 residual; the spectral factor
+    # is one polynomial on the span
+    code, rep = run({"version": 1, "command": "verify", "case": "1.8a", "seed": 4})
+    fd = [c for c in rep.checks if c.name.startswith("reconstruction FD residual")]
+    assert code == 0 and len(fd) == 1 and fd[0].value < 1e-8
+
+
 _IMPORT_BUDGET = """
 import sys
 import liesolve.cli as cli
@@ -566,17 +577,21 @@ for config in (
     code, _ = cli.run(dict(config, version=cli.SCHEMA_VERSION))
     assert code == 0, config
 assert not heavy(), heavy()
-# the first Bessel, ODE and LAPACK calls import scipy on demand
+# the ODE factors of 1.8a and 1.8b are spectral solves in numpy
+for case in ("1.8a", "1.8b"):
+    assert cli.main(["verify", "--case", case]) == 0
+    assert not heavy(), (case, heavy())
+# the first Bessel call imports scipy.special on demand
 assert cli.main(["verify", "--case", "1.2b"]) == 0
-assert "scipy.special" in sys.modules
+assert "scipy.special" in sys.modules and "scipy.integrate" not in sys.modules
 """
 
 
 def test_scipy_free_commands_import_no_scipy():
     """Importing the CLI loads neither jsonschema nor concurrent.futures but
-    every module the benchmark's tracer wraps; classify, reduce and transform
-    never load scipy or mpmath; a verify run in the same interpreter loads
-    them when it needs them."""
+    every module the benchmark's tracer wraps; classify, reduce, transform
+    and verify of 1.8a and 1.8b never load scipy or mpmath; a verify run in
+    the same interpreter loads them when it needs them."""
     tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     wrapped = sorted(set(re.findall(r'"(liesolve(?:\.\w+)*)"', tracing.read_text())))
     assert "liesolve.casestudies" in wrapped and len(wrapped) >= 9, wrapped

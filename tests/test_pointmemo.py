@@ -127,34 +127,36 @@ def test_y_stencil_at_fixed_xi_makes_one_f1_call(hyp1f1_calls):
     assert len(hyp1f1_calls) == 6  # and F2 at each of the 5 points
 
 
-def test_ode_factor_dual_pass_makes_one_dense_output_call(monkeypatch):
-    calls = []
-    original = SEP.solve_ivp
+def test_ode_factor_dual_pass_makes_one_state_evaluation(monkeypatch):
+    solves, states = [], []
+    fundamental, barycentric = SEP._fundamental, SEP._barycentric
 
-    def counting_ivp(*args, **kwargs):
-        res = original(*args, **kwargs)
-        dense = res.sol
+    def counting_solve(*args):
+        solves.append(args)
+        return fundamental(*args)
 
-        def counted(t):
-            calls.append(t)
-            return dense(t)
+    def counting_state(s, *args):
+        states.append(s.tolist())
+        return barycentric(s, *args)
 
-        res.sol = counted
-        return res
-
-    monkeypatch.setattr(SEP, "solve_ivp", counting_ivp)
+    monkeypatch.setattr(SEP, "_fundamental", counting_solve)
+    monkeypatch.setattr(SEP, "_barycentric", counting_state)
     F = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    assert len(solves) == 1 and not states
     out = F(hd.Dual2(0.7, 1.0, 1.0))
-    assert len(calls) == 1
+    assert states == [[0.7]]
     F(0.7)
-    assert len(calls) == 1
+    assert states == [[0.7]]
+    F(hd.Dual2(-1.1, 1.0, 1.0))
+    assert states == [[0.7], [-1.1]]
     fresh = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    assert len(solves) == 2
     assert _hexes(out) == _hexes(fresh(hd.Dual2(0.7, 1.0, 1.0)))
 
 
 def test_ode_factor_lanes_match_points():
-    # each half of the span's dense output once on its lanes, bit for bit the
-    # points; a lane outside the span raises the point's DomainError
+    # one interpolation pass on the lanes, bit for bit the points; a lane
+    # outside the span raises the point's DomainError
     F = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4, anchor=0.3)
     lanes = np.array([-1.7, 0.3, 1.9, -0.2, 0.3, 2.0])
     fresh = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4, anchor=0.3)

@@ -1,15 +1,20 @@
 """Separated-factor tests: one special-function evaluation per point and
-order, and golden digests of the Whittaker factors and their jets."""
+order, golden digests of the Whittaker factors and their jets, and the ODE
+factor's spectral solve against a tight reference, with its typed errors."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from liesolve import hyperdual as hd
 from liesolve import specfun as sf
+from liesolve.errors import DivergenceError, DomainError
 from liesolve.reductions import closed_form_solution, get_case
 from liesolve.reductions import separated as SEP
+from liesolve.reductions.catalog import _C_LINE as C_LINE
+from liesolve.reductions.catalog import _C_THETA as C_THETA
 
 
 @pytest.fixture
@@ -155,3 +160,87 @@ JET_GOLDEN = "6da87ccaae57f8ff75921c90a6016a22aa585a167811db0e12bd71de09bf3d3f"
 
 def test_whittaker_jet_golden_digest():
     assert _jet_digest() == JET_GOLDEN
+
+
+# -- the ODE factor's spectral solve ---------------------------------------------
+
+
+def C_DOUBLE_CEV(s):  # the angular coefficient of casestudies.double_cev
+    return 48.0 / math.cos(2 * s) ** 2
+
+
+CEV_SPAN = (0.75 * math.pi + 0.18, 1.25 * math.pi - 0.18)
+
+ODE_CASES = {
+    "theta c1=1": (C_THETA[0], 1.0, (-math.pi, math.pi), None),
+    "theta c1=5": (C_THETA[0], 5.0, (-math.pi, math.pi), None),
+    "line": (C_LINE[0], 1.0, (-2.5, 2.5), None),
+    "double-cev": (C_DOUBLE_CEV, 1.0, CEV_SPAN, math.pi),
+    "anchor 0.3": (lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 0.3),
+    "oscillatory": (C_THETA[0], 12.0, (-math.pi, math.pi), None),  # c1 > 2 max C = 6.6
+}
+
+
+def _reference_states(C, c1, span, anchor, pts):
+    """(S1, S1', S2, S2') at pts from DOP853 at rtol 1e-13, anchor to each end."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, y):
+        acc = 2.0 * C(s) - c1
+        return [y[1], acc * y[0], y[3], acc * y[2]]
+
+    out = np.empty((len(pts), 4))
+    for end in span:
+        sol = solve_ivp(rhs, (anchor, end), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-15, dense_output=True)
+        ahead = [(p - anchor) * (end - anchor) >= 0 for p in pts]
+        out[ahead] = sol.sol(np.asarray(pts)[ahead]).T
+    return out
+
+
+@pytest.mark.parametrize("name", ODE_CASES)
+def test_ode_factor_matches_a_tight_reference(name):
+    C, c1, (a, b), anchor = ODE_CASES[name]
+    pts = np.linspace(a, b, 41).tolist() + [a + 0.37 * (b - a)]
+    ref = _reference_states(C, c1, (a, b), 0.5 * (a + b) if anchor is None else anchor, pts)
+    for k, (Ca, Cb) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        F = SEP.ode_factor(C, c1, (a, b), Ca, Cb, anchor=anchor)
+        got = np.array([[v.a, v.b] for v in (F(hd.Dual2(p, 1.0, 0.0)) for p in pts)])
+        S, dS = ref[:, 2 * k], ref[:, 2 * k + 1]
+        # each quantity against its own largest size on the span
+        assert np.abs(got[:, 0] - S).max() <= 1e-11 * np.abs(S).max()
+        assert np.abs(got[:, 1] - dS).max() <= 1e-11 * np.abs(dS).max()
+
+
+def test_ode_factor_nan_coefficient_fails_at_the_first_node():
+    calls = []
+
+    def C(s):
+        calls.append(s)
+        return float("nan")
+
+    with pytest.raises(DomainError, match=r"at node s = 1\.0"):
+        SEP.ode_factor(C, 1.0, (-1.0, 1.0))
+    assert calls == [1.0]
+
+
+def test_ode_factor_pole_inside_span_names_its_node():
+    with pytest.raises(DomainError, match=r"C is not finite at node s = 0\.0"):
+        SEP.ode_factor(lambda s: 1.0 / s**2, 1.0, (-1.0, 1.0), anchor=0.5)
+    with pytest.raises(DomainError, match=r"= inf at node s = 0\.0"):
+        SEP.ode_factor(lambda s: 1.0 / s**2 if s else math.inf, 1.0, (-1.0, 1.0))
+
+
+def test_ode_factor_unresolved_coefficient_names_span_and_tail():
+    with pytest.raises(DivergenceError, match=r"span \(-1\.0, 1\.0\).*degree 384.*tail"):
+        SEP.ode_factor(lambda s: 50.0 * math.sin(400.0 * s), 1.0, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "span, anchor",
+    [((1.0, 1.0), None), ((1.0, -1.0), None), ((-math.inf, 1.0), None),
+     ((math.nan, 1.0), None), ((-1.0, 1.0), 1.5), ((-1.0, 1.0), math.nan)],
+)
+def test_ode_factor_bad_span_or_anchor(span, anchor):
+    with pytest.raises(DomainError, match="span"):
+        SEP.ode_factor(lambda s: 1.0, 1.0, span, anchor=anchor)
