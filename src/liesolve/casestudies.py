@@ -144,7 +144,7 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     a_exp = math.sqrt(2.0) * r
 
     def C_theta(s):
-        return 48.0 / math.cos(2 * s) ** 2
+        return 48.0 / hd.cos(2 * s) ** 2
 
     params = {
         "c": r * r,

@@ -41,7 +41,8 @@ lane passes, a division by zero (``LANE_ERRSTATE``), where a float would
 raise ``ZeroDivisionError``.  A caller whose lane evaluation raises a
 ``TypeError``, ``ValueError``, ``ArithmeticError`` or ``LiesolveError``
 reruns it with its callables wrapped in :func:`per_lane` (the FD residuals
-and the symmetry checks) or point by point (the consistency check).
+and the symmetry checks) or point by point (the consistency check and the
+reduced-operator residual).
 :func:`per_lane` gives the scalar result or the scalar error lane by lane,
 so a lane never stands in for a domain error.
 """

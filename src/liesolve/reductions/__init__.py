@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,13 +53,26 @@ def reduced_residual(case, params, P, points=None) -> float:
 def operator_residual(op, P, pts) -> float:
     """Max abs of ``op(P, *point)`` over similarity points, skipping points as
     :func:`liesolve.verify.sampled` does; raises :class:`SamplingError` when
-    fewer than max(4, a quarter) evaluate."""
-    kept, _ = sampled(lambda *pt: op(P, *pt), pts)
+    fewer than max(4, a quarter) evaluate.
+
+    The operator runs once, on float lanes that hold every point (see
+    :mod:`liesolve.hyperdual`), and a non-finite lane is skipped; each lane
+    is bitwise its point's evaluation.  If the lanes raise a TypeError,
+    ValueError, ArithmeticError or LiesolveError, the operator reruns point
+    by point through :func:`~liesolve.verify.sampled`, which gives the
+    scalar skips and errors.
+    """
+    try:
+        with np.errstate(**hd.LANE_ERRSTATE):
+            out = op(P, *hd.float_lanes(np.transpose(pts)))
+        kept = [v for v in np.broadcast_to(out, (len(pts),)).tolist() if math.isfinite(v)]
+    except (TypeError, ValueError, ArithmeticError, LiesolveError):
+        kept = [v for _, v in sampled(lambda *pt: op(P, *pt), pts)[0]]
     if len(kept) < max(4, len(pts) // 4):
         raise SamplingError(
             f"reduced operator evaluable at only {len(kept)} of {len(pts)} points"
         )
-    return max([0.0] + [abs(v) for _, v in kept])
+    return max([0.0] + [abs(v) for v in kept])
 
 
 def closed_form_solution(case, params, constants=None) -> SeparatedSolution:

@@ -9,23 +9,29 @@ coefficients of both fundamental solutions fall below 1e-13 of the largest,
 and a C the cap cannot resolve raises :class:`DivergenceError`, as a node
 where C is not finite, or a bad span or anchor, raises :class:`DomainError`.
 
-One evaluation per distinct point: a float argument asks the jet for the
-value only, and a ``Dual2`` argument asks for the value and both derivatives
-once, at its value part, and chains them.  The real and imaginary solutions
-of :func:`imag_whittaker_radial` share that one jet.  Each Whittaker jet and
-each :func:`ode_factor` keeps the values at its last few distinct points in a
-bounded :class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
-argument, so repeated stencil points cost nothing; the memo belongs to the
-factor that a ``closed_form`` call builds, and no value at a point is cached
-process-wide.
+One evaluation per distinct point or lane set: a float argument asks the
+jet for the value only, and a ``Dual2`` argument asks for the value and both
+derivatives once, at its value part, and chains them.  The real and
+imaginary solutions of :func:`imag_whittaker_radial` share that one jet.
+Each Whittaker jet and each :func:`ode_factor` keeps the values at its last
+few distinct points or lane sets in a bounded
+:class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
+argument or of every lane, so repeated stencil points, and the seeded and
+float passes of a reduced operator on one lane set, cost one evaluation;
+the memo belongs to the factor that a ``closed_form`` call builds, and no
+value is cached process-wide.
 
 The factors also take float lanes (see :mod:`liesolve.hyperdual`), each
 lane bitwise its float call: the Whittaker and Bessel jets take lanes (see
 :mod:`liesolve.specfun`), the even reflection is a product with +-1.0
 rather than a branch, and an ODE factor interpolates on all its lanes in
-one pass whose per-lane sums run over the nodes alone.  The memos serve
-points, not lanes; the Chebyshev matrices of each degree are built once per
-process.
+one pass whose per-lane sums run over the nodes alone.  The
+:func:`imag_whittaker_radial` factor takes float lanes but not ``Dual2``
+lanes: its derivative chain branches on the sign of the value part, and a
+``Dual2``-lane form of it, bit for bit the points, made 1.1b's reduced
+operator at 30 lanes 2-3x slower than the point loop (13-19 ms against
+5.5-7 ms per call over CLI seeds 0-7, on a 2-vCPU x86_64 VM).  The Chebyshev
+matrices of each degree are built once per process.
 """
 
 from __future__ import annotations
@@ -306,22 +312,24 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
     vals = np.stack([Ca * F[:, 0] + Cb * F[:, 1], Ca * Fp[:, 0] + Cb * Fp[:, 1]])
     lo, hi = a - 1e-12, b + 1e-12
 
-    states = PointMemo()  # point -> (F, F')
+    states = PointMemo()  # point -> (F, F'); lane set -> rows (F, F'), read-only
 
     def state_at(s):
+        key = point_key(s)
+        st = states.get(key)
+        if st is not None:
+            return st
         if isinstance(s, np.ndarray):
             s = np.asarray(s, float)
             bad = (s < lo) | (s > hi)
             if bad.any():
                 raise DomainError(f"ODE factor evaluated outside span at {s[bad][0]}")
-            return _barycentric(s, nodes, w, vals).T
-        key = point_key(s)
-        st = states.get(key)
-        if st is not None:
-            return st
-        if s < lo or s > hi:
-            raise DomainError(f"ODE factor evaluated outside span at {s}")
-        st = _barycentric(np.array([s], float), nodes, w, vals)[0].tolist()
+            st = _barycentric(s, nodes, w, vals).T
+            st.flags.writeable = False  # handed out as the value of every pass
+        else:
+            if s < lo or s > hi:
+                raise DomainError(f"ODE factor evaluated outside span at {s}")
+            st = _barycentric(np.array([s], float), nodes, w, vals)[0].tolist()
         states.put(key, s, st)
         return st
 

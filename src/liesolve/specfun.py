@@ -19,21 +19,21 @@ Conventions:
   the size of the cancelling terms and checks against the result.  mpmath
   raises its own working precision while its terms cancel; its failures
   raise :class:`DivergenceError`.
-* One evaluation per distinct argument, per point or per lane call: the
-  ``(f, f', f'')`` jet builders derive the derivatives from
+* One evaluation per distinct argument and order, per point or per lane
+  set: the ``(f, f', f'')`` jet builders derive the derivatives from
   parameter-shifted orders, and each Whittaker jet keeps the prefactor and
-  each shifted order for its last ``MEMO_POINTS`` distinct points in a
-  :class:`PointMemo`, so a full jet at one point costs three inner
-  evaluations and a point seen again costs none.  The memo is keyed on the
-  exact bits of a float or complex argument.  A ``Dual2`` argument raises
-  :class:`~liesolve.errors.DomainError` rather than losing its derivative
-  parts.
+  each shifted order for its last ``MEMO_POINTS`` distinct points or lane
+  sets in a :class:`PointMemo`, so a full jet costs three inner
+  evaluations and a point or lane set seen again costs none.  The memo is
+  keyed on the exact bits of a float or complex argument, or of every lane.
+  A ``Dual2`` argument raises :class:`~liesolve.errors.DomainError` rather
+  than losing its derivative parts.
 * Lanes: the jets also take an array of float lanes or
   :class:`ComplexLanes` (see :mod:`liesolve.hyperdual`), and each lane is
   bitwise the call at its point.  A Whittaker jet evaluates each distinct
-  lane once per call, keyed on its bits as the memo is, without the memo.
-  The plain Kahan route of 1F1 sums all lanes at once
-  (:func:`_hyp1f1_lanes`), in CPython's complex arithmetic; a lane that
+  lane of a lane set once.  The plain Kahan route of 1F1 sums all lanes at
+  once (:func:`_hyp1f1_lanes`), in CPython's complex arithmetic, or in
+  float64 arrays when the parameters and the lanes are real; a lane that
   leaves it (Kummer reflection, terminating series, extended precision,
   ``z = 0``, outside the box) takes the scalar route alone, with its value
   or its error.  Tricomi U runs lane by lane.  Bessel jets map the
@@ -49,8 +49,8 @@ returning silently degraded values.  Complex arguments are supported for
 
 All operations are reentrant.  Each memo belongs to one jet (or, in
 :mod:`liesolve.reductions.separated`, one ODE factor), holds at most
-``MEMO_POINTS`` points, and is cleared when full; nothing is cached per
-process, and no state is shared between jets.
+``MEMO_POINTS`` points or lane sets, and is cleared when full; nothing is
+cached per process, and no state is shared between jets.
 """
 
 from __future__ import annotations
@@ -100,22 +100,29 @@ class BesselKind(Enum):
     K = "K"
 
 
-MEMO_POINTS = 16  # distinct points one jet or factor remembers
+MEMO_POINTS = 16  # distinct points or lane sets one jet or factor remembers
 
 
 def point_key(z):
     """Exact memo key of a point: the bits of a float or complex argument
-    (numpy subclasses included, -0.0 apart from +0.0), else the identity of
-    the object, which stays sound while :class:`PointMemo` holds it."""
+    (numpy subclasses included, -0.0 apart from +0.0), the bytes of every
+    lane of float lanes or :class:`ComplexLanes` (the two kinds apart), else
+    the identity of the object, which stays sound while :class:`PointMemo`
+    holds it."""
     if isinstance(z, float):
         return float.hex(z)
     if isinstance(z, complex):
         return float.hex(z.real), float.hex(z.imag)
+    if isinstance(z, ComplexLanes):
+        return tuple(part.tobytes() for part in _lane_parts(z))
+    if isinstance(z, np.ndarray):
+        return np.ascontiguousarray(z, float).tobytes()
     return id(z)
 
 
 class PointMemo:
-    """Values at the last few distinct points of one jet or factor.
+    """Values at the last few distinct points or lane sets of one jet or
+    factor.
 
     Keys come from :func:`point_key`, so a hit returns what a fresh
     evaluation at that point returns.  A full memo is cleared rather than
@@ -437,20 +444,29 @@ def _series_value(a, b, z, s, trunc_rel, canc, tol):
 
 
 def _kahan_lanes_1f1(a, b, z, tol, cap=_SERIES_CAP):
-    """:func:`_kahan_series_1f1` on the lanes of ``z`` (:class:`ComplexLanes`),
-    term by term in its order of operations; a lane leaves the sum at the
-    term where its scalar series returns.
+    """:func:`_kahan_series_1f1` on the lanes of ``z``, term by term in its
+    order of operations; a lane leaves the sum at the term where its scalar
+    series returns.
 
-    Returns (sum, first_neglected_over_sum, max_term_over_sum, converged)
-    per lane; a lane that hits the cap has ``converged`` False.
+    ``z`` is :class:`ComplexLanes`, or, with float ``a`` and ``b``, a float64
+    array of real lanes: the series then sums float64 arrays, which are the
+    real parts of the complex series bit for bit (every imaginary part it
+    multiplies by is a zero, and ``hypot(x, 0) = |x|``).
+
+    Returns (sum as :class:`ComplexLanes`, first_neglected_over_sum,
+    max_term_over_sum, converged) per lane; a lane that hits the cap has
+    ``converged`` False.
     """
     size = np.size(z.real)
-    sums = ComplexLanes(np.empty(size), np.empty(size))
+    sums = ComplexLanes(np.empty(size), np.zeros(size))
     trunc, canc, converged = np.empty(size), np.empty(size), np.zeros(size, bool)
     live = np.arange(size)
     az = abs(z)
     ones, zeros = np.ones(size), np.zeros(size)
-    term, s, comp = ComplexLanes(ones, zeros), ComplexLanes(ones, zeros), ComplexLanes(zeros, zeros)
+    if isinstance(z, np.ndarray):
+        term, s, comp = ones, ones, zeros
+    else:
+        term, s, comp = (ComplexLanes(v, zeros) for v in (ones, ones, zeros))
     max_term = ones
     for n in range(cap):
         if not live.size:
@@ -472,7 +488,10 @@ def _kahan_lanes_1f1(a, b, z, tol, cap=_SERIES_CAP):
         trunc[k], canc[k], converged[k] = at[done] / big[done], max_term[done] / big[done], True
         go = ~done
         live, az, max_term = live[go], az[go], max_term[go]
-        term, s, comp, z = (ComplexLanes(v.real[go], v.imag[go]) for v in (term, s, comp, z))
+        term, s, comp, z = (
+            v[go] if isinstance(v, np.ndarray) else ComplexLanes(v.real[go], v.imag[go])
+            for v in (term, s, comp, z)
+        )
     return sums, trunc, canc, converged
 
 
@@ -482,8 +501,9 @@ def _hyp1f1_lanes(a, b, z, tol=1e-12):
     reads ``complex(v, 0.0)``, as it promotes in complex arithmetic.
 
     Lanes on the plain route (inside the box, ``z != 0``, ``Re z >= 0``,
-    ``a`` not a non-positive integer) run :func:`_kahan_lanes_1f1` together;
-    a lane whose sum misses the error budget takes the scalar
+    ``a`` not a non-positive integer) run :func:`_kahan_lanes_1f1` together,
+    on float64 arrays when ``a``, ``b`` and every such lane are real; a lane
+    whose sum misses the error budget takes the scalar
     extended-precision rerun (:func:`_series_value`) from that sum.  Each
     other lane goes through :func:`_hyp1f1` alone, which gives its value or
     raises its error.
@@ -499,9 +519,12 @@ def _hyp1f1_lanes(a, b, z, tol=1e-12):
         plain[:] = False
     idx = np.flatnonzero(plain)
     out = ComplexLanes(np.empty(re.size), np.empty(re.size))
-    s, trunc_rel, canc, converged = _kahan_lanes_1f1(
-        a, b, ComplexLanes(re[idx], im[idx]), tol=min(tol, 1e-14)
-    )
+    if a.imag == 0.0 and b.imag == 0.0 and not im[idx].any():
+        s, trunc_rel, canc, converged = _kahan_lanes_1f1(a.real, b.real, re[idx], min(tol, 1e-14))
+    else:
+        s, trunc_rel, canc, converged = _kahan_lanes_1f1(
+            a, b, ComplexLanes(re[idx], im[idx]), min(tol, 1e-14)
+        )
     ok = converged & (trunc_rel + canc * _EPS * 4 <= tol)
     # _as_scalar: a negligible imaginary part leaves a real value
     big = np.abs(s.real)
@@ -856,19 +879,22 @@ def _whittaker_jet(inner_jet, kappa, mu):
     """(f, f', f'') for z -> exp(-z/2) z^(mu+1/2) F(z), with ``inner_jet``
     the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu.
 
-    At a point, the prefactor and F, F', F'' are computed at most once per
-    distinct point and kept in a :class:`PointMemo` of this jet, filled order
-    by order as the elements ask for them.  On lanes (float lanes or
+    The prefactor and F, F', F'' are computed at most once per distinct
+    point or lane set and kept in a :class:`PointMemo` of this jet, filled
+    order by order as the elements ask for them, so the three elements of a
+    ``Dual2`` pass, and a later pass on the same points, share one
+    evaluation of each order.  On lanes (float lanes or
     :class:`ComplexLanes`; the result is :class:`ComplexLanes`), each
-    distinct lane is evaluated once per call, and the memo is not used.  A
-    :class:`Dual2` argument raises :class:`DomainError`: ``cmath`` would
-    drop its derivative parts.
+    distinct lane is evaluated once.  A :class:`Dual2` argument raises
+    :class:`DomainError`: ``cmath`` would drop its derivative parts.
     """
     a = complex(mu - kappa + 0.5)
     b = complex(1.0 + 2.0 * mu)
     inner = inner_jet(a, b)
     e = mu + 0.5
-    memo = PointMemo()  # point -> (prefactor, {order: inner value})
+    # point or lane set -> (distinct lanes, each lane's index among them,
+    # prefactor, {order: inner value}); a point is its own distinct lane
+    memo = PointMemo()
 
     def prefactor(z):
         return cmath.exp(-z / 2.0) * cmath.exp(e * cmath.log(z))
@@ -876,22 +902,22 @@ def _whittaker_jet(inner_jet, kappa, mu):
     def at(z, *orders):
         if isinstance(z, Dual2):
             raise DomainError("Whittaker jets take a float or complex argument, not a Dual2")
-        if _is_lanes(z):
-            distinct, inverse = _distinct(z)
-            vals = [_each_scalar(prefactor, distinct)] + [inner[k](distinct) for k in orders]
-            pref, *vals = (ComplexLanes(v.real[inverse], v.imag[inverse]) for v in vals)
-            return pref, vals
         key = point_key(z)
         hit = memo.get(key)
         if hit is None:
-            pref, vals = prefactor(z), {}
+            pts, inverse = _distinct(z) if _is_lanes(z) else (z, None)
+            pref = prefactor(z) if inverse is None else _each_scalar(prefactor, pts)
+            vals = {}
         else:
-            pref, vals = hit
-        new = {k: inner[k](z) for k in orders if k not in vals}
+            pts, inverse, pref, vals = hit
+        new = {k: inner[k](pts) for k in orders if k not in vals}
         if hit is None:
-            memo.put(key, z, (pref, vals))
+            memo.put(key, z, (pts, inverse, pref, vals))
         vals.update(new)
-        return pref, [vals[k] for k in orders]
+        out = [pref] + [vals[k] for k in orders]
+        if inverse is not None:
+            out = [ComplexLanes(v.real[inverse], v.imag[inverse]) for v in out]
+        return out[0], out[1:]
 
     def f(z):
         pref, (F,) = at(z, 0)

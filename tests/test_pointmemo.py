@@ -1,7 +1,8 @@
-"""One evaluation per distinct point: the value-keyed memos of the Whittaker
-jets and the ODE factors, and the shared five-point stencils of the FD
-residual oracles, which evaluate a field once on lanes and rerun point by
-point, bit for bit, when a field cannot take lanes."""
+"""One evaluation per distinct point or lane set: the value-keyed memos of
+the Whittaker jets and the ODE factors, the shared five-point stencils of the
+FD residual oracles, and the reduced-operator residual, which evaluate once
+on lanes and rerun point by point, bit for bit, when a field cannot take
+lanes."""
 
 import math
 
@@ -154,6 +155,94 @@ def test_ode_factor_dual_pass_makes_one_state_evaluation(monkeypatch):
     assert _hexes(out) == _hexes(fresh(hd.Dual2(0.7, 1.0, 1.0)))
 
 
+@pytest.fixture
+def memos(monkeypatch):
+    """Every PointMemo that a jet or a factor makes, in creation order."""
+    made, memo_type = [], sf.PointMemo
+
+    def make():
+        made.append(memo_type())
+        return made[-1]
+
+    monkeypatch.setattr(sf, "PointMemo", make)
+    monkeypatch.setattr(SEP, "PointMemo", make)
+    return made
+
+
+def _seeded(lanes):
+    return hd.Dual2(lanes, np.ones(lanes.size), np.ones(lanes.size))
+
+
+def test_whittaker_factor_evaluates_each_order_once_per_lane_set(monkeypatch):
+    # a Dual2 pass asks f, f' and f'' of the jet: one inner 1F1 per order,
+    # and a second seeded pass or a float pass on the same lanes none
+    orders = []
+    original = sf._hyp1f1_lanes
+
+    def counting(a, b, z, tol=1e-12):
+        orders.append((complex(a), complex(b), np.size(z)))
+        return original(a, b, z, tol)
+
+    monkeypatch.setattr(sf, "_hyp1f1_lanes", counting)
+    F = SEP.whittaker_radial(0.8, 1.3, 0.4)
+    xi = np.array([0.4, 1.1, 1.7, 1.1, 0.9])
+    out = F(_seeded(xi))
+    assert [o[2] for o in orders] == [4, 4, 4]  # the distinct lanes
+    assert len({o[:2] for o in orders}) == 3
+    again = F(_seeded(xi))
+    value = F(hd.float_lanes(xi))
+    assert len(orders) == 3
+    fresh = SEP.whittaker_radial(0.8, 1.3, 0.4)
+    for k, x in enumerate(xi.tolist()):
+        want = fresh(hd.Dual2(x, 1.0, 1.0))
+        for got in (out, again):
+            assert [getattr(got, slot)[k].hex() for slot in "abcd"] == [
+                getattr(want, slot).hex() for slot in "abcd"
+            ]
+        assert value[k].hex() == fresh(x).hex()
+
+
+def test_ode_factor_interpolates_once_per_lane_set(monkeypatch):
+    # closes the triple interpolation of a Dual2 lane call: value, F' and
+    # F'' = (2 C - c1) F share one barycentric pass, and later passes on the
+    # same lanes make none
+    states = []
+    barycentric = SEP._barycentric
+
+    def counting_state(s, *args):
+        states.append(s.tolist())
+        return barycentric(s, *args)
+
+    monkeypatch.setattr(SEP, "_barycentric", counting_state)
+    F = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    lanes = np.array([0.7, -1.1, 1.9])
+    out = F(_seeded(lanes))
+    assert states == [lanes.tolist()]
+    F(_seeded(lanes))
+    value = F(hd.float_lanes(lanes))
+    assert len(states) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        value[0] = 0.0  # the memo's rows are shared by every pass
+    fresh = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    for k, x in enumerate(lanes.tolist()):
+        want = fresh(hd.Dual2(x, 1.0, 1.0))
+        assert [getattr(out, slot)[k].hex() for slot in "abcd"] == [
+            getattr(want, slot).hex() for slot in "abcd"
+        ]
+
+
+def test_lane_memo_stays_bounded(memos):
+    F = SEP.whittaker_radial(0.8, 1.3, 0.4)
+    G = SEP.ode_factor(lambda s: 0.3 * s * s, 1.2, (-2.0, 2.0), 1.0, 0.4)
+    assert len(memos) == 2
+    for i in range(100):
+        lanes = np.linspace(0.3, 1.9, 7) + i / 1000.0
+        F(_seeded(lanes))
+        G(_seeded(lanes))
+        assert all(len(m._entries) <= sf.MEMO_POINTS for m in memos)
+    assert all(len(m._entries) > 0 for m in memos)
+
+
 def test_ode_factor_lanes_match_points():
     # one interpolation pass on the lanes, bit for bit the points; a lane
     # outside the span raises the point's DomainError
@@ -288,6 +377,126 @@ def test_closed_form_residual_runs_on_lanes(case_id, seed):
         points.singular_points_skipped,
     )
     assert (lanes.max_abs.hex(), lanes.rms.hex()) == (points.max_abs.hex(), points.rms.hex())
+
+
+# -- the reduced-operator residual on lanes --------------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def _reduced_residual_args(case_id, seed, monkeypatch):
+    """(reduced operator, P, similarity points) of the closed-form residual
+    that `verify` takes at one draw, or of double-cev's wedge solution."""
+    if case_id == "double-cev":
+        import liesolve.casestudies as CS
+
+        got = []
+
+        def capture(*args):
+            got.append(args)
+            raise _Captured
+
+        with monkeypatch.context() as m:
+            m.setattr(CS, "operator_residual", capture)
+            with pytest.raises(_Captured):
+                CS.double_cev(0.05, seed=seed)
+        return got[0]
+    case = get_case(case_id)
+    params = case.draw_params(np.random.default_rng(seed))
+    P = closed_form_solution(case, params).P
+    return case.reduced_operator(params), P, case.region_sim(params, n=30, seed=seed)
+
+
+@pytest.fixture
+def point_loops(monkeypatch):
+    """(points, skipped) of every point-by-point rerun of operator_residual."""
+    import liesolve.reductions as R
+
+    runs = []
+
+    def spy(fn, pts):
+        kept, skipped = sampled(fn, pts)
+        runs.append((len(pts), skipped))
+        return kept, skipped
+
+    monkeypatch.setattr(R, "sampled", spy)
+    return runs
+
+
+def _by_points(op, P, pts):
+    kept, _ = sampled(lambda *pt: op(P, *pt), pts)
+    return max([0.0] + [abs(v) for _, v in kept])
+
+
+LANE_RESIDUALS = [d for d in VERIFY_DRAWS if d[0] != "1.1b"] + [("double-cev", 0)]
+
+
+@pytest.mark.parametrize("case_id, seed", LANE_RESIDUALS)
+def test_reduced_residual_runs_on_lanes(case_id, seed, monkeypatch, point_loops):
+    # one evaluation of the operator on lanes, bit for bit the per-point
+    # loop (on factors of their own, so no memo is shared); a P that rejects
+    # lanes reruns point by point with the same result
+    from liesolve.reductions import operator_residual
+
+    op, P, pts = _reduced_residual_args(case_id, seed, monkeypatch)
+    lanes = operator_residual(op, P, pts)
+    assert point_loops == []
+    _, P_ref, _ = _reduced_residual_args(case_id, seed, monkeypatch)
+    assert lanes.hex() == _by_points(op, P_ref, pts).hex()
+    assert operator_residual(op, _scalar_only(P_ref), pts).hex() == lanes.hex()
+    assert point_loops == [(len(pts), 0)]
+
+
+def test_imag_whittaker_residual_stays_on_points(monkeypatch, point_loops):
+    # 1.1b's factor branches on its value part under Dual2: its lane attempt
+    # raises at once, and the per-point loop gives the residual
+    from liesolve.reductions import operator_residual
+
+    op, P, pts = _reduced_residual_args("1.1b", 0, monkeypatch)
+    got = operator_residual(op, P, pts)
+    assert point_loops == [(30, 0)]
+    _, P_ref, _ = _reduced_residual_args("1.1b", 0, monkeypatch)
+    assert got.hex() == _by_points(op, P_ref, pts).hex()
+
+
+def _spoilt_at(P, bad, kind):
+    """P, but at the points whose first argument is in ``bad``: a
+    DomainError ("raise"), or P times NaN or inf, on lanes as on floats."""
+
+    def g(xi, eta):
+        at_bad = np.isin(hd.value(xi), bad)
+        if kind == "raise":
+            if np.any(at_bad):
+                raise DomainError("P is not defined here")
+            return P(xi, eta)
+        w = np.where(at_bad, math.nan if kind == "nan" else math.inf, 1.0)
+        return P(xi, eta) * (w if w.ndim else float(w))
+
+    return g
+
+
+@pytest.mark.parametrize("n_bad", [1, 23, 24])
+@pytest.mark.parametrize("kind", ["raise", "nan", "inf"])
+def test_reduced_residual_skips_points_as_the_point_loop(kind, n_bad, monkeypatch, point_loops):
+    # a point where P raises, or where an inf meets a zero derivative slot
+    # (invalid, under the lane error state), sends the lanes to the
+    # per-point loop, which skips it; a NaN lane is skipped on the lanes.
+    # 7 of 30 points must remain (max(4, 30 // 4))
+    from liesolve.errors import SamplingError
+    from liesolve.reductions import operator_residual
+
+    op, P, pts = _reduced_residual_args("1.8b", 0, monkeypatch)
+    bad = [pt[0] for pt in pts[:n_bad]]
+    if n_bad == 24:
+        with pytest.raises(SamplingError, match="evaluable at only 6 of 30 points"):
+            operator_residual(op, _spoilt_at(P, bad, kind), pts)
+    else:
+        got = operator_residual(op, _spoilt_at(P, bad, kind), pts)
+        _, P_ref, _ = _reduced_residual_args("1.8b", 0, monkeypatch)
+        assert got.hex() == _by_points(op, _spoilt_at(P_ref, bad, kind), pts).hex()
+    assert point_loops == ([] if kind == "nan" else [(30, n_bad)])
 
 
 def test_field_that_branches_on_float_t_runs_per_point():

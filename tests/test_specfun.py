@@ -720,3 +720,43 @@ def test_bessel_jet_on_lanes_matches_scalar(kind):
         got = g(lanes)
         assert [v.hex() for v in got.tolist()] == [g(z).hex() for z in lanes.tolist()]
         assert isinstance(g(1.7), float)
+
+
+@pytest.mark.parametrize("cap", [sf._SERIES_CAP, 40], ids=["cap", "short-cap"])
+def test_real_kummer_lanes_match_scalar_series(cap):
+    # real a, b and z: the series sums float64 lanes, each bit for bit the
+    # complex scalar series (sum, truncation and cancellation ratios), and a
+    # lane that hits the cap is flagged where the scalar series gives None
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        a, b = rng.uniform(-5.0, 8.0), rng.uniform(0.5, 9.0)
+        z = sf.Z_BOX * rng.random(50) ** 2
+        s, trunc, canc, converged = sf._kahan_lanes_1f1(a, b, z, 1e-14, cap)
+        assert isinstance(s, sf.ComplexLanes)
+        for k, zk in enumerate(z.tolist()):
+            want = sf._kahan_series_1f1(complex(a), complex(b), complex(zk), 1e-14, cap)
+            assert converged[k] == (want is not None)
+            if want is not None:
+                got = (complex(s.real[k], s.imag[k]), float(trunc[k]), float(canc[k]))
+                assert _hex(got[0]) == _hex(want[0])
+                assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+
+
+def test_only_real_lanes_take_the_real_series(monkeypatch):
+    kinds = []
+    original = sf._kahan_lanes_1f1
+
+    def record(a, b, z, tol, cap=sf._SERIES_CAP):
+        kinds.append((type(a), type(b), type(z)))
+        return original(a, b, z, tol, cap)
+
+    monkeypatch.setattr(sf, "_kahan_lanes_1f1", record)
+    z = np.array([1.5, 30.0, 0.2])
+    sf._hyp1f1_lanes(0.8, 1.6, z)
+    sf._hyp1f1_lanes(0.8, 1.6, sf.ComplexLanes(z, np.array([0.0, -0.0, 0.0])))
+    sf._hyp1f1_lanes(0.8, 1.6, sf.ComplexLanes(z, np.array([0.0, 1e-3, 0.0])))
+    sf._hyp1f1_lanes(0.8 + 0.1j, 1.6, z)
+    sf._hyp1f1_lanes(0.8, 1.6 - 0.2j, z)
+    real = (float, float, np.ndarray)
+    complex_ = (complex, complex, sf.ComplexLanes)
+    assert kinds == [real, real, complex_, complex_, complex_]
