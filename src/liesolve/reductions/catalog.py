@@ -172,46 +172,51 @@ _C_LINE = (
 )
 
 
+def _uniform_rows(rng, k, bounds):
+    """k rows of draws, one ``rng.uniform(lo, hi)`` per ``(lo, hi)`` of
+    ``bounds`` and in that order: ``rng.random`` scaled as ``uniform`` scales
+    it, so each row is bitwise the scalar draws."""
+    lo, hi = np.array(bounds, float).T
+    return (lo + (hi - lo) * rng.random((k, len(bounds)))).tolist()
+
+
 def _annulus_points(n, seed, r_range=(0.5, 2.0), t_range=(0.3, 1.0), guard=None):
     rng = np.random.default_rng(seed)
+    bounds = (r_range, (-math.pi + 0.2, math.pi - 0.2), t_range)
     pts = []
     tries = 0
     while len(pts) < n and tries < 80 * n:
-        tries += 1
-        r = rng.uniform(*r_range)
-        th = rng.uniform(-math.pi + 0.2, math.pi - 0.2)
-        x, y = r * math.cos(th), r * math.sin(th)
-        t = rng.uniform(*t_range)
-        if guard is not None and guard(x, y, t):
-            continue
-        pts.append((x, y, t))
+        # a block can accept at most the points still missing
+        k = min(n - len(pts), 80 * n - tries)
+        tries += k
+        for r, th, t in _uniform_rows(rng, k, bounds):
+            x, y = r * math.cos(th), r * math.sin(th)
+            if guard is None or not guard(x, y, t):
+                pts.append((x, y, t))
     if len(pts) < n:
         raise SamplingError("could not build a sampling set away from singular loci")
     return pts
 
 
 def _sim_points(n, seed, xi_range=(0.4, 1.8), eta_range=(0.3, 1.5), need_xi_pos=False):
-    rng = np.random.default_rng(seed)
+    # per point: xi, a sign draw for xi unless it must stay positive, eta and
+    # a sign draw for eta
+    signs = () if need_xi_pos else ((0.0, 1.0),)
+    bounds = (xi_range, *signs, eta_range, (0.0, 1.0))
     pts = []
-    while len(pts) < n:
-        xi = rng.uniform(*xi_range)
-        if not need_xi_pos and rng.uniform() < 0.5:
-            xi = -xi
-        eta = rng.uniform(*eta_range)
-        if rng.uniform() < 0.5:
-            eta = -eta
+    for row in _uniform_rows(np.random.default_rng(seed), n, bounds):
+        xi = -row[0] if signs and row[1] < 0.5 else row[0]
+        eta = -row[-2] if row[-1] < 0.5 else row[-2]
         pts.append((xi, eta))
     return pts
 
 
 def _polar_sim_points(n, seed, rho_hi=1.8, margin=0.25):
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        rho = rng.uniform(0.5, rho_hi)
-        th = rng.uniform(-math.pi + margin, math.pi - margin)
-        pts.append((rho * math.cos(th), rho * math.sin(th)))
-    return pts
+    bounds = ((0.5, rho_hi), (-math.pi + margin, math.pi - margin))
+    return [
+        (rho * math.cos(th), rho * math.sin(th))
+        for rho, th in _uniform_rows(np.random.default_rng(seed), n, bounds)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,20 @@ Pipeline for the two-asset pricing equation
    difference coordinates (:func:`coord_map`);
 2. eliminate the first-order drift with a scalar gauge exp(omega), where
    grad(omega) = -(Q1, Q2) and the compatibility (zero-curl) condition makes
-   omega well-defined (:func:`drift_and_gauge`);
+   omega well-defined (:func:`drift_and_gauge`); omega is a Gauss-Kronrod
+   lane rule (:func:`gauss_kronrod`), one evaluation of Q per panel for
+   every lane;
 3. read off the potential M = (1/2)(div Q + |Q|^2) (:func:`potential_m`);
 4. map solutions of the potential heat equation back to prices
    (:func:`price_from_u`).
 
-Every field here is a plain callable.  The derivatives of Q are exact jets
-when every volatility carries them and five-point stencils otherwise
-(:func:`_q_partial`): a :class:`TabulatedVol` is a black box.
+Every field here is a plain callable, and every map, drift field, omega
+and price takes float lanes (see :mod:`liesolve.hyperdual`) as it takes
+floats; an inverse map raises :class:`OutOfRange` when any lane is not
+attained.  The derivatives of Q are exact jets when every volatility carries
+them and five-point stencils otherwise (:func:`_q_partial`): a
+:class:`TabulatedVol` is a black box, evaluated one lane at a time, whose
+antiderivative is the one adaptive quadrature left (:func:`quad`).
 
 Chart conventions.  ``coord_map`` uses the prefactors sqrt(2/(1 +/- rho)) on
 the antiderivative sum/difference.  Producing *exactly* the normalized heat
@@ -44,14 +50,122 @@ from .errors import (
 )
 
 QUAD_TOL = 1e-11
+GAUGE_TOL = 1e-9  # |K15 - G7| bound of an accepted omega panel
+GAUGE_PANELS = 200  # panels per lane before omega raises QuadratureFailure
 
 
 def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first call; every quadrature in
-    this module looks it up here, so wrapping this name sees them all."""
+    """``scipy.integrate.quad``, imported on first call; every adaptive
+    quadrature in this module (the :class:`TabulatedVol` antiderivative)
+    looks it up here, so wrapping this name sees them all."""
     from scipy.integrate import quad
 
     return quad(*args, **kwargs)
+
+
+# Gauss-Kronrod G7/K15 on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15):
+# the positive Kronrod nodes, largest first, with their Kronrod weights; the
+# Gauss nodes are those of odd index, and the centre is a node of both rules
+_GK_X = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_GK_WK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,  # centre
+)
+_GK_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,  # centre
+)
+# the 15 nodes in increasing order, as a column, and (node index, weight)
+# pairs of each rule
+_NODES = np.array([-x for x in _GK_X] + [0.0] + list(reversed(_GK_X)))[:, None]
+_KRONROD = tuple(enumerate(_GK_WK + _GK_WK[-2::-1]))
+_GAUSS = tuple(zip(range(1, 15, 2), _GK_WG + _GK_WG[-2::-1]))
+
+
+def gauss_kronrod(f, a, b, args=()):
+    """The integral of ``f`` from ``a`` to ``b`` on every lane, by the G7/K15
+    pair.
+
+    ``a``, ``b`` and each of ``args`` are floats or lanes, broadcast to one
+    shape; ``f(s, *args)`` takes float lanes of nodes, with ``args`` taken at
+    each node's lane.  Each round evaluates ``f`` once, at the 15 nodes of
+    every open panel.  A panel whose |K15 - G7| is at most GAUGE_TOL adds
+    its K15 to its lane's sum; any other is halved.  A non-finite panel, or
+    a lane that needs more than GAUGE_PANELS panels, raises
+    :class:`QuadratureFailure`.  A lane's panels and their order of
+    summation depend on that lane alone, so each lane is bitwise its own
+    one-lane call, and float bounds, one lane, give a float.
+    """
+    scalar = not any(isinstance(v, np.ndarray) for v in (a, b, *args))
+    cols = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, *args)))
+    shape = cols[0].shape
+    lo, hi, *args = (c.ravel() for c in cols)
+    total = np.zeros(lo.size)
+    panels = np.ones(lo.size, int)
+    lane = np.arange(lo.size)
+    while lane.size:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = mid + half * _NODES
+        at = np.broadcast_to(lane, nodes.shape).ravel()
+        fs = f(hd.float_lanes(nodes.ravel()), *(hd.float_lanes(v[at]) for v in args))
+        fs = np.broadcast_to(np.asarray(fs, float), at.shape).reshape(nodes.shape)
+        kronrod = gauss = 0.0
+        for k, w in _KRONROD:
+            kronrod = kronrod + w * fs[k]
+        for k, w in _GAUSS:
+            gauss = gauss + w * fs[k]
+        kronrod, gauss = half * kronrod, half * gauss
+        if not np.isfinite(kronrod).all():
+            raise QuadratureFailure("gauge integrand is not finite on a panel")
+        done = np.abs(kronrod - gauss) <= GAUGE_TOL
+        np.add.at(total, lane[done], kronrod[done])
+        split = ~done
+        lane, lo, mid, hi = lane[split], lo[split], mid[split], hi[split]
+        np.add.at(panels, lane, 1)
+        if lane.size and panels[lane].max() > GAUGE_PANELS:
+            raise QuadratureFailure(
+                f"gauge quadrature: |K15 - G7| above {GAUGE_TOL:g} on {GAUGE_PANELS} panels"
+            )
+        lane = np.repeat(lane, 2)
+        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+    if scalar:
+        return float(total[0])
+    return hd.float_lanes(total.reshape(shape))
+
+
+def _unattained(bad, I):
+    """The first value of ``I`` (a float or lanes) at which ``bad`` holds, or
+    None: an inverse map raises :class:`OutOfRange` there."""
+    if not isinstance(bad, np.ndarray):
+        return hd.value(I) if bad else None
+    if not bad.any():
+        return None
+    return float(np.broadcast_to(hd.value(I), bad.shape)[bad][0])
+
+
+def _per_lane_value(f, S):
+    """``f`` at the value of ``S``, one call per lane when it holds lanes."""
+    v = hd.value(S)
+    if not isinstance(v, np.ndarray):
+        return f(v)
+    return hd.float_lanes([f(s) for s in v.ravel().tolist()]).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +212,9 @@ class CEVVol:
         if a == 1.0:
             return hd.exp(self.sigma * I)
         base = self.sigma * (1.0 - a) * I
-        if hd.value(base) <= 0.0:
-            raise OutOfRange(f"antiderivative value {hd.value(I)} not attained by the CEV map")
+        bad = _unattained(hd.value(base) <= 0.0, I)
+        if bad is not None:
+            raise OutOfRange(f"antiderivative value {bad} not attained by the CEV map")
         return base ** (1.0 / (1.0 - a))
 
 
@@ -119,8 +234,9 @@ class ExponentialVol:
         return hd.exp(S) - 1.0
 
     def invert(self, I):
-        if hd.value(I) <= -1.0:
-            raise OutOfRange(f"antiderivative value {hd.value(I)} not attained")
+        bad = _unattained(hd.value(I) <= -1.0, I)
+        if bad is not None:
+            raise OutOfRange(f"antiderivative value {bad} not attained")
         return hd.log(1.0 + I)
 
 
@@ -155,14 +271,16 @@ class RescaledExponentialVol:
         if self.alpha == 0.0:
             return I * self.sigma0 * self.s0
         arg = self.sigma0 * self.alpha * I + math.exp(-self.alpha)
-        if hd.value(arg) <= 0.0:
-            raise OutOfRange(f"antiderivative value {hd.value(I)} not attained")
+        bad = _unattained(hd.value(arg) <= 0.0, I)
+        if bad is not None:
+            raise OutOfRange(f"antiderivative value {bad} not attained")
         return self.s0 * (1.0 + hd.log(arg) / self.alpha)
 
 
 @dataclass(frozen=True)
 class TabulatedVol:
-    """Black-box sigma(S) with its derivative; quadrature antiderivative."""
+    """Black-box sigma(S) with its derivative; quadrature antiderivative.
+    Each method takes lanes one lane at a time."""
 
     fn: object
     dfn: object
@@ -173,25 +291,28 @@ class TabulatedVol:
     dual = False
 
     def value(self, S):
-        return self.fn(hd.value(S))
+        return _per_lane_value(self.fn, S)
 
     def slope(self, S):
-        return self.dfn(hd.value(S))
+        return _per_lane_value(self.dfn, S)
 
     def antideriv(self, S):
-        S = hd.value(S)
+        return _per_lane_value(self._antideriv, S)
+
+    def invert(self, I):
+        return _per_lane_value(self._invert, I)
+
+    def _antideriv(self, S):
         val, err = quad(lambda u: 1.0 / self.fn(u), self.s_ref, S, epsabs=QUAD_TOL, limit=200)
         if err > max(1e-10, 1e-12 * abs(val)):
             raise QuadratureFailure(f"antiderivative quadrature error {err:.2e}")
         return val
 
-    def invert(self, I):
+    def _invert(self, I):
         from scipy.optimize import brentq
 
-        I = hd.value(I)
-
         def g(S):
-            return self.antideriv(S) - I
+            return self._antideriv(S) - I
 
         # 1/sigma > 0 makes the antiderivative monotone: expand the bracket
         lo = self.s_min
@@ -355,7 +476,8 @@ def drift_and_gauge(model: MarketModel) -> GaugeData:
     """Drift coefficients, scalar gauge, and the compatibility residual.
 
     omega integrates -(Q1, Q2) along the axis-aligned L-path from the image
-    of the spot (1, 1); path independence is exactly the zero-curl
+    of the spot (1, 1), each leg one :func:`gauss_kronrod` over every lane
+    (one leg in 1-D); path independence is exactly the zero-curl
     condition, which is checked first, to 1e-8, on
     :func:`default_gauge_sampling`.  On failure the data is still assembled
     and attached to the raised :class:`GaugeObstruction`.
@@ -366,10 +488,7 @@ def drift_and_gauge(model: MarketModel) -> GaugeData:
         x0 = hd.value(gauge_coord_map(model, 1.0)[0])
 
         def omega(x):
-            val, err = quad(lambda s: -Q1(s), x0, hd.value(x), epsabs=QUAD_TOL, limit=200)
-            if err > 1e-9:
-                raise QuadratureFailure(f"gauge quadrature error {err:.2e}")
-            return val
+            return gauss_kronrod(lambda s: -Q1(s), x0, hd.value(x))
 
         return GaugeData(Q1, None, omega, None, 0.0)
 
@@ -388,11 +507,8 @@ def drift_and_gauge(model: MarketModel) -> GaugeData:
 
     def omega(xg, yg):
         xg, yg = hd.value(xg), hd.value(yg)
-        leg1, e1 = quad(lambda s: -Q1(s, y0), x0, xg, epsabs=QUAD_TOL, limit=200)
-        leg2, e2 = quad(lambda s: -Q2(xg, s), y0, yg, epsabs=QUAD_TOL, limit=200)
-        if max(e1, e2) > 1e-9:
-            raise QuadratureFailure(f"gauge quadrature error {max(e1, e2):.2e}")
-        return leg1 + leg2
+        leg1 = gauss_kronrod(lambda s: -Q1(s, y0), x0, xg)
+        return leg1 + gauss_kronrod(lambda s, x: -Q2(x, s), y0, yg, (xg,))
 
     data = GaugeData(Q1, Q2, omega, curl, max_curl)
     if max_curl > 1e-8:
@@ -426,7 +542,8 @@ def potential_m(model: MarketModel, gauge: GaugeData | None = None):
 
 
 def price_from_u(model: MarketModel, u, T: float, gauge: GaugeData | None = None):
-    """c(S1, S2, t) = exp(omega - r (T-t)) u(gauge coords, T-t)."""
+    """c(S1, S2, t) = exp(omega - r (T-t)) u(gauge coords, T-t); c takes
+    float lanes when ``u`` does."""
     if gauge is None:
         gauge = drift_and_gauge(model)
     omega = gauge.omega
@@ -434,9 +551,9 @@ def price_from_u(model: MarketModel, u, T: float, gauge: GaugeData | None = None
 
     if model.one_dim:
         def c(S, t):
-            x, _ = gauge_coord_map(model, S)
+            x = hd.value(gauge_coord_map(model, S)[0])
             tau = T - t
-            return math.exp(omega(hd.value(x)) - r * tau) * u(hd.value(x), tau)
+            return hd.exp(omega(x) - r * tau) * u(x, tau)
 
         return c
 
@@ -444,6 +561,6 @@ def price_from_u(model: MarketModel, u, T: float, gauge: GaugeData | None = None
         xg, yg = gauge_coord_map(model, S1, S2)
         xg, yg = hd.value(xg), hd.value(yg)
         tau = T - t
-        return math.exp(omega(xg, yg) - r * tau) * u(xg, yg, tau)
+        return hd.exp(omega(xg, yg) - r * tau) * u(xg, yg, tau)
 
     return c

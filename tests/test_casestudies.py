@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liesolve import hyperdual as hd
+from liesolve import casestudies, hyperdual as hd, transform
 from liesolve.casestudies import (
     _wedge_angle,
     cev_1d,
@@ -160,6 +160,31 @@ def test_expvol_report():
     disc = _check(res, "published potential equals the drift-eliminated assembly")
     assert disc.expected_discrepancy
     assert res.verification.clean
+
+
+@pytest.mark.parametrize("study", [
+    lambda: double_cev(r=0.05),
+    lambda: cev_1d(1.0, 2.0, 0.1),
+    lambda: expvol_1d(),
+], ids=["double-cev", "cev", "expvol"])
+def test_pricing_residual_takes_lanes(study, monkeypatch):
+    # omega is a lane rule: the price chain's bs_residual evaluates the price
+    # on lanes, with no per-point rerun and no adaptive quadrature
+    reports = []
+    bs = casestudies.bs_residual
+
+    def recording(*args, **kwargs):
+        reports.append(bs(*args, **kwargs))
+        return reports[-1]
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("transform.quad called")
+
+    monkeypatch.setattr(casestudies, "bs_residual", recording)
+    monkeypatch.setattr(transform, "quad", no_quad)
+    study()
+    assert [r.notes for r in reports] == [("lanes",)]
+    assert reports[0].singular_points_skipped == 0
 
 
 def test_smirk_values():

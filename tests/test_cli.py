@@ -584,6 +584,10 @@ for case in ("1.8a", "1.8b"):
 # the first Bessel call imports scipy.special on demand
 assert cli.main(["verify", "--case", "1.2b"]) == 0
 assert "scipy.special" in sys.modules and "scipy.integrate" not in sys.modules
+# omega is a Gauss-Kronrod lane rule in numpy: no case study loads scipy.integrate
+for study in ("cev", "expvol", "double-cev"):
+    assert cli.main(["case-study", study]) == 0
+    assert "scipy.integrate" not in sys.modules, study
 """
 
 
@@ -591,7 +595,8 @@ def test_scipy_free_commands_import_no_scipy():
     """Importing the CLI loads neither jsonschema nor concurrent.futures but
     every module the benchmark's tracer wraps; classify, reduce, transform
     and verify of 1.8a and 1.8b never load scipy or mpmath; a verify run in
-    the same interpreter loads them when it needs them."""
+    the same interpreter loads them when it needs them; no verify run or
+    case study loads scipy.integrate."""
     tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     wrapped = sorted(set(re.findall(r'"(liesolve(?:\.\w+)*)"', tracing.read_text())))
     assert "liesolve.casestudies" in wrapped and len(wrapped) >= 9, wrapped

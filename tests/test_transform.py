@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from liesolve import hyperdual as hd, numdiff, transform as tr
-from liesolve.errors import DomainError, GaugeObstruction, OutOfRange
+from liesolve.errors import DomainError, GaugeObstruction, OutOfRange, QuadratureFailure
+from liesolve.verify import Region, bs_residual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,6 +193,82 @@ def test_gauge_obstruction_flags_incompatible_model():
     assert ei.value.gauge.max_curl > 1e-8
 
 
+DUAL_VOLS = {
+    "cev alpha 2": tr.CEVVol(1.0, 2.0),
+    "cev alpha 0.5": tr.CEVVol(0.8, 0.5),
+    "exponential": tr.ExponentialVol(),
+    "rescaled exponential": tr.RescaledExponentialVol(0.3, 2.0, 1.5),
+}
+
+
+def _quad_omega(gauge, x0, y0, x, y):
+    # the adaptive reference: one scipy quad per leg of the L-path
+    from scipy.integrate import quad
+
+    if y is None:
+        return quad(lambda s: -gauge.Q1(s), x0, x, epsabs=tr.QUAD_TOL, limit=200)[0]
+    leg1 = quad(lambda s: -gauge.Q1(s, y0), x0, x, epsabs=tr.QUAD_TOL, limit=200)[0]
+    return leg1 + quad(lambda s: -gauge.Q2(x, s), y0, y, epsabs=tr.QUAD_TOL, limit=200)[0]
+
+
+@pytest.mark.parametrize("two_dim", [False, True], ids=["1d", "2d"])
+@pytest.mark.parametrize("name", list(DUAL_VOLS))
+def test_lane_omega_matches_quad_and_its_one_lane_calls(name, two_dim):
+    vol = DUAL_VOLS[name]
+    model = tr.MarketModel(vol, vol if two_dim else None, rate=0.05)
+    gauge = tr.drift_and_gauge(model)
+    spots = np.linspace(0.55, 1.95, 8)
+    if two_dim:
+        pts = [tr.gauge_coord_map(model, s1, s2) for s1 in spots for s2 in spots[::-1]]
+        x0, y0 = tr.gauge_coord_map(model, 1.0, 1.0)
+        lanes = gauge.omega(*(hd.float_lanes(c) for c in zip(*pts)))
+    else:
+        pts = [(tr.gauge_coord_map(model, s)[0], None) for s in spots]
+        x0, y0 = tr.gauge_coord_map(model, 1.0)
+        lanes = gauge.omega(hd.float_lanes([x for x, _ in pts]))
+    assert lanes.shape == (len(pts),)
+    for (x, y), lane in zip(pts, lanes.tolist()):
+        one = gauge.omega(x) if y is None else gauge.omega(x, y)
+        assert type(one) is float and one == lane  # bitwise its 1-lane call
+        ref = _quad_omega(gauge, x0, y0, x, y)
+        assert abs(lane - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_omega_lane_out_of_cev_range_raises_and_bs_residual_skips_that_point():
+    # alpha = 2: x = -1/S, so S < 0 maps to x > 0, and the path from
+    # x0 = -1 crosses x = 0, which no price attains
+    model = tr.MarketModel(tr.CEVVol(1.0, 2.0), rate=0.05)
+    gauge = tr.drift_and_gauge(model)
+    good = [-1.6, -1.1, -0.7]
+    assert gauge.omega(hd.float_lanes(good)).tolist() == [gauge.omega(x) for x in good]
+    with pytest.raises(OutOfRange):
+        gauge.omega(hd.float_lanes(good + [0.5]))
+
+    price = tr.price_from_u(model, lambda x, tau: 1.0 + 0.1 * x * x + tau, T=1.0, gauge=gauge)
+    region = Region(((-0.6, 1.6), (0.3, 0.8)), guard=lambda s, t: abs(s) < 0.2)
+    n_bad = sum(s < 0 for s, _ in region.points(20))
+    assert n_bad >= 1
+    rep = bs_residual(model, price, region, threshold=1.0, n=20)
+    assert rep.notes == ("per-lane: OutOfRange",)
+    assert rep.singular_points_skipped == n_bad and rep.n_points == 20 - n_bad
+    # the same region without its negative prices takes lanes
+    pos = Region(region.bounds, guard=lambda s, t: s < 0.2)
+    assert bs_residual(model, price, pos, threshold=1.0, n=20).notes == ("lanes",)
+
+
+def test_gauss_kronrod_panel_cap_and_non_finite_panels_raise():
+    # about 1 600 periods on [0, 1]: more than GAUGE_PANELS panels
+    with pytest.raises(QuadratureFailure, match="panels"):
+        tr.gauss_kronrod(lambda s: hd.sin(1e4 * s), 0.0, 1.0)
+    # one lane the cap cannot resolve fails the call, as an out-of-range lane does
+    with pytest.raises(QuadratureFailure):
+        tr.gauss_kronrod(lambda s, k: hd.sin(k * s), 0.0, 1.0, (hd.float_lanes([1.0, 1e4]),))
+    assert tr.gauss_kronrod(lambda s, k: hd.sin(k * s), 0.0, 1.0, (1e2,)) == pytest.approx(
+        (1.0 - math.cos(1e2)) / 1e2, abs=1e-13)
+    with pytest.raises(QuadratureFailure, match="not finite"):
+        tr.gauss_kronrod(lambda s: s * math.inf, 0.0, 1.0)
+
+
 def test_potential_constant_vols_zero():
     vol = tr.CEVVol(1.0, 0.0)
     m = tr.MarketModel(vol, vol, rho=0.0, rate=0.0)
@@ -348,8 +425,14 @@ def test_tabulated_vol_matches_closed_form_pipeline():
     )
     M1 = tr.potential_m(closed)
     M2 = tr.potential_m(tabbed)
+    g1, g2 = tr.drift_and_gauge(closed), tr.drift_and_gauge(tabbed)
+    x_tabs = []
     for s in (0.6, 1.0, 1.7):
         x_closed = tr.gauge_coord_map(closed, s)[0]
         x_tab = tr.gauge_coord_map(tabbed, s)[0]
         assert x_tab == pytest.approx(x_closed, abs=1e-9)
         assert M2(x_tab) == pytest.approx(M1(x_closed), rel=1e-5, abs=1e-7)
+        # the lane rule inverts a tabulated vol one node at a time
+        assert g2.omega(x_tab) == pytest.approx(g1.omega(x_closed), abs=1e-9)
+        x_tabs.append(x_tab)
+    assert g2.omega(hd.float_lanes(x_tabs)).tolist() == [g2.omega(x) for x in x_tabs]
