@@ -311,13 +311,9 @@ def _bounding_region(case, params, seed):
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     ts = [p[2] for p in pts]
-    smap = case.similarity(params)
-
-    def guard(x, y, t):
-        return smap.singular(x, y, t)
-
     return Region(
-        ((min(xs), max(xs)), (min(ys), max(ys)), (min(ts), max(ts))), guard=guard
+        ((min(xs), max(xs)), (min(ys), max(ys)), (min(ts), max(ts))),
+        guard=case.similarity(params).singular,
     )
 
 

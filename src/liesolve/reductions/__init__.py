@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import hyperdual as hd
-from ..errors import LiesolveError, SamplingError
+from ..errors import SamplingError
 from ..fields import random_smooth_field, smooth_field_lanes
-from ..verify import sampled
+from ..verify import _LANE_ERRORS, sampled
 from .catalog import CaseReduction, catalog
 from .separated import SeparatedSolution
 
@@ -53,26 +53,13 @@ def reduced_residual(case, params, P, points=None) -> float:
 def operator_residual(op, P, pts) -> float:
     """Max abs of ``op(P, *point)`` over similarity points, skipping points as
     :func:`liesolve.verify.sampled` does; raises :class:`SamplingError` when
-    fewer than max(4, a quarter) evaluate.
-
-    The operator runs once, on float lanes that hold every point (see
-    :mod:`liesolve.hyperdual`), and a non-finite lane is skipped; each lane
-    is bitwise its point's evaluation.  If the lanes raise a TypeError,
-    ValueError, ArithmeticError or LiesolveError, the operator reruns point
-    by point through :func:`~liesolve.verify.sampled`, which gives the
-    scalar skips and errors.
-    """
-    try:
-        with np.errstate(**hd.LANE_ERRSTATE):
-            out = op(P, *hd.float_lanes(np.transpose(pts)))
-        kept = [v for v in np.broadcast_to(out, (len(pts),)).tolist() if math.isfinite(v)]
-    except (TypeError, ValueError, ArithmeticError, LiesolveError):
-        kept = [v for _, v in sampled(lambda *pt: op(P, *pt), pts)[0]]
+    fewer than max(4, a quarter) evaluate."""
+    kept = sampled(lambda *pt: op(P, *pt), pts)[0]
     if len(kept) < max(4, len(pts) // 4):
         raise SamplingError(
             f"reduced operator evaluable at only {len(kept)} of {len(pts)} points"
         )
-    return max([0.0] + [abs(v) for v in kept])
+    return max([0.0] + [abs(v) for _, v in kept])
 
 
 def closed_form_solution(case, params, constants=None) -> SeparatedSolution:
@@ -101,10 +88,11 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
     triple as a unit.
 
     All trials' points run as lanes of one evaluation, each on its trial's
-    field; each lane is bitwise its point's scalar evaluation.  If the lanes
-    raise a TypeError, ValueError, ArithmeticError or LiesolveError, the same
-    formula reruns one point at a time, which gives the scalar skips, values
-    and errors in scalar order.
+    field; each lane is bitwise its point's scalar evaluation, and a
+    non-finite ratio is skipped.  If the lanes raise a TypeError or an error
+    of :data:`~liesolve.verify.SKIPPED_ERRORS`, each trial reruns in turn
+    through :func:`~liesolve.verify.sampled`, which gives the scalar skips,
+    values and errors in scalar order.
     """
     case = case if isinstance(case, CaseReduction) else get_case(case)
     smap = case.similarity(params)
@@ -116,9 +104,10 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
         rng = np.random.default_rng(seed + 1000 * k + 7)
         return rng, [pt for pt in pts if not smap.singular(*pt)]
 
-    def trial_kept(rng, pts):
+    def trial_ratios(rng, pts):
         P = random_smooth_field(rng, nargs=2)
-        return sampled(lambda *pt: _ratio(*_sides(smap, op, M, P, *pt)), pts)[0]
+        kept = sampled(lambda *pt: _ratio(*_sides(smap, op, M, P, *pt)), pts)[0]
+        return [v for _, v in kept]
 
     try:
         draws = [draw(k) for k in range(trials)]
@@ -126,17 +115,17 @@ def verify_reduction_consistency(case, params, trials=3, seed=0, n_points=12) ->
         P = smooth_field_lanes([rng for rng, _ in draws], counts, nargs=2)
         xyt = hd.float_lanes(np.transpose([pt for _, pts in draws for pt in pts]))
         with np.errstate(**hd.LANE_ERRSTATE):
-            sides = _sides(smap, op, M, P, *xyt)
-        pairs = zip(*(np.broadcast_to(s, (sum(counts),)).tolist() for s in sides))
-        kept = [sampled(_ratio, itertools.islice(pairs, n))[0] for n in counts]
-    except (TypeError, ValueError, ArithmeticError, LiesolveError):
+            lanes = _ratio(*_sides(smap, op, M, P, *xyt))
+        ratios = iter(np.broadcast_to(lanes, (sum(counts),)).tolist())
+        kept = [[v for v in itertools.islice(ratios, n) if math.isfinite(v)] for n in counts]
+    except _LANE_ERRORS:
         # lazily, so that a trial's error comes before the next trial's points
-        kept = (trial_kept(*draw(k)) for k in range(trials))
+        kept = (trial_ratios(*draw(k)) for k in range(trials))
     per_trial = []
     for k_kept in kept:
         if len(k_kept) < max(3, n_points // 3):
             raise SamplingError(f"case {case.case_id}: only {len(k_kept)} usable sample points")
-        per_trial.append(max([0.0] + [v for _, v in k_kept]))
+        per_trial.append(max([0.0] + k_kept))
     worst = max([0.0] + per_trial)
     return ConsistencyReport(case.case_id, trials, worst, worst <= 1e-6, per_trial)
 
@@ -153,7 +142,10 @@ def _sides(smap, op, M, P, x, y, t):
 
 
 def _ratio(lhs, rhs):
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
+    """|lhs - rhs| / max(|lhs|, |rhs|, 1e-8) on floats or lanes; where a side
+    is not finite the ratio is NaN or inf, with no lane error."""
+    with np.errstate(invalid="ignore"):
+        return abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-8)
 
 
 __all__ = [

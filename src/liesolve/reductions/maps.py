@@ -1,14 +1,17 @@
 """Similarity maps: the one map type of the 1-D and 2-D reduction chains.
 
-A :class:`SimilarityMap` holds, for bound parameters, four callables on the
+A :class:`SimilarityMap` holds, for bound parameters, callables on the
 original arguments, ``(x, y, t)`` for the catalog cases or ``(x, t)`` for
 the one-asset studies:
 
 * ``to_sim(...) -> (xi, eta)`` or ``(xi,)``   (dual-transparent),
 * ``prefactor_log(...) -> W``   with ``P = exp(W) u``,
-* ``jacobian(...) -> J``        with ``FP(u) = J * reduced_op(P)``,
-* ``singular(x, y, t) -> bool`` the singular-locus guard of a catalog map;
-  ``None`` for a one-asset map, whose studies sample away from its loci.
+* ``jacobian(x, y, t) -> J``    with ``FP(u) = J * reduced_op(P)``, which
+  the reduction-consistency check reads,
+* ``singular(x, y, t) -> bool`` the singular-locus guard.
+
+A one-asset map sets ``jacobian`` and ``singular`` to ``None``: no
+consistency check runs on it, and its studies sample away from its loci.
 
 :meth:`SimilarityMap.reconstruct` maps a reduced solution ``P`` back to
 ``u = P(to_sim) exp(-W)``; it serves :func:`liesolve.reductions.reconstruct_u`
@@ -206,10 +209,7 @@ def map_1d_poly(d1, d2):
         (xi,) = to_sim(x, t)
         return 0.5 * hd.log(d2 * t + d1) + 0.5 * d2 * xi * xi * t
 
-    def jacobian(x, t):
-        return -hd.exp(-W(x, t)) / (2.0 * f1(t))
-
-    return SimilarityMap(to_sim, W, jacobian, None)
+    return SimilarityMap(to_sim, W, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +313,7 @@ def map_1d_exp(c, c0, d1, d2):
         (xi,) = to_sim(x, t)
         return 0.25 * hd.log(f1(t)) + c0 * t + 0.5 * a * g1(t) * xi * xi
 
-    def jacobian(x, t):
-        (xi,) = to_sim(x, t)
-        return -hd.exp(-W(x, t)) / (2.0 * f1(t) * xi * xi)
-
-    return SimilarityMap(to_sim, W, jacobian, None)
+    return SimilarityMap(to_sim, W, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperdual as hd
-from .errors import LiesolveError, NotRadialPotential, SamplingError, UnsupportedF1Form
-from .verify import sampled
+from .errors import NotRadialPotential, SamplingError, UnsupportedF1Form
+from .verify import _LANE_ERRORS, SKIPPED_ERRORS, sampled
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +226,8 @@ def default_sampling(n=30, seed=1, r_range=(0.6, 2.4), t_range=(0.3, 1.2)):
 
 def _filter_points(M, points):
     """``(point, M value)`` at each point where M is finite, as
-    :func:`sampled` gives them: from one evaluation on lanes, or point by
-    point when the lanes raise."""
-    try:
-        with np.errstate(**hd.LANE_ERRSTATE):
-            x, y, _ = hd.float_lanes(np.transpose(points))
-            values = np.broadcast_to(hd.value(M(x, y)), (len(points),)).tolist()
-        good = [(pt, v) for pt, v in zip(points, values) if math.isfinite(v)]
-    except (TypeError, ValueError, ArithmeticError, LiesolveError):
-        good = sampled(lambda x, y, t: M(x, y), points)[0]
+    :func:`sampled` keeps them."""
+    good = sampled(lambda x, y, t: M(x, y), points)[0]
     if len(good) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     return good
@@ -257,7 +250,7 @@ def compatibility_condition(data: SymmetryData, M, points=None) -> float:
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
             resids = _compatibility_lanes(vf, f1d, M, kept)
-        except (TypeError, ValueError, ArithmeticError, LiesolveError):
+        except _LANE_ERRORS:
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
             resids = _compatibility_lanes(one_lane, *map(hd.per_lane, (f1d, M)), kept)
     return float(np.max(np.abs(resids), initial=0.0))  # NaN-propagating
@@ -312,7 +305,7 @@ def symmetry_residual(vf: VectorField, M, u_test, points=None) -> float:
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
             defects = _lane_defects(vf, M, u_test, points)
-        except (TypeError, ValueError, ArithmeticError, LiesolveError):
+        except _LANE_ERRORS:
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
             defects = _lane_defects(one_lane, *map(hd.per_lane, (M, u_test)), points)
     return float(np.max(np.abs(defects), initial=0.0))  # NaN-propagating
@@ -442,7 +435,7 @@ def rotation_derived_solution(g, M):
         try:
             rows.append(x * x + y * y)
             rhs.append(M(x, y))
-        except (LiesolveError, ArithmeticError, ValueError) as exc:
+        except SKIPPED_ERRORS as exc:
             raise SamplingError(str(exc)) from exc
     rows = np.asarray(rows)
     rhs = np.asarray(rhs)
@@ -462,7 +455,7 @@ def rotation_derived_solution(g, M):
 
 
 # ---------------------------------------------------------------------------
-# the commutation table (derived form, with the printed deviations recorded)
+# the commutation table (derived form; the printed deviations noted at their cells)
 # ---------------------------------------------------------------------------
 
 
@@ -530,7 +523,7 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi=None):
             return pid(t) * phi_j.d()(t)
 
         return v5(fn_time(f))
-    if key == (2, 6):
+    if key == (2, 6):  # the printed entry omits the (1/4) phi'' (x^2+y^2) psi term
         phid = phi_i.d()
         phidd = phi_i.d().d()
 
@@ -548,7 +541,7 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi=None):
         return v5(fn_time(chi(phi_i, phi_j)))
     if key in ((3, 4), (3, 5), (4, 5), (5, 5), (6, 6)):
         return Z
-    if key == (3, 6):
+    if key == (3, 6):  # the printed entry carries the opposite relative sign pattern
         phid = phi_i.d()
 
         def fn(x, y, t):
@@ -556,7 +549,7 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi=None):
             return phi_i(t) * px + phid(t) * x * psi(x, y, t)
 
         return v6(fn)
-    if key == (4, 6):
+    if key == (4, 6):  # the printed entry carries the opposite relative sign pattern
         phid = phi_i.d()
 
         def fn(x, y, t):
@@ -570,15 +563,6 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi=None):
 
         return v6(fn)
     raise KeyError(f"no table entry for {key}")
-
-
-# cells whose printed forms deviate from the derived bracket under this
-# package's sign conventions; the verification report surfaces these
-PRINTED_TABLE_DEVIATIONS = {
-    (2, 6): "printed entry omits the (1/4) phi'' (x^2+y^2) psi term",
-    (3, 6): "printed entry carries the opposite relative sign pattern",
-    (4, 6): "printed entry carries the opposite relative sign pattern",
-}
 
 
 def vector_fields_equal(v, w, points=None, tol=1e-7):

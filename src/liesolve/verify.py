@@ -113,27 +113,37 @@ class Region:
 
 # the errors at a point that make the sampled residuals skip it
 SKIPPED_ERRORS = (LiesolveError, ArithmeticError, ValueError)
+# the errors of a lane evaluation that rerun it one lane at a time
+_LANE_ERRORS = (TypeError, *SKIPPED_ERRORS)
 
 
 def sampled(fn, pts):
-    """The one skip policy of the sampled residuals: ``(point, value)`` for
+    """The one skip policy of the sampled evaluations: ``(point, value)`` for
     each point where ``hd.value(fn(*point))`` is finite, and the number of
     points skipped because ``fn`` raised a typed, arithmetic or value error
     there or gave a non-finite value.  Each caller keeps its own rule for how
-    many points must remain."""
-    kept = []
-    skipped = 0
-    for pt in pts:
-        try:
-            v = hd.value(fn(*pt))
-        except SKIPPED_ERRORS:
-            skipped += 1
-            continue
-        if math.isfinite(v):
-            kept.append((pt, v))
-        else:
-            skipped += 1
-    return kept, skipped
+    many points must remain.
+
+    ``fn`` runs once, on float lanes that hold every point (see
+    :mod:`liesolve.hyperdual`), and on a ``TypeError`` or an error of
+    :data:`SKIPPED_ERRORS` reruns one lane at a time through
+    :func:`_per_lane_or_nan`.  Each lane is bitwise its point's evaluation,
+    so every point keeps its value, its skip or its untyped error."""
+    pts = list(pts)
+    if not pts:
+        return [], 0
+    lanes = hd.float_lanes(np.transpose(pts))
+
+    def value(*args):
+        return hd.value(fn(*args))
+
+    try:
+        with np.errstate(**hd.LANE_ERRSTATE):
+            values = np.broadcast_to(value(*lanes), (len(pts),)).tolist()
+    except _LANE_ERRORS:
+        values = _per_lane_or_nan(value)(*lanes).tolist()
+    kept = [(pt, v) for pt, v in zip(pts, values) if math.isfinite(v)]
+    return kept, len(pts) - len(kept)
 
 
 def relative_scale(u, M, pts):
@@ -171,7 +181,7 @@ def _residual_report(formula, pts, threshold, h0, what) -> ResidualReport:
         with np.errstate(**hd.LANE_ERRSTATE):
             values = formula(pts, lambda fn: fn, hd.per_lane)
         notes = ("lanes",)
-    except (TypeError, *SKIPPED_ERRORS) as exc:
+    except _LANE_ERRORS as exc:
         with np.errstate(invalid="ignore"):
             values = formula(pts, _per_lane_or_nan, _per_lane_or_nan)
         notes = (f"per-lane: {type(exc).__name__}",)

@@ -3,11 +3,11 @@ its point, for plain and nested passes, powers, quotients of jets and the
 elementary functions; the invariance residual reruns its passes one lane at a
 time when a test field or a coefficient cannot take lanes, and equals the
 nested scalar passes kept here as the reference; the reduction-consistency
-check evaluates every trial's points as lanes of one evaluation, reruns point
-by point when the lanes raise, and equals the scalar ratio loop kept here as
-the reference; the determining condition runs on lanes and equals the
-per-point formula kept here as the reference, and the potential's sampling
-filter keeps what the per-point filter keeps."""
+check evaluates every trial's points as lanes of one evaluation, reruns each
+trial one lane at a time when the lanes raise, and equals the scalar ratio
+loop kept here as the reference; the determining condition runs on lanes and
+equals the per-point formula kept here as the reference, and the potential's
+sampling filter keeps what the per-point filter keeps."""
 
 import dataclasses
 import math
@@ -24,7 +24,7 @@ from liesolve import symmetry as S
 from liesolve.errors import LiesolveError, SamplingError, UnboundSymbol
 from liesolve.exprlang import compile_expr, parse
 from liesolve.reductions import catalog, reconstruct_u
-from liesolve.verify import sampled
+from point_loop import point_loop
 
 # every (i, j) seeding that derivative, derivative_pair and jet make
 PATTERNS = ((0, None), (1, None), (2, None), (0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2))
@@ -380,7 +380,7 @@ def _reference_per_trial(case, params, trials=3, seed=0, n_points=12):
             )
             return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-8)
 
-        kept, _ = sampled(ratio, [pt for pt in pts if not smap.singular(*pt)])
+        kept, _ = point_loop(ratio, [pt for pt in pts if not smap.singular(*pt)])
         if len(kept) < max(3, n_points // 3):
             raise SamplingError(f"case {case.case_id}: only {len(kept)} usable sample points")
         trial_worst = max([0.0] + [v for _, v in kept])
@@ -435,23 +435,30 @@ def _params_12a(**over):
 
 
 @pytest.mark.parametrize(
-    "params, seed, evaluations",
+    "params, seed, evaluations, reruns",
     [
-        # an opaque factor on math.sin cannot take lanes: one point at a time
-        (_params_12a(C=lambda s: 2.0 + math.sin(s)), 0, 1 + 36),
+        # an opaque factor on math.sin cannot take lanes: each trial tries
+        # its own lanes, then reruns them one at a time
+        (_params_12a(C=lambda s: 2.0 + math.sin(s)), 0, 1 + 3 * (1 + 12), 3),
         # math.sqrt also raises ValueError at theta < 0, where the scalar
         # loop skips the point; trial 1 keeps too few, and trial 2 never runs
-        (_params_12a(C=lambda s: 2.0 + math.sqrt(s)), 2, 1 + 24),
+        (_params_12a(C=lambda s: 2.0 + math.sqrt(s)), 2, 1 + 2 * (1 + 12), 2),
         # f1 = t (delta2 t + delta1) <= 0 for t > 0.38: trial 0 keeps no point
-        (_params_12a(delta1=0.5, delta2=-1.3), 1, 1),
+        (_params_12a(delta1=0.5, delta2=-1.3), 1, 1, 0),
     ],
     ids=["fallback", "fallback-sampling-error", "lanes-sampling-error"],
 )
 def test_consistency_pins_the_fallback_and_the_sampling_error(monkeypatch, params, seed,
-                                                              evaluations):
+                                                              evaluations, reruns):
+    from liesolve import verify
+
+    runs = []
+    rerun = verify._per_lane_or_nan
+    monkeypatch.setattr(verify, "_per_lane_or_nan", lambda fn: runs.append(fn) or rerun(fn))
     case = catalog()["1.2a"]
     got = _consistency(monkeypatch, case, params, seed=seed)
     assert got == (_outcome(_reference_per_trial, case, params, seed=seed), evaluations)
+    assert len(runs) == reruns
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
@@ -479,7 +486,7 @@ def test_consistency_lanes_skip_non_finite_ratios(monkeypatch, seed):
 def _reference_compatibility(data, M, points):
     """The determining condition one point at a time: the per-point formula."""
     vf = S.infinitesimals(data)
-    kept, _ = sampled(lambda x, y, t: M(x, y), points)
+    kept, _ = point_loop(lambda x, y, t: M(x, y), points)
     if len(kept) < max(4, len(points) // 3):
         raise SamplingError("sampling region intersects the potential's singular loci")
     f1d = data.f1.d()
@@ -543,7 +550,7 @@ _FILTER_POINTS = [(0.5, 0.3, 0.4), (0.7, -0.2, 0.5), (0.0, 0.9, 0.6), (2.0, 0.4,
 )
 def test_filter_points_keeps_what_sampled_keeps(fn):
     M = fn
-    want = sampled(lambda x, y, t: fn(x, y), _FILTER_POINTS)[0]
+    want = point_loop(lambda x, y, t: fn(x, y), _FILTER_POINTS)[0]
     got = S._filter_points(M, _FILTER_POINTS)
     assert [(pt, v.hex()) for pt, v in got] == [(pt, v.hex()) for pt, v in want]
     assert len(want) == len(_FILTER_POINTS) - 1

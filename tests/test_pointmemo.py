@@ -1,7 +1,7 @@
 """One evaluation per distinct point or lane set: the value-keyed memos of
 the Whittaker jets and the ODE factors, the shared five-point stencils of the
 FD residual oracles, and the reduced-operator residual, which evaluate once
-on lanes and rerun point by point, bit for bit, when a field cannot take
+on lanes and rerun one lane at a time, bit for bit, when a field cannot take
 lanes."""
 
 import math
@@ -17,7 +17,8 @@ from liesolve.fields import heat_kernel
 from liesolve.reductions import closed_form_solution, get_case, reconstruct_u
 from liesolve.reductions import separated as SEP
 from liesolve.transform import CEVVol, MarketModel
-from liesolve.verify import Region, bs_residual, fp_residual, sampled
+from liesolve.verify import Region, bs_residual, fp_residual
+from point_loop import point_loop
 
 
 @pytest.fixture
@@ -410,23 +411,30 @@ def _reduced_residual_args(case_id, seed, monkeypatch):
 
 
 @pytest.fixture
-def point_loops(monkeypatch):
-    """(points, skipped) of every point-by-point rerun of operator_residual."""
-    import liesolve.reductions as R
+def lane_reruns(monkeypatch):
+    """(points, skipped) of every one-lane-at-a-time rerun of a sampled
+    evaluation (``verify._per_lane_or_nan``), as operator_residual takes them."""
+    from liesolve import verify
 
     runs = []
+    rerun = verify._per_lane_or_nan
 
-    def spy(fn, pts):
-        kept, skipped = sampled(fn, pts)
-        runs.append((len(pts), skipped))
-        return kept, skipped
+    def spy(fn):
+        one_lane = rerun(fn)
 
-    monkeypatch.setattr(R, "sampled", spy)
+        def counted(*lanes):
+            values = one_lane(*lanes)
+            runs.append((values.size, int(np.count_nonzero(~np.isfinite(values)))))
+            return values
+
+        return counted
+
+    monkeypatch.setattr(verify, "_per_lane_or_nan", spy)
     return runs
 
 
 def _by_points(op, P, pts):
-    kept, _ = sampled(lambda *pt: op(P, *pt), pts)
+    kept, _ = point_loop(lambda *pt: op(P, *pt), pts)
     return max([0.0] + [abs(v) for _, v in kept])
 
 
@@ -434,29 +442,29 @@ LANE_RESIDUALS = [d for d in VERIFY_DRAWS if d[0] != "1.1b"] + [("double-cev", 0
 
 
 @pytest.mark.parametrize("case_id, seed", LANE_RESIDUALS)
-def test_reduced_residual_runs_on_lanes(case_id, seed, monkeypatch, point_loops):
+def test_reduced_residual_runs_on_lanes(case_id, seed, monkeypatch, lane_reruns):
     # one evaluation of the operator on lanes, bit for bit the per-point
     # loop (on factors of their own, so no memo is shared); a P that rejects
-    # lanes reruns point by point with the same result
+    # lanes reruns one lane at a time with the same result
     from liesolve.reductions import operator_residual
 
     op, P, pts = _reduced_residual_args(case_id, seed, monkeypatch)
     lanes = operator_residual(op, P, pts)
-    assert point_loops == []
+    assert lane_reruns == []
     _, P_ref, _ = _reduced_residual_args(case_id, seed, monkeypatch)
     assert lanes.hex() == _by_points(op, P_ref, pts).hex()
     assert operator_residual(op, _scalar_only(P_ref), pts).hex() == lanes.hex()
-    assert point_loops == [(len(pts), 0)]
+    assert lane_reruns == [(len(pts), 0)]
 
 
-def test_imag_whittaker_residual_stays_on_points(monkeypatch, point_loops):
+def test_imag_whittaker_residual_stays_on_points(monkeypatch, lane_reruns):
     # 1.1b's factor branches on its value part under Dual2: its lane attempt
-    # raises at once, and the per-point loop gives the residual
+    # raises at once, and the one-lane rerun gives the residual
     from liesolve.reductions import operator_residual
 
     op, P, pts = _reduced_residual_args("1.1b", 0, monkeypatch)
     got = operator_residual(op, P, pts)
-    assert point_loops == [(30, 0)]
+    assert lane_reruns == [(30, 0)]
     _, P_ref, _ = _reduced_residual_args("1.1b", 0, monkeypatch)
     assert got.hex() == _by_points(op, P_ref, pts).hex()
 
@@ -479,10 +487,10 @@ def _spoilt_at(P, bad, kind):
 
 @pytest.mark.parametrize("n_bad", [1, 23, 24])
 @pytest.mark.parametrize("kind", ["raise", "nan", "inf"])
-def test_reduced_residual_skips_points_as_the_point_loop(kind, n_bad, monkeypatch, point_loops):
+def test_reduced_residual_skips_points_as_the_point_loop(kind, n_bad, monkeypatch, lane_reruns):
     # a point where P raises, or where an inf meets a zero derivative slot
     # (invalid, under the lane error state), sends the lanes to the
-    # per-point loop, which skips it; a NaN lane is skipped on the lanes.
+    # one-lane rerun, which skips it; a NaN lane is skipped on the lanes.
     # 7 of 30 points must remain (max(4, 30 // 4))
     from liesolve.errors import SamplingError
     from liesolve.reductions import operator_residual
@@ -496,7 +504,7 @@ def test_reduced_residual_skips_points_as_the_point_loop(kind, n_bad, monkeypatc
         got = operator_residual(op, _spoilt_at(P, bad, kind), pts)
         _, P_ref, _ = _reduced_residual_args("1.8b", 0, monkeypatch)
         assert got.hex() == _by_points(op, _spoilt_at(P_ref, bad, kind), pts).hex()
-    assert point_loops == ([] if kind == "nan" else [(30, n_bad)])
+    assert lane_reruns == ([] if kind == "nan" else [(30, n_bad)])
 
 
 def test_field_that_branches_on_float_t_runs_per_point():
@@ -682,7 +690,7 @@ def test_per_lane_rerun_matches_per_point_loop(oracle):
         rep = bs_residual(model, cfn, region, threshold=1.0, h0=h0, n=n)
         reference = lambda *p: _old_bs(model, cfn, p, h0)  # noqa: E731
     with np.errstate(invalid="ignore"):  # numpy scalar points: inf - inf
-        kept, skipped = sampled(reference, region.points(n))
+        kept, skipped = point_loop(reference, region.points(n))
     old = np.asarray([v for _, v in kept])
     assert rep.notes == ("per-lane: TypeError",)
     assert raised == {"DomainError", "ZeroDivisionError", "ValueError"}
