@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -86,21 +87,29 @@ def random_smooth_field(rng, nargs=3):
 def smooth_field_lanes(rngs, counts, nargs=3):
     """A :func:`random_smooth_field` draw from each of ``rngs`` in turn, the
     k-th draw's coefficients on ``counts[k]`` consecutive lanes (see
-    :mod:`liesolve.hyperdual`); ``counts=None`` keeps one draw's floats."""
+    :mod:`liesolve.hyperdual`), repeated over each pattern block of a stacked
+    :func:`~liesolve.hyperdual.lane_pass`; ``counts=None`` keeps one draw's
+    floats."""
     spatial = 2 if nargs >= 3 else 1
     draws = []
     for rng in rngs:
         coeffs = _random_coeffs(rng, nargs, 2)
         center = [rng.uniform(-0.5, 0.5) for _ in range(spatial)]
         draws.append([*coeffs.values(), *center, rng.uniform(1.5, 3.0)])
-    cols = draws[0] if counts is None else [np.repeat(col, counts) for col in zip(*draws)]
-    poly = polynomial_field(dict(zip(coeffs, cols)))
-    bump = gaussian_bump(cols[len(coeffs):-1], cols[-1], nargs=nargs)
+    # one row of lanes per coefficient
+    lanes = None if counts is None else np.repeat(np.transpose(draws), counts, axis=1)
 
-    def fn(*args):
-        return (poly(*args) + 0.5) * bump(*args)
+    @functools.lru_cache(maxsize=4)  # one entry per pattern count seen
+    def field(blocks):
+        cols = draws[0] if lanes is None else list(np.tile(lanes, blocks))
+        poly = polynomial_field(dict(zip(coeffs, cols)))
+        bump = gaussian_bump(cols[len(coeffs):-1], cols[-1], nargs=nargs)
+        return lambda *args: (poly(*args) + 0.5) * bump(*args)
 
-    return fn
+    if lanes is None:
+        return field(1)
+    size = lanes.shape[1]
+    return lambda *args: field((hd._lane_count(args) or size) // size)(*args)
 
 
 def heat_kernel(nargs=3):
@@ -133,18 +142,15 @@ def shifted_heat_kernel(x0, y0=0.0, nargs=3):
 
 def halton(n, dim):
     """Quasi-random points in [0,1)^dim (Halton sequence, small primes),
-    from index 40 on."""
+    from index 40 on.  All indices take each digit step together, in the
+    digit order of the one-index loop; an index out of digits adds 0.0."""
     primes = [2, 3, 5, 7, 11, 13][:dim]
-    out = np.empty((n, dim))
+    out = np.zeros((n, dim))
     for j, p in enumerate(primes):
-        seq = []
-        for i in range(40, 40 + n):
-            f, r = 1.0, 0.0
-            k = i
-            while k > 0:
-                f /= p
-                r += f * (k % p)
-                k //= p
-            seq.append(r)
-        out[:, j] = seq
+        k = np.arange(40, 40 + n)
+        f = 1.0
+        while k.any():
+            f /= p
+            out[:, j] += f * (k % p)
+            k //= p
     return out

@@ -19,11 +19,12 @@ remain the *independent* route used by the verification oracles.
 
 Lanes (forward "vector mode", Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., ch. 3).  A slot may hold a numpy array: element k of every slot is
-then lane k, one independent evaluation.  :func:`lane_pass` runs ``fn`` once
-over ``len(patterns) x L`` lanes, one (seed pattern, point) pair per lane;
-:func:`jet`, :func:`derivative` and :func:`derivative_pair` take L lanes as
-arguments, as they take floats; :func:`float_lanes` hands plain values to a
-callable as lanes.  Each lane is bitwise its scalar pass, by three rules:
+then lane k, one independent evaluation.  :func:`lane_pass` is the one
+seeded-pass core (:func:`jet`, :func:`derivative` and :func:`derivative_pair`
+are its one-pattern forms): the seeded passes of one field at one point set
+are one call, one evaluation on lanes.  :func:`float_lanes` hands plain
+values to a callable as lanes.  Each lane is bitwise its scalar pass, by
+three rules:
 
 - ``+ - * /`` on float64 arrays are correctly rounded, as on floats, and
   every formula is the scalar one, so the association is the same;
@@ -339,20 +340,20 @@ def _seeded_pass(fn, args, i, j):
 
 def derivative(fn, args, i, order=1):
     """Exact d^order fn / d args[i]^order (order 1 or 2) at args."""
-    out = _seeded_pass(fn, args, i, i if order == 2 else None)
+    (out,) = lane_pass(fn, args, ((i, i if order == 2 else None),))
     return out.b if order == 1 else out.d
 
 
 def derivative_pair(fn, args, i, j):
     """(d fn / d args[i], d fn / d args[j]) at args from one pass; each is
     bitwise equal to the corresponding :func:`derivative`."""
-    out = _seeded_pass(fn, args, i, j)
+    (out,) = lane_pass(fn, args, ((i, j),))
     return out.b, out.c
 
 
 def jet(fn, args, i):
     """(value, first, second) of fn along coordinate i at args."""
-    out = _seeded_pass(fn, args, i, i)
+    (out,) = lane_pass(fn, args, ((i, i),))
     return out.a, out.b, out.d
 
 
@@ -360,11 +361,12 @@ def jet(fn, args, i):
 
 
 def _lane_count(args):
+    """The number of lanes that args hold, or None at a point."""
     for a in args:
         a = value(a)
-        if isinstance(a, np.ndarray):
+        if isinstance(a, np.ndarray) and a.ndim:
             return a.shape[-1]
-    raise TypeError("no lane array among the arguments")
+    return None
 
 
 def _tile(a, n):
@@ -401,16 +403,22 @@ def _split_output(out, n):
 
 
 def lane_pass(fn, args, patterns):
-    """fn over ``len(patterns) x L`` lanes in one evaluation, split by pattern.
+    """fn seeded with each of ``patterns`` at the point or lanes ``args``.
 
-    ``args`` hold L lanes each (arrays, or Dual2 with array slots from an
-    enclosing pass).  Pattern ``(i, j)`` seeds e1 on ``args[i]`` and e2 on
-    ``args[j]`` (``j = None``: no e2), as :func:`derivative_pair` or, with
-    ``i == j``, :func:`jet` does.  Returns one entry per pattern: fn's output
-    (a Dual2, or a tuple of them) on that pattern's L lanes, each lane bitwise
-    equal to the scalar pass at that point.
+    Pattern ``(i, j)`` seeds e1 on ``args[i]`` and e2 on ``args[j]``
+    (``j = None``: no e2), as :func:`derivative_pair` or, with ``i == j``,
+    :func:`jet` does.  Returns one entry per pattern: fn's output (a Dual2,
+    or a tuple of them), each lane bitwise equal to the scalar pass at that
+    point.  At a point (floats, or Dual2 with float slots from an enclosing
+    pass) fn makes one seeded pass per pattern; on L lanes (arrays, or Dual2
+    with array slots) one pass over ``len(patterns) x L`` lanes, one
+    (pattern, point) pair per lane, under ``LANE_ERRSTATE``, where a callable
+    that carries values of its own on L lanes repeats them over each block.
     """
-    n, size = len(patterns), _lane_count(args)
+    size = _lane_count(args)
+    if size is None:
+        return [_seeded_pass(fn, args, i, j) for i, j in patterns]
+    n = len(patterns)
     seeded = [
         Dual2(_tile(a, n), _seed(patterns, k, 0, size), _seed(patterns, k, 1, size))
         for k, a in enumerate(args)

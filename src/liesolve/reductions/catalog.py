@@ -54,10 +54,9 @@ class SumTimeFn:
 
 
 def _lap_grad(P, xi, eta):
-    """(P_xx + P_yy, P_x, P_y) at (xi, eta) from one jet along each axis."""
-    _, px, pxx = hd.jet(P, (xi, eta), 0)
-    _, py, pyy = hd.jet(P, (xi, eta), 1)
-    return pxx + pyy, px, py
+    """(P_xx + P_yy, P_x, P_y) at (xi, eta): a jet along each axis, in one pass."""
+    p_x, p_y = hd.lane_pass(P, (xi, eta), ((0, 0), (1, 1)))
+    return p_x.d + p_y.d, p_x.b, p_y.b
 
 
 def _polar_jet(P, xi, eta):
@@ -69,9 +68,8 @@ def _polar_jet(P, xi, eta):
 
     rho = hd.hypot(hd.value(xi), hd.value(eta))
     th = hd.atan2(hd.value(eta), hd.value(xi))
-    _, pr, prr = hd.jet(Pp, (rho, th), 0)
-    ptt = hd.derivative(Pp, (rho, th), 1, order=2)
-    return rho, th, Pp(rho, th), pr, prr, ptt
+    p_r, p_t = hd.lane_pass(Pp, (rho, th), ((0, 0), (1, 1)))
+    return rho, th, Pp(rho, th), p_r.b, p_r.d, p_t.d
 
 
 class Pieces(NamedTuple):
@@ -481,13 +479,12 @@ def _case_16(p):
 
     def op(P, xi, eta):
         # similarity variables are (xi, eta) = (rho^2, t)
-        _, px, pxx = hd.jet(P, (xi, eta), 0)
-        pe = hd.derivative(P, (xi, eta), 1)
+        p_x, p_e = hd.lane_pass(P, (xi, eta), ((0, 0), (1, None)))
         r = hd.sqrt(hd.value(xi))
         return (
-            4.0 * xi * xi * pxx
-            + 4.0 * xi * px
-            - 2.0 * xi * pe
+            4.0 * xi * xi * p_x.d
+            + 4.0 * xi * p_x.b
+            - 2.0 * xi * p_e.b
             + (d * d * eta * eta - 2.0 * xi * C(r)) * P(xi, eta)
         )
 
@@ -511,11 +508,10 @@ def _case_18a(p):
 
     def op(P, xi, eta):
         h = b1 * eta + b0
-        pxx = hd.derivative(P, (xi, eta), 0, order=2)
-        pe = hd.derivative(P, (xi, eta), 1)
+        p_x, p_e = hd.lane_pass(P, (xi, eta), ((0, 0), (1, None)))
         return (
-            4.0 * h * h * pxx
-            - 8.0 * h * h * pe
+            4.0 * h * h * p_x.d
+            - 8.0 * h * h * p_e.b
             + (
                 b * b * eta * eta * (b1 * eta + 2.0 * b0) ** 2
                 - 4.0 * b1 * h
@@ -555,9 +551,8 @@ def _case_18b(p):
     C = _c_scalar(p, _C_LINE)
 
     def op(P, xi, eta):
-        pxx = hd.derivative(P, (xi, eta), 0, order=2)
-        pe = hd.derivative(P, (xi, eta), 1)
-        return pxx - 2.0 * pe - 2.0 * C(hd.value(xi)) * P(xi, eta)
+        p_x, p_e = hd.lane_pass(P, (xi, eta), ((0, 0), (1, None)))
+        return p_x.d - 2.0 * p_e.b - 2.0 * C(hd.value(xi)) * P(xi, eta)
 
     def closed(c_):
         c1 = c_.get("c1", 1.0)

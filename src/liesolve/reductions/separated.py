@@ -16,10 +16,11 @@ imaginary solutions of :func:`imag_whittaker_radial` share that one jet.
 Each Whittaker jet and each :func:`ode_factor` keeps the values at its last
 few distinct points or lane sets in a bounded
 :class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
-argument or of every lane, so repeated stencil points, and the seeded and
-float passes of a reduced operator on one lane set, cost one evaluation;
-the memo belongs to the factor that a ``closed_form`` call builds, and no
-value is cached process-wide.
+argument, a lane set sharing the entry of its distinct lanes, so repeated
+stencil points, and the stacked seeded pass and the float pass of a
+reduced operator on one set of points, cost one evaluation; the memo
+belongs to the factor that a ``closed_form`` call builds, and no value is
+cached process-wide.
 
 The factors also take float lanes (see :mod:`liesolve.hyperdual`), each
 lane bitwise its float call: the Whittaker and Bessel jets take lanes (see
@@ -47,6 +48,7 @@ from ..errors import DivergenceError, DomainError, SpecfunDomain
 from ..specfun import (
     ComplexLanes,
     PointMemo,
+    _distinct,
     bessel_jet,
     point_key,
     whittakerM_jet,
@@ -312,7 +314,7 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
     vals = np.stack([Ca * F[:, 0] + Cb * F[:, 1], Ca * Fp[:, 0] + Cb * Fp[:, 1]])
     lo, hi = a - 1e-12, b + 1e-12
 
-    states = PointMemo()  # point -> (F, F'); lane set -> rows (F, F'), read-only
+    states = PointMemo()  # point -> (F, F'); lane set, distinct lanes -> rows (F, F')
 
     def state_at(s):
         key = point_key(s)
@@ -324,7 +326,12 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
             bad = (s < lo) | (s > hi)
             if bad.any():
                 raise DomainError(f"ODE factor evaluated outside span at {s[bad][0]}")
-            st = _barycentric(s, nodes, w, vals).T
+            pts, inverse, dkey = _distinct(s)
+            rows = states.get(dkey)
+            if rows is None:
+                rows = _barycentric(pts, nodes, w, vals).T
+                states.put(dkey, pts, rows)
+            st = rows[:, inverse]
             st.flags.writeable = False  # handed out as the value of every pass
         else:
             if s < lo or s > hi:

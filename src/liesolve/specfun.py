@@ -25,16 +25,19 @@ Conventions:
   each shifted order for its last ``MEMO_POINTS`` distinct points or lane
   sets in a :class:`PointMemo`, so a full jet costs three inner
   evaluations and a point or lane set seen again costs none.  The memo is
-  keyed on the exact bits of a float or complex argument, or of every lane.
-  A ``Dual2`` argument raises :class:`~liesolve.errors.DomainError` rather
-  than losing its derivative parts.
+  keyed on the exact bits of a float or complex argument, and a lane set on
+  those of its distinct lanes, so a stacked ``lane_pass`` and a float pass
+  at one point set share each order.  A ``Dual2`` argument raises
+  :class:`~liesolve.errors.DomainError` rather than losing its derivative
+  parts.
 * Lanes: the jets also take an array of float lanes or
   :class:`ComplexLanes` (see :mod:`liesolve.hyperdual`), and each lane is
   bitwise the call at its point.  A Whittaker jet evaluates each distinct
   lane of a lane set once.  The plain Kahan route of 1F1 sums all lanes at
   once (:func:`_hyp1f1_lanes`), in CPython's complex arithmetic, or in
-  float64 arrays when the parameters and the lanes are real; a lane that
-  leaves it (Kummer reflection, terminating series, extended precision,
+  float64 arrays when the parameters and the lanes are real, testing
+  convergence once per block of terms; a lane that leaves the plain route
+  (Kummer reflection, terminating series, extended precision,
   ``z = 0``, outside the box) takes the scalar route alone, with its value
   or its error.  Tricomi U runs lane by lane.  Bessel jets map the
   ``scipy.special`` ufunc over the lanes.
@@ -67,6 +70,7 @@ from .hyperdual import Dual2
 
 _EPS = 2.2204460492503131e-16
 _SERIES_CAP = 10_000
+_KUMMER_BLOCK = 8  # terms of the lane series between its convergence tests
 PARAM_BOX = 30.0
 Z_BOX = 200.0
 
@@ -280,17 +284,21 @@ def _lane_scalars(z):
 
 
 def _distinct(z):
-    """(the distinct lanes of ``z``, each lane's index among them), keyed
-    on the bits of each lane as :func:`point_key` keys a point."""
+    """(the distinct lanes of ``z`` in the order they first occur, each
+    lane's index among them, and the memo key of the distinct lanes), on the
+    bits of each lane as :func:`point_key` keys a point.  The key differs
+    from every :func:`point_key`, and lane sets of one set of points (a
+    float pass, the repeated pattern blocks of a stacked pass) share it."""
     re, im = _lane_parts(z)
     if isinstance(z, ComplexLanes):
-        bits, inverse = np.unique(
-            np.stack([re, im], axis=1).view(np.int64), axis=0, return_inverse=True
-        )
-        bits = np.ascontiguousarray(bits)
-        return ComplexLanes(bits[:, 0].view(float), bits[:, 1].view(float)), inverse.ravel()
-    bits, inverse = np.unique(re.view(np.int64), return_inverse=True)
-    return bits.view(float), inverse.ravel()
+        bits = np.stack([re, im], axis=1).view(np.int64)
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(re.view(np.int64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    first, inverse = first[order], np.argsort(order)[inverse.ravel()]
+    pts = ComplexLanes(re[first], im[first]) if isinstance(z, ComplexLanes) else re[first]
+    return pts, inverse, ("distinct", point_key(pts))
 
 
 def _each_scalar(fn, z):
@@ -453,45 +461,58 @@ def _kahan_lanes_1f1(a, b, z, tol, cap=_SERIES_CAP):
     real parts of the complex series bit for bit (every imaginary part it
     multiplies by is a zero, and ``hypot(x, 0) = |x|``).
 
+    ``|term|``, the running maximum and the sum of each term go to a block
+    of ``_KUMMER_BLOCK`` rows, and once per block the scalar convergence
+    test runs on every row, each lane taking its first passing term.  The at
+    most ``_KUMMER_BLOCK - 1`` terms a lane computes past it are dropped and
+    raise no lane error: inside the box they stay finite, and ``b + n`` is
+    never zero, as ``b`` is not a non-positive integer.
+
     Returns (sum as :class:`ComplexLanes`, first_neglected_over_sum,
     max_term_over_sum, converged) per lane; a lane that hits the cap has
     ``converged`` False.
     """
+    real = isinstance(z, np.ndarray)
     size = np.size(z.real)
     sums = ComplexLanes(np.empty(size), np.zeros(size))
     trunc, canc, converged = np.empty(size), np.empty(size), np.zeros(size, bool)
-    live = np.arange(size)
-    az = abs(z)
+    live, az = np.arange(size), abs(z)
     ones, zeros = np.ones(size), np.zeros(size)
-    if isinstance(z, np.ndarray):
-        term, s, comp = ones, ones, zeros
-    else:
-        term, s, comp = (ComplexLanes(v, zeros) for v in (ones, ones, zeros))
+    term = ones if real else ComplexLanes(ones, zeros)
+    s, comp = ([ones], [zeros]) if real else ([ones, zeros], [zeros, zeros])
     max_term = ones
-    for n in range(cap):
+    for n0 in range(0, cap, _KUMMER_BLOCK):
         if not live.size:
             break
-        term = term * (a + n) / (b + n) * z / (n + 1)
-        at = abs(term)
-        max_term = np.where(at > max_term, at, max_term)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        big = abs(s)
-        big = np.where(1e-300 > big, 1e-300, big)  # max(abs(s), 1e-300)
-        done = (at <= tol * big) & (n > az)
-        if not done.any():
+        k = min(_KUMMER_BLOCK, cap - n0)
+        at, mx = np.empty((k, live.size)), np.empty((k, live.size))
+        sk = [np.empty((k, live.size)) for _ in s]
+        for j in range(k):
+            n = n0 + j
+            term = term * (a + n) / (b + n) * z / (n + 1)
+            parts = (term,) if real else (term.real, term.imag)
+            (np.abs if real else np.hypot)(*parts, out=at[j])  # abs(term)
+            max_term = np.fmax(max_term, at[j], out=mx[j])
+            for p, part in enumerate(parts):
+                y = part - comp[p]
+                t = np.add(s[p], y, out=sk[p][j])
+                comp[p] = (t - s[p]) - y
+                s[p] = t
+        big = np.maximum((np.abs if real else np.hypot)(*sk), 1e-300)  # max(abs(s), 1e-300)
+        done = (at <= tol * big) & (np.arange(n0, n0 + k)[:, None] > az)
+        go = ~done.any(axis=0)
+        if go.all():
             continue
-        k = live[done]
-        sums.real[k], sums.imag[k] = s.real[done], s.imag[done]
-        trunc[k], canc[k], converged[k] = at[done] / big[done], max_term[done] / big[done], True
-        go = ~done
+        cols = np.flatnonzero(~go)
+        rows, idx = done[:, cols].argmax(axis=0), live[cols]
+        sums.real[idx] = sk[0][rows, cols]
+        if not real:
+            sums.imag[idx] = sk[1][rows, cols]
+        trunc[idx], canc[idx] = at[rows, cols] / big[rows, cols], mx[rows, cols] / big[rows, cols]
+        converged[idx] = True
         live, az, max_term = live[go], az[go], max_term[go]
-        term, s, comp, z = (
-            v[go] if isinstance(v, np.ndarray) else ComplexLanes(v.real[go], v.imag[go])
-            for v in (term, s, comp, z)
-        )
+        s, comp = [v[go] for v in s], [v[go] for v in comp]
+        term, z = (v[go] if real else ComplexLanes(v.real[go], v.imag[go]) for v in (term, z))
     return sums, trunc, canc, converged
 
 
@@ -893,7 +914,8 @@ def _whittaker_jet(inner_jet, kappa, mu):
     inner = inner_jet(a, b)
     e = mu + 0.5
     # point or lane set -> (distinct lanes, each lane's index among them,
-    # prefactor, {order: inner value}); a point is its own distinct lane
+    # prefactor, {order: inner value}), a point its own distinct lane; the
+    # key of the distinct lanes -> (prefactor, {order: inner value})
     memo = PointMemo()
 
     def prefactor(z):
@@ -904,14 +926,18 @@ def _whittaker_jet(inner_jet, kappa, mu):
             raise DomainError("Whittaker jets take a float or complex argument, not a Dual2")
         key = point_key(z)
         hit = memo.get(key)
-        if hit is None:
-            pts, inverse = _distinct(z) if _is_lanes(z) else (z, None)
-            pref = prefactor(z) if inverse is None else _each_scalar(prefactor, pts)
-            vals = {}
+        if hit is None and _is_lanes(z):
+            pts, inverse, dkey = _distinct(z)
+            pref, vals = memo.get(dkey) or (_each_scalar(prefactor, pts), {})
+        elif hit is None:
+            pts, inverse, dkey = z, None, None
+            pref, vals = prefactor(z), {}
         else:
             pts, inverse, pref, vals = hit
         new = {k: inner[k](pts) for k in orders if k not in vals}
         if hit is None:
+            if dkey is not None:
+                memo.put(dkey, pts, (pref, vals))
             memo.put(key, z, (pts, inverse, pref, vals))
         vals.update(new)
         out = [pref] + [vals[k] for k in orders]

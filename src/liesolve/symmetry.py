@@ -120,9 +120,8 @@ class VectorField:
         """First-order action T F_t + X F_x + Y F_y on a coefficient callable."""
 
         def out(x, y, t):
-            ft = hd.derivative(F, (x, y, t), 2)
-            fx, fy = hd.derivative_pair(F, (x, y, t), 0, 1)
-            return self.T(x, y, t) * ft + self.X(x, y, t) * fx + self.Y(x, y, t) * fy
+            f_t, f_xy = hd.lane_pass(F, (x, y, t), ((2, None), (0, 1)))
+            return self.T(x, y, t) * f_t.b + self.X(x, y, t) * f_xy.b + self.Y(x, y, t) * f_xy.c
 
         return out
 
@@ -528,11 +527,10 @@ def expected_commutator(i, j, phi_i=None, phi_j=None, psi=None):
         phidd = phi_i.d().d()
 
         def fn(x, y, t):
-            pt = hd.derivative(psi, (x, y, t), 2)
-            px, py = hd.derivative_pair(psi, (x, y, t), 0, 1)
+            p_t, p_xy = hd.lane_pass(psi, (x, y, t), ((2, None), (0, 1)))
             return (
-                phi_i(t) * pt
-                + 0.5 * phid(t) * (x * px + y * py)
+                phi_i(t) * p_t.b
+                + 0.5 * phid(t) * (x * p_xy.b + y * p_xy.c)
                 + 0.25 * phidd(t) * (x * x + y * y) * psi(x, y, t)
             )
 

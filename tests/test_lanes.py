@@ -5,11 +5,14 @@ time when a test field or a coefficient cannot take lanes, and equals the
 nested scalar passes kept here as the reference; the reduction-consistency
 check evaluates every trial's points as lanes of one evaluation, reruns each
 trial one lane at a time when the lanes raise, and equals the scalar ratio
-loop kept here as the reference; the determining condition runs on lanes and
-equals the per-point formula kept here as the reference, and the potential's
-sampling filter keeps what the per-point filter keeps."""
+loop kept here as the reference; each site that seeds one field several
+times at one point set seeds it once on lanes and once per pattern at a
+point; the determining condition runs on lanes and equals the per-point
+formula kept here as the reference, and the potential's sampling filter
+keeps what the per-point filter keeps."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -25,6 +28,8 @@ from liesolve.errors import LiesolveError, SamplingError, UnboundSymbol
 from liesolve.exprlang import compile_expr, parse
 from liesolve.reductions import catalog, reconstruct_u
 from point_loop import point_loop
+
+CAT = importlib.import_module("liesolve.reductions.catalog")  # the module, not catalog()
 
 # every (i, j) seeding that derivative, derivative_pair and jet make
 PATTERNS = ((0, None), (1, None), (2, None), (0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2))
@@ -437,12 +442,12 @@ def _params_12a(**over):
 @pytest.mark.parametrize(
     "params, seed, evaluations, reruns",
     [
-        # an opaque factor on math.sin cannot take lanes: each trial tries
-        # its own lanes, then reruns them one at a time
-        (_params_12a(C=lambda s: 2.0 + math.sin(s)), 0, 1 + 3 * (1 + 12), 3),
+        # an opaque factor on math.sin cannot take lanes: each trial reruns
+        # its points one lane at a time
+        (_params_12a(C=lambda s: 2.0 + math.sin(s)), 0, 1 + 3 * 12, 3),
         # math.sqrt also raises ValueError at theta < 0, where the scalar
         # loop skips the point; trial 1 keeps too few, and trial 2 never runs
-        (_params_12a(C=lambda s: 2.0 + math.sqrt(s)), 2, 1 + 2 * (1 + 12), 2),
+        (_params_12a(C=lambda s: 2.0 + math.sqrt(s)), 2, 1 + 2 * 12, 2),
         # f1 = t (delta2 t + delta1) <= 0 for t > 0.38: trial 0 keeps no point
         (_params_12a(delta1=0.5, delta2=-1.3), 1, 1, 0),
     ],
@@ -478,6 +483,102 @@ def test_consistency_lanes_skip_non_finite_ratios(monkeypatch, seed):
         assert got == (_outcome(_reference_per_trial, case, params, seed=seed), 1)
     finally:
         del case.similarity
+
+
+# -- one seeded pass per point set ------------------------------------------------
+
+
+def _seeded_calls(fn):
+    """fn, and the lane count (None at a point) of each call of fn with a
+    Dual2 argument: one per seeded pass."""
+    calls = []
+
+    def counted(*args):
+        if any(isinstance(a, hd.Dual2) for a in args):
+            calls.append(hd._lane_count(args))
+        return fn(*args)
+
+    return counted, calls
+
+
+class _Rebuilds:
+    """A similarity map whose reconstruct gives the field u for every P."""
+
+    def __init__(self, smap, u):
+        self.smap, self.u = smap, u
+
+    def reconstruct(self, P):
+        return self.u
+
+    def __getattr__(self, name):
+        return getattr(self.smap, name)
+
+
+def _pieces(cid):
+    case = catalog()[cid]
+    params = case.draw_params(np.random.default_rng(3))
+    return case, params
+
+
+def _op_site(cid):
+    case, params = _pieces(cid)
+    op = case.reduced_operator(params)
+    return 2, lambda P: lambda xi, eta: op(P, xi, eta), case.region_sim(params, n=6)
+
+
+def _sides_site():
+    case, params = _pieces("1.2a")
+    smap, op = case.similarity(params), case.reduced_operator(params)
+    M = case.potential_field(params)
+    P = F.random_smooth_field(np.random.default_rng(4), nargs=2)
+    pts = [pt for pt in case.region_xyt(params, n=6) if not smap.singular(*pt)]
+    return 3, lambda u: lambda *pt: R._sides(_Rebuilds(smap, u), op, M, P, *pt), pts
+
+
+def _vector_field_sites():
+    case, params = _pieces("1.1a")
+    vf = S.infinitesimals(case.symmetry_data(params))
+    pts = S.default_sampling(n=6, seed=2)
+
+    def bracket(psi):
+        return S.expected_commutator(2, 6, phi_i=S.poly(0.2, 0.7, 0.1), psi=psi).B
+
+    return [("apply", (3, vf.apply, pts)), ("(2, 6)", (3, bracket, pts))]
+
+
+SIM_POINTS = [(0.7, 0.4), (1.3, -0.6), (0.45, 1.1), (1.7, 0.2), (0.9, -1.2)]
+SEEDED_SITES = [
+    ("_lap_grad", (2, lambda P: lambda xi, eta: CAT._lap_grad(P, xi, eta), SIM_POINTS)),
+    ("_polar_jet", (2, lambda P: lambda xi, eta: CAT._polar_jet(P, xi, eta), SIM_POINTS)),
+    ("1.6", _op_site("1.6")),
+    ("1.8a", _op_site("1.8a")),
+    ("1.8b", _op_site("1.8b")),
+    ("_sides", _sides_site()),
+    *_vector_field_sites(),
+]
+# seeded passes of the field per point, one per seed pattern
+PASSES_PER_POINT = {"_sides": 3}
+
+
+@pytest.mark.parametrize("name, site", SEEDED_SITES, ids=[n for n, _ in SEEDED_SITES])
+def test_each_site_seeds_its_field_once_per_point_set(name, site):
+    # on lanes one seeded pass over a block of lanes per pattern, on points
+    # one seeded pass per pattern; each lane is bitwise its point
+    nargs, make, pts = site
+    field, calls = _seeded_calls(F.random_smooth_field(np.random.default_rng(9), nargs=nargs))
+    fn = make(field)
+    passes = PASSES_PER_POINT.get(name, 2)
+    by_point = [_outputs(fn(*pt)) for pt in pts]
+    assert calls == [None] * (passes * len(pts))
+    calls.clear()
+    lanes = _outputs(fn(*hd.float_lanes(np.transpose(pts))))
+    assert calls == [passes * len(pts)]
+    for k, want in enumerate(by_point):
+        assert [_hex(np.broadcast_to(v, (len(pts),))[k]) for v in lanes] == [_hex(v) for v in want]
+
+
+def _outputs(out):
+    return [hd.value(v) for v in (out if isinstance(out, tuple) else (out,))]
 
 
 # -- the determining condition ----------------------------------------------------

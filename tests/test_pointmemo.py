@@ -1,8 +1,9 @@
 """One evaluation per distinct point or lane set: the value-keyed memos of
-the Whittaker jets and the ODE factors, the shared five-point stencils of the
-FD residual oracles, and the reduced-operator residual, which evaluate once
-on lanes and rerun one lane at a time, bit for bit, when a field cannot take
-lanes."""
+the Whittaker jets and the ODE factors (a lane set keyed on its distinct
+lanes, so a stacked seeded pass and a float pass share one evaluation),
+the shared five-point stencils of the FD residual oracles, and the
+reduced-operator residual, which evaluate once on lanes and rerun one lane
+at a time, bit for bit, when a field cannot take lanes."""
 
 import math
 
@@ -230,6 +231,56 @@ def test_ode_factor_interpolates_once_per_lane_set(monkeypatch):
         assert [getattr(out, slot)[k].hex() for slot in "abcd"] == [
             getattr(want, slot).hex() for slot in "abcd"
         ]
+
+
+@pytest.mark.parametrize("case_id", ["1.1a", "1.5a"])
+def test_stacked_lap_grad_pass_makes_one_inner_call_per_order(case_id, monkeypatch):
+    # the two pattern blocks of _lap_grad's pass and the float pass of P
+    # hold one set of points: they share one 1F1 evaluation per order, on
+    # the distinct lanes
+    from liesolve.reductions.catalog import _lap_grad
+
+    orders = []
+    original = sf._hyp1f1_lanes
+
+    def counting(a, b, z, tol=1e-12):
+        orders.append((complex(a), complex(b), np.size(z)))
+        return original(a, b, z, tol)
+
+    case = get_case(case_id)
+    params = case.draw_params(np.random.default_rng(1))
+    P = closed_form_solution(case, params).P
+    xi, eta = np.transpose(case.region_sim(params, n=12, seed=1))
+    xi[3], eta[5] = xi[0], eta[2]  # repeated lanes
+    monkeypatch.setattr(sf, "_hyp1f1_lanes", counting)
+    with np.errstate(**hd.LANE_ERRSTATE):
+        _lap_grad(P, hd.float_lanes(xi), hd.float_lanes(eta))
+        P(hd.float_lanes(xi), hd.float_lanes(eta))
+    assert len(orders) == len({o[:2] for o in orders}) == 6  # 3 orders of F1 and of F2
+    assert sorted(o[2] for o in orders) == [11] * 6
+
+
+def test_stacked_ode_factor_pass_makes_one_interpolation(monkeypatch):
+    # 1.8b's operator: one pass over both pattern blocks and the float pass
+    # of P share one barycentric interpolation of the ODE factor
+    states = []
+    barycentric = SEP._barycentric
+
+    def counting_state(s, *args):
+        states.append(s.size)
+        return barycentric(s, *args)
+
+    case = get_case("1.8b")
+    params = case.draw_params(np.random.default_rng(0))
+    P = closed_form_solution(case, params).P
+    op = case.reduced_operator(params)
+    pts = case.region_sim(params, n=30, seed=0)
+    monkeypatch.setattr(SEP, "_barycentric", counting_state)
+    with np.errstate(**hd.LANE_ERRSTATE):
+        got = op(P, *hd.float_lanes(np.transpose(pts)))
+    assert states == [len(pts)]  # the distinct lanes
+    fresh = closed_form_solution(case, params).P
+    assert [v.hex() for v in got.tolist()] == [op(fresh, *pt).hex() for pt in pts]
 
 
 def test_lane_memo_stays_bounded(memos):

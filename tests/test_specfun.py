@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 from scipy.integrate import quad
 
+from liesolve import hyperdual as hd
 from liesolve import specfun as sf
 from liesolve.errors import DivergenceError, DomainError, LiesolveError, PoleError
 
@@ -740,6 +741,64 @@ def test_real_kummer_lanes_match_scalar_series(cap):
                 got = (complex(s.real[k], s.imag[k]), float(trunc[k]), float(canc[k]))
                 assert _hex(got[0]) == _hex(want[0])
                 assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+
+
+def _check_kummer_lanes(a, b, z, cap):
+    """_kahan_lanes_1f1 against _kahan_series_1f1 lane by lane, bit for bit:
+    the sum, both ratios and the converged flag; returns each lane's term
+    count (None where the scalar series hits the cap)."""
+    with np.errstate(**hd.LANE_ERRSTATE):
+        s, trunc, canc, converged = sf._kahan_lanes_1f1(a, b, z, 1e-14, cap)
+    used = []
+    for k, zk in enumerate(sf._lane_scalars(z)):
+        want = sf._kahan_series_1f1(complex(a), complex(b), complex(zk), 1e-14, cap)
+        assert converged[k] == (want is not None)
+        used.append(None if want is None else want[3])
+        if want is not None:
+            got = (complex(s.real[k], s.imag[k]), float(trunc[k]), float(canc[k]))
+            assert _hex(got[0]) == _hex(want[0])
+            assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+    return used
+
+
+def test_kummer_lanes_leave_at_every_offset_of_a_block():
+    # the block kernel tests convergence once per _KUMMER_BLOCK terms and
+    # takes each lane's first passing term; the at most K - 1 terms a lane
+    # computes past it stay finite (inside the box) and divide by no zero
+    # (b is not a non-positive integer), so under the lane error state they
+    # raise nothing, and the lane's results are its scalar series'
+    K = sf._KUMMER_BLOCK
+    z = np.linspace(0.01, 40.0, 300)
+    used = _check_kummer_lanes(0.7, 1.9, z, sf._SERIES_CAP)
+    assert {(n - 1) % K for n in used} == set(range(K))
+    for k in (0, 150, 299):  # one lane
+        _check_kummer_lanes(0.7, 1.9, z[k:k + 1], sf._SERIES_CAP)
+
+
+@pytest.mark.parametrize("cap", [1, 3, sf._KUMMER_BLOCK - 1, sf._KUMMER_BLOCK + 3, 45])
+def test_kummer_lanes_at_caps_off_the_block(cap):
+    # caps that are not a multiple of the block, one below it: lanes that
+    # converge before the cap, and lanes that never do
+    z = np.array([1e-7, 0.001, 0.05, 0.3, 2.0, 9.0, 30.0, 150.0])
+    used = _check_kummer_lanes(-2.5, 3.7, z, cap)
+    assert None in used
+    if cap >= 3:
+        assert any(n is not None for n in used)
+
+
+def test_complex_kummer_lanes_match_scalar_series():
+    # the ComplexLanes path at the orders of 1.1b: complex a, pure-imaginary z
+    K = sf._KUMMER_BLOCK
+    rng = np.random.default_rng(11)
+    for cap in (sf._SERIES_CAP, 2 * K + 5):
+        for _ in range(4):
+            w, s1, mu = rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0), 0.25
+            a, b = complex(mu + 1j * s1 / (4.0 * w) + 0.5), complex(1.0 + 2.0 * mu)
+            z = sf.ComplexLanes(np.zeros(300), w * rng.uniform(0.1, 2.5, 300) ** 2)
+            used = _check_kummer_lanes(a, b, z, cap)
+            if cap == sf._SERIES_CAP:
+                assert {(n - 1) % K for n in used} == set(range(K))
+        _check_kummer_lanes(a, b, sf.ComplexLanes(np.zeros(1), np.array([1.3])), cap)
 
 
 def test_only_real_lanes_take_the_real_series(monkeypatch):

@@ -96,6 +96,25 @@ def _heat_kernel_t5(x, y, t):
     return total / 32.0
 
 
+def _halton_loop(n, dim):
+    """The Halton points one index and one digit at a time."""
+    out = np.empty((n, dim))
+    for j, p in enumerate([2, 3, 5, 7, 11, 13][:dim]):
+        for row, i in enumerate(range(40, 40 + n)):
+            f, r, k = 1.0, 0.0, i
+            while k > 0:
+                f /= p
+                r += f * (k % p)
+                k //= p
+            out[row, j] = r
+    return out
+
+
+@pytest.mark.parametrize("n, dim", [(0, 2), (1, 1), (40, 2), (75, 3), (399, 6), (1200, 4)])
+def test_halton_is_bitwise_the_digit_loop(n, dim):
+    assert fields.halton(n, dim).tobytes() == _halton_loop(n, dim).tobytes()
+
+
 def test_fp_residual_truncation_error_model():
     """Self-calibration: the reported max_abs must sit within a factor of 10
     of the analytic truncation model for the five-point stencils."""
