@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hyperdual as hd
-from .errors import AlphaOne
+from .errors import AlphaOne, DomainError
 from .exprlang import compile_expr, match_case, parse
 from .report import VerificationReport
 from .reductions import get_case, operator_residual, reconstruct_u
@@ -125,6 +125,9 @@ def double_cev(r, sigma=(1.0, 1.0), alpha=(2.0, 2.0), rho=0.0,
     rep.payload["catalog potential at (2,1)"] = M_cat(2.0, 1.0)
 
     m = match_case(M_cat)
+    if missing := sorted({"c", "c0"} - set(m.bindings)):
+        raise DomainError(f"double-cev at r = {r!r}: the potential classifies as {m.case_id}, "
+                          f"binding no {' or '.join(map(repr, missing))}; 1.2b needs r != 0")
     rep.record(
         "classification lands on case 1.2b",
         m.case_id == "1.2b",

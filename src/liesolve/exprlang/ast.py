@@ -158,8 +158,20 @@ def _sqrt(z):
     return hd.sqrt(z)
 
 
+def _no_overflow(name, fn):
+    """``fn``, with an overflow an :class:`EvalDomainError` naming ``name``."""
+
+    def checked(*args):
+        try:
+            return fn(*args)
+        except OverflowError as exc:
+            raise EvalDomainError(f"{name} overflowed ({exc})") from exc
+
+    return checked
+
+
 _FUNC_IMPL = {
-    "exp": hd.exp,
+    "exp": _no_overflow("exp", hd.exp),
     "ln": _ln,
     "sin": hd.sin,
     "cos": hd.cos,
@@ -228,7 +240,7 @@ def _binary(op, left, right):
         return lambda env: left(env) - right(env)
     if op == "*":
         return lambda env: left(env) * right(env)
-    f = _div if op == "/" else _pow
+    f = _div if op == "/" else _no_overflow("power (^)", _pow)
     return lambda env: f(left(env), right(env))
 
 
@@ -344,8 +356,8 @@ def compile_expr(e, variables, params=None, opaque=None):
     the expression reads them.  An unbound symbol raises
     :class:`UnboundSymbol` when the callable is called; a binding that is not
     a callable or a tuple of them raises :class:`EvalDomainError` here.
-    Never returns NaN: a domain problem at any lane raises
-    :class:`EvalDomainError`.
+    Never returns NaN: a domain problem at any lane, or an ``exp`` or ``^``
+    that overflows, raises :class:`EvalDomainError`.
     """
     variables = tuple(variables)
     opaque = {k: _Opaque(k, v) for k, v in (opaque or {}).items()}

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import AmbiguousMatch, EvalDomainError, UnboundSymbol
+from .. import hyperdual as hd
+from ..errors import AmbiguousMatch, EvalDomainError, LiesolveError, UnboundSymbol
 from . import ast as A
 from .parser import parse
 
@@ -475,22 +476,32 @@ def _safe_eval(f, x, y):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _grid(by):
+    """The grid of ``_SLICINGS[by]`` as x and y lanes, and its fit points."""
+    outer, inner, _, point = _SLICINGS[by]
+    xs, ys = np.array([point(s, t) for s in outer for t in inner]).T
+    return xs, ys, (by == "x") | (np.abs(xs * xs - ys * ys) >= _GAP)
+
+
 def _eval_grid(by, f):
     """(raw, fit): f on the grid of ``_SLICINGS[by]``, one row per slice and
     NaN where f is not evaluable; ``fit`` also drops the points near the
-    diagonals |x| = |y| of the polar grid."""
-    outer, inner, _, point = _SLICINGS[by]
-    raw = np.full((len(outer), len(inner)), np.nan)
-    fit = raw.copy()
-    for i, s in enumerate(outer):
-        for j, t in enumerate(inner):
-            x, y = point(s, t)
-            v = _safe_eval(f, x, y)
-            if v is not None:
-                raw[i, j] = v
-                if by == "x" or abs(x * x - y * y) >= _GAP:
-                    fit[i, j] = v
-    return raw, fit
+    diagonals.  f runs once on float lanes; where that raises or gives other
+    than floats, it reruns point by point through :func:`_safe_eval`, which
+    gives every point its scalar skip or error."""
+    xs, ys, fits = _grid(by)
+    try:
+        with np.errstate(over="ignore", **hd.LANE_ERRSTATE):
+            vals = np.broadcast_to(np.asarray(f(*hd.float_lanes([xs, ys]))), xs.shape)
+        if vals.dtype != np.float64:
+            raise TypeError(f"lane values of dtype {vals.dtype}")
+        vals = np.where(np.isfinite(vals) & (np.abs(vals) < _BIG), vals, np.nan)
+    except (TypeError, LiesolveError, ArithmeticError, ValueError):
+        vals = np.array([np.nan if v is None else v for v in map(_safe_eval, [f] * xs.size,
+                                                                 xs.tolist(), ys.tolist())])
+    raw = vals.reshape(len(_SLICINGS[by][0]), -1)
+    return raw, np.where(fits.reshape(raw.shape), raw, np.nan)
 
 
 def _fit_linear_family(fit, cid):

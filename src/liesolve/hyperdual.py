@@ -439,7 +439,7 @@ def _unstack(a, size):
 
 def _stack(outs):
     duals = [isinstance(o, Dual2) for o in outs]
-    if all(duals):
+    if outs and all(duals):
         return Dual2(*(_stack([getattr(o, s) for o in outs]) for s in Dual2.__slots__))
     if any(duals):
         raise TypeError("lanes mix Dual2 and plain values")

@@ -1,38 +1,30 @@
 """Separated solution factors for the reduction catalog.
 
 Factors are dual-transparent callables assembled from the special-function
-kernel; second derivatives come from exact parameter-shift jets, never finite
-differences.  Free-function cases solve the factor ODE F'' = (2 C(s) - c1) F
-in one Chebyshev spectral-integration solve over the whole span
-(:func:`ode_factor`): the degree doubles from 48 until the last Chebyshev
-coefficients of both fundamental solutions fall below 1e-13 of the largest,
-and a C the cap cannot resolve raises :class:`DivergenceError`, as a node
-where C is not finite, or a bad span or anchor, raises :class:`DomainError`.
+kernel; second derivatives come from exact parameter-shift jets or from the
+factor's own equation, never finite differences.  Free-function cases solve
+the factor ODE F'' = (2 C(s) - c1) F in one Chebyshev spectral-integration
+solve over the whole span (:func:`ode_factor`): the degree doubles from 48
+until the last Chebyshev coefficients of both fundamental solutions fall
+below 1e-13 of the largest, and a C the cap cannot resolve raises
+:class:`DivergenceError`, as a node where C is not finite, or a bad span or
+anchor, raises :class:`DomainError`.  Case 1.1b's factor
+(:func:`imag_whittaker_radial`) is the real Frobenius pair of its equation.
 
-One evaluation per distinct point or lane set: a float argument asks the
-jet for the value only, and a ``Dual2`` argument asks for the value and both
-derivatives once, at its value part, and chains them.  The real and
-imaginary solutions of :func:`imag_whittaker_radial` share that one jet.
-Each Whittaker jet and each :func:`ode_factor` keeps the values at its last
+One evaluation per distinct point or lane set: a float argument asks for
+the value only, and a ``Dual2`` argument for the value and both derivatives
+once, at its value part.  Each jet and factor keeps its values at its last
 few distinct points or lane sets in a bounded
-:class:`~liesolve.specfun.PointMemo`, keyed on the exact bits of the
-argument, a lane set sharing the entry of its distinct lanes, so repeated
-stencil points, and the stacked seeded pass and the float pass of a
-reduced operator on one set of points, cost one evaluation; the memo
-belongs to the factor that a ``closed_form`` call builds, and no value is
-cached process-wide.
+:class:`~liesolve.specfun.PointMemo`, so repeated stencil points, and the
+stacked seeded pass and the float pass of a reduced operator on one set of
+points, cost one evaluation; no value is cached process-wide.
 
-The factors also take float lanes (see :mod:`liesolve.hyperdual`), each
-lane bitwise its float call: the Whittaker and Bessel jets take lanes (see
-:mod:`liesolve.specfun`), the even reflection is a product with +-1.0
-rather than a branch, and an ODE factor interpolates on all its lanes in
-one pass whose per-lane sums run over the nodes alone.  The
-:func:`imag_whittaker_radial` factor takes float lanes but not ``Dual2``
-lanes: its derivative chain branches on the sign of the value part, and a
-``Dual2``-lane form of it, bit for bit the points, made 1.1b's reduced
-operator at 30 lanes 2-3x slower than the point loop (13-19 ms against
-5.5-7 ms per call over CLI seeds 0-7, on a 2-vCPU x86_64 VM).  The Chebyshev
-matrices of each degree are built once per process.
+The factors take float and ``Dual2`` lanes (see :mod:`liesolve.hyperdual`),
+each lane bitwise its float call: the jets take lanes, the even reflection
+is a product with +-1.0 rather than a branch, powers are Python's pow per
+lane, and an ODE factor interpolates on all its lanes in one pass whose
+per-lane sums run over the nodes alone.  The Chebyshev matrices of each
+degree are built once per process.
 """
 
 from __future__ import annotations
@@ -45,15 +37,7 @@ import numpy as np
 
 from .. import hyperdual as hd
 from ..errors import DivergenceError, DomainError, SpecfunDomain
-from ..specfun import (
-    ComplexLanes,
-    PointMemo,
-    _distinct,
-    bessel_jet,
-    point_key,
-    whittakerM_jet,
-    whittakerW_jet,
-)
+from ..specfun import bessel_jet, coulomb_jet, lane_memo, whittakerM_jet, whittakerW_jet
 
 
 @dataclass
@@ -71,7 +55,7 @@ class SeparatedSolution:
 
 
 def _real(v):
-    return v.real if isinstance(v, ComplexLanes) else complex(v).real
+    return v if isinstance(v, np.ndarray) else complex(v).real
 
 
 def _real_lift(jets):
@@ -108,48 +92,59 @@ def whittaker_radial(d, s, C0, C1=1.0, C2=0.0):
     return F
 
 
+def _power(xi, p):
+    """(xi^p, its derivative): an integer p continues across 0 with its
+    parity, any other is taken of |xi|, as (xi^2)^(p/2)."""
+    if isinstance(xi, np.ndarray):
+        xi = xi.view(hd._FloatLanes)  # ** per lane
+    if p != int(p):
+        g = (xi * xi) ** (0.5 * p)
+        return g, p * g / xi
+    return (1.0, 0.0) if p == 0 else (xi ** int(p), p * xi ** (int(p) - 1))
+
+
+def _state_factor(at_point, at_lanes, coef):
+    """A factor from its (F, F') states at a point and at distinct lanes (see
+    :func:`~liesolve.specfun.lane_memo`) and its equation F'' = coef(x) F."""
+    state = lane_memo(at_point, at_lanes)
+    return hd.lift1(lambda x: state(x)[0], lambda x: state(x)[1], lambda x: coef(x) * state(x)[0])
+
+
 def imag_whittaker_radial(w, s, C0, C1=1.0, C2=0.0):
-    """Real solutions of F'' + (w^2 xi^2 + s - 2 C0/xi^2) F = 0 from the real
-    and imaginary parts of xi^(-1/2) M_{-i s/(4w), mu}(i w xi^2)."""
+    """C1 F+ + C2 F- for F'' + (w^2 xi^2 + s - 2 C0/xi^2) F = 0: the real
+    Frobenius pair F+- = xi^(1/2 +- 2 mu) psi+-(w xi^2), mu = sqrt(8 C0 +
+    1)/4, psi+- the Coulomb series (:func:`~liesolve.specfun.coulomb_jet`)
+    at b = 1 +- 2 mu, eta = s/(4 w).  F+ is xi^(-1/2) M_{-is/(4w),mu}(i w
+    xi^2) over e^(i pi (2 mu + 1)/4) w^(mu + 1/2); F-, built only when C2
+    != 0, raises :class:`SpecfunDomain` at an integer 2 mu.  Powers follow
+    :func:`_power` (C0 = 0: F+ odd, F- even); F'' comes from the equation,
+    so float and ``Dual2`` lanes pass, each bitwise its point."""
     if 8 * C0 + 1 < 0:
         raise SpecfunDomain("whittaker order requires 8*C0 + 1 >= 0")
+    if not w > 0:
+        raise SpecfunDomain(f"imaginary-Whittaker factor requires w > 0, got w = {w!r}")
     mu = math.sqrt(8 * C0 + 1) / 4.0
-    kap = -1j * s / (4.0 * w)
-    f, d1, d2 = whittakerM_jet(kap, mu)
-    iw = 1j * w
+    if C2 and abs(2.0 * mu - round(2.0 * mu)) <= 1e-12:
+        raise SpecfunDomain(f"the second Frobenius solution needs a non-integer 2 mu; "
+                            f"2 mu = {2.0 * mu!r} at C0 = {C0!r} (C2 = {C2!r})")
+    pair = [(C, 0.5 + 2.0 * m, coulomb_jet(1.0 + 2.0 * m, s / (4.0 * w)))
+            for C, m in ((C1, mu), (C2, -mu))[: 2 if C2 else 1]]
 
-    def jets(xi):
-        # value, first and second derivative of the complex factor at xi >= 0
-        z = 1j * w * xi * xi
-        val = f(z)
-        dz = 2j * w * xi
-        fz1 = d1(z)
-        d1v = fz1 * dz
-        d2v = d2(z) * dz * dz + fz1 * (2j * w)
-        pref = xi ** (-0.5)
-        Fv = pref * val
-        F1v = -0.5 * xi ** (-1.5) * val + pref * d1v
-        F2v = 0.75 * xi ** (-2.5) * val - xi ** (-1.5) * d1v + pref * d2v
-        return Fv, F1v, F2v
+    def frobenius(xi):  # (F, F') at a point or at distinct lanes
+        tau = w * xi * xi
+        F = dF = 0.0
+        for C, p, psi in pair:
+            v, dv = psi(tau)
+            g, dg = _power(xi, p)
+            F = F + C * (g * v)
+            dF = dF + C * (dg * v + g * (2.0 * w * xi) * dv)
+        return F, dF
 
-    def F(xi):
-        # even equation: reflect to the positive half-line (see
-        # whittaker_radial); on the negative half-line F' changes sign
-        if not isinstance(xi, hd.Dual2):
-            xi = reflect(xi)
-            # on lanes the complex products are CPython's, lane by lane
-            i = ComplexLanes.of(iw) if isinstance(xi, np.ndarray) else iw
-            v = xi ** (-0.5) * f(i * xi * xi)
-            return C1 * v.real + C2 * v.imag
-        x = xi.a
-        Fv, F1v, F2v = jets(-x if x < 0 else x)
-        if x < 0:
-            F1v = -F1v
-        re = hd._chain1(xi, Fv.real, F1v.real, F2v.real)
-        im = hd._chain1(xi, Fv.imag, F1v.imag, F2v.imag)
-        return C1 * re + C2 * im
+    def coef(xi):
+        r = w * w * (xi * xi) + s
+        return -(r - 2.0 * C0 / (xi * xi)) if C0 else -r
 
-    return F
+    return _state_factor(frobenius, frobenius, coef)
 
 
 def bessel_radial_jy(b, c1, C1=1.0, C2=0.0):
@@ -314,42 +309,18 @@ def ode_factor(C, c1, span, Ca=1.0, Cb=0.0, anchor=None):
     vals = np.stack([Ca * F[:, 0] + Cb * F[:, 1], Ca * Fp[:, 0] + Cb * Fp[:, 1]])
     lo, hi = a - 1e-12, b + 1e-12
 
-    states = PointMemo()  # point -> (F, F'); lane set, distinct lanes -> rows (F, F')
+    def check(s):
+        bad = (s < lo) | (s > hi)
+        if np.any(bad):
+            at = s[bad][0] if np.ndim(s) else s
+            raise DomainError(f"ODE factor evaluated outside span at {at}")
+        return s
 
-    def state_at(s):
-        key = point_key(s)
-        st = states.get(key)
-        if st is not None:
-            return st
-        if isinstance(s, np.ndarray):
-            s = np.asarray(s, float)
-            bad = (s < lo) | (s > hi)
-            if bad.any():
-                raise DomainError(f"ODE factor evaluated outside span at {s[bad][0]}")
-            pts, inverse, dkey = _distinct(s)
-            rows = states.get(dkey)
-            if rows is None:
-                rows = _barycentric(pts, nodes, w, vals).T
-                states.put(dkey, pts, rows)
-            st = rows[:, inverse]
-            st.flags.writeable = False  # handed out as the value of every pass
-        else:
-            if s < lo or s > hi:
-                raise DomainError(f"ODE factor evaluated outside span at {s}")
-            st = _barycentric(np.array([s], float), nodes, w, vals)[0].tolist()
-        states.put(key, s, st)
-        return st
-
-    def value(s):
-        return state_at(s)[0]
-
-    def deriv(s):
-        return state_at(s)[1]
-
-    def second(s):
-        return (2.0 * C(s) - c1) * value(s)
-
-    return hd.lift1(value, deriv, second)
+    return _state_factor(
+        lambda s: _barycentric(np.array([check(s)], float), nodes, w, vals)[0].tolist(),
+        lambda s: _barycentric(check(s), nodes, w, vals).T,
+        lambda s: 2.0 * C(s) - c1,
+    )
 
 
 def exp_factor_18b(c1):

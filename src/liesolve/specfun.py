@@ -1,59 +1,49 @@
 """Special-function kernel: gamma, confluent/Gauss hypergeometric, Whittaker,
-Bessel.
+Bessel, and the Coulomb-wave series.
 
-Every closed-form catalog solution is assembled from these four entry points.
+Every closed-form catalog solution is assembled from these entry points.
 Conventions:
 
 * ``M_{kappa,mu}(z) = exp(-z/2) z^(mu+1/2) 1F1(mu-kappa+1/2, 1+2mu, z)`` and
   ``W`` uses the Tricomi function in the same composition.
 * Confluent series are summed with compensated (Kahan) accumulation and an
-  iteration cap of 10 000 terms.  When floating-point cancellation would eat
-  the requested accuracy (large imaginary argument, Tricomi connection
-  formula), the value is recomputed in extended precision; when the series
-  route is hopeless for Tricomi (large ``|z|``) the asymptotic expansion is
-  used instead.
-* ``est_error`` is a running bound assembled from the first neglected term
-  plus a cancellation-scaled roundoff term.  It is a heuristic, not a proof.
-* Extended precision is ``mpmath.hyp1f1``, for 1F1 and both terms of the
-  Tricomi connection formula, at the digits :func:`_raise_digits` picks from
-  the size of the cancelling terms and checks against the result.  mpmath
-  raises its own working precision while its terms cancel; its failures
-  raise :class:`DivergenceError`.
-* One evaluation per distinct argument and order, per point or per lane
-  set: the ``(f, f', f'')`` jet builders derive the derivatives from
-  parameter-shifted orders, and each Whittaker jet keeps the prefactor and
-  each shifted order for its last ``MEMO_POINTS`` distinct points or lane
-  sets in a :class:`PointMemo`, so a full jet costs three inner
-  evaluations and a point or lane set seen again costs none.  The memo is
-  keyed on the exact bits of a float or complex argument, and a lane set on
-  those of its distinct lanes, so a stacked ``lane_pass`` and a float pass
-  at one point set share each order.  A ``Dual2`` argument raises
-  :class:`~liesolve.errors.DomainError` rather than losing its derivative
-  parts.
-* Lanes: the jets also take an array of float lanes or
-  :class:`ComplexLanes` (see :mod:`liesolve.hyperdual`), and each lane is
-  bitwise the call at its point.  A Whittaker jet evaluates each distinct
-  lane of a lane set once.  The plain Kahan route of 1F1 sums all lanes at
-  once (:func:`_hyp1f1_lanes`), in CPython's complex arithmetic, or in
-  float64 arrays when the parameters and the lanes are real, testing
-  convergence once per block of terms; a lane that leaves the plain route
-  (Kummer reflection, terminating series, extended precision,
-  ``z = 0``, outside the box) takes the scalar route alone, with its value
-  or its error.  Tricomi U runs lane by lane.  Bessel jets map the
-  ``scipy.special`` ufunc over the lanes.
-* ``scipy.special`` (complex gamma, Bessel) and ``mpmath`` (extended
-  precision) are imported on first use, so importing this module loads
-  neither.
+  iteration cap of 10 000 terms.  When cancellation would eat the requested
+  accuracy, the value is recomputed in extended precision (``mpmath.hyp1f1``
+  at the digits :func:`_raise_digits` picks from the size of the cancelling
+  terms and checks; its failures raise :class:`DivergenceError`); Tricomi at
+  large ``|z|`` takes its asymptotic expansion.  ``est_error`` is a running
+  bound from the first neglected term plus a cancellation-scaled roundoff
+  term: a heuristic, not a proof.
+* exp(-i tau/2) 1F1(b/2 + i eta; b; i tau) is real; :func:`coulomb_jet`
+  sums it and its derivative from their real Coulomb-wave series, which
+  cancel far less than the complex 1F1 series at ``i tau``.
+* One evaluation per distinct argument and order, per point or lane set:
+  the jet builders derive the derivatives from parameter-shifted orders,
+  and each jet keeps its values at its last ``MEMO_POINTS`` distinct points
+  or lane sets in a :class:`PointMemo`, keyed on the exact bits of a float
+  or complex argument, and of a lane set's lanes and distinct lanes, so a
+  stacked ``lane_pass`` and a float pass at one point set share each order.
+  A ``Dual2`` argument raises :class:`~liesolve.errors.DomainError` rather
+  than losing its derivative parts.
+* The jets take float lanes (see :mod:`liesolve.hyperdual`), each lane
+  bitwise its point; a lane whose point has a complex value raises
+  :class:`DomainError`.  The plain Kahan route of 1F1 with real parameters
+  and the Coulomb series sum all lanes at once in float64 arrays, testing
+  convergence once per block of terms; a lane that needs extended
+  precision reruns alone, and a 1F1 lane off the plain route takes the
+  scalar route, with its value or its error.  Tricomi U runs lane by lane;
+  Bessel jets map the ``scipy.special`` ufunc over the lanes.
+* ``scipy.special`` (complex gamma, Bessel) and ``mpmath`` are imported on
+  first use, so importing this module loads neither.
 
-Supported box for 1F1/U/Whittaker: ``|a|,|b|,|kappa|,|mu| <= 30`` and
-``|z| <= 200``; outside it a :class:`DivergenceError` is raised rather than
-returning silently degraded values.  Complex arguments are supported for
-1F1/U/Whittaker only; Gauss 2F1 and Bessel are real.
+Supported box: ``|a|,|b|,|kappa|,|mu|,|eta| <= 30`` and ``|z|, |tau| <=
+200``; outside it a :class:`DivergenceError` is raised rather than returning
+silently degraded values.  Complex arguments are supported for
+1F1/U/Whittaker at a point only.
 
-All operations are reentrant.  Each memo belongs to one jet (or, in
-:mod:`liesolve.reductions.separated`, one ODE factor), holds at most
-``MEMO_POINTS`` points or lane sets, and is cleared when full; nothing is
-cached per process, and no state is shared between jets.
+All operations are reentrant.  Each memo belongs to one jet or factor,
+holds at most ``MEMO_POINTS`` points or lane sets, and is cleared when full;
+nothing is cached per process, and no state is shared between jets.
 """
 
 from __future__ import annotations
@@ -62,6 +52,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -110,15 +101,12 @@ MEMO_POINTS = 16  # distinct points or lane sets one jet or factor remembers
 def point_key(z):
     """Exact memo key of a point: the bits of a float or complex argument
     (numpy subclasses included, -0.0 apart from +0.0), the bytes of every
-    lane of float lanes or :class:`ComplexLanes` (the two kinds apart), else
-    the identity of the object, which stays sound while :class:`PointMemo`
-    holds it."""
+    lane of float lanes, else the identity of the object, which stays sound
+    while :class:`PointMemo` holds it."""
     if isinstance(z, float):
         return float.hex(z)
     if isinstance(z, complex):
         return float.hex(z.real), float.hex(z.imag)
-    if isinstance(z, ComplexLanes):
-        return tuple(part.tobytes() for part in _lane_parts(z))
     if isinstance(z, np.ndarray):
         return np.ascontiguousarray(z, float).tobytes()
     return id(z)
@@ -167,120 +155,8 @@ def _as_scalar(z):
 
 
 # ---------------------------------------------------------------------------
-# complex lanes
+# lanes
 # ---------------------------------------------------------------------------
-
-
-class ComplexLanes:
-    """Complex lanes: real and imaginary parts as float64 arrays (or floats
-    shared by every lane), under CPython's complex arithmetic, so each lane
-    is bitwise the ``complex`` operation at its point.  Products follow
-    ``_Py_c_prod`` and quotients ``_Py_c_quot`` (Smith's division); numpy's
-    complex128 loops need not match them.  A real operand, a float or float
-    lanes, acts as ``complex(x, 0.0)``, as CPython 3.11 promotes it."""
-
-    __slots__ = ("real", "imag")
-    __array_ufunc__ = None  # ndarray (op) ComplexLanes defers to ComplexLanes
-
-    def __init__(self, real, imag):
-        self.real = real
-        self.imag = imag
-
-    @staticmethod
-    def of(v):
-        if isinstance(v, ComplexLanes):
-            return v
-        if isinstance(v, complex):
-            return ComplexLanes(v.real, v.imag)
-        return ComplexLanes(v, 0.0)
-
-    def __add__(self, o):
-        o = ComplexLanes.of(o)
-        return ComplexLanes(self.real + o.real, self.imag + o.imag)
-
-    def __sub__(self, o):
-        o = ComplexLanes.of(o)
-        return ComplexLanes(self.real - o.real, self.imag - o.imag)
-
-    def __mul__(self, o):
-        return _cprod(self, ComplexLanes.of(o))
-
-    def __rmul__(self, o):
-        return _cprod(ComplexLanes.of(o), self)
-
-    def __truediv__(self, o):
-        return _cquot(self, ComplexLanes.of(o))
-
-    def __rtruediv__(self, o):
-        return _cquot(ComplexLanes.of(o), self)
-
-    def __abs__(self):
-        # CPython's abs(complex) is libm hypot, as np.hypot is
-        return np.hypot(self.real, self.imag)
-
-
-def _cprod(a, b):
-    return ComplexLanes(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _cquot(a, b):
-    br, bi = b.real, b.imag
-    if not isinstance(br, np.ndarray) and not isinstance(bi, np.ndarray):
-        # one denominator for every lane: CPython's branch, taken once
-        if abs(br) >= abs(bi):
-            if br == 0.0:
-                raise ZeroDivisionError("complex division by zero")
-            ratio = bi / br
-            denom = br + bi * ratio
-            return ComplexLanes(
-                (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
-            )
-        if abs(bi) >= abs(br):
-            ratio = br / bi
-            denom = br * ratio + bi
-            return ComplexLanes(
-                (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
-            )
-        return ComplexLanes(math.nan, math.nan)
-    # a denominator per lane: both branches, each lane keeps CPython's
-    abr, abi = np.abs(br), np.abs(bi)
-    if np.any((abr == 0.0) & (abi == 0.0)):
-        raise ZeroDivisionError("complex division by zero")
-    with np.errstate(all="ignore"):
-        r1 = bi / br
-        d1 = br + bi * r1
-        r2 = br / bi
-        d2 = br * r2 + bi
-        by_real = abr >= abi
-        by_imag = ~by_real & (abi >= abr)
-        parts = []
-        for one, two in (
-            ((a.real + a.imag * r1) / d1, (a.real * r2 + a.imag) / d2),
-            ((a.imag - a.real * r1) / d1, (a.imag * r2 - a.real) / d2),
-        ):
-            parts.append(np.where(by_real, one, np.where(by_imag, two, math.nan)))
-    return ComplexLanes(*parts)
-
-
-def _is_lanes(z):
-    return isinstance(z, (np.ndarray, ComplexLanes))
-
-
-def _lane_parts(z):
-    """(real parts, imaginary parts) of lanes as float64 arrays."""
-    if isinstance(z, ComplexLanes):
-        re, im = np.broadcast_arrays(np.asarray(z.real, float), np.asarray(z.imag, float))
-        return np.ascontiguousarray(re), np.ascontiguousarray(im)
-    re = np.ascontiguousarray(z, float)
-    return re, np.zeros_like(re)
-
-
-def _lane_scalars(z):
-    """Each lane as the scalar its point would be: a float for real lanes,
-    a complex for :class:`ComplexLanes`."""
-    if isinstance(z, ComplexLanes):
-        return list(map(complex, *_lane_parts(z)))
-    return np.asarray(z, float).tolist()
 
 
 def _distinct(z):
@@ -289,25 +165,49 @@ def _distinct(z):
     bits of each lane as :func:`point_key` keys a point.  The key differs
     from every :func:`point_key`, and lane sets of one set of points (a
     float pass, the repeated pattern blocks of a stacked pass) share it."""
-    re, im = _lane_parts(z)
-    if isinstance(z, ComplexLanes):
-        bits = np.stack([re, im], axis=1).view(np.int64)
-        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(re.view(np.int64), return_index=True, return_inverse=True)
+    re = np.ascontiguousarray(z, float)
+    _, first, inverse = np.unique(re.view(np.int64), return_index=True, return_inverse=True)
     order = np.argsort(first)
     first, inverse = first[order], np.argsort(order)[inverse.ravel()]
-    pts = ComplexLanes(re[first], im[first]) if isinstance(z, ComplexLanes) else re[first]
+    pts = re[first]
     return pts, inverse, ("distinct", point_key(pts))
+
+
+def lane_memo(at_point, at_lanes):
+    """``z -> at_point(z)`` at a point, and on float lanes ``at_lanes`` (rows,
+    a column per lane) at the distinct lanes, spread to every lane as a
+    read-only array; kept in a :class:`PointMemo`, a lane set's rows also
+    under the key of its distinct lanes (see :func:`_distinct`)."""
+    memo = PointMemo()
+
+    def at(z):
+        key = point_key(z)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if isinstance(z, np.ndarray):
+            pts, inverse, dkey = _distinct(z)
+            rows = memo.get(dkey)
+            if rows is None:
+                rows = np.asarray(at_lanes(pts))
+                memo.put(dkey, pts, rows)
+            out = rows[:, inverse]
+            out.flags.writeable = False  # handed out as the value of every call
+        else:
+            out = at_point(z)
+        memo.put(key, z, out)
+        return out
+
+    return at
 
 
 def _each_scalar(fn, z):
     """``fn`` at each lane of ``z`` alone (a scalar call, with its error), as
-    :class:`ComplexLanes`."""
-    vals = [complex(fn(v)) for v in _lane_scalars(z)]
-    return ComplexLanes(
-        np.array([v.real for v in vals], float), np.array([v.imag for v in vals], float)
-    )
+    float lanes; a lane whose value is not real raises :class:`DomainError`."""
+    vals = [complex(fn(v)) for v in np.asarray(z, float).tolist()]
+    if any(v.imag for v in vals):
+        raise DomainError("a lane takes a complex value: real lanes hold real values only")
+    return np.array([v.real for v in vals], float)
 
 
 # ---------------------------------------------------------------------------
@@ -452,120 +352,84 @@ def _series_value(a, b, z, s, trunc_rel, canc, tol):
 
 
 def _kahan_lanes_1f1(a, b, z, tol, cap=_SERIES_CAP):
-    """:func:`_kahan_series_1f1` on the lanes of ``z``, term by term in its
-    order of operations; a lane leaves the sum at the term where its scalar
-    series returns.
-
-    ``z`` is :class:`ComplexLanes`, or, with float ``a`` and ``b``, a float64
-    array of real lanes: the series then sums float64 arrays, which are the
-    real parts of the complex series bit for bit (every imaginary part it
-    multiplies by is a zero, and ``hypot(x, 0) = |x|``).
-
-    ``|term|``, the running maximum and the sum of each term go to a block
-    of ``_KUMMER_BLOCK`` rows, and once per block the scalar convergence
-    test runs on every row, each lane taking its first passing term.  The at
-    most ``_KUMMER_BLOCK - 1`` terms a lane computes past it are dropped and
-    raise no lane error: inside the box they stay finite, and ``b + n`` is
-    never zero, as ``b`` is not a non-positive integer.
-
-    Returns (sum as :class:`ComplexLanes`, first_neglected_over_sum,
-    max_term_over_sum, converged) per lane; a lane that hits the cap has
-    ``converged`` False.
+    """:func:`_kahan_series_1f1` on the float64 lanes ``z`` with float ``a``
+    and ``b``, in its order of operations: the real parts of the complex
+    series bit for bit (every imaginary part it multiplies by is a zero).
+    ``|term|``, the running maximum and the sum go to a block of
+    ``_KUMMER_BLOCK`` rows, and once per block the scalar test runs on every
+    row, each lane taking its first passing term; the terms past it are
+    dropped and raise no lane error (inside the box they stay finite, and
+    ``b + n`` is never zero).  Returns (sum, first neglected term over sum,
+    largest term over sum, converged) per lane, converged False at the cap.
     """
-    real = isinstance(z, np.ndarray)
-    size = np.size(z.real)
-    sums = ComplexLanes(np.empty(size), np.zeros(size))
-    trunc, canc, converged = np.empty(size), np.empty(size), np.zeros(size, bool)
-    live, az = np.arange(size), abs(z)
-    ones, zeros = np.ones(size), np.zeros(size)
-    term = ones if real else ComplexLanes(ones, zeros)
-    s, comp = ([ones], [zeros]) if real else ([ones, zeros], [zeros, zeros])
-    max_term = ones
+    size = np.size(z)
+    sums, trunc, canc = np.empty(size), np.empty(size), np.empty(size)
+    converged = np.zeros(size, bool)
+    live, az = np.arange(size), np.abs(z)
+    term = s = max_term = np.ones(size)
+    comp = np.zeros(size)
     for n0 in range(0, cap, _KUMMER_BLOCK):
         if not live.size:
             break
         k = min(_KUMMER_BLOCK, cap - n0)
-        at, mx = np.empty((k, live.size)), np.empty((k, live.size))
-        sk = [np.empty((k, live.size)) for _ in s]
+        at, mx, sk = (np.empty((k, live.size)) for _ in range(3))
         for j in range(k):
             n = n0 + j
             term = term * (a + n) / (b + n) * z / (n + 1)
-            parts = (term,) if real else (term.real, term.imag)
-            (np.abs if real else np.hypot)(*parts, out=at[j])  # abs(term)
+            np.abs(term, out=at[j])
             max_term = np.fmax(max_term, at[j], out=mx[j])
-            for p, part in enumerate(parts):
-                y = part - comp[p]
-                t = np.add(s[p], y, out=sk[p][j])
-                comp[p] = (t - s[p]) - y
-                s[p] = t
-        big = np.maximum((np.abs if real else np.hypot)(*sk), 1e-300)  # max(abs(s), 1e-300)
+            y = term - comp
+            t = np.add(s, y, out=sk[j])
+            comp = (t - s) - y
+            s = t
+        big = np.maximum(np.abs(sk), 1e-300)  # max(abs(s), 1e-300)
         done = (at <= tol * big) & (np.arange(n0, n0 + k)[:, None] > az)
         go = ~done.any(axis=0)
         if go.all():
             continue
         cols = np.flatnonzero(~go)
         rows, idx = done[:, cols].argmax(axis=0), live[cols]
-        sums.real[idx] = sk[0][rows, cols]
-        if not real:
-            sums.imag[idx] = sk[1][rows, cols]
+        sums[idx] = sk[rows, cols]
         trunc[idx], canc[idx] = at[rows, cols] / big[rows, cols], mx[rows, cols] / big[rows, cols]
         converged[idx] = True
         live, az, max_term = live[go], az[go], max_term[go]
-        s, comp = [v[go] for v in s], [v[go] for v in comp]
-        term, z = (v[go] if real else ComplexLanes(v.real[go], v.imag[go]) for v in (term, z))
+        s, comp, term, z = s[go], comp[go], term[go], z[go]
     return sums, trunc, canc, converged
 
 
 def _hyp1f1_lanes(a, b, z, tol=1e-12):
-    """``_hyp1f1(a, b, z).value`` on the lanes of ``z`` (float lanes or
-    :class:`ComplexLanes`), as :class:`ComplexLanes`; a real value ``v``
-    reads ``complex(v, 0.0)``, as it promotes in complex arithmetic.
-
-    Lanes on the plain route (inside the box, ``z != 0``, ``Re z >= 0``,
-    ``a`` not a non-positive integer) run :func:`_kahan_lanes_1f1` together,
-    on float64 arrays when ``a``, ``b`` and every such lane are real; a lane
-    whose sum misses the error budget takes the scalar
-    extended-precision rerun (:func:`_series_value`) from that sum.  Each
-    other lane goes through :func:`_hyp1f1` alone, which gives its value or
-    raises its error.
+    """``_hyp1f1(a, b, z).value`` on the float lanes ``z``, for real ``a``
+    and ``b`` (else :class:`DomainError`).  Lanes on the plain route (inside
+    the box, ``z > 0``, ``a`` not a non-positive integer) run
+    :func:`_kahan_lanes_1f1` together, a lane whose sum misses the error
+    budget rerunning in extended precision (:func:`_series_value`); each
+    other lane goes through :func:`_hyp1f1` alone, with its value or error.
     """
     if _is_nonpositive_int(b):
         raise PoleError(f"1F1 undefined for b={b}")
-    a = complex(a)
-    b = complex(b)
-    re, im = _lane_parts(z)
-    az = np.hypot(re, im)
-    plain = np.isfinite(az) & (az <= Z_BOX) & (az != 0.0) & (re >= 0.0)
+    a, b = complex(a), complex(b)
+    if a.imag or b.imag:
+        raise DomainError("1F1 lanes take real parameters")
+    z = np.ascontiguousarray(z, float)
+    plain = np.isfinite(z) & (z <= Z_BOX) & (z > 0.0)
     if abs(a) > PARAM_BOX or abs(b) > PARAM_BOX or _is_nonpositive_int(a):
         plain[:] = False
     idx = np.flatnonzero(plain)
-    out = ComplexLanes(np.empty(re.size), np.empty(re.size))
-    if a.imag == 0.0 and b.imag == 0.0 and not im[idx].any():
-        s, trunc_rel, canc, converged = _kahan_lanes_1f1(a.real, b.real, re[idx], min(tol, 1e-14))
-    else:
-        s, trunc_rel, canc, converged = _kahan_lanes_1f1(
-            a, b, ComplexLanes(re[idx], im[idx]), min(tol, 1e-14)
-        )
+    out = np.empty(z.size)
+    s, trunc_rel, canc, converged = _kahan_lanes_1f1(a.real, b.real, z[idx], min(tol, 1e-14))
     ok = converged & (trunc_rel + canc * _EPS * 4 <= tol)
-    # _as_scalar: a negligible imaginary part leaves a real value
-    big = np.abs(s.real)
-    real = (s.imag == 0.0) | (np.abs(s.imag) <= 1e-14 * np.where(big > 1.0, big, 1.0))
-    out.real[idx[ok]] = s.real[ok]
-    out.imag[idx[ok]] = np.where(real, 0.0, s.imag)[ok]
+    out[idx[ok]] = s[ok]
     for k in np.flatnonzero(converged & ~ok).tolist():
         # cancellation ate the budget: the scalar extended-precision rerun
-        v = complex(_series_value(
-            a, b, complex(re[idx[k]], im[idx[k]]),
-            complex(s.real[k], s.imag[k]), float(trunc_rel[k]), float(canc[k]), tol,
-        ).value)
-        out.real[idx[k]], out.imag[idx[k]] = v.real, v.imag
+        out[idx[k]] = _series_value(
+            a, b, complex(z[idx[k]]), complex(s[k]), float(trunc_rel[k]), float(canc[k]), tol
+        ).value
     plain[idx[~converged]] = False
     rest = np.flatnonzero(~plain)
     if rest.size:
         # Kummer reflection, terminating series, z = 0, outside the box, the
         # iteration cap: the scalar route, lane by lane
-        back = _each_scalar(lambda v: _hyp1f1(a, b, v, tol).value, ComplexLanes(re[rest], im[rest]))
-        out.real[rest], out.imag[rest] = back.real, back.imag
+        out[rest] = _each_scalar(lambda v: _hyp1f1(a, b, v, tol).value, z[rest])
     return out
 
 
@@ -856,44 +720,30 @@ def bessel_jet(kind, nu):
 
 
 def _hyp1f1_value(a, b, z):
-    return _hyp1f1_lanes(a, b, z) if _is_lanes(z) else _hyp1f1(a, b, z).value
+    return _hyp1f1_lanes(a, b, z) if isinstance(z, np.ndarray) else _hyp1f1(a, b, z).value
+
+
+def _hypU_value(a, b, z):
+    if isinstance(z, np.ndarray):
+        return _each_scalar(lambda v: _hypU(a, b, v).value, z)
+    return _hypU(a, b, z).value
+
+
+def _shift_jet(value, a, b, c1, c2):
+    """(f, f', f'') with f^(k)(z) = c_k() value(a + k, b + k, z), the
+    parameter-shift derivatives; each takes a point or float lanes."""
+    return (lambda z: value(a, b, z), lambda z: c1() * value(a + 1, b + 1, z),
+            lambda z: c2() * value(a + 2, b + 2, z))
 
 
 def hyp1f1_jet(a, b):
-    """(f, f', f'') for z -> 1F1(a;b;z) via the parameter-shift derivative;
-    each takes a point or lanes (see :func:`_hyp1f1_lanes`)."""
-
-    def f(z):
-        return _hyp1f1_value(a, b, z)
-
-    def d1(z):
-        return a / b * _hyp1f1_value(a + 1, b + 1, z)
-
-    def d2(z):
-        return a * (a + 1) / (b * (b + 1)) * _hyp1f1_value(a + 2, b + 2, z)
-
-    return f, d1, d2
+    """(f, f', f'') for z -> 1F1(a;b;z); lanes as :func:`_hyp1f1_lanes`."""
+    return _shift_jet(_hyp1f1_value, a, b, lambda: a / b, lambda: a * (a + 1) / (b * (b + 1)))
 
 
 def hypU_jet(a, b):
-    """(f, f', f'') for z -> U(a,b,z) via the parameter-shift derivative;
-    lanes go through :func:`_hypU` one at a time."""
-
-    def value(a, b, z):
-        if _is_lanes(z):
-            return _each_scalar(lambda v: _hypU(a, b, v).value, z)
-        return _hypU(a, b, z).value
-
-    def f(z):
-        return value(a, b, z)
-
-    def d1(z):
-        return -a * value(a + 1, b + 1, z)
-
-    def d2(z):
-        return a * (a + 1) * value(a + 2, b + 2, z)
-
-    return f, d1, d2
+    """(f, f', f'') for z -> U(a,b,z); lanes through :func:`_hypU` one by one."""
+    return _shift_jet(_hypU_value, a, b, lambda: -a, lambda: a * (a + 1))
 
 
 def _whittaker_jet(inner_jet, kappa, mu):
@@ -901,16 +751,15 @@ def _whittaker_jet(inner_jet, kappa, mu):
     the jet builder of F at a = mu - kappa + 1/2, b = 1 + 2 mu.
 
     The prefactor and F, F', F'' are computed at most once per distinct
-    point or lane set and kept in a :class:`PointMemo` of this jet, filled
-    order by order as the elements ask for them, so the three elements of a
-    ``Dual2`` pass, and a later pass on the same points, share one
-    evaluation of each order.  On lanes (float lanes or
-    :class:`ComplexLanes`; the result is :class:`ComplexLanes`), each
-    distinct lane is evaluated once.  A :class:`Dual2` argument raises
-    :class:`DomainError`: ``cmath`` would drop its derivative parts.
+    point or lane set, filled order by order as the elements ask for them,
+    so the three elements of a ``Dual2`` pass, and a later pass on the same
+    points, share one evaluation of each order.  Float lanes give float
+    lanes (a lane whose point is complex raises :class:`DomainError`); a
+    :class:`Dual2` raises :class:`DomainError`: ``cmath`` would drop its
+    derivative parts.
     """
-    a = complex(mu - kappa + 0.5)
-    b = complex(1.0 + 2.0 * mu)
+    a = mu - kappa + 0.5
+    b = 1.0 + 2.0 * mu
     inner = inner_jet(a, b)
     e = mu + 0.5
     # point or lane set -> (distinct lanes, each lane's index among them,
@@ -926,7 +775,7 @@ def _whittaker_jet(inner_jet, kappa, mu):
             raise DomainError("Whittaker jets take a float or complex argument, not a Dual2")
         key = point_key(z)
         hit = memo.get(key)
-        if hit is None and _is_lanes(z):
+        if hit is None and isinstance(z, np.ndarray):
             pts, inverse, dkey = _distinct(z)
             pref, vals = memo.get(dkey) or (_each_scalar(prefactor, pts), {})
         elif hit is None:
@@ -942,7 +791,7 @@ def _whittaker_jet(inner_jet, kappa, mu):
         vals.update(new)
         out = [pref] + [vals[k] for k in orders]
         if inverse is not None:
-            out = [ComplexLanes(v.real[inverse], v.imag[inverse]) for v in out]
+            out = [v[inverse] for v in out]
         return out[0], out[1:]
 
     def f(z):
@@ -969,3 +818,156 @@ def whittakerW_jet(kappa, mu):
 def whittakerM_jet(kappa, mu):
     """(f, f', f'') for z -> M_{kappa,mu}(z), complex-capable in z."""
     return _whittaker_jet(hyp1f1_jet, kappa, mu)
+
+
+# ---------------------------------------------------------------------------
+# Coulomb-wave series: 1F1 on the imaginary axis, in real arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _coulomb_series(b, eta, tau, tol, cap=_SERIES_CAP):
+    """psi(tau) = exp(-i tau/2) 1F1(b/2 + i eta; b; i tau) and psi'(tau) from
+    their real series, with compensated sums: psi solves tau psi'' + b psi'
+    + (tau/4 + eta) psi = 0, so psi = sum t_k, t_k = c_k tau^k, c_0 = 1,
+    c_-1 = 0, c_k = -(eta c_{k-1} + c_{k-2}/4)/(k (k + b - 1)) (Abramowitz &
+    Stegun ch. 14; DLMF 33.6), and psi' = sum d_k, d_k = k c_k tau^(k-1) =
+    -(eta t_{k-1} + tau t_{k-2}/4)/(k + b - 1), t_k = d_k tau/k.  Returns
+    ((psi, psi'), (last two terms over the sum of each), (largest term over
+    the sum of each)) at the first k > |tau| where both last two terms are
+    within ``tol`` of their sums (one can be small by accident), or None at
+    the cap."""
+    q, atau = 0.25 * tau, abs(tau)
+    t1, t2 = 1.0, 0.0  # t_{k-1}, t_{k-2}
+    s, ds, cs, cds = 1.0, 0.0, 0.0, 0.0
+    mt, md, at1, ad1 = 1.0, 0.0, 1.0, 0.0
+    for k in range(1, cap + 1):
+        d = (eta * t1 + q * t2) / (1.0 - k - b)
+        t = d * tau / k
+        y = t - cs
+        u = s + y
+        cs = (u - s) - y
+        s = u
+        y = d - cds
+        u = ds + y
+        cds = (u - ds) - y
+        ds = u
+        at, ad = abs(t), abs(d)
+        if at > mt:  # np.fmax: a NaN term leaves the maximum
+            mt = at
+        if ad > md:
+            md = ad
+        if k > atau:
+            big, dbig = abs(s), abs(ds)
+            big = 1e-300 if big < 1e-300 else big  # np.maximum: a NaN sum stays
+            dbig = 1e-300 if dbig < 1e-300 else dbig
+            pt, pd = at1 + at, ad1 + ad
+            if pt <= tol * big and pd <= tol * dbig:
+                return (s, ds), (pt / big, pd / dbig), (mt / big, md / dbig)
+        t1, t2, at1, ad1 = t, t1, at, ad
+    return None
+
+
+def _coulomb_lanes(b, eta, tau, tol, cap=_SERIES_CAP):
+    """:func:`_coulomb_series` on the float64 lanes ``tau`` in its order of
+    operations, psi and psi' as rows, with the block test of
+    :func:`_kahan_lanes_1f1`: its three pairs as (2, lanes) arrays, and
+    ``converged`` per lane."""
+    n = tau.size
+    sums, trunc, canc = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+    converged = np.zeros(n, bool)
+    live, atau, q = np.arange(n), np.abs(tau), 0.25 * tau
+    t1, t2, comp = np.ones(n), np.zeros(n), np.zeros((2, n))
+    s, top, prev = (np.stack([np.ones(n), np.zeros(n)]) for _ in range(3))
+    for k0 in range(1, cap + 1, _KUMMER_BLOCK):
+        if not live.size:
+            break
+        m = min(_KUMMER_BLOCK, cap + 1 - k0)
+        ab, sk = np.empty((m + 1, 2, live.size)), np.empty((m, 2, live.size))
+        ab[0] = prev  # |t|, |d| of the last term before the block
+        for j in range(m):
+            td = np.empty((2, live.size))  # t_k and d_k
+            d = np.divide(eta * t1 + q * t2, 1.0 - (k0 + j) - b, out=td[1])
+            np.divide(d * tau, k0 + j, out=td[0])
+            np.abs(td, out=ab[j + 1])
+            y = td - comp
+            u = np.add(s, y, out=sk[j])
+            comp = (u - s) - y
+            s, t1, t2 = u, td[0], t1
+        big = np.maximum(np.abs(sk), 1e-300)
+        pair = ab[:-1] + ab[1:]
+        mx = np.fmax.accumulate(np.concatenate([top[None], ab[1:]]), axis=0)[1:]
+        done = (np.arange(k0, k0 + m)[:, None] > atau) & (pair <= tol * big).all(axis=1)
+        go = ~done.any(axis=0)
+        top, prev = mx[-1], ab[-1]
+        if not go.all():
+            cols = np.flatnonzero(~go)
+            rows, idx = done[:, cols].argmax(axis=0), live[cols]
+            sums[:, idx] = sk[rows, :, cols].T
+            trunc[:, idx] = (pair[rows, :, cols] / big[rows, :, cols]).T
+            canc[:, idx] = (mx[rows, :, cols] / big[rows, :, cols]).T
+            converged[idx] = True
+            live, atau, q, tau, t1, t2 = (v[go] for v in (live, atau, q, tau, t1, t2))
+            s, comp, top, prev = (v[:, go] for v in (s, comp, top, prev))
+    return sums, trunc, canc, converged
+
+
+def _mp_coulomb(b, eta, tau, order, dps):
+    """psi = Re exp(-i tau/2) 1F1(a; b; i tau), a = b/2 + i eta (order 0), or
+    psi' = Re exp(-i tau/2) i (a/b 1F1(a + 1; b + 1; i tau) - 1F1/2), at dps."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, z = mpmath.mpc(b / 2.0, eta), mpmath.mpc(0.0, tau)
+        m = _mp_hyp1f1(a, b, z, "Coulomb series")
+        if order:
+            m = 1j * (a / b * _mp_hyp1f1(a + 1, b + 1, z, "Coulomb series") - m / 2)
+        return float(mpmath.re(mpmath.expj(-mpmath.mpf(tau) / 2) * m))
+
+
+def _coulomb_value(b, eta, tau, sums, trunc, canc, tol):
+    """[psi, psi'] from their converged sums, each rerun in extended
+    precision by the rule of :func:`_series_value`."""
+    out = [float(v) for v in sums]
+    for k in (0, 1):
+        if trunc[k] + canc[k] * _EPS * 4 > tol:
+            big = float(canc[k]) * max(abs(out[k]), 1e-300)
+            mp = partial(_mp_coulomb, b, eta, tau, k)
+            out[k] = _raise_digits(mp, big, tol, "Coulomb series")[0]
+    return out
+
+
+def coulomb_jet(b, eta):
+    """tau -> (psi(tau), psi'(tau)), psi = exp(-i tau/2) 1F1(b/2 + i eta; b;
+    i tau), real by Kummer's transformation (DLMF 13.2.39), from its
+    Coulomb-wave series: a pair at a float, a (2, lanes) array on float
+    lanes (see :func:`lane_memo`), each lane bitwise its point.  Outside the
+    box or at the cap any lane raises :class:`DivergenceError`, a ``Dual2``
+    :class:`DomainError`, and a non-positive integer ``b`` :class:`PoleError`
+    here."""
+    if _is_nonpositive_int(b):
+        raise PoleError(f"Coulomb series undefined for b={b}")
+    tol = 1e-12  # the error budget, as 1F1's; the sums run to 1e-14
+
+    def check(tau, converged=True):
+        if isinstance(tau, Dual2):
+            raise DomainError("the Coulomb jet takes a float or float lanes, not a Dual2")
+        if max(abs(b), abs(eta)) > PARAM_BOX or not np.all(np.abs(tau) <= Z_BOX):
+            raise DivergenceError("Coulomb series arguments outside the supported box")
+        if not np.all(converged):
+            raise DivergenceError("Coulomb series failed to converge within the iteration cap")
+
+    def at_point(tau):
+        check(tau)
+        series = _coulomb_series(b, eta, float(tau), 1e-14)
+        check(tau, series is not None)
+        return tuple(_coulomb_value(b, eta, float(tau), *series, tol))
+
+    def at_lanes(tau):
+        check(tau)
+        out, trunc, canc, converged = _coulomb_lanes(b, eta, tau, 1e-14)
+        check(tau, converged)
+        for k in np.flatnonzero((trunc + canc * _EPS * 4 > tol).any(axis=0)).tolist():
+            out[:, k] = _coulomb_value(b, eta, tau[k], out[:, k], trunc[:, k], canc[:, k], tol)
+        return out
+
+    return lane_memo(at_point, at_lanes)

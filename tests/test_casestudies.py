@@ -14,7 +14,7 @@ from liesolve.casestudies import (
     published_power_law_coefficients,
     smirk_expansion,
 )
-from liesolve.errors import AlphaOne
+from liesolve.errors import AlphaOne, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,13 @@ def test_double_cev_generic_route():
     res = double_cev(r=0.03, alpha=(0.5, 0.5), rho=0.0)
     assert res.verification.clean
     assert res.solution_chain is None
+
+
+def test_double_cev_at_zero_rate_names_the_missing_binding():
+    # at r = 0 the catalog potential is 48 (x^2 + y^2)/(x^2 - y^2)^2 alone,
+    # which classifies as 1.2a and binds no c for the 1.2b chain
+    with pytest.raises(DomainError, match=r"r = 0\.0.*classifies as 1\.2a, binding no 'c';"):
+        double_cev(r=0.0)
 
 
 def test_cev_1d_alpha_zero_kills_inverse_square():

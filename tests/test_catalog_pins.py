@@ -33,14 +33,19 @@ TIMES = (0.4, 0.9)
 
 # (case, seed) -> digest; 1.2a, 1.2b, 1.8a and 1.8b were re-recorded when
 # the ODE factor moved from DOP853 at rtol 1e-10 to one Chebyshev spectral
-# solve: only their closed-form values moved, by at most 7.0e-11 of max |P|
+# solve: only their closed-form values moved, by at most 7.0e-11 of max |P|.
+# 1.1b was re-recorded when its factor became the real Frobenius pair: only
+# its three closed-form values moved, each to the old one divided by
+# cos(pi (2 mu + 1)/4) w^(mu + 1/2) of both factors (within 7e-15), and the
+# first point's, at eta < 0, with its sign flipped, as the eta factor is now
+# odd rather than the even reflection
 PINS = {
     ("1.1a", 0): "0aea81b9a761518cb6d9e578f381e4b23aeb2d75b5e06b5c3de32ee74f66b989",
     ("1.1a", 1): "e27e7b88f6b09f768e69ecf137891a6f383ec44681b86cb5235d732d4853dfe5",
     ("1.1a", 2): "a658390b5efc48a6209060225954526098d14730599435d1ee4319647fdde4b2",
-    ("1.1b", 0): "47357584115fc38e798ad0159bb3ad79659ce1ba0b45e94b849c6e3c269eb229",
-    ("1.1b", 1): "10c0fb8de91e560a5fce35cbe256e0233bee5d488d21a21428bf0b678b69ace8",
-    ("1.1b", 2): "52ce320eb1b5cde3d44df9511f597c76c08e56c9c34472b61d37bb082038f066",
+    ("1.1b", 0): "349123ec30c57eb4d81c1ae1179965f965611e56af49c456200312ebc5dad884",
+    ("1.1b", 1): "e5b41fcf9a9c37a754587cba752240b43965bf456b4efc9488f7ae8384d4fcff",
+    ("1.1b", 2): "05e24b3b0a7393b2bc38884f874568df32281116b157015240096b66d8516fa3",
     ("1.2a", 0): "ed3c9a1a6d690bf63727aa588de3b5f83362fa6d9e0d0a25479c93afe16a9a78",
     ("1.2a", 1): "29931fb613137cb13ea5237a9174720d6028685f68f2f21466ed7115d7237fe8",
     ("1.2a", 2): "5da1d9ed19324b554c0aeb31c36007cc14b4775a0027bcae490eff44893668d0",

@@ -5,6 +5,7 @@ lane is bitwise the reference at its point, or the lanes raise and a rerun
 one lane at a time gives the reference's error."""
 
 import math
+import re
 import sys
 import threading
 import zlib
@@ -144,6 +145,20 @@ def test_eval_domain_errors():
         ex.evaluate(ex.parse("1/x"), {"x": 0.0})
     with pytest.raises(EvalDomainError):
         ex.evaluate(ex.parse("sqrt(x)"), {"x": -2.0})
+
+
+@pytest.mark.parametrize(
+    "src, operation",
+    [("exp(1000)", "exp"), ("10^400", "power (^)"), ("1e308^1e308", "power (^)")],
+)
+def test_overflow_is_a_domain_error_naming_its_operation(src, operation):
+    f = ex.compile_expr(ex.parse(src), ("x", "y"))
+    with pytest.raises(EvalDomainError, match=rf"^{re.escape(operation)} overflowed"):
+        f(1.0, 2.0)
+    with pytest.raises(EvalDomainError, match=rf"^{re.escape(operation)} overflowed"):
+        f(hd.float_lanes([1.0, 0.5]), hd.float_lanes([2.0, 0.5]))
+    # the classifier reads the overflowing constant as not evaluable
+    assert not ex.match_case(ex.parse(src))
 
 
 def test_eval_unbound():

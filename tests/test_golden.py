@@ -50,12 +50,17 @@ REDUCE = {
 # 1.2a, 1.2b, 1.8a and 1.8b pins, double-cev's in CASE_STUDY and ARGV, were
 # re-recorded for the spectral ODE factor: their reconstruction FD residuals
 # fell from 1.7e-8..3.3e-7 to 7.0e-11..7.3e-9 (double-cev: 4.3e-7 to 9.8e-10),
-# the other values moved at rounding level, and no verdict changed
+# the other values moved at rounding level, and no verdict changed.  1.1b's
+# were re-recorded for its real Frobenius factor: the checks are relative to
+# the size of P, so only its reduced residual (1.5e-10 -> 1.2e-13 at seed 0,
+# 9.9e-12 -> 8.9e-15 at seed 1) and its FD residual (5.9050631954e-07 ->
+# 5.9050631949e-07, 7.86e-09 -> 7.48e-09) moved, to the values that psi from
+# mpmath at 40 digits gives: the complex series cancelled more
 VERIFY = {
     ("1.1a", 0): ("DivergenceError", "1F1 arguments outside the supported box"),
     ("1.1a", 1): (0, "f08cf8dc5bf0e8045f05820d63e816e88bd083e8a8085310d8af61c459e147de"),
-    ("1.1b", 0): (0, "020589eb1240e2deb40f58400be2ae1101ecaecbc78a05022b4e46605ba7b623"),
-    ("1.1b", 1): (0, "1e377f15e99f61c15553f04b1b056b7e245cf7cf947cb3339308d75c32d7a99e"),
+    ("1.1b", 0): (0, "37e9b597352a196572cdf9446c1611363b4163ed5ef1ff47322a0536a76e04ed"),
+    ("1.1b", 1): (0, "5794932a3116cd146d1c00a7015c6aba9d8b84fa285217a4aba08f11f254a3d0"),
     ("1.2a", 0): (0, "a0710e262987e445932937b2e9d70cb1945de6e167e5566bf965cf47752acf5c"),
     ("1.2a", 1): (0, "11e8e652de55585988327a10ac87841b4b7f2850d8d9dc93bfa0c1e421ae6be5"),
     ("1.2b", 0): (0, "e50c6f7075dd7ae7312dc3857d63b774e8d617dbfa366d536269a910820c997a"),

@@ -188,6 +188,19 @@ def test_per_lane_rebuilds_scalar_arguments_and_stacks_the_results():
     assert out.b.tolist() == [3.0, 0.0]
 
 
+def test_per_lane_on_zero_lanes_gives_zero_lanes():
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return args[0]
+
+    for args in ((hd.float_lanes([]),), (hd.Dual2(hd.float_lanes([]), 1.0), hd.float_lanes([]))):
+        out = hd.per_lane(fn)(*args)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert calls == []
+
+
 # -- the invariance residual ------------------------------------------------------
 
 

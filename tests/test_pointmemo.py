@@ -167,7 +167,6 @@ def memos(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(sf, "PointMemo", make)
-    monkeypatch.setattr(SEP, "PointMemo", make)
     return made
 
 
@@ -489,7 +488,9 @@ def _by_points(op, P, pts):
     return max([0.0] + [abs(v) for _, v in kept])
 
 
-LANE_RESIDUALS = [d for d in VERIFY_DRAWS if d[0] != "1.1b"] + [("double-cev", 0)]
+# 1.1b's Frobenius factor takes Dual2 lanes: its residual at every CLI seed
+# of the benchmark's verify ops runs on lanes
+LANE_RESIDUALS = VERIFY_DRAWS + [("1.1b", seed) for seed in range(1, 8)] + [("double-cev", 0)]
 
 
 @pytest.mark.parametrize("case_id, seed", LANE_RESIDUALS)
@@ -506,18 +507,6 @@ def test_reduced_residual_runs_on_lanes(case_id, seed, monkeypatch, lane_reruns)
     assert lanes.hex() == _by_points(op, P_ref, pts).hex()
     assert operator_residual(op, _scalar_only(P_ref), pts).hex() == lanes.hex()
     assert lane_reruns == [(len(pts), 0)]
-
-
-def test_imag_whittaker_residual_stays_on_points(monkeypatch, lane_reruns):
-    # 1.1b's factor branches on its value part under Dual2: its lane attempt
-    # raises at once, and the one-lane rerun gives the residual
-    from liesolve.reductions import operator_residual
-
-    op, P, pts = _reduced_residual_args("1.1b", 0, monkeypatch)
-    got = operator_residual(op, P, pts)
-    assert lane_reruns == [(30, 0)]
-    _, P_ref, _ = _reduced_residual_args("1.1b", 0, monkeypatch)
-    assert got.hex() == _by_points(op, P_ref, pts).hex()
 
 
 def _spoilt_at(P, bad, kind):

@@ -7,7 +7,8 @@ Expected values follow from stated independent oracles:
   the same sum in mpmath arithmetic with 40 more digits than the rerun;
 * numerical quadrature of the Laplace integral representation, plus one
   exact contiguous recurrence step, for Whittaker W;
-* the direct power series for Bessel J at half-integer order.
+* the direct power series for Bessel J at half-integer order;
+* mpmath's complex 1F1 at 40 digits for the real Coulomb-wave series.
 
 On lanes the reference is the scalar call itself: each lane must equal it
 bit for bit, or raise its error.
@@ -323,8 +324,9 @@ def test_extended_precision_failure_is_typed(monkeypatch, error):
 
 @pytest.mark.parametrize("error", MP_FAILURES)
 def test_fp_residual_skips_points_whose_rerun_fails(monkeypatch, error):
-    # 1.1b at CLI seed 3 takes extended-precision reruns in its residual: a
-    # failing one sends the residual one lane at a time, which skips its point
+    # 1.1b at the draw of CLI seed 3 with c = 2 takes extended-precision
+    # reruns of its Coulomb series in its residual: a failing one sends the
+    # residual one lane at a time, which skips its point
     import mpmath
 
     from liesolve.cli import _bounding_region
@@ -332,7 +334,7 @@ def test_fp_residual_skips_points_whose_rerun_fails(monkeypatch, error):
     from liesolve.verify import fp_residual
 
     case = get_case("1.1b")
-    params = case.draw_params(np.random.default_rng(3))
+    params = dict(case.draw_params(np.random.default_rng(3)), c=2.0)
     u = reconstruct_u(case, params, closed_form_solution(case, params))
     monkeypatch.setattr(mpmath, "hyp1f1", _failing_hyp1f1(error))
     box = _bounding_region(case, params, 3)
@@ -536,9 +538,6 @@ def test_special_value_invariant():
 # lanes: each lane bitwise its scalar call
 # ---------------------------------------------------------------------------
 
-finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).filter(lambda v: v != 0.0)
-parts = st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]))
-
 
 def _hex(v):
     v = complex(v)
@@ -546,43 +545,7 @@ def _hex(v):
 
 
 def _lane_hexes(lanes):
-    re, im = np.broadcast_arrays(lanes.real, lanes.imag)
-    return [(r.hex(), i.hex()) for r, i in zip(re.tolist(), im.tolist())]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(parts, parts, parts, parts), min_size=1, max_size=6), parts, parts)
-def test_complex_lanes_follow_cpython(pairs, cr, ci):
-    # products, quotients (one denominator, or one per lane), sums and abs
-    a = sf.ComplexLanes(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-    b = sf.ComplexLanes(np.array([p[2] for p in pairs]), np.array([p[3] for p in pairs]))
-    za = [complex(p[0], p[1]) for p in pairs]
-    zb = [complex(p[2], p[3]) for p in pairs]
-    c = complex(cr, ci)
-    real = np.array([p[2] for p in pairs])
-    with np.errstate(all="ignore"):  # overflow to inf, as in complex arithmetic
-        _check_complex_lanes(a, b, za, zb, c, real)
-
-
-def _check_complex_lanes(a, b, za, zb, c, real):
-    checks = [
-        (a * b, [x * y for x, y in zip(za, zb)]),
-        (a + b, [x + y for x, y in zip(za, zb)]),
-        (a - real, [x - y for x, y in zip(za, real.tolist())]),
-        (real * a, [y * x for x, y in zip(za, real.tolist())]),
-        (c * a, [c * x for x in za]),
-    ]
-    if c != 0:
-        checks.append((a / c, [x / c for x in za]))
-    if all(y != 0 for y in zb):
-        checks.append((a / b, [x / y for x, y in zip(za, zb)]))
-        checks.append((2.5 / b, [2.5 / y for y in zb]))
-    else:
-        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
-            a / b
-    for got, want in checks:
-        assert _lane_hexes(got) == [_hex(w) for w in want]
-    assert [v.hex() for v in abs(a).tolist()] == [abs(x).hex() for x in za]
+    return [_hex(v) for v in np.asarray(lanes).tolist()]
 
 
 def _scalar_1f1(a, b, z):
@@ -592,59 +555,45 @@ def _scalar_1f1(a, b, z):
         return type(exc), str(exc)
 
 
-def _lanes_of(kind, zs):
-    """(lanes, the scalar argument of each lane) for real, imaginary or
-    complex z."""
-    if kind == "real":
-        return np.array([z.real for z in zs]), [z.real for z in zs]
-    if kind == "imag":
-        zs = [complex(0.0, z.imag) for z in zs]
-    return sf.ComplexLanes(np.array([z.real for z in zs]), np.array([z.imag for z in zs])), zs
-
-
-def _check_1f1_lanes(a, b, kind, zs):
-    lanes, scalars = _lanes_of(kind, zs)
-    want = [_scalar_1f1(a, b, z) for z in scalars]
+def _check_1f1_lanes(a, b, zs):
+    want = [_scalar_1f1(a, b, z) for z in zs]
     errors = [w for w in want if isinstance(w[0], type)]
     if errors:
         with pytest.raises((LiesolveError, ArithmeticError, ValueError)) as info:
-            sf._hyp1f1_lanes(a, b, lanes)
+            sf._hyp1f1_lanes(a, b, np.array(zs, float))
         assert (type(info.value), str(info.value)) in errors
         return
-    assert _lane_hexes(sf._hyp1f1_lanes(a, b, lanes)) == want
+    assert _lane_hexes(sf._hyp1f1_lanes(a, b, np.array(zs, float))) == want
 
 
-z_value = st.builds(
-    complex,
-    st.floats(min_value=-40.0, max_value=40.0),
-    st.floats(min_value=-40.0, max_value=40.0),
-)
 parameter = st.one_of(
     st.floats(min_value=-12.0, max_value=12.0),
     st.integers(min_value=-6, max_value=6).map(float),
-    st.builds(
-        complex, st.floats(min_value=-8.0, max_value=8.0), st.floats(min_value=-8.0, max_value=8.0)
-    ),
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    parameter,
-    parameter,
-    st.sampled_from(["real", "imag", "complex"]),
-    st.lists(z_value, min_size=1, max_size=6),
-)
-@example(-10.5, 2.0, "real", [35.0, 2.0, 35.0])  # a < 0, large z: extended precision
-@example(0.3 - 0.4j, 1.7, "imag", [complex(0, 30.0), complex(0, 1.5)])  # extended precision
-@example(0.8, 1.6, "real", [-3.0, 1.5])  # Re z < 0: Kummer reflection
-@example(0.8 + 0.5j, 1.6, "complex", [complex(-3.0, 1.0), complex(2.0, -1.0)])
-@example(0.8, 1.6, "real", [0.0, 0.7, -0.0])  # z = 0
-@example(-3.0, 1.6, "complex", [complex(2.0, 1.0), complex(5.0, 0.0)])  # terminating series
-@example(0.8, 1.6, "real", [250.0, 1.0])  # outside the box: the scalar error
-@example(0.8, -2.0, "real", [1.0])  # pole in b
-def test_hyp1f1_lanes_match_scalar(a, b, kind, zs):
-    _check_1f1_lanes(a, b, kind, zs)
+@given(parameter, parameter, st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=6))
+@example(-10.5, 2.0, [35.0, 2.0, 35.0])  # a < 0, large z: extended precision
+@example(0.8, 1.6, [-3.0, 1.5])  # z < 0: Kummer reflection
+@example(0.8, 1.6, [0.0, 0.7, -0.0])  # z = 0
+@example(-3.0, 1.6, [2.0, 5.0])  # terminating series
+@example(0.8, 1.6, [250.0, 1.0])  # outside the box: the scalar error
+@example(0.8, -2.0, [1.0])  # pole in b
+def test_hyp1f1_lanes_match_scalar(a, b, zs):
+    _check_1f1_lanes(a, b, zs)
+
+
+def test_hyp1f1_lanes_take_real_parameters():
+    # a complex parameter has complex values, which real lanes cannot hold;
+    # a real one passed as a complex keeps its lanes
+    with pytest.raises(DomainError, match="real parameters"):
+        sf._hyp1f1_lanes(0.8 + 0.1j, 1.6, np.array([1.5]))
+    with pytest.raises(DomainError, match="real parameters"):
+        sf._hyp1f1_lanes(0.8, 1.6 - 0.2j, np.array([1.5]))
+    assert _lane_hexes(sf._hyp1f1_lanes(complex(0.8), 1.6, np.array([1.5, 30.0]))) == [
+        _scalar_1f1(0.8, 1.6, z) for z in (1.5, 30.0)
+    ]
 
 
 def test_hyp1f1_lanes_take_every_route(monkeypatch):
@@ -661,8 +610,7 @@ def test_hyp1f1_lanes_take_every_route(monkeypatch):
 
         monkeypatch.setattr(sf, name, record)
     sf._hyp1f1_lanes(-10.5, 2.0, np.array([35.0, 2.0]))
-    sf._hyp1f1_lanes(0.3 - 0.4j, 1.7, sf.ComplexLanes(0.0, np.array([30.0, 1.5])))
-    assert routes == [("_series_value", 35.0), ("_series_value", 30j)]
+    assert routes == [("_series_value", 35.0)]
     handed_back = [
         (0.8, [-3.0, 1.5], [-3.0]),  # Kummer reflection
         (0.8, [0.0, 0.7], [0.0]),  # z = 0
@@ -685,33 +633,38 @@ def test_hyp1f1_lane_outside_box_raises_scalar_error():
     [
         (sf.whittakerM_jet, 0.3, np.array([1.7, 0.4, 1.7, 2.9, 0.4])),
         (sf.whittakerW_jet, 0.3, np.array([1.7, 0.4, 1.7, 35.0])),
-        (sf.whittakerM_jet, -0.25j, sf.ComplexLanes(0.0, np.array([1.2, 3.5, 1.2, 7.0]))),
-        (
-            sf.whittakerW_jet,
-            0.4,
-            sf.ComplexLanes(np.array([-2.0, -2.0, 0.5]), np.array([0.0, -0.0, 1.0])),
-        ),
     ],
-    ids=["M-real", "W-real", "M-imag", "W-signed-zero"],
+    ids=["M-real", "W-real"],
 )
 def test_whittaker_jets_on_lanes_match_scalar(monkeypatch, jet, kappa, lanes):
+    # each lane is the real value of its point, bit for bit
     f, df, ddf = jet(kappa, 0.45)
-    scalars = sf._lane_scalars(lanes)
     for g in (f, df, ddf):
         fresh = jet(kappa, 0.45)[(f, df, ddf).index(g)]
-        assert _lane_hexes(g(lanes)) == [_hex(fresh(z)) for z in scalars]
+        points = [complex(fresh(z)) for z in lanes.tolist()]
+        assert not any(v.imag for v in points)
+        assert [v.hex() for v in g(lanes).tolist()] == [v.real.hex() for v in points]
     # one evaluation per distinct lane
     sizes = []
     original = sf._hyp1f1_lanes
 
     def counting(a, b, z, tol=1e-12):
-        sizes.append(np.size(z.real if isinstance(z, sf.ComplexLanes) else z))
+        sizes.append(np.size(z))
         return original(a, b, z, tol)
 
     monkeypatch.setattr(sf, "_hyp1f1_lanes", counting)
     sf.whittakerM_jet(kappa, 0.45)[2](lanes)
-    distinct = len({(complex(z).real.hex(), complex(z).imag.hex()) for z in scalars})
-    assert sizes == [distinct] * 3
+    assert sizes == [len(set(lanes.tolist()))] * 3
+
+
+@pytest.mark.parametrize("jet", [sf.whittakerM_jet, sf.whittakerW_jet])
+def test_whittaker_jet_lane_with_a_complex_value_raises(jet):
+    # z < 0 gives a complex value at its point: its lanes raise, so a caller
+    # reruns them one point at a time
+    lanes = np.array([1.5, -2.0])
+    with pytest.raises(DomainError, match="complex value"):
+        jet(0.4, 0.45)[0](lanes)
+    assert complex(jet(0.4, 0.45)[0](-2.0)).imag != 0.0
 
 
 @pytest.mark.parametrize("kind", ["J", "Y", "I", "K"])
@@ -733,12 +686,12 @@ def test_real_kummer_lanes_match_scalar_series(cap):
         a, b = rng.uniform(-5.0, 8.0), rng.uniform(0.5, 9.0)
         z = sf.Z_BOX * rng.random(50) ** 2
         s, trunc, canc, converged = sf._kahan_lanes_1f1(a, b, z, 1e-14, cap)
-        assert isinstance(s, sf.ComplexLanes)
+        assert isinstance(s, np.ndarray)
         for k, zk in enumerate(z.tolist()):
             want = sf._kahan_series_1f1(complex(a), complex(b), complex(zk), 1e-14, cap)
             assert converged[k] == (want is not None)
             if want is not None:
-                got = (complex(s.real[k], s.imag[k]), float(trunc[k]), float(canc[k]))
+                got = (complex(s[k]), float(trunc[k]), float(canc[k]))
                 assert _hex(got[0]) == _hex(want[0])
                 assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
 
@@ -750,12 +703,12 @@ def _check_kummer_lanes(a, b, z, cap):
     with np.errstate(**hd.LANE_ERRSTATE):
         s, trunc, canc, converged = sf._kahan_lanes_1f1(a, b, z, 1e-14, cap)
     used = []
-    for k, zk in enumerate(sf._lane_scalars(z)):
+    for k, zk in enumerate(z.tolist()):
         want = sf._kahan_series_1f1(complex(a), complex(b), complex(zk), 1e-14, cap)
         assert converged[k] == (want is not None)
         used.append(None if want is None else want[3])
         if want is not None:
-            got = (complex(s.real[k], s.imag[k]), float(trunc[k]), float(canc[k]))
+            got = (complex(s[k]), float(trunc[k]), float(canc[k]))
             assert _hex(got[0]) == _hex(want[0])
             assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
     return used
@@ -786,36 +739,108 @@ def test_kummer_lanes_at_caps_off_the_block(cap):
         assert any(n is not None for n in used)
 
 
-def test_complex_kummer_lanes_match_scalar_series():
-    # the ComplexLanes path at the orders of 1.1b: complex a, pure-imaginary z
+# ---------------------------------------------------------------------------
+# the Coulomb-wave series: psi = exp(-i tau/2) 1F1(b/2 + i eta; b; i tau)
+# ---------------------------------------------------------------------------
+
+
+def _coulomb_reference(b, eta, tau):
+    """(psi, psi') from mpmath's complex 1F1 at 40 digits."""
+    return tuple(sf._mp_coulomb(b, eta, tau, order, 40) for order in (0, 1))
+
+
+def _coulomb_grid():
+    """A seeded (b, eta, tau) grid over the orders 1.1b reaches (b = 1 +- 2 mu
+    for C0 in [0, 2]) and its tau range, out to where the sums cancel."""
+    rng = np.random.default_rng(33)
+    rows = []
+    for _ in range(40):
+        mu = math.sqrt(8.0 * rng.uniform(0.0, 2.0) + 1.0) / 4.0
+        b = 1.0 + 2.0 * mu * (1.0 if rng.random() < 0.5 else -1.0)
+        rows.append((b, rng.uniform(-5.0, 5.0), rng.uniform(0.0, 24.0, 6)))
+    return rows
+
+
+def test_coulomb_jet_matches_mpmath(monkeypatch):
+    # every lane within 1e-11 of mpmath's complex 1F1 at 40 digits, lanes
+    # whose sums cancel too far through their extended-precision rerun
+    reruns = []
+    original = sf._mp_coulomb
+
+    def counting(b, eta, tau, order, dps):
+        reruns.append(tau)
+        return original(b, eta, tau, order, dps)
+
+    worst = 0.0
+    for b, eta, taus in _coulomb_grid():
+        want = np.array([_coulomb_reference(b, eta, t) for t in taus.tolist()]).T
+        with monkeypatch.context() as m:
+            m.setattr(sf, "_mp_coulomb", counting)
+            got = sf.coulomb_jet(b, eta)(taus)
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
+        worst = max(worst, float(err.max()))
+    assert worst <= 1e-11
+    assert 5 <= len(set(reruns)) < 120  # some lanes, not most, rerun
+
+
+def _check_coulomb_lanes(b, eta, tau, cap):
+    """_coulomb_lanes against _coulomb_series lane by lane, bit for bit;
+    returns each lane's term count (None where the series hits the cap)."""
+    with np.errstate(**hd.LANE_ERRSTATE):
+        sums, trunc, canc, converged = sf._coulomb_lanes(b, eta, tau, 1e-14, cap)
+    used = []
+    for k, t in enumerate(tau.tolist()):
+        want = sf._coulomb_series(b, eta, t, 1e-14, cap)
+        assert converged[k] == (want is not None)
+        if want is None:
+            used.append(None)
+            continue
+        got = [tuple(v.hex() for v in part[:, k].tolist()) for part in (sums, trunc, canc)]
+        assert got == [tuple(float(v).hex() for v in part) for part in want]
+        used.append(next(n for n in range(1, cap + 1) if sf._coulomb_series(b, eta, t, 1e-14, n)))
+    return used
+
+
+def test_coulomb_lanes_leave_at_every_offset_of_a_block():
     K = sf._KUMMER_BLOCK
-    rng = np.random.default_rng(11)
-    for cap in (sf._SERIES_CAP, 2 * K + 5):
-        for _ in range(4):
-            w, s1, mu = rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0), 0.25
-            a, b = complex(mu + 1j * s1 / (4.0 * w) + 0.5), complex(1.0 + 2.0 * mu)
-            z = sf.ComplexLanes(np.zeros(300), w * rng.uniform(0.1, 2.5, 300) ** 2)
-            used = _check_kummer_lanes(a, b, z, cap)
-            if cap == sf._SERIES_CAP:
-                assert {(n - 1) % K for n in used} == set(range(K))
-        _check_kummer_lanes(a, b, sf.ComplexLanes(np.zeros(1), np.array([1.3])), cap)
+    tau = np.linspace(0.0, 30.0, 240)
+    used = _check_coulomb_lanes(2.3, 0.7, tau, sf._SERIES_CAP)
+    assert {(n - 1) % K for n in used} == set(range(K))
+    for k in (0, 120, 239):  # one lane
+        _check_coulomb_lanes(2.3, 0.7, tau[k:k + 1], sf._SERIES_CAP)
 
 
-def test_only_real_lanes_take_the_real_series(monkeypatch):
-    kinds = []
-    original = sf._kahan_lanes_1f1
+@pytest.mark.parametrize("cap", [1, 3, sf._KUMMER_BLOCK - 1, sf._KUMMER_BLOCK + 3, 45])
+def test_coulomb_lanes_at_caps_off_the_block(cap):
+    tau = np.array([0.0, 1e-7, 0.05, 0.3, 2.0, 9.0, 30.0, 150.0])
+    used = _check_coulomb_lanes(-0.4, -1.3, tau, cap)
+    assert None in used
+    if cap >= 3:
+        assert any(n is not None for n in used)
 
-    def record(a, b, z, tol, cap=sf._SERIES_CAP):
-        kinds.append((type(a), type(b), type(z)))
-        return original(a, b, z, tol, cap)
 
-    monkeypatch.setattr(sf, "_kahan_lanes_1f1", record)
-    z = np.array([1.5, 30.0, 0.2])
-    sf._hyp1f1_lanes(0.8, 1.6, z)
-    sf._hyp1f1_lanes(0.8, 1.6, sf.ComplexLanes(z, np.array([0.0, -0.0, 0.0])))
-    sf._hyp1f1_lanes(0.8, 1.6, sf.ComplexLanes(z, np.array([0.0, 1e-3, 0.0])))
-    sf._hyp1f1_lanes(0.8 + 0.1j, 1.6, z)
-    sf._hyp1f1_lanes(0.8, 1.6 - 0.2j, z)
-    real = (float, float, np.ndarray)
-    complex_ = (complex, complex, sf.ComplexLanes)
-    assert kinds == [real, real, complex_, complex_, complex_]
+def test_coulomb_jet_lanes_match_points():
+    # each lane is its point's pair bit for bit, reruns included; a lane set
+    # seen again is the memo's read-only value
+    for b, eta, taus in _coulomb_grid()[:12]:
+        lanes = sf.coulomb_jet(b, eta)
+        got = lanes(taus)
+        assert got is lanes(taus.copy())
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0.0
+        for k, t in enumerate(taus.tolist()):
+            want = sf.coulomb_jet(b, eta)(t)
+            assert (got[0, k].hex(), got[1, k].hex()) == (want[0].hex(), want[1].hex())
+
+
+def test_coulomb_jet_errors():
+    with pytest.raises(PoleError, match="b=-1.0"):
+        sf.coulomb_jet(-1.0, 0.5)
+    psi = sf.coulomb_jet(1.5, 0.5)
+    for bad in (250.0, math.nan, np.array([1.0, 250.0])):
+        with pytest.raises(DivergenceError, match="outside the supported box"):
+            psi(bad)
+    with pytest.raises(DivergenceError, match="outside the supported box"):
+        sf.coulomb_jet(1.5, 31.0)(1.0)
+    with pytest.raises(DomainError, match="not a Dual2"):
+        psi(hd.Dual2(1.0, 1.0))
