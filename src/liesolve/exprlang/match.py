@@ -1,20 +1,24 @@
 """Classification of a potential against the reduction-case templates.
 
-Eleven template families, in two groups, each described once in a family
-table that both classifiers read:
+Eleven template families, each declared once in ``FAMILIES``: its term
+shapes, in template order, and the parameter each binds.  ``_SHAPES`` gives
+each shape's source text and basis column.  The templates, the case order,
+the catalog's case parameters and both classifiers read these two tables:
 
-* finite-parameter families (``_LINEAR_FAMILIES``), fitted by linear least
-  squares on basis columns;
-* free-function families (an arbitrary one-argument factor): 1.3 by its
-  slope relation, the rest (``_SLICE_FAMILIES``) by per-slice regression of
-  the finite parameters, after which the factor is recovered by pointwise
-  division on the slice grid.
-
-Structural AST unification runs first and recovers exact bindings when the
-input is literally a template instance; the sampled path is the fallback and
-the only route for plain callables.  The sampled path evaluates the potential
-once per point of the polar grid and once per point of the x-slice grid, and
-every fitter reads those values.
+* the structural pass (AST unification) runs first and recovers exact
+  bindings when the input is literally a template instance: a family takes
+  an input whose shapes it holds all of, with exactly one free-factor term,
+  its symbol bound, where the family has one.  A shape whose coefficients
+  sum to exactly 0.0 is absent, so a c = 0 member or a cancelling pair
+  matches the smaller family;
+* the sampled path is the fallback and the only route for plain callables.
+  Finite-parameter families (``_LINEAR_FAMILIES``) are fitted by linear
+  least squares on their basis columns; of the free-function families, 1.3
+  by its slope relation, the rest (``_SLICE_FAMILIES``) by per-slice
+  regression of the finite parameters, after which the factor is recovered
+  by pointwise division on the slice grid.  The sampled path evaluates the
+  potential once per point of the polar grid and once per point of the
+  x-slice grid, and every fitter reads those values.
 """
 
 from __future__ import annotations
@@ -53,35 +57,62 @@ class NoMatchResult:
         return False
 
 
-# specificity-descending order: constrained finite families first, then the
-# free-function families with more structure, the bare radial+angle one last
-CASE_ORDER = (
-    "1.4b",
-    "1.1b",
-    "1.4a",
-    "1.1a",
-    "1.5a",
-    "1.2b",
-    "1.2a",
-    "1.3",
-    "1.8b",
-    "1.8a",
-    "1.6",
-)
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
 
-TEMPLATE_SOURCES = {
-    "1.1a": "C0/x^2 + b*y + c0",
-    "1.1b": "C0/x^2 + c*r_polar^2 + b*y + c0",
-    "1.2a": "C(theta)/r_polar^2 + c0",
-    "1.2b": "C(theta)/r_polar^2 + c*r_polar^2 + c0",
-    "1.3": "C(lam*ln(r_polar) + theta)/r_polar^2 + c0",
-    "1.4a": "C0/r_polar^2 + a*x + b*y + c0",
-    "1.4b": "C0/r_polar^2 + c*r_polar^2 + a*x + b*y + c0",
-    "1.5a": "a*x + b*y + c0",
-    "1.6": "C(r_polar) + d*theta",
-    "1.8a": "C(x) + b*y",
-    "1.8b": "C(x) + c*y^2 + b*y",
+# term shape -> (source text, with {} for the parameter it binds; basis
+# column on float lanes, or None where no linear fit reads the shape).  A
+# factor shape C(arg) is keyed by its argument; the spiral argument is a
+# shape of its own, whose parameter is the slope lam.
+_SHAPES = {
+    "inv_x2": ("{}/x^2", lambda x, y: 1.0 / (x * x)),
+    "inv_r2": ("{}/r_polar^2", lambda x, y: 1.0 / (x * x + y * y)),
+    "r2": ("{}*r_polar^2", lambda x, y: x * x + y * y),
+    "x": ("{}*x", lambda x, y: x),
+    "y": ("{}*y", lambda x, y: y),
+    "y2": ("{}*y^2", lambda x, y: y * y),
+    "one": ("{}", lambda x, y: np.ones_like(x)),
+    "theta": ("{}*theta", None),
+    "spiral": ("{}*ln(r_polar) + theta", None),
+    "C(theta)/r2": ("{}(theta)/r_polar^2", None),
+    "C(spiral)/r2": ("{}({spiral})/r_polar^2", None),
+    "C(r_polar)": ("{}(r_polar)", None),
+    "C(x)": ("{}(x)", None),
 }
+
+# each family's term shapes and the parameter each binds, in template order;
+# the families run in specificity-descending order: constrained finite
+# families first, then the free-function families with more structure, the
+# bare radial+angle one last
+FAMILIES = {
+    "1.4b": {"inv_r2": "C0", "r2": "c", "x": "a", "y": "b", "one": "c0"},
+    "1.1b": {"inv_x2": "C0", "r2": "c", "y": "b", "one": "c0"},
+    "1.4a": {"inv_r2": "C0", "x": "a", "y": "b", "one": "c0"},
+    "1.1a": {"inv_x2": "C0", "y": "b", "one": "c0"},
+    "1.5a": {"x": "a", "y": "b", "one": "c0"},
+    "1.2b": {"C(theta)/r2": "C", "r2": "c", "one": "c0"},
+    "1.2a": {"C(theta)/r2": "C", "one": "c0"},
+    "1.3": {"C(spiral)/r2": "C", "spiral": "lam", "one": "c0"},
+    "1.8b": {"C(x)": "C", "y2": "c", "y": "b"},
+    "1.8a": {"C(x)": "C", "y": "b"},
+    "1.6": {"C(r_polar)": "C", "theta": "d"},
+}
+
+CASE_ORDER = tuple(FAMILIES)
+
+
+def _source(family):
+    """A family's template text; the spiral argument sits inside its factor."""
+    spiral = _SHAPES["spiral"][0].format(family.get("spiral"))
+    return " + ".join(
+        _SHAPES[shape][0].format(name, spiral=spiral)
+        for shape, name in family.items()
+        if shape != "spiral"
+    )
+
+
+TEMPLATE_SOURCES = {cid: _source(family) for cid, family in sorted(FAMILIES.items())}
 
 
 @functools.cache
@@ -95,28 +126,11 @@ def instantiate(case_id, params, opaque=None):
     return _as_xy_callable(template_expr(case_id), params, opaque)
 
 
-# ---------------------------------------------------------------------------
-# family table
-# ---------------------------------------------------------------------------
-
-# basis columns of the finite-parameter families; the structural pass uses the
-# same keys for the term shapes it recognizes
-_BASIS = {
-    "one": lambda x, y: 1.0,
-    "x": lambda x, y: x,
-    "y": lambda x, y: y,
-    "y2": lambda x, y: y * y,
-    "r2": lambda x, y: x * x + y * y,
-    "inv_x2": lambda x, y: 1.0 / (x * x),
-    "inv_r2": lambda x, y: 1.0 / (x * x + y * y),
-}
-
+# the finite-parameter families: every shape has a basis column
 _LINEAR_FAMILIES = {
-    "1.1a": (("inv_x2", "C0"), ("y", "b"), ("one", "c0")),
-    "1.1b": (("inv_x2", "C0"), ("r2", "c"), ("y", "b"), ("one", "c0")),
-    "1.4a": (("inv_r2", "C0"), ("x", "a"), ("y", "b"), ("one", "c0")),
-    "1.4b": (("inv_r2", "C0"), ("r2", "c"), ("x", "a"), ("y", "b"), ("one", "c0")),
-    "1.5a": (("x", "a"), ("y", "b"), ("one", "c0")),
+    cid: tuple(family.items())
+    for cid, family in FAMILIES.items()
+    if all(_SHAPES[shape][1] is not None for shape in family)
 }
 
 _REQUIRED_NONZERO = {
@@ -247,39 +261,25 @@ def _const_value(e, params):
         return None
 
 
-def _is_var_pow(e, name, p):
-    return (
-        isinstance(e, A.Bin)
-        and e.op == "^"
-        and isinstance(e.left, A.Var)
-        and e.left.name == name
-        and isinstance(e.right, A.Num)
-        and e.right.value == p
-    )
+def _square(name):
+    return A.Bin("^", A.Var(name), A.Num(2.0))
 
 
-def _is_r2(e):
-    # r_polar^2 or (x^2 + y^2)
-    if _is_var_pow(e, "r_polar", 2):
-        return True
-    if isinstance(e, A.Bin) and e.op == "+":
-        l, r = e.left, e.right
-        return (_is_var_pow(l, "x", 2) and _is_var_pow(r, "y", 2)) or (
-            _is_var_pow(l, "y", 2) and _is_var_pow(r, "x", 2)
-        )
-    return False
+# the forms of r^2 a term may take: r_polar^2 or (x^2 + y^2)
+_R2 = (
+    _square("r_polar"),
+    A.Bin("+", _square("x"), _square("y")),
+    A.Bin("+", _square("y"), _square("x")),
+)
 
 
 def _classify_term(term, params):
-    """Return (key, payload) or None.
-
-    Keys: one, x, y, theta, y2, r2, inv_x2, inv_r2, opq_over_r2, opq.
-    Payload is the numeric coefficient, except for opaque keys where it is
-    (coef, fn_name, arg_expr).
-    """
+    """Return (shape, coefficient, factor) or None: the key of ``_SHAPES``
+    the term has, its numeric coefficient, and for a free-function factor
+    the pair (symbol, spiral slope or None), else None."""
     c = _const_value(term, params)
     if c is not None:
-        return ("one", c)
+        return ("one", c, None)
 
     def split_coef(n):
         # peel numeric/constant multipliers and divisors off a product
@@ -308,103 +308,62 @@ def _classify_term(term, params):
 
     if isinstance(core, A.Var):
         if core.name in ("x", "y", "theta"):
-            return (core.name, coef)
+            return (core.name, coef, None)
         return None
-    if _is_var_pow(core, "y", 2):
-        return ("y2", coef)
-    if _is_r2(core):
-        return ("r2", coef)
+    if core == _square("y"):
+        return ("y2", coef, None)
+    if core in _R2:
+        return ("r2", coef, None)
+    over_r2 = ""
     if isinstance(core, A.Bin) and core.op == "/":
         num_c = _const_value(core.left, params)
         den = core.right
         if num_c is not None:
-            if _is_var_pow(den, "x", 2):
-                return ("inv_x2", coef * num_c)
-            if _is_r2(den):
-                return ("inv_r2", coef * num_c)
-        if isinstance(core.left, A.Call) and core.left.opaque and core.left.prime == 0:
-            if _is_r2(den):
-                return ("opq_over_r2", (coef, core.left.fn, core.left.arg))
+            if den == _square("x"):
+                return ("inv_x2", coef * num_c, None)
+            if den in _R2:
+                return ("inv_r2", coef * num_c, None)
+        if den not in _R2:
+            return None
+        core, over_r2 = core.left, "/r2"
     if isinstance(core, A.Call) and core.opaque and core.prime == 0:
-        return ("opq", (coef, core.fn, core.arg))
+        lam = _log_spiral_arg(core.arg, params)
+        arg = "spiral" if lam is not None else core.arg.name if isinstance(core.arg, A.Var) else ""
+        shape = f"C({arg}){over_r2}"
+        if shape in _RESAMPLE_AT:
+            return (shape, coef, (core.fn, lam))
     return None
 
 
 def _structural_match(expr, params, opaque):
-    terms = _flatten_sum(expr)
-    classified = []
-    for sign, t in terms:
+    """The families whose shapes include every shape of the input, with
+    exactly one factor term, its symbol bound, where the family has a free
+    factor.  A shape whose coefficients sum to exactly 0.0 is absent; a
+    required parameter that vanishes is left to :func:`_excluded`."""
+    sums, factors = {}, {}
+    for sign, t in _flatten_sum(expr):
         k = _classify_term(t, params)
         if k is None:
             return None
-        key, payload = k
-        if key in ("opq_over_r2", "opq"):
-            coef, fn, arg = payload
-            classified.append((key, (sign * coef, fn, arg)))
-        else:
-            classified.append((key, sign * payload))
-
-    buckets = {}
-    for key, payload in classified:
-        buckets.setdefault(key, []).append(payload)
-
-    def scalar(key):
-        vals = buckets.get(key, [])
-        return sum(vals) if vals else 0.0
-
-    # finite-parameter families: every term is one of the family's columns
-    # (a vanishing required parameter is left to _excluded)
+        shape, coef, factor = k
+        if factor is None:
+            sums.setdefault(shape, []).append(sign * coef)
+            continue
+        fn, lam = factor
+        C = _bound_opaque(fn, sign * coef, opaque)
+        if factors or C is None:
+            return None
+        factors[shape] = C
+        if lam is not None:
+            sums["spiral"] = [lam]
+    sums = {shape: sum(vals) for shape, vals in sums.items()}
+    shapes = {shape for shape, v in sums.items() if v != 0.0} | factors.keys()
+    bound = {**sums, **factors}
     results = [
-        CaseMatch(cid, {name: scalar(key) for key, name in family}, 0.0)
-        for cid, family in _LINEAR_FAMILIES.items()
-        if all(key in dict(family) for key in buckets)
+        CaseMatch(cid, {name: bound.get(shape, 0.0) for shape, name in family.items()}, 0.0)
+        for cid, family in FAMILIES.items()
+        if shapes <= family.keys() and factors.keys() == family.keys() & _RESAMPLE_AT.keys()
     ]
-
-    # free-function families (need exactly one opaque term)
-    opq_r2 = buckets.get("opq_over_r2", [])
-    opq_bare = buckets.get("opq", [])
-    if len(opq_r2) == 1 and not opq_bare:
-        coef, fn, arg = opq_r2[0]
-        binding_c = _bound_opaque(fn, coef, opaque)
-        extra = [k for k in buckets if k not in ("opq_over_r2", "one", "r2")]
-        if not extra and binding_c is not None:
-            if isinstance(arg, A.Var) and arg.name == "theta":
-                c = scalar("r2")
-                if c != 0.0:
-                    results.append(
-                        CaseMatch("1.2b", {"C": binding_c, "c": c, "c0": scalar("one")}, 0.0)
-                    )
-                else:
-                    results.append(CaseMatch("1.2a", {"C": binding_c, "c0": scalar("one")}, 0.0))
-            else:
-                lam = _log_spiral_arg(arg, params)
-                if lam is not None and lam != 0.0 and scalar("r2") == 0.0:
-                    results.append(
-                        CaseMatch(
-                            "1.3", {"C": binding_c, "lam": lam, "c0": scalar("one")}, 0.0
-                        )
-                    )
-    if len(opq_bare) == 1 and not opq_r2:
-        coef, fn, arg = opq_bare[0]
-        binding_c = _bound_opaque(fn, coef, opaque)
-        extra = [k for k in buckets if k not in ("opq", "theta", "y", "y2")]
-        if not extra and binding_c is not None:
-            if isinstance(arg, A.Var) and arg.name == "r_polar":
-                if not any(k in buckets for k in ("y", "y2")):
-                    results.append(
-                        CaseMatch("1.6", {"C": binding_c, "d": scalar("theta")}, 0.0)
-                    )
-            elif isinstance(arg, A.Var) and arg.name == "x" and "theta" not in buckets:
-                if "y2" in buckets and scalar("y2") != 0.0:
-                    results.append(
-                        CaseMatch(
-                            "1.8b",
-                            {"C": binding_c, "c": scalar("y2"), "b": scalar("y")},
-                            0.0,
-                        )
-                    )
-                else:
-                    results.append(CaseMatch("1.8a", {"C": binding_c, "b": scalar("y")}, 0.0))
     return results or None
 
 
@@ -422,35 +381,26 @@ def _log_spiral_arg(arg, params):
     """Recognize lam*ln(r_polar) + theta and return lam."""
     if not (isinstance(arg, A.Bin) and arg.op == "+"):
         return None
+    ln_r = A.Call("ln", A.Var("r_polar"))
     for l, r in ((arg.left, arg.right), (arg.right, arg.left)):
-        if isinstance(r, A.Var) and r.name == "theta":
-            if isinstance(l, A.Call) and l.fn == "ln" and isinstance(l.arg, A.Var) and l.arg.name == "r_polar":
+        if r == A.Var("theta"):
+            if l == ln_r:
                 return 1.0
             if isinstance(l, A.Bin) and l.op == "*":
-                c = _const_value(l.left, params)
-                inner = l.right
-                if c is None:
-                    c = _const_value(l.right, params)
-                    inner = l.left
-                if (
-                    c is not None
-                    and isinstance(inner, A.Call)
-                    and inner.fn == "ln"
-                    and isinstance(inner.arg, A.Var)
-                    and inner.arg.name == "r_polar"
-                ):
-                    return c
+                for c, inner in ((l.left, l.right), (l.right, l.left)):
+                    lam = _const_value(c, params)
+                    if lam is not None and inner == ln_r:
+                        return lam
     return None
 
 
-# free-factor arguments at which a structural match is sampled for _excluded
+# free-factor shape -> the arguments at which a structural match's factor is
+# sampled for _excluded
 _RESAMPLE_AT = {
-    "1.2a": _THETAS,
-    "1.2b": _THETAS,
-    "1.3": np.linspace(-1.5, 7.0, 12),
-    "1.6": _RADII,
-    "1.8a": np.linspace(0.4, 2.8, 8),
-    "1.8b": np.linspace(0.4, 2.8, 8),
+    "C(theta)/r2": _THETAS,
+    "C(spiral)/r2": np.linspace(-1.5, 7.0, 12),
+    "C(r_polar)": _RADII,
+    "C(x)": np.linspace(0.4, 2.8, 8),
 }
 
 
@@ -458,7 +408,8 @@ def _resample_structural(match):
     C = match.bindings["C"]
     if isinstance(C, tuple):  # (C, C', ...): sample the factor itself
         C = C[0]
-    return tuple((float(s), float(C(s))) for s in _RESAMPLE_AT[match.case_id])
+    (args,) = (_RESAMPLE_AT[s] for s in FAMILIES[match.case_id] if s in _RESAMPLE_AT)
+    return tuple((float(s), float(C(s))) for s in args)
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +459,14 @@ def _fit_linear_family(fit, cid):
     """Fit M ~ sum(coef * column(x, y)) over the polar grid; the residual is
     relative to the RMS of M."""
     family = _LINEAR_FAMILIES[cid]
-    columns = [_BASIS[k] for k, _ in family]
-    rows, rhs = [], []
-    for i, r in enumerate(_RADII):
-        for j, th in enumerate(_THETAS):
-            v = fit[i, j]
-            if not math.isfinite(v):
-                continue
-            x, y = _polar_point(r, th)
-            row = [col(x, y) for col in columns]
-            if all(math.isfinite(c) and abs(c) < _BIG for c in row):
-                rows.append(row)
-                rhs.append(v)
-    if len(rows) < 2 * len(columns):
+    xs, ys, _ = _grid("r")
+    with np.errstate(divide="ignore", over="ignore"):
+        Amat = np.stack([_SHAPES[shape][1](xs, ys) for shape, _ in family], axis=1)
+    bvec = fit.ravel()
+    keep = np.isfinite(bvec) & np.all(np.isfinite(Amat) & (np.abs(Amat) < _BIG), axis=1)
+    if keep.sum() < 2 * len(family):
         return None
-    Amat = np.asarray(rows)
-    bvec = np.asarray(rhs)
+    Amat, bvec = Amat[keep], bvec[keep]
     coefs, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
     resid = Amat @ coefs - bvec
     scale = max(float(np.sqrt(np.mean(bvec**2))), 1e-30)

@@ -1,8 +1,9 @@
 """The reduction catalog: eleven potential families.  A
 :class:`CaseReduction` is the one home of a case's metadata and bundles
 
-* the potential template (from ``exprlang.TEMPLATE_SOURCES``), the parameter
-  names, the parameters fixed in every draw, and the ``reduce`` summary,
+* the potential template and its parameter names (from
+  ``exprlang.FAMILIES``), the parameters fixed in every draw, and the
+  ``reduce`` summary,
 * the admissible generator data,
 * the similarity map (from :mod:`.maps`),
 * the reduced operator on the similarity variables,
@@ -33,7 +34,7 @@ import numpy as np
 
 from .. import hyperdual as hd
 from ..errors import NoClosedForm, SamplingError
-from ..exprlang import TEMPLATE_SOURCES, instantiate
+from ..exprlang import FAMILIES, TEMPLATE_SOURCES, instantiate
 from ..symmetry import SymmetryData, exp_pair, poly
 from . import maps as MP
 from . import separated as SEP
@@ -86,7 +87,6 @@ class Pieces(NamedTuple):
 @dataclass
 class CaseReduction:
     case_id: str
-    case_params: tuple
     sym_params: tuple
     has_closed_form: bool
     summary: tuple  # (similarity variables, reduced equation), as `reduce` prints them
@@ -97,6 +97,12 @@ class CaseReduction:
     @property
     def template(self):
         return TEMPLATE_SOURCES[self.case_id]
+
+    @property
+    def case_params(self):
+        """The template's parameters, in template order; the free factor C
+        is bound apart."""
+        return tuple(name for name in FAMILIES[self.case_id].values() if name != "C")
 
     # -- potential ----------------------------------------------------------
     def potential_field(self, params, opaque=None):
@@ -584,55 +590,54 @@ def catalog():
     if _CASES is None:
         R = CaseReduction
         cases = [
-            # id, case parameters, generator parameters, closed form,
+            # id, generator parameters, closed form,
             # `reduce` summary, binding, opaque default, fixed parameters
-            R("1.1a", ("C0", "b", "c0"), ("delta1", "delta2", "beta0", "beta1"), True, (
+            R("1.1a", ("delta1", "delta2", "beta0", "beta1"), True, (
                 "xi = x/sqrt(f1), eta = (y + shift_b(t))/sqrt(f1), f1 = delta2 t^2 + delta1 t",
                 "d1^2 xi^2 (P_xixi + P_etaeta) + d1^3 xi^3 P_xi + d1^3 xi^2 eta P_eta "
                 "+ [4(delta2 beta0^2 - delta1 beta0 beta1) xi^2 - 2 C0 d1^2] P = 0",
             ), _case_11a),
-            R("1.1b", ("C0", "c", "b", "c0"), ("delta1", "delta2", "beta1", "beta2"), True, (
+            R("1.1b", ("delta1", "delta2", "beta1", "beta2"), True, (
                 "xi = x/sqrt(f1), eta = (y - h(t))/sqrt(f1), f1 = delta1 e^{2at} + delta2 e^{-2at}",
                 "d1 d2 xi^2 (P_xixi + P_etaeta) + [8 c d1^2 d2^2 xi^2 (xi^2+eta^2) "
                 "- xi^2 (beta1^2 d2 + beta2^2 d1) - 2 C0 d1 d2] P = 0",
             ), _case_11b),
-            R("1.2a", ("c0",), ("delta1", "delta2"), True, (
+            R("1.2a", ("delta1", "delta2"), True, (
                 "xi = x/sqrt(f1), eta = y/sqrt(f1), f1 = delta2 t^2 + delta1 t",
                 "rho^2 P_rhorho + (delta1 rho^3 + rho) P_rho + P_thetatheta - 2 C(theta) P = 0",
             ), _case_12a, _C_THETA),
-            R("1.2b", ("c", "c0"), ("delta1", "delta2"), True, (
+            R("1.2b", ("delta1", "delta2"), True, (
                 "xi = x/sqrt(f1), eta = y/sqrt(f1), f1 = delta1 e^{2at} + delta2 e^{-2at}",
                 "rho^2 P_rhorho + rho P_rho + P_thetatheta + 2[4 c d1 d2 rho^4 - C(theta)] P = 0",
             ), _case_12b, _C_THETA),
-            R("1.3", ("lam", "c0"), ("k",), False, (
+            R("1.3", ("k",), False, (
                 "rotating frame: xi + i eta = (x + i y) e^{i lam ln(t)/2} / sqrt(t)",
                 "rho^2 [lap P + (xi + lam eta) P_xi + (eta - lam xi) P_eta] "
                 "- 2 C(lam ln rho + theta) P = 0",
             ), _case_13, _C_THETA),
-            R("1.4a", ("C0", "a", "b", "c0"), ("delta1", "delta2"), True, (
+            R("1.4a", ("delta1", "delta2"), True, (
                 "as 1.2a (the constant-angular-factor specialization)",
                 "rho^2 lap P + delta1 rho^2 (xi P_xi + eta P_eta) - 2 C0 P = 0",
             ), _case_14a, None, {"a": 0.0, "b": 0.0}),
-            R("1.4b", ("C0", "c", "a", "b", "c0"), ("delta1", "delta2"), True, (
+            R("1.4b", ("delta1", "delta2"), True, (
                 "as 1.2b (the constant-angular-factor specialization)",
                 "rho^2 lap P + 2[4 c d1 d2 rho^4 - C0] P = 0",
             ), _case_14b, None, {"a": 0.0, "b": 0.0}),
-            R("1.5a", ("a", "b", "c0"),
-              ("delta1", "delta2", "alpha0", "alpha1", "beta0", "beta1"), True, (
+            R("1.5a", ("delta1", "delta2", "alpha0", "alpha1", "beta0", "beta1"), True, (
                 "xi = (x + shift_a(t))/sqrt(f1), eta = (y + shift_b(t))/sqrt(f1)",
                 "lap P + delta1 (xi P_xi + eta P_eta) + kappa P = 0, "
                 "kappa = 4[delta2(a0^2+b0^2) - delta1(a0 a1 + b0 b1)]/delta1^2",
             ), _case_15a),
-            R("1.6", ("d",), ("k",), False, (
+            R("1.6", ("k",), False, (
                 "xi = x^2 + y^2, eta = t",
                 "4 xi^2 P_xixi + 4 xi P_xi - 2 xi P_eta + (d^2 eta^2 - 2 xi C(sqrt(xi))) P = 0",
             ), _case_16, _C_RADIAL),
-            R("1.8a", ("b",), ("beta0", "beta1"), True, (
+            R("1.8a", ("beta0", "beta1"), True, (
                 "xi = x, eta = t (boost along y)",
                 "4 h^2 P_xixi - 8 h^2 P_eta + [b^2 eta^2 (b1 eta + 2 b0)^2 - 4 b1 h "
                 "- 8 C(xi) h^2] P = 0, h = b1 eta + b0",
             ), _case_18a, _C_LINE),
-            R("1.8b", ("c", "b"), ("beta1", "beta2"), True, (
+            R("1.8b", ("beta1", "beta2"), True, (
                 "xi = x, eta = t (exponential boost along y)",
                 "P_xixi - 2 P_eta - 2 C(xi) P = 0",
             ), _case_18b, _C_LINE),

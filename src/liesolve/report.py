@@ -63,9 +63,9 @@ class VerificationReport:
         self.checks.append(entry)
         return entry
 
-    def record(self, name, passed, value=float("nan"), threshold=float("nan"),
-               expected_discrepancy=False, notes=""):
-        entry = CheckEntry(name, value, threshold, bool(passed), expected_discrepancy, notes)
+    def record(self, name, passed, notes=""):
+        """A pass/fail check with no value or threshold of its own."""
+        entry = CheckEntry(name, float("nan"), float("nan"), bool(passed), False, notes)
         self.checks.append(entry)
         return entry
 

@@ -37,8 +37,9 @@ Conventions:
   first use, so importing this module loads neither.
 
 Supported box: ``|a|,|b|,|kappa|,|mu|,|eta| <= 30`` and ``|z|, |tau| <=
-200``; outside it a :class:`DivergenceError` is raised rather than returning
-silently degraded values.  Complex arguments are supported for
+200`` (a NaN lies outside it, as does a non-finite 2F1 argument); outside
+it a :class:`DivergenceError` is raised rather than returning silently
+degraded values.  Complex arguments are supported for
 1F1/U/Whittaker at a point only.
 
 All operations are reentrant.  Each memo belongs to one jet or factor,
@@ -223,8 +224,8 @@ def gamma(z):
         raise PoleError(f"gamma pole at z={z}")
     try:
         v = math.gamma(z)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(str(exc)) from exc
+    except OverflowError as exc:
+        raise DivergenceError(f"gamma overflows float64 at z={z}") from exc
     # math.gamma is correctly rounded to within a few ulp
     return SpecialValue(v, True, 8 * _EPS)
 
@@ -312,7 +313,7 @@ def _hyp1f1(a, b, z, tol=1e-12):
     a = complex(a)
     b = complex(b)
     z = complex(z)
-    if abs(z) > Z_BOX or abs(a) > PARAM_BOX or abs(b) > PARAM_BOX:
+    if not (abs(z) <= Z_BOX and abs(a) <= PARAM_BOX and abs(b) <= PARAM_BOX):
         raise DivergenceError("1F1 arguments outside the supported box")
     if z == 0:
         return SpecialValue(_as_scalar(1.0 + 0j), True, 0.0)
@@ -412,7 +413,7 @@ def _hyp1f1_lanes(a, b, z, tol=1e-12):
         raise DomainError("1F1 lanes take real parameters")
     z = np.ascontiguousarray(z, float)
     plain = np.isfinite(z) & (z <= Z_BOX) & (z > 0.0)
-    if abs(a) > PARAM_BOX or abs(b) > PARAM_BOX or _is_nonpositive_int(a):
+    if not (abs(a) <= PARAM_BOX and abs(b) <= PARAM_BOX) or _is_nonpositive_int(a):
         plain[:] = False
     idx = np.flatnonzero(plain)
     out = np.empty(z.size)
@@ -470,18 +471,21 @@ def _hypU(a, b, z, tol=1e-10):
     z = complex(z)
     if z == 0:
         raise DomainError("U undefined at z=0")
-    if abs(z) > Z_BOX or abs(a) > PARAM_BOX or abs(b) > PARAM_BOX:
+    if not (abs(z) <= Z_BOX and abs(a) <= PARAM_BOX and abs(b) <= PARAM_BOX):
         raise DivergenceError("U arguments outside the supported box")
     if _is_nonpositive_int(a):
         # terminating: U(-n, b, z) is a polynomial (generalized Laguerre)
         n_terms = int(round(-a.real))
         term = 1.0 + 0.0j
         s = 1.0 + 0.0j
+        size = 1.0  # sum of |term|: the sum's rounding error scales with it
         for k in range(n_terms):
             term = term * (a + k) * (a - b + 1 + k) * (-1.0 / z) / 1.0 / (k + 1)
             s += term
+            size += abs(term)
         pref = cmath.exp(-a * cmath.log(z))
-        return SpecialValue(_as_scalar(pref * s), True, 8 * _EPS * (n_terms + 1))
+        est = 8 * _EPS * (n_terms + 1) * size / max(abs(s), 1e-300)
+        return SpecialValue(_as_scalar(pref * s), True, est)
     if abs(z) >= 30.0:
         out = _hypU_asymptotic(a, b, z)
         if out is not None:
@@ -551,8 +555,10 @@ def _hyp2f1(a, b, c, z, tol=1e-12):
     for p in (a, b, c, z):
         if isinstance(p, complex):
             raise DomainError("Gauss 2F1 is real-only in this kernel")
-    if abs(a) > PARAM_BOX or abs(b) > PARAM_BOX or abs(c) > PARAM_BOX:
+    if not (abs(a) <= PARAM_BOX and abs(b) <= PARAM_BOX and abs(c) <= PARAM_BOX):
         raise DivergenceError("2F1 parameters outside the supported box")
+    if not math.isfinite(z):
+        raise DivergenceError(f"2F1 argument z={z} is not finite")
     if _is_nonpositive_int(c) and not (
         (_is_nonpositive_int(a) and a > c) or (_is_nonpositive_int(b) and b > c)
     ):
@@ -564,11 +570,12 @@ def _hyp2f1(a, b, c, z, tol=1e-12):
         if _is_nonpositive_int(b) and not _is_nonpositive_int(a):
             a, b = b, a
         n_terms = int(round(-a))
-        term, s = 1.0, 1.0
+        term, s, size = 1.0, 1.0, 1.0  # size: the sum of |term|, as in _hypU
         for n in range(n_terms):
             term = term * (a + n) * (b + n) / (c + n) * z / (n + 1)
             s += term
-        return SpecialValue(s, True, 8 * _EPS * (n_terms + 1))
+            size += abs(term)
+        return SpecialValue(s, True, 8 * _EPS * (n_terms + 1) * size / max(abs(s), 1e-300))
     if z >= 1.0:
         raise DomainError("2F1 branch point/cut at z >= 1 is not supported")
     if z < 0.0:
@@ -630,7 +637,7 @@ def whittaker(kind, kappa, mu, z, tol=1e-11):
     z = complex(z)
     if z == 0:
         raise DomainError("Whittaker functions undefined at z=0")
-    if abs(kappa) > PARAM_BOX or abs(mu) > PARAM_BOX or abs(z) > Z_BOX:
+    if not (abs(kappa) <= PARAM_BOX and abs(mu) <= PARAM_BOX and abs(z) <= Z_BOX):
         raise DivergenceError("Whittaker arguments outside the supported box")
     a = mu - kappa + 0.5
     b = 1.0 + 2.0 * mu
@@ -951,7 +958,7 @@ def coulomb_jet(b, eta):
     def check(tau, converged=True):
         if isinstance(tau, Dual2):
             raise DomainError("the Coulomb jet takes a float or float lanes, not a Dual2")
-        if max(abs(b), abs(eta)) > PARAM_BOX or not np.all(np.abs(tau) <= Z_BOX):
+        if not (abs(b) <= PARAM_BOX and abs(eta) <= PARAM_BOX and np.all(np.abs(tau) <= Z_BOX)):
             raise DivergenceError("Coulomb series arguments outside the supported box")
         if not np.all(converged):
             raise DivergenceError("Coulomb series failed to converge within the iteration cap")

@@ -893,7 +893,7 @@ def sup_cdf_distance(samples, model_cdf, atom_at_zero=0.0):
 
 
 def compare(closed_form, oracle, metric="Linf_rel", threshold=1e-3,
-            boundary_margin=0.0, absorbed_mass=None) -> ResidualReport:
+            boundary_margin=0.0) -> ResidualReport:
     """Compare a closed form against an independent oracle.
 
     ``metric="Linf_rel"``: oracle is a :class:`Grid`; relative L-infinity over
@@ -901,7 +901,8 @@ def compare(closed_form, oracle, metric="Linf_rel", threshold=1e-3,
 
     ``metric="cdf_sup"``: oracle is a :class:`SampleSet`; the closed form is a
     density :class:`Grid` (values >= 0 on a price axis) whose CDF, including
-    any mass absorbed at zero, is compared against the empirical CDF.
+    the mass it lacks as an atom absorbed at zero, is compared against the
+    empirical CDF.
     """
     if metric == "Linf_rel":
         if not isinstance(oracle, Grid) or oracle.values is None:
@@ -934,7 +935,7 @@ def compare(closed_form, oracle, metric="Linf_rel", threshold=1e-3,
         dens = np.maximum(closed_form.values, 0.0)
         cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
         mass = cdf_grid[-1]
-        atom = absorbed_mass if absorbed_mass is not None else max(0.0, 1.0 - mass)
+        atom = max(0.0, 1.0 - mass)
         sup = sup_cdf_distance(
             oracle.s1,
             lambda v: atom + float(np.interp(v, xs, cdf_grid, left=0.0, right=cdf_grid[-1])),

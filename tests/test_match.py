@@ -1,14 +1,81 @@
-"""Potential classifier: opaque bindings given as derivative tuples, the
-number of potential evaluations one sampled classification costs, and the
-exclusions that keep a sampled fit out of neighbouring families."""
+"""Potential classifier: the templates and case parameters the family table
+gives, the cancelled-shape rule of the structural pass, opaque bindings
+given as derivative tuples, the number of potential evaluations one sampled
+classification costs, and the exclusions that keep a sampled fit out of
+neighbouring families."""
 
 import math
 
 import pytest
 
-from liesolve.exprlang import evaluate, match_case, parse
+from liesolve.exprlang import TEMPLATE_SOURCES, evaluate, match_case, parse
+from liesolve.reductions import catalog
 
 STUDY = parse("48*(x^2+y^2)/(x^2-y^2)^2 + r^2*(x^2+y^2) - 18*r")
+
+TEMPLATES = {
+    "1.1a": "C0/x^2 + b*y + c0",
+    "1.1b": "C0/x^2 + c*r_polar^2 + b*y + c0",
+    "1.2a": "C(theta)/r_polar^2 + c0",
+    "1.2b": "C(theta)/r_polar^2 + c*r_polar^2 + c0",
+    "1.3": "C(lam*ln(r_polar) + theta)/r_polar^2 + c0",
+    "1.4a": "C0/r_polar^2 + a*x + b*y + c0",
+    "1.4b": "C0/r_polar^2 + c*r_polar^2 + a*x + b*y + c0",
+    "1.5a": "a*x + b*y + c0",
+    "1.6": "C(r_polar) + d*theta",
+    "1.8a": "C(x) + b*y",
+    "1.8b": "C(x) + c*y^2 + b*y",
+}
+
+CASE_PARAMS = {
+    "1.1a": ("C0", "b", "c0"),
+    "1.1b": ("C0", "c", "b", "c0"),
+    "1.2a": ("c0",),
+    "1.2b": ("c", "c0"),
+    "1.3": ("lam", "c0"),
+    "1.4a": ("C0", "a", "b", "c0"),
+    "1.4b": ("C0", "c", "a", "b", "c0"),
+    "1.5a": ("a", "b", "c0"),
+    "1.6": ("d",),
+    "1.8a": ("b",),
+    "1.8b": ("c", "b"),
+}
+
+VALUES = {"C0": 1.25, "a": -0.75, "b": 0.5, "c": 1.5, "c0": -2.0, "lam": 0.625, "d": 0.75}
+FACTOR = {"C": lambda s: 2.0 + math.sin(s)}
+
+
+def test_family_table_gives_the_templates_and_case_parameters():
+    assert list(TEMPLATE_SOURCES.items()) == list(TEMPLATES.items())
+    assert {cid: case.case_params for cid, case in catalog().items()} == CASE_PARAMS
+
+
+def _params(case_id, **override):
+    return {**{name: VALUES[name] for name in CASE_PARAMS[case_id]}, **override}
+
+
+def _with_cancelling_pair(case_id):
+    # the pair is of a shape the family lacks
+    pair = "2*y^2 - 2*y^2" if "c*r_polar^2" in TEMPLATES[case_id] else "r_polar^2 - r_polar^2"
+    return f"{TEMPLATES[case_id]} + {pair}"
+
+
+ZERO_C = {"1.1b": "1.1a", "1.4b": "1.4a", "1.2b": "1.2a", "1.8b": "1.8a"}
+
+
+@pytest.mark.parametrize(
+    "source, params, case_id",
+    [(TEMPLATES[cid], _params(cid, c=0.0), to) for cid, to in ZERO_C.items()]
+    + [(_with_cancelling_pair(cid), _params(cid), cid) for cid in TEMPLATES],
+    ids=[f"{cid}-c=0" for cid in ZERO_C] + [f"{cid}-pair" for cid in TEMPLATES],
+)
+def test_a_cancelled_shape_is_absent_from_the_structural_match(source, params, case_id):
+    # a shape whose coefficients sum to exactly 0 does not keep a family out:
+    # the c = 0 members and the cancelling pairs match exactly, not sampled
+    m = match_case(parse(source), params, FACTOR)
+    assert (m.case_id, m.fit_residual) == (case_id, 0.0)
+    bindings = {name: v for name, v in m.bindings.items() if name != "C"}
+    assert bindings == {name: params[name] for name in CASE_PARAMS[case_id]}
 
 
 def test_tuple_binding_runs_the_structural_exclusions():

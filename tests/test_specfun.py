@@ -97,7 +97,7 @@ def test_gamma_pole_and_overflow():
         sf.gamma(0.0)
     with pytest.raises(PoleError):
         sf.gamma(-3.0)
-    with pytest.raises(OverflowError):
+    with pytest.raises(DivergenceError, match="z=200.0"):
         sf.gamma(200.0)
 
 
@@ -386,11 +386,50 @@ def test_2f1_contiguous_relation_spot_checks():
         count += 1
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_terminating_series_match_mpmath(seed):
+    """2F1 with a or b a non-positive integer (the kernel swaps b = -n into
+    a) and U(-n, b, z), a Laguerre polynomial, within est_error of mpmath at
+    40 digits, also where the terms cancel."""
+    import mpmath
+
+    rng = np.random.default_rng(seed)
+    with mpmath.workdps(40):
+        for k in range(60):
+            n = -int(rng.integers(1, 9))
+            p, c, z = rng.uniform(-4.0, 4.0), rng.uniform(0.3, 4.0), rng.uniform(-0.95, 0.95)
+            a, b = (n, p) if k % 2 else (p, n)
+            got = sf.hypergeometric("Gauss2F1", a=a, b=b, c=c, z=z)
+            ref = mpmath.hyp2f1(a, b, c, z)
+            assert float(abs(got.value - ref) / abs(ref)) <= got.est_error, (a, b, c, z)
+            b, z = rng.uniform(-4.0, 4.0), rng.uniform(0.2, 20.0)
+            got = sf.hypergeometric("TricomiU", a=n, b=b, z=z)
+            ref = mpmath.hyperu(n, b, z)
+            assert float(abs(got.value - ref) / abs(ref)) <= got.est_error, (n, b, z)
+
+
 def test_2f1_domain_errors():
     with pytest.raises(DomainError):
         sf.hypergeometric("Gauss2F1", a=0.3, b=0.4, c=1.5, z=1.2)
     with pytest.raises(DomainError):
         sf.hypergeometric("Gauss2F1", a=0.5, b=0.5, c=2.0, z=0.9)  # c-a-b integer near 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sf.hypergeometric("Kummer1F1", 1.0, 2.0, z=math.nan), "1F1 arguments outside"),
+        (lambda: sf.hypergeometric("Gauss2F1", 1.0, 2.0, 3.0, z=math.nan), "z=nan is not finite"),
+        (lambda: sf.hypergeometric("TricomiU", 0.5, 1.5, z=math.nan), "U arguments outside"),
+        (lambda: sf.whittaker("M", 0.3, 0.2, math.nan), "Whittaker arguments outside"),
+        (lambda: sf.coulomb_jet(1.5, math.nan)(1.0), "Coulomb series arguments outside"),
+    ],
+    ids=["Kummer1F1", "Gauss2F1", "TricomiU", "whittaker", "coulomb_jet"],
+)
+def test_nan_lies_outside_the_box(call, message):
+    # the box check raises at once: no series runs to its cap on a NaN
+    with pytest.raises(DivergenceError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
