@@ -325,7 +325,8 @@ def _classify_term(term, params):
                 return ("inv_r2", coef * num_c, None)
         if den not in _R2:
             return None
-        core, over_r2 = core.left, "/r2"
+        num_coef, core = split_coef(core.left)  # (k C(theta)) / r^2
+        coef, over_r2 = coef * num_coef, "/r2"
     if isinstance(core, A.Call) and core.opaque and core.prime == 0:
         lam = _log_spiral_arg(core.arg, params)
         arg = "spiral" if lam is not None else core.arg.name if isinstance(core.arg, A.Var) else ""
@@ -338,38 +339,36 @@ def _classify_term(term, params):
 def _structural_match(expr, params, opaque):
     """The families whose shapes include every shape of the input, with
     exactly one factor term, its symbol bound, where the family has a free
-    factor.  A shape whose coefficients sum to exactly 0.0 is absent; a
+    factor.  A shape whose coefficients sum to exactly 0.0 is absent, and so
+    are the factor terms of one symbol and shape whose coefficients do; a
     required parameter that vanishes is left to :func:`_excluded`."""
-    sums, factors = {}, {}
+    sums = {}
     for sign, t in _flatten_sum(expr):
         k = _classify_term(t, params)
         if k is None:
             return None
         shape, coef, factor = k
-        if factor is None:
-            sums.setdefault(shape, []).append(sign * coef)
-            continue
-        fn, lam = factor
-        C = _bound_opaque(fn, sign * coef, opaque)
-        if factors or C is None:
+        if factor is not None and (opaque is None or factor[0] not in opaque):
             return None
-        factors[shape] = C
+        # like factor terms share their (shape, symbol, spiral slope) key
+        sums.setdefault(shape if factor is None else (shape, *factor), []).append(sign * coef)
+    bound = {key: sum(vals) for key, vals in sums.items() if sum(vals) != 0.0}
+    factors = [key for key in bound if isinstance(key, tuple)]
+    if len(factors) > 1:
+        return None
+    for shape, fn, lam in factors:
+        bound[shape] = _bound_opaque(fn, bound.pop((shape, fn, lam)), opaque)
         if lam is not None:
-            sums["spiral"] = [lam]
-    sums = {shape: sum(vals) for shape, vals in sums.items()}
-    shapes = {shape for shape, v in sums.items() if v != 0.0} | factors.keys()
-    bound = {**sums, **factors}
+            bound["spiral"] = lam
     results = [
         CaseMatch(cid, {name: bound.get(shape, 0.0) for shape, name in family.items()}, 0.0)
         for cid, family in FAMILIES.items()
-        if shapes <= family.keys() and factors.keys() == family.keys() & _RESAMPLE_AT.keys()
+        if family.keys() & _RESAMPLE_AT.keys() <= bound.keys() <= family.keys()
     ]
     return results or None
 
 
 def _bound_opaque(fn, coef, opaque):
-    if opaque is None or fn not in opaque:
-        return None
     wrapper = A._Opaque(fn, opaque[fn])
     if coef == 1.0:
         return wrapper.fns[0] if len(wrapper.fns) == 1 else wrapper.fns

@@ -10,8 +10,11 @@ The ``c`` slot may instead carry a second first-order direction
 (:func:`derivative_pair`).  No operation reads ``c`` or ``d`` into ``a`` or
 ``b`` and every ``c`` formula mirrors its ``b`` formula, so each derivative
 slot of such a pass is bitwise equal to that of a separate pass.  Values must
-come from float passes: division multiplies by the reciprocal, so the ``a``
-slot of a seeded pass can differ from a float quotient in the last bit.
+come from float passes: division multiplies by the reciprocal and a square is
+``a * a``, so the ``a`` slot of a seeded pass can differ from a float call in
+the last bit.  Only the invariance defect of
+:func:`liesolve.symmetry.symmetry_residual` reads value slots: its tolerance
+is far above one rounding, and the reading spares a float pass per callable.
 
 This is how the similarity maps, gauge prefactors and separated factors get
 machine-precision derivatives without symbolic machinery; finite differences

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import hyperdual as hd
-from ..errors import NoClosedForm, SamplingError
+from ..errors import DomainError, NoClosedForm, SamplingError
 from ..exprlang import FAMILIES, TEMPLATE_SOURCES, instantiate
 from ..symmetry import SymmetryData, exp_pair, poly
 from . import maps as MP
@@ -347,6 +347,8 @@ def _case_12a(p):
 
 def _case_12b(p):
     c, c0, d1, d2 = p["c"], p["c0"], p["delta1"], p["delta2"]
+    if not c >= 0.0:  # the exponential pair's rate is 2 sqrt(2c)
+        raise DomainError(f"parameter c must be >= 0, got c = {c!r}")
     C = _c_scalar(p, _C_THETA)
 
     def op(P, xi, eta):
@@ -382,6 +384,8 @@ def _case_12b(p):
 
 def _case_13(p):
     lam, c0, k = p["lam"], p["c0"], p.get("k", 1.0)
+    if lam == 0.0:  # the time functions are 2k t / lam and 2k c0 t / lam
+        raise DomainError(f"parameter lam must be nonzero, got lam = {lam!r}")
     C = _c_scalar(p, _C_THETA)
 
     def op(P, xi, eta):
@@ -554,6 +558,8 @@ def _case_18a(p):
 
 def _case_18b(p):
     c, b, B1, B2 = p["c"], p["b"], p["beta1"], p["beta2"]
+    if not c > 0.0:  # f4 divides by the exponential pair's rate sqrt(2c)
+        raise DomainError(f"parameter c must be > 0, got c = {c!r}")
     C = _c_scalar(p, _C_LINE)
 
     def op(P, xi, eta):

@@ -285,28 +285,28 @@ def symmetry_residual(vf: VectorField, M, u_test, points=None) -> float:
     smooth test field certifies it; no PDE solve is needed.
 
     All points run as lanes of two nested jet passes (see
-    :mod:`liesolve.hyperdual`).  The inner pass seeds u with the patterns
-    ``_INNER`` and gives u_t, u_x, u_y, u_xx and u_yy, from which one function
-    forms sigma and E; the outer pass seeds that function with ``_OUTER`` and
-    gives sigma_t, sigma_xx, sigma_yy, E_t, E_x and E_y; one float-lane call
-    gives the values of sigma and E.  u is evaluated four times per call, on
-    16 n, 4 n, 4 n and n lanes for n points.  M is evaluated only on the
-    lanes that read E: the term M u of E joins after the outer pass.  Every
-    lane is bitwise equal to the scalar nested passes at its point.  A lane
-    evaluation that raises a TypeError, ValueError, ArithmeticError or
+    :mod:`liesolve.hyperdual`), one evaluation of u on 16 n lanes for n
+    points.  The inner pass seeds u with the patterns ``_INNER`` and gives u,
+    u_t, u_x, u_y, u_xx and u_yy, from which one function forms sigma and E,
+    evaluating each of vf's coefficients once; the outer pass seeds that
+    function with ``_OUTER`` and gives sigma_t, sigma_xx, sigma_yy, E_t, E_x,
+    E_y and T_t, and the values of sigma, E, u and the coefficients as value
+    slots.  M u joins E after the outer pass, with the sampling filter's
+    values of M.  Every lane is bitwise the scalar nested passes at its point.
+    A lane evaluation that raises a TypeError, ValueError, ArithmeticError or
     LiesolveError (a callable that branches on values or calls ``math`` on a
     jet, a lane division by zero, a domain error of M at some point) reruns
     the same passes with u, M and vf's five coefficients wrapped in
     :func:`liesolve.hyperdual.per_lane`, one lane at a time, which gives the
     scalar passes' defects or their error, and a NaN defect gives NaN.
     """
-    points = [pt for pt, _ in _filter_points(M, points or default_sampling())]
+    kept = _filter_points(M, points or default_sampling())
     with np.errstate(**hd.LANE_ERRSTATE):
         try:
-            defects = _lane_defects(vf, M, u_test, points)
+            defects = _lane_defects(vf, M, u_test, kept)
         except _LANE_ERRORS:
             one_lane = VectorField(*map(hd.per_lane, (vf.T, vf.X, vf.Y, vf.A, vf.B)))
-            defects = _lane_defects(one_lane, *map(hd.per_lane, (M, u_test)), points)
+            defects = _lane_defects(one_lane, *map(hd.per_lane, (M, u_test)), kept)
     return float(np.max(np.abs(defects), initial=0.0))  # NaN-propagating
 
 
@@ -315,42 +315,34 @@ _INNER = ((2, None), (0, 1), (0, 0), (1, 1))
 _OUTER = ((2, None), (0, 0), (1, 1), (0, 1))
 
 
-def _lane_defects(vf, M, u, points):
-    xyt = hd.float_lanes(np.transpose(points))
+def _lane_defects(vf, M, u, kept):
+    xyt = hd.float_lanes(np.transpose([pt for pt, _ in kept]))
+    m = hd.float_lanes([v for _, v in kept])
 
     def sigma_E0(x, y, t):
-        # sigma, E without its potential term M u, and u: M joins E after
-        # the pass, on the lanes of the patterns that read E
+        # sigma, E without its potential term M u, u and the coefficients the
+        # tail reads: M joins E after the pass, on the lanes that read E
         p_t, p_xy, p_xx, p_yy = hd.lane_pass(u, (x, y, t), _INNER)
-        ut = p_t.b
-        uv = u(x, y, t)
-        sigma = (
-            vf.A(x, y, t) * uv
-            + vf.B(x, y, t)
-            - vf.T(x, y, t) * ut
-            - vf.X(x, y, t) * p_xy.b
-            - vf.Y(x, y, t) * p_xy.c
-        )
-        return sigma, ut - 0.5 * (p_xx.d + p_yy.d), uv
+        uv, ut = p_t.a, p_t.b
+        A, B, T, X, Y = (c(x, y, t) for c in (vf.A, vf.B, vf.T, vf.X, vf.Y))
+        sigma = A * uv + B - T * ut - X * p_xy.b - Y * p_xy.c
+        return sigma, ut - 0.5 * (p_xx.d + p_yy.d), uv, A, T, X, Y
 
-    x, y, t = xyt
+    x, y, _ = xyt
     outer = hd.lane_pass(sigma_E0, xyt, _OUTER)
-    (s_t, E0_t, u_t), (s_xx, _, _), (s_yy, _, _), (_, E0_xy, u_xy) = outer
+    (s_t, E0_t, u_t, A, T, X, Y), (s_xx, *_), (s_yy, *_), (_, E0_xy, u_xy, *_) = outer
     M_t, M_xy = hd.lane_pass(M, (x, y), ((2, None), (0, 1)))
     E_t = E0_t + M_t * u_t
     E_xy = E0_xy + M_xy * u_xy
-    m = M(x, y)
-    sigma, E0, uv = sigma_E0(x, y, t)
-    E = E0 + m * uv
-    (T_t,) = hd.lane_pass(vf.T, xyt, ((2, None),))
+    E = E0_t.a + m * u_t.a
     defect = (
-        s_t.b - 0.5 * (s_xx.d + s_yy.d) + m * sigma
-        - (vf.A(x, y, t) - T_t.b) * E
-        + vf.T(x, y, t) * E_t.b
-        + vf.X(x, y, t) * E_xy.b
-        + vf.Y(x, y, t) * E_xy.c
+        s_t.b - 0.5 * (s_xx.d + s_yy.d) + m * s_t.a
+        - (A.a - T.b) * E
+        + T.a * E_t.b
+        + X.a * E_xy.b
+        + Y.a * E_xy.c
     )
-    return np.broadcast_to(hd.value(defect), (len(points),)).tolist()
+    return np.broadcast_to(hd.value(defect), (len(kept),)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -411,10 +411,19 @@ def test_main_config_error_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# parameters outside the bounds of their case's binding, each with the bound
+# its DomainError names
+OUT_OF_BOUNDS = {
+    "verify --case 1.3 --params lam=0": "lam must be nonzero",
+    "verify --case 1.2b --params c=-1": "c must be >= 0",
+    "verify --case 1.8b --params c=-1,b=0": "c must be > 0",
+    "verify --case 1.8b --params c=0": "c must be > 0",
+}
+
 # invocations that end in one "config error:" or "error:" line and exit 1:
 # usage errors (argparse's own exit code, 2, is the one of a failed
 # verification), unreadable configs, non-numeric bindings, an unknown case,
-# and report paths that cannot be written
+# report paths that cannot be written and parameters out of bounds
 BAD_INVOCATIONS = [
     "transform --index 9",
     "--seed abc reduce --case 1.2b",
@@ -434,6 +443,7 @@ BAD_INVOCATIONS = [
     "reduce --case 1.6 --json nodir/report.json",
     "reduce --case 1.6 --text nodir/report.txt",
     "solve --case 1.2b --allow-unverified --samples nodir/samples.csv",
+    *OUT_OF_BOUNDS,
 ]
 
 
@@ -446,6 +456,13 @@ def test_bad_invocations_exit_1_with_one_line(argv, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith(("config error: ", "error: ")) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", OUT_OF_BOUNDS)
+def test_a_parameter_out_of_bounds_is_a_domain_error_naming_its_bound(argv, capsys):
+    assert main(shlex.split(argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DomainError: parameter {OUT_OF_BOUNDS[argv]}, got "), err
 
 
 def test_unknown_or_missing_case_is_a_config_error_in_run():

@@ -1,16 +1,18 @@
 """Lane passes: every lane of a batched jet pass is bitwise the scalar pass at
 its point, for plain and nested passes, powers, quotients of jets and the
-elementary functions; the invariance residual reruns its passes one lane at a
-time when a test field or a coefficient cannot take lanes, and equals the
-nested scalar passes kept here as the reference; the reduction-consistency
-check evaluates every trial's points as lanes of one evaluation, reruns each
-trial one lane at a time when the lanes raise, and equals the scalar ratio
-loop kept here as the reference; each site that seeds one field several
-times at one point set seeds it once on lanes and once per pattern at a
-point; the determining condition runs on lanes and equals the per-point
-formula kept here as the reference, and the potential's sampling filter
-keeps what the per-point filter keeps."""
+elementary functions; the invariance residual evaluates the test field and
+each coefficient once per point set and the potential twice, reruns its
+passes one lane at a time when a test field or a coefficient cannot take
+lanes, and equals the nested scalar passes kept here as the reference; the
+reduction-consistency check evaluates every trial's points as lanes of one
+evaluation, reruns each trial one lane at a time when the lanes raise, and
+equals the scalar ratio loop kept here as the reference; each site that seeds
+one field several times at one point set seeds it once on lanes and once per
+pattern at a point; the determining condition runs on lanes and equals the
+per-point formula kept here as the reference, and the potential's sampling
+filter keeps what the per-point filter keeps."""
 
+import collections
 import dataclasses
 import importlib
 import math
@@ -204,42 +206,60 @@ def test_per_lane_on_zero_lanes_gives_zero_lanes():
 # -- the invariance residual ------------------------------------------------------
 
 
+def _t_pass(F, x, y, t):
+    """The value slot and the t-derivative of F's t-pass, the pass that
+    ``hd.derivative(F, (x, y, t), 2)`` makes."""
+    (out,) = hd.lane_pass(F, (x, y, t), ((2, None),))
+    return out.a, out.b
+
+
 def _scalar_defect(vf, M, u, x, y, t):
-    """The invariance defect at one point from separate nested scalar passes."""
+    """The invariance defect at one point from separate nested scalar passes.
+
+    sigma, E, u and the coefficients are the value slots of their t-passes and
+    m is M's float value, as on the lanes."""
 
     def sigma(x, y, t):
-        ut = hd.derivative(u, (x, y, t), 2)
+        uv, ut = _t_pass(u, x, y, t)
         ux, uy = hd.derivative_pair(u, (x, y, t), 0, 1)
         return (
-            vf.A(x, y, t) * u(x, y, t)
+            vf.A(x, y, t) * uv
             + vf.B(x, y, t)
             - vf.T(x, y, t) * ut
             - vf.X(x, y, t) * ux
             - vf.Y(x, y, t) * uy
         )
 
-    def E(x, y, t):
+    def E0(x, y, t):  # E without its potential term M u
         ut = hd.derivative(u, (x, y, t), 2)
         uxx = hd.derivative(u, (x, y, t), 0, order=2)
         uyy = hd.derivative(u, (x, y, t), 1, order=2)
-        return ut - 0.5 * (uxx + uyy) + M(x, y) * u(x, y, t)
+        return ut - 0.5 * (uxx + uyy)
 
-    def L_of(F, x, y, t):
-        ft = hd.derivative(F, (x, y, t), 2)
-        fxx = hd.derivative(F, (x, y, t), 0, order=2)
-        fyy = hd.derivative(F, (x, y, t), 1, order=2)
-        return ft - 0.5 * (fxx + fyy) + M(x, y) * F(x, y, t)
+    def E(x, y, t):
+        return E0(x, y, t) + M(x, y) * _t_pass(u, x, y, t)[0]
 
-    Tt = hd.derivative(vf.T, (x, y, t), 2)
+    m = M(x, y)
+    sv, st = _t_pass(sigma, x, y, t)
+    sxx = hd.derivative(sigma, (x, y, t), 0, order=2)
+    syy = hd.derivative(sigma, (x, y, t), 1, order=2)
+    Ev = _t_pass(E0, x, y, t)[0] + m * _t_pass(u, x, y, t)[0]
     Ex, Ey = hd.derivative_pair(E, (x, y, t), 0, 1)
+    Tv, Tt = _t_pass(vf.T, x, y, t)
+    A, X, Y = (_t_pass(c, x, y, t)[0] for c in (vf.A, vf.X, vf.Y))
     resid = (
-        L_of(sigma, x, y, t)
-        - (vf.A(x, y, t) - Tt) * E(x, y, t)
-        + vf.T(x, y, t) * hd.derivative(E, (x, y, t), 2)
-        + vf.X(x, y, t) * Ex
-        + vf.Y(x, y, t) * Ey
+        st - 0.5 * (sxx + syy) + m * sv
+        - (A - Tt) * Ev
+        + Tv * hd.derivative(E, (x, y, t), 2)
+        + X * Ex
+        + Y * Ey
     )
     return hd.value(resid)
+
+
+def _kept(M, pts):
+    """``(point, M value)`` pairs, as the potential's sampling filter keeps them."""
+    return [(pt, M(pt[0], pt[1])) for pt in pts]
 
 
 def _draw(cid, draw):
@@ -260,6 +280,10 @@ def _draw(cid, draw):
 # the exponential families sample t in (-0.3, 0.6): this region has a point
 # at t = -0.0008, where the heat kernel's exp(-q/(2t)) overflows
 @example(cid="1.1b", draw=24, kind="heat", seed=0)
+# a lane where pow(t, 2) != t * t (t = 0x1.36c37eaf61649p-2): the float call
+# of this field squares by pow, its value slots by *, and the defect reads
+# the value slots
+@example(cid="1.1a", draw=20, kind="poly3", seed=11)
 def test_invariance_lanes_are_bitwise_the_scalar_defects(cid, draw, kind, seed):
     vf, M, pts = _draw(cid, draw)
     u = _field(kind, seed)
@@ -269,13 +293,33 @@ def test_invariance_lanes_are_bitwise_the_scalar_defects(cid, draw, kind, seed):
         # a point outside the field's domain: the lanes raise where the
         # floats raise, and the residual gives the scalar passes' error
         with pytest.raises(ArithmeticError), np.errstate(**hd.LANE_ERRSTATE):
-            S._lane_defects(vf, M, u, pts)
+            S._lane_defects(vf, M, u, _kept(M, pts))
         with pytest.raises(type(err)):
             S.symmetry_residual(vf, M, u, points=pts)
         return
     with np.errstate(**hd.LANE_ERRSTATE):
-        lanes = S._lane_defects(vf, M, u, pts)
+        lanes = S._lane_defects(vf, M, u, _kept(M, pts))
     assert [_hex(v) for v in lanes] == want
+
+
+def test_each_callable_runs_once_per_point_set():
+    # u once, on the nested 16 n lanes; each coefficient once, on the outer
+    # lanes; M in the sampling filter and in the jet pass
+    vf, M, pts = _draw("1.2b", 3)
+    u = F.random_smooth_field(np.random.default_rng(5))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    coeffs = (counted(name, getattr(vf, name)) for name in "TXYAB")
+    got = S.symmetry_residual(S.VectorField(*coeffs), counted("M", M), counted("u", u), points=pts)
+    assert calls == {"u": 1, "T": 1, "X": 1, "Y": 1, "A": 1, "B": 1, "M": 2}
+    assert got.hex() == S.symmetry_residual(vf, M, u, points=pts).hex()
 
 
 def test_field_on_math_exp_returns_the_scalar_result_through_the_fallback():
@@ -283,7 +327,7 @@ def test_field_on_math_exp_returns_the_scalar_result_through_the_fallback():
     u = lambda x, y, t: math.exp(-0.1 * float(t)) * x * y + y * y * t
     vf, M, pts = _draw("1.2b", 3)
     with pytest.raises(TypeError):
-        S._lane_defects(vf, M, u, pts)
+        S._lane_defects(vf, M, u, _kept(M, pts))
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
     assert S.symmetry_residual(vf, M, u, points=pts).hex() == want.hex()
 
@@ -295,7 +339,7 @@ def test_coefficient_on_math_exp_falls_back_with_the_field():
     vf = S.VectorField(vf.T, vf.X, vf.Y, vf.A, lambda x, y, t: math.exp(-float(t)), name="libm B")
     u = F.random_smooth_field(np.random.default_rng(5))
     with pytest.raises(TypeError):
-        S._lane_defects(vf, M, hd.per_lane(u), pts)
+        S._lane_defects(vf, M, hd.per_lane(u), _kept(M, pts))
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
     got = S.symmetry_residual(vf, M, u, points=pts)
     assert got.hex() == want.hex()
@@ -328,7 +372,7 @@ def _raises_on_lanes(err):
 def test_each_caught_class_reruns_one_lane_at_a_time(u):
     vf, M, pts = _draw("1.4a", 2)
     with pytest.raises((TypeError, ValueError, ArithmeticError, LiesolveError)):
-        S._lane_defects(vf, M, u, pts)
+        S._lane_defects(vf, M, u, _kept(M, pts))
     want = max(abs(_scalar_defect(vf, M, u, *pt)) for pt in pts)
     assert S.symmetry_residual(vf, M, u, points=pts).hex() == want.hex()
 

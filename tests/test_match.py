@@ -61,17 +61,22 @@ def _with_cancelling_pair(case_id):
 
 
 ZERO_C = {"1.1b": "1.1a", "1.4b": "1.4a", "1.2b": "1.2a", "1.8b": "1.8a"}
+# factor terms of a shape 1.8a lacks, of one symbol, whose coefficients sum to 0
+CANCELLED_FACTORS = ("C(theta)/r_polar^2 - C(theta)/r_polar^2", "0*C(theta)/r_polar^2")
 
 
 @pytest.mark.parametrize(
     "source, params, case_id",
     [(TEMPLATES[cid], _params(cid, c=0.0), to) for cid, to in ZERO_C.items()]
-    + [(_with_cancelling_pair(cid), _params(cid), cid) for cid in TEMPLATES],
-    ids=[f"{cid}-c=0" for cid in ZERO_C] + [f"{cid}-pair" for cid in TEMPLATES],
+    + [(_with_cancelling_pair(cid), _params(cid), cid) for cid in TEMPLATES]
+    + [(f"C(x) + {pair} + 2*y", {"b": 2.0}, "1.8a") for pair in CANCELLED_FACTORS],
+    ids=[f"{cid}-c=0" for cid in ZERO_C] + [f"{cid}-pair" for cid in TEMPLATES]
+    + ["1.8a-factor-pair", "1.8a-zero-factor"],
 )
 def test_a_cancelled_shape_is_absent_from_the_structural_match(source, params, case_id):
     # a shape whose coefficients sum to exactly 0 does not keep a family out:
-    # the c = 0 members and the cancelling pairs match exactly, not sampled
+    # the c = 0 members, the cancelling pairs and the cancelled factor terms
+    # match exactly, not sampled
     m = match_case(parse(source), params, FACTOR)
     assert (m.case_id, m.fit_residual) == (case_id, 0.0)
     bindings = {name: v for name, v in m.bindings.items() if name != "C"}
